@@ -22,9 +22,9 @@ from .model import (FeedbackLaw, Profile, ReactorParams, SpatialGrid,
                     initial_profile, lambda_theoretical, reaction_rate,
                     saturate)
 from .operator import (DiscreteGenerator, DissipativityForm, ResolventSolution,
-                       build_generator, dissipativity_form, duhamel_oracle,
-                       inner_product, random_bc_compatible, resolvent_analytic,
-                       resolvent_discrete)
+                       Tridiagonal, build_generator, dissipativity_form,
+                       duhamel_oracle, inner_product, random_bc_compatible,
+                       resolvent_analytic, resolvent_discrete)
 from .steady_state import (AnalyticSteadyState, SteadyStateSolution,
                            steady_state_analytic_n1, steady_state_numeric,
                            steady_state_residual)
@@ -36,8 +36,8 @@ __all__ = [
     "FeedbackLaw", "IntegrationError", "ParameterError", "Profile",
     "ReactorParams", "ResolventSolution", "SimulationConfig", "SolverError",
     "SpatialGrid", "SteadyStateSolution", "SweepCell", "SweepResult",
-    "Trajectory", "WeightFunction", "build_generator", "clamped_power",
-    "d_ax_from_peclet",
+    "Trajectory", "Tridiagonal", "WeightFunction", "build_generator",
+    "clamped_power", "d_ax_from_peclet",
     "default_saturation_bound", "default_weight", "dissipativity_form",
     "duhamel_oracle", "energy", "estimate_decay_rate", "initial_profile",
     "inner_product", "lambda_theoretical", "norm_rho", "random_bc_compatible",

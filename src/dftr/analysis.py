@@ -9,9 +9,8 @@ The numerical rate lambda_n is fitted from the simulated norm history.
 from __future__ import annotations
 
 import hashlib
+import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -22,7 +21,6 @@ from .model import (FeedbackLaw, Profile, ReactorParams, SpatialGrid,
 
 DEFAULT_WINDOW_FRACTION = 0.5
 DEFAULT_FLOOR_FACTOR = 1e-12  # floor = factor * ||w(0)||_rho
-THREADS_ENV_VAR = "DFTR_THREADS"
 
 
 @dataclass(frozen=True)
@@ -159,6 +157,12 @@ class SweepResult:
         return out
 
 
+def settings_hash(settings: dict) -> str:
+    """Provenance hash: sha256 of the sorted-key JSON, cut to 16 hex digits."""
+    canon = json.dumps(settings, sort_keys=True)
+    return hashlib.sha256(canon.encode()).hexdigest()[:16]
+
+
 def _provenance(params: ReactorParams, law: FeedbackLaw, grid: SpatialGrid,
                 dt: float, record_every: int, weight: WeightFunction,
                 window_fraction: float, floor, extra: dict) -> dict:
@@ -171,9 +175,7 @@ def _provenance(params: ReactorParams, law: FeedbackLaw, grid: SpatialGrid,
         "window_fraction": window_fraction,
         "floor": "default" if floor is None else floor,
     }
-    canon = ";".join(f"{k}={settings[k]!r}" for k in sorted(settings))
-    digest = hashlib.sha256(canon.encode()).hexdigest()[:16]
-    return {"hash": digest, **settings, **extra}
+    return {"hash": settings_hash(settings), **settings, **extra}
 
 
 def _run_cell(base_config, n: float, alpha: float, sat_m, weight,
@@ -188,8 +190,7 @@ def _run_cell(base_config, n: float, alpha: float, sat_m, weight,
     law = replace(base_config.law, alpha=alpha)
     config = SimulationConfig(params=params, law=law, grid=base_config.grid,
                               dt=base_config.dt,
-                              record_every=base_config.record_every,
-                              clamp_monitor=base_config.clamp_monitor)
+                              record_every=base_config.record_every)
     w = weight if weight is not None else default_weight(config.grid, params)
 
     extra: dict = {}
@@ -205,19 +206,8 @@ def _run_cell(base_config, n: float, alpha: float, sat_m, weight,
         est = None
         err = f"{type(exc).__name__}: {exc}"
     prov = _provenance(params, law, config.grid, config.dt, config.record_every,
-                       w if w is not None else default_weight(config.grid, params),
-                       window_fraction, floor, extra)
+                       w, window_fraction, floor, extra)
     return SweepCell(n=n, alpha=alpha, estimate=est, error=err, provenance=prov)
-
-
-def max_workers() -> int:
-    cap = os.environ.get(THREADS_ENV_VAR)
-    if cap is not None:
-        try:
-            return max(1, int(cap))
-        except ValueError:
-            raise ParameterError(f"{THREADS_ENV_VAR} must be an integer, got {cap!r}")
-    return os.cpu_count() or 1
 
 
 def sweep(base_config, n_values, alpha_values, sat_m: float | None = None,
@@ -227,25 +217,17 @@ def sweep(base_config, n_values, alpha_values, sat_m: float | None = None,
     """Decay-rate table over all (n, alpha) cells.
 
     Each cell solves its own steady state, builds the alpha-dependent
-    initial profile, simulates to the horizon, and fits lambda_n. Cells are
-    independent; failures are recorded per cell without aborting. sat_m
-    defaults per cell to ten times the peak of that cell's initial profile.
-    Worker count is capped by the DFTR_THREADS environment variable.
+    initial profile, simulates to the horizon, and fits lambda_n. Cells run
+    one after another; failures are recorded per cell without aborting.
+    sat_m defaults per cell to ten times the peak of that cell's initial
+    profile.
     """
     n_values = tuple(float(n) for n in n_values)
     alpha_values = tuple(float(a) for a in alpha_values)
     if not n_values or not alpha_values:
         raise ParameterError("n_values and alpha_values must be non-empty")
 
-    pairs = [(n, a) for n in n_values for a in alpha_values]
-    workers = min(max_workers(), len(pairs))
-    if workers == 1:
-        results = [_run_cell(base_config, n, a, sat_m, weight,
-                             window_fraction, floor) for n, a in pairs]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(
-                lambda na: _run_cell(base_config, na[0], na[1], sat_m, weight,
-                                     window_fraction, floor), pairs))
-    cells = {(c.n, c.alpha): c for c in results}
+    cells = {(n, a): _run_cell(base_config, n, a, sat_m, weight,
+                               window_fraction, floor)
+             for n in n_values for a in alpha_values}
     return SweepResult(n_values=n_values, alpha_values=alpha_values, cells=cells)

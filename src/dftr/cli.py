@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import hashlib
 import json
 import math
 import sys
@@ -25,7 +24,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import __version__
-from .analysis import sweep, weight_profile
+from .analysis import settings_hash, sweep, weight_profile
 from .errors import (ConfigError, DftrError, EstimationError, IntegrationError,
                      ParameterError, SolverError)
 from .integrator import SimulationConfig, simulate
@@ -240,10 +239,8 @@ class RunManifest:
 
     @property
     def hash(self) -> str:
-        payload = {"command": self.command, "version": __version__,
-                   "settings": self.resolved}
-        canon = json.dumps(payload, sort_keys=True)
-        return hashlib.sha256(canon.encode()).hexdigest()[:16]
+        return settings_hash({"command": self.command, "version": __version__,
+                              "settings": self.resolved})
 
     def write(self, path) -> None:
         doc = {"config_path": self.config_path, "command": self.command,

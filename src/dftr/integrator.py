@@ -16,12 +16,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .analysis import default_weight
 from .errors import ContractError, IntegrationError, ParameterError
 from .model import FeedbackLaw, Profile, ReactorParams, SpatialGrid, reaction_rate
-from .operator import DiscreteGenerator, build_generator
+from .operator import build_generator
 from .steady_state import SteadyStateSolution
 
 NEGATIVITY_TOL = -1e-12
@@ -43,7 +42,6 @@ class SimulationConfig:
     grid: SpatialGrid
     dt: float
     record_every: int = 1
-    clamp_monitor: bool = True
 
     def __post_init__(self):
         if not (np.isfinite(self.dt) and self.dt > 0):
@@ -117,24 +115,10 @@ def substep_count(config: SimulationConfig, c_bar: np.ndarray, w0_max: float) ->
     return max(1, math.ceil(config.dt * lip / REACTION_COURANT))
 
 
-def _imex_arrays(gen: DiscreteGenerator, dt: float):
-    """Banded (I - dt/2 A) for solve_banded plus the diagonals of (I + dt/2 A)."""
-    lower, diag, upper = gen.diagonals
-    m = gen.grid.num_nodes
-    ab = np.zeros((3, m))
-    ab[0, 1:] = -0.5 * dt * upper[:-1]
-    ab[1, :] = 1.0 - 0.5 * dt * diag
-    ab[2, :-1] = -0.5 * dt * lower[1:]
-    plus = (0.5 * dt * lower, 1.0 + 0.5 * dt * diag, 0.5 * dt * upper)
-    return ab, plus
-
-
-def _apply_tridiag(bands, x: np.ndarray) -> np.ndarray:
-    lower, diag, upper = bands
-    out = diag * x
-    out[:-1] += upper[:-1] * x[1:]
-    out[1:] += lower[1:] * x[:-1]
-    return out
+def _crank_nicolson(config: SimulationConfig, dt: float):
+    """(I + dt/2 A_h, I - dt/2 A_h) for the closed-loop generator."""
+    a_h = build_generator(config.grid, config.params, config.law.alpha).diagonals
+    return a_h.shifted(1.0, 0.5 * dt), a_h.shifted(1.0, -0.5 * dt)
 
 
 def step(state: Profile, steady: SteadyStateSolution, config: SimulationConfig) -> Profile:
@@ -146,12 +130,10 @@ def step(state: Profile, steady: SteadyStateSolution, config: SimulationConfig) 
     """
     if state.grid != config.grid or steady.profile.grid != config.grid:
         raise ContractError("state and steady grids must match the configuration")
-    gen = build_generator(config.grid, config.params, config.law.alpha)
-    ab, plus = _imex_arrays(gen, config.dt)
+    plus, minus = _crank_nicolson(config, config.dt)
     w = state.values
     r = reaction_rate(w, steady.profile.values, config.params)
-    rhs = _apply_tridiag(plus, w) + config.dt * r
-    nxt = solve_banded((1, 1), ab, rhs)
+    nxt = minus.solve(plus.apply(w) + config.dt * r)
     if not np.all(np.isfinite(nxt)):
         raise IntegrationError("non-finite state after one step", step_index=1)
     return Profile(config.grid, nxt)
@@ -181,28 +163,24 @@ def simulate(config: SimulationConfig, steady: SteadyStateSolution,
     m_sub = substep_count(config, c_bar, float(np.max(np.abs(w0.values))))
     dt_sub = config.dt / m_sub
 
-    gen = build_generator(config.grid, p, config.law.alpha)
-    ab, plus = _imex_arrays(gen, dt_sub)
+    plus, minus = _crank_nicolson(config, dt_sub)
+    solve = minus.factor()
 
     rec_times = [0.0]
     rec_states = [w0.values.copy()]
     rec_energy = [energy_of(w0.values)]
-    negativity = 0
 
     w = w0.values.copy()
     r_prev = None
-    if config.clamp_monitor:
-        negativity += int(np.count_nonzero(w + c_bar < NEGATIVITY_TOL))
+    negativity = int(np.count_nonzero(w + c_bar < NEGATIVITY_TOL))
 
     for i in range(1, n_outer + 1):
         for _ in range(m_sub):
             r_now = reaction_rate(w, c_bar, p)
             r_star = r_now if r_prev is None else 1.5 * r_now - 0.5 * r_prev
-            rhs = _apply_tridiag(plus, w) + dt_sub * r_star
-            w = solve_banded((1, 1), ab, rhs)
+            w = solve(plus.apply(w) + dt_sub * r_star)
             r_prev = r_now
-            if config.clamp_monitor:
-                negativity += int(np.count_nonzero(w + c_bar < NEGATIVITY_TOL))
+            negativity += int(np.count_nonzero(w + c_bar < NEGATIVITY_TOL))
         if not np.all(np.isfinite(w)):
             raise IntegrationError(f"non-finite state at step {i}", step_index=i)
         if i % config.record_every == 0 or i == n_outer:

@@ -15,14 +15,59 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import expm, solve_banded
+from scipy.linalg import expm
+from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .errors import ContractError, ParameterError, SolverError
 from .model import FeedbackLaw, Profile, ReactorParams, SpatialGrid, reaction_rate
 
 BC_REL_TOL = 1e-2  # dissipativity_form rejects grossly incompatible vectors
+
+
+class Tridiagonal(NamedTuple):
+    """Tridiagonal matrix as full-length (lower, diag, upper) diagonals.
+
+    lower[0] and upper[-1] are unused. This is the one linear-algebra core
+    of the package: the generator, the steady Newton system and the
+    Crank-Nicolson matrices are all Tridiagonal.
+    """
+
+    lower: np.ndarray
+    diag: np.ndarray
+    upper: np.ndarray
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        out = self.diag * x
+        out[:-1] += self.upper[:-1] * x[1:]
+        out[1:] += self.lower[1:] * x[:-1]
+        return out
+
+    def dense(self) -> np.ndarray:
+        a = np.diag(self.diag)
+        a += np.diag(self.upper[:-1], 1)
+        a += np.diag(self.lower[1:], -1)
+        return a
+
+    def shifted(self, shift, scale: float = 1.0) -> Tridiagonal:
+        """shift*I + scale*self; shift is a scalar or a nodal array."""
+        return Tridiagonal(scale * self.lower, shift + scale * self.diag,
+                           scale * self.upper)
+
+    def factor(self):
+        """LU-factor once (dgttrf); returns solve(rhs), one dgttrs per call."""
+        *lu, info = dgttrf(self.lower[1:], self.diag, self.upper[:-1])
+        if info != 0:
+            raise SolverError(f"singular tridiagonal matrix (zero pivot at row {info})")
+
+        def solve(rhs: np.ndarray) -> np.ndarray:
+            return dgttrs(*lu, rhs)[0]
+        return solve
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        return self.factor()(rhs)
 
 
 @dataclass(frozen=True)
@@ -34,8 +79,8 @@ class DiscreteGenerator:
     alpha: float
 
     @cached_property
-    def diagonals(self):
-        """(lower, diag, upper) with lower[0] and upper[-1] unused."""
+    def diagonals(self) -> Tridiagonal:
+        """A_h with read-only diagonals; lower[0] and upper[-1] unused."""
         m = self.grid.num_nodes
         h = self.grid.h
         d, v = self.params.d_ax, self.params.v
@@ -60,30 +105,13 @@ class DiscreteGenerator:
 
         for arr in (lower, diag, upper):
             arr.flags.writeable = False
-        return lower, diag, upper
+        return Tridiagonal(lower, diag, upper)
 
     def apply(self, values: np.ndarray) -> np.ndarray:
-        lower, diag, upper = self.diagonals
-        out = diag * values
-        out[:-1] += upper[:-1] * values[1:]
-        out[1:] += lower[1:] * values[:-1]
-        return out
+        return self.diagonals.apply(values)
 
     def dense(self) -> np.ndarray:
-        lower, diag, upper = self.diagonals
-        a = np.diag(diag)
-        a += np.diag(upper[:-1], 1)
-        a += np.diag(lower[1:], -1)
-        return a
-
-    def banded(self, shift: float = 0.0) -> np.ndarray:
-        """(A_h - shift*I) in solve_banded layout."""
-        lower, diag, upper = self.diagonals
-        ab = np.zeros((3, self.grid.num_nodes))
-        ab[0, 1:] = upper[:-1]
-        ab[1, :] = diag - shift
-        ab[2, :-1] = lower[1:]
-        return ab
+        return self.diagonals.dense()
 
 
 def build_generator(grid: SpatialGrid, params: ReactorParams,
@@ -294,7 +322,7 @@ def resolvent_discrete(gen: DiscreteGenerator, eta: Profile,
         raise ParameterError(f"lambda_shift must be > 0, got {lambda_shift}")
     if eta.grid != gen.grid:
         raise ContractError("profile grid does not match generator grid")
-    xi = solve_banded((1, 1), gen.banded(shift=lambda_shift), eta.values)
+    xi = gen.diagonals.shifted(-lambda_shift).solve(eta.values)
     if not np.all(np.isfinite(xi)):
         raise SolverError("tridiagonal resolvent solve produced non-finite values")
     return Profile(gen.grid, xi)

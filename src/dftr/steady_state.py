@@ -16,10 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .errors import ParameterError, SolverError
 from .model import Profile, ReactorParams, SpatialGrid, clamped_power
+from .operator import DiscreteGenerator
 
 NEWTON_TOL = 1e-10
 NEWTON_MAX_ITER = 100
@@ -106,50 +106,29 @@ def steady_state_analytic_n1(params: ReactorParams, u_bar: float) -> AnalyticSte
 
 
 def _stationary_system(params: ReactorParams, u_bar: float, grid: SpatialGrid):
-    """Banded linear part, forcing, and nodewise reaction weights.
+    """Linear part, forcing, and nodewise reaction weights.
 
-    Returns (bands, b, kw) so that the stationary residual is
-    F(C) = A0 @ C + b - kw * C**n with A0 stored in (lower, diag, upper)
-    diagonals. Stencils match the operator module (alpha = 0 plus the
-    inhomogeneous inlet term). The outlet reaction weight absorbs the
-    third-derivative ghost defect: with C'(l) = 0 the stationary equation
-    gives C'''(l) = v*k*C(l)**n / d_ax**2, and folding that consistency
-    term into the outlet row reduces to scaling its reaction coefficient
-    by (1 - z/3 + z^2/6), z = h*v/d_ax, restoring O(h^2) overall.
+    Returns (a0, b, kw) so that the stationary residual is
+    F(C) = a0 @ C + b - kw * C**n. a0 is the alpha = 0 generator: the
+    inlet condition C(0) - (d_ax/v) C'(0) = u_bar is its Robin row with
+    the inhomogeneous part moved into b[0]. The outlet reaction weight
+    absorbs the third-derivative ghost defect: with C'(l) = 0 the
+    stationary equation gives C'''(l) = v*k*C(l)**n / d_ax**2, and folding
+    that consistency term into the outlet row reduces to scaling its
+    reaction coefficient by (1 - z/3 + z^2/6), z = h*v/d_ax, restoring
+    O(h^2) overall.
     """
-    m = grid.num_nodes
     h = grid.h
     d, v, k = params.d_ax, params.v, params.k
+    a0 = DiscreteGenerator(grid=grid, params=params, alpha=0.0).diagonals
 
-    lower = np.zeros(m)
-    diag = np.zeros(m)
-    upper = np.zeros(m)
-
-    lower[1:-1] = d / h ** 2 + v / (2.0 * h)
-    diag[1:-1] = -2.0 * d / h ** 2
-    upper[1:-1] = d / h ** 2 - v / (2.0 * h)
-
-    diag[0] = -2.0 * d / h ** 2 - 2.0 * v / h - v * v / d
-    upper[0] = 2.0 * d / h ** 2
-    lower[-1] = 2.0 * d / h ** 2
-    diag[-1] = -2.0 * d / h ** 2
-
-    b = np.zeros(m)
+    b = np.zeros(grid.num_nodes)
     b[0] = (2.0 * v / h + v * v / d) * u_bar
 
-    kw = np.full(m, k)
+    kw = np.full(grid.num_nodes, k)
     z = h * v / d
     kw[-1] = k * (1.0 - z / 3.0 + z * z / 6.0)
-    return (lower, diag, upper), b, kw
-
-
-def _banded_solve(lower, diag, upper, rhs):
-    m = diag.size
-    ab = np.zeros((3, m))
-    ab[0, 1:] = upper[:-1]
-    ab[1, :] = diag
-    ab[2, :-1] = lower[1:]
-    return solve_banded((1, 1), ab, rhs)
+    return a0, b, kw
 
 
 def steady_state_numeric(params: ReactorParams, u_bar: float,
@@ -163,16 +142,10 @@ def steady_state_numeric(params: ReactorParams, u_bar: float,
     """
     if not (np.isfinite(u_bar) and u_bar > 0):
         raise ParameterError(f"u_bar must be > 0, got {u_bar}")
-    (lower, diag, upper), b, kw = _stationary_system(params, u_bar, grid)
-
-    def apply_a0(c):
-        out = diag * c
-        out[:-1] += upper[:-1] * c[1:]
-        out[1:] += lower[1:] * c[:-1]
-        return out
+    a0, b, kw = _stationary_system(params, u_bar, grid)
 
     def residual(c):
-        return apply_a0(c) + b - kw * clamped_power(c, params.n)
+        return a0.apply(c) + b - kw * clamped_power(c, params.n)
 
     scale = max(1.0, abs(u_bar))
     if abs(params.n - 1.0) <= 1e-12:
@@ -188,7 +161,7 @@ def steady_state_numeric(params: ReactorParams, u_bar: float,
             break
         # Jacobian of -kw*C^n term, with the n<1 singularity floored
         dr = kw * params.n * np.maximum(c, JACOBIAN_FLOOR) ** (params.n - 1.0)
-        step = _banded_solve(lower, diag - dr, upper, -f)
+        step = a0.shifted(-dr).solve(-f)
         lam = 1.0
         for _ in range(NEWTON_MAX_HALVINGS):
             trial = c + lam * step

@@ -22,7 +22,6 @@ from dftr import (
     sweep,
     weight_profile,
 )
-from dftr.analysis import max_workers
 from conftest import make_params
 
 
@@ -219,24 +218,6 @@ class TestSweep:
         assert cell.provenance["newton_iterations"] >= 1
         assert cell.provenance["substeps"] >= 1
         assert cell.provenance["alpha"] == 0.25
-
-    def test_thread_cap_does_not_change_results(self, monkeypatch):
-        base = _sweep_base(horizon=400.0, num_nodes=101, record_every=4)
-        monkeypatch.delenv("DFTR_THREADS", raising=False)
-        seq = sweep(base, [1.0, 2.0], [0.0, 0.5])
-        monkeypatch.setenv("DFTR_THREADS", "3")
-        par = sweep(base, [1.0, 2.0], [0.0, 0.5])
-        for key in seq.cells:
-            assert seq.cell(*key).estimate.lambda_n == par.cell(*key).estimate.lambda_n
-
-    def test_worker_cap_parsing(self, monkeypatch):
-        monkeypatch.setenv("DFTR_THREADS", "2")
-        assert max_workers() == 2
-        monkeypatch.setenv("DFTR_THREADS", "0")
-        assert max_workers() == 1
-        monkeypatch.setenv("DFTR_THREADS", "many")
-        with pytest.raises(ParameterError):
-            max_workers()
 
     def test_empty_axis_rejected(self):
         with pytest.raises(ParameterError):

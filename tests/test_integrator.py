@@ -130,14 +130,6 @@ class TestSimulate:
         traj = simulate(cfg, steady, w0)
         assert traj.negativity_events >= g.num_nodes  # whole initial profile
 
-    def test_negativity_monitor_can_be_disabled(self):
-        p, law, g, steady, _ = _setup(n=1.0, t_final=1.0, dt=1.0, num_nodes=51)
-        cfg = SimulationConfig(params=p, law=law, grid=g, dt=1.0,
-                               clamp_monitor=False)
-        w0 = Profile(g, -2.0 * steady.profile.values)
-        traj = simulate(cfg, steady, w0)
-        assert traj.negativity_events == 0
-
     def test_arrays_are_write_protected(self):
         p, law, g, steady, cfg = _setup(t_final=1.0, dt=1.0, num_nodes=51)
         traj = simulate(cfg, steady, initial_profile(g, p, law))

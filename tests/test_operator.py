@@ -7,7 +7,9 @@ from dftr import (
     ParameterError,
     Profile,
     SimulationConfig,
+    SolverError,
     SpatialGrid,
+    Tridiagonal,
     build_generator,
     dissipativity_form,
     duhamel_oracle,
@@ -25,6 +27,14 @@ from conftest import make_params
 
 def _quadratic_profile(grid, params, alpha):
     return initial_profile(grid, params, FeedbackLaw(alpha=alpha))
+
+
+def _tridiagonal_cases(params, m=31):
+    """The generator, its Crank-Nicolson matrix and a general matrix."""
+    a_h = build_generator(SpatialGrid(l=1.0, num_nodes=m), params, 0.25).diagonals
+    rng = np.random.default_rng(7)
+    lower, diag, upper = rng.standard_normal((3, m))
+    return [a_h, a_h.shifted(1.0, -0.5), Tridiagonal(lower, diag + 4.0, upper)]
 
 
 class TestGenerator:
@@ -47,6 +57,8 @@ class TestGenerator:
         rng = np.random.default_rng(3)
         x = rng.standard_normal(31)
         assert np.allclose(gen.dense() @ x, gen.apply(x), rtol=1e-13, atol=1e-16)
+        for mat in _tridiagonal_cases(params):
+            assert np.allclose(mat.dense() @ x, mat.apply(x), rtol=1e-13, atol=1e-16)
 
     def test_diagonals_read_only(self, params, grid201):
         gen = build_generator(grid201, params, 0.0)
@@ -57,6 +69,29 @@ class TestGenerator:
     def test_rejects_gain_outside_range(self, params, grid201):
         with pytest.raises(ParameterError):
             build_generator(grid201, params, 0.6)
+
+
+class TestTridiagonal:
+    def test_factored_solve_matches_dense_solve(self, params):
+        rng = np.random.default_rng(4)
+        for mat in _tridiagonal_cases(params):
+            dense = mat.dense()
+            solve = mat.factor()
+            for _ in range(3):
+                rhs = rng.standard_normal(31)
+                ref = np.linalg.solve(dense, rhs)
+                x = solve(rhs)
+                bound = 10.0 * np.linalg.cond(dense) * np.finfo(float).eps
+                assert np.linalg.norm(x - ref) <= bound * np.linalg.norm(ref)
+                assert np.array_equal(x, mat.solve(rhs))  # factor-once == one-shot
+
+    def test_singular_system_raises_solver_error(self):
+        mat = Tridiagonal(np.zeros(5), np.array([1.0, 1.0, 0.0, 1.0, 1.0]),
+                          np.zeros(5))
+        with pytest.raises(SolverError):
+            mat.factor()
+        with pytest.raises(SolverError):
+            mat.solve(np.ones(5))
 
 
 class TestDissipativity:

@@ -7,11 +7,13 @@ from dftr import (
     Profile,
     SolverError,
     SpatialGrid,
+    build_generator,
     d_ax_from_peclet,
     steady_state_analytic_n1,
     steady_state_numeric,
     steady_state_residual,
 )
+from dftr.steady_state import _stationary_system
 from conftest import make_params
 
 
@@ -83,6 +85,17 @@ class TestAnalyticFirstOrder:
 
 
 class TestNumericSolver:
+    def test_linear_part_is_alpha_zero_generator(self, params, grid201):
+        a0, b, _ = _stationary_system(params, 1.0, grid201)
+        for got, want in zip(a0, build_generator(grid201, params, 0.0).diagonals):
+            assert np.array_equal(got, want)
+        # with the feedback factor (1 - alpha) = 1 the inlet row is the
+        # stationary Robin row, and the setpoint enters only through b[0]
+        h, d, v = grid201.h, params.d_ax, params.v
+        assert a0.diag[0] == -2.0 * d / h ** 2 - 2.0 * v / h - v * v / d
+        assert b[0] == 2.0 * v / h + v * v / d
+        assert not np.any(b[1:])
+
     def test_matches_analytic_first_order(self, params, grid201):
         analytic = steady_state_analytic_n1(params, 1.0).profile(grid201).values
         numeric = steady_state_numeric(params, 1.0, grid201).profile.values
