@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ContractError, EstimationError, ParameterError
+from .errors import ContractError, DftrError, EstimationError, ParameterError
 from .model import (FeedbackLaw, Profile, ReactorParams, SpatialGrid,
                     default_saturation_bound, initial_profile, lambda_theoretical)
 
@@ -51,12 +51,18 @@ def default_weight(grid: SpatialGrid, params: ReactorParams) -> WeightFunction:
     return weight_profile(grid, 1.0, params.v / (2.0 * params.d_ax))
 
 
-def energy(w: Profile, weight: WeightFunction) -> float:
-    """E = 1/2 * trapezoid(rho * w^2) over [0, l]."""
-    if w.grid != weight.profile.grid:
-        raise ContractError("profile and weight grids do not match")
-    quad = w.grid.quad_weights
-    return 0.5 * float(np.sum(quad * weight.profile.values * w.values ** 2))
+def energy(w, weight: WeightFunction):
+    """E = 1/2 * trapezoid(rho * w^2) over [0, l].
+
+    w is a Profile, an array of node values, or a (records, nodes) array,
+    which gives one energy per record.
+    """
+    grid = weight.profile.grid
+    if isinstance(w, Profile):
+        if w.grid != grid:
+            raise ContractError("profile and weight grids do not match")
+        w = w.values
+    return 0.5 * np.sum(grid.quad_weights * weight.profile.values * w ** 2, axis=-1)
 
 
 def norm_rho(w: Profile, weight: WeightFunction) -> float:
@@ -91,10 +97,8 @@ def estimate_decay_rate(traj, weight: WeightFunction,
     if not (0.0 < window_fraction <= 1.0):
         raise ParameterError(f"window_fraction must lie in (0, 1], got {window_fraction}")
 
-    grid = traj.grid
-    unit_vals = np.exp(-weight.gamma * grid.nodes)
-    quad = grid.quad_weights
-    norms = np.sqrt(np.sum(quad * unit_vals * traj.states ** 2, axis=1))
+    unit_weight = weight_profile(traj.grid, 1.0, weight.gamma)
+    norms = np.sqrt(2.0 * energy(traj.states, unit_weight))
     lam_t = lambda_theoretical(traj.params)
 
     if floor is None:
@@ -202,7 +206,7 @@ def _run_cell(base_config, n: float, alpha: float, sat_m, weight,
         extra["substeps"] = traj.substeps
         est = estimate_decay_rate(traj, w, window_fraction, floor)
         err = None
-    except Exception as exc:  # per-cell isolation: record, keep sweeping
+    except DftrError as exc:  # per-cell isolation: record, keep sweeping
         est = None
         err = f"{type(exc).__name__}: {exc}"
     prov = _provenance(params, law, config.grid, config.dt, config.record_every,

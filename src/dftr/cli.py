@@ -19,12 +19,14 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
+from itertools import repeat
 
 import numpy as np
 
 from . import __version__
-from .analysis import settings_hash, sweep, weight_profile
+from .analysis import (DEFAULT_WINDOW_FRACTION, energy, settings_hash, sweep,
+                       weight_profile)
 from .errors import (ConfigError, DftrError, EstimationError, IntegrationError,
                      ParameterError, SolverError)
 from .integrator import SimulationConfig, simulate
@@ -43,17 +45,21 @@ EXIT_INTEGRATION = 4
 EXIT_SWEEP = 5
 EXIT_VERIFY = 6
 
-DEFAULT_SNAPSHOTS = (0.0, 100.0, 200.0, 300.0)
-DEFAULT_N_LIST = (0.5, 1.0, 2.0, 10.0)
-DEFAULT_ALPHA_LIST = (0.0, 0.25, 0.5)
+_REQUIRED = object()  # default of a key the file must set
 
-# section -> (required keys, optional keys)
-_SCHEMA = {
-    "reactor": ({"v", "k", "n", "l"}, {"d_ax", "peclet", "sat_m"}),
-    "control": (set(), {"alpha", "u_bar"}),
-    "grid": (set(), {"num_nodes"}),
-    "time": (set(), {"t_final", "dt", "record_every", "horizon"}),
-    "analysis": (set(), {"rho0", "gamma", "window_fraction", "floor"}),
+# section -> key -> (type, default); load_config derives d_ax and gamma when None
+_KEYS = {
+    "reactor": {"v": (float, _REQUIRED), "k": (float, _REQUIRED),
+                "n": (float, _REQUIRED), "l": (float, _REQUIRED),
+                "d_ax": (float, None), "peclet": (float, None),
+                "sat_m": (float, None)},
+    "control": {"alpha": (float, 0.0), "u_bar": (float, 1.0)},
+    "grid": {"num_nodes": (int, 201)},
+    "time": {"t_final": (float, 400.0), "dt": (float, None),
+             "record_every": (int, 1), "horizon": (float, 7000.0)},
+    "analysis": {"rho0": (float, 1.0), "gamma": (float, None),
+                 "window_fraction": (float, DEFAULT_WINDOW_FRACTION),
+                 "floor": (float, None)},
 }
 
 
@@ -102,33 +108,19 @@ class ResolvedConfig:
     def weight(self, grid: SpatialGrid):
         return weight_profile(grid, self.rho0, self.gamma)
 
-    def as_dict(self) -> dict:
-        return {
-            "d_ax": self.d_ax, "v": self.v, "k": self.k, "n": self.n,
-            "l": self.l, "sat_m": self.sat_m, "alpha": self.alpha,
-            "u_bar": self.u_bar, "num_nodes": self.num_nodes,
-            "t_final": self.t_final, "dt": self.dt,
-            "record_every": self.record_every, "horizon": self.horizon,
-            "rho0": self.rho0, "gamma": self.gamma,
-            "window_fraction": self.window_fraction, "floor": self.floor,
-        }
 
-
-def _parse_number(section: str, key: str, raw: str) -> float:
+def _parse(section: str, key: str, kind: type, raw: str):
     try:
         val = float(raw)
     except ValueError:
         raise ConfigError(f"[{section}] {key}: not a decimal number: {raw!r}")
     if not math.isfinite(val):
         raise ConfigError(f"[{section}] {key}: value must be finite, got {raw!r}")
+    if kind is int:
+        if val != int(val):
+            raise ConfigError(f"[{section}] {key}: expected an integer, got {raw!r}")
+        return int(val)
     return val
-
-
-def _parse_int(section: str, key: str, raw: str) -> int:
-    val = _parse_number(section, key, raw)
-    if val != int(val):
-        raise ConfigError(f"[{section}] {key}: expected an integer, got {raw!r}")
-    return int(val)
 
 
 def load_config(path: str) -> ResolvedConfig:
@@ -143,78 +135,35 @@ def load_config(path: str) -> ResolvedConfig:
         raise ConfigError(f"malformed config file {path}: {exc}")
 
     for section in parser.sections():
-        if section not in _SCHEMA:
+        if section not in _KEYS:
             raise ConfigError(f"unknown section [{section}]")
-        required, optional = _SCHEMA[section]
         for key in parser[section]:
-            if key not in required | optional:
+            if key not in _KEYS[section]:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
 
-    def get(section, key):
-        if parser.has_section(section) and key in parser[section]:
-            return parser[section][key]
-        return None
+    values = {}
+    for section, keys in _KEYS.items():
+        for key, (kind, default) in keys.items():
+            raw = parser.get(section, key, fallback=None)
+            if raw is not None:
+                values[key] = _parse(section, key, kind, raw)
+            elif default is _REQUIRED:
+                raise ConfigError(f"missing required key {key!r} in section [{section}]")
+            else:
+                values[key] = default
 
-    for key in ("v", "k", "n", "l"):
-        if get("reactor", key) is None:
-            raise ConfigError(f"missing required key {key!r} in section [reactor]")
-
-    v = _parse_number("reactor", "v", get("reactor", "v"))
-    k = _parse_number("reactor", "k", get("reactor", "k"))
-    n = _parse_number("reactor", "n", get("reactor", "n"))
-    l = _parse_number("reactor", "l", get("reactor", "l"))
-
-    d_ax_raw, pe_raw = get("reactor", "d_ax"), get("reactor", "peclet")
-    if (d_ax_raw is None) == (pe_raw is None):
+    peclet = values.pop("peclet")
+    if (values["d_ax"] is None) == (peclet is None):
         raise ConfigError("exactly one of 'd_ax' or 'peclet' must be set in [reactor]")
-    if d_ax_raw is not None:
-        d_ax = _parse_number("reactor", "d_ax", d_ax_raw)
-    else:
-        try:
-            d_ax = d_ax_from_peclet(v, l, _parse_number("reactor", "peclet", pe_raw))
-        except ParameterError as exc:
-            raise ConfigError(str(exc))
-
-    sat_raw = get("reactor", "sat_m")
-    sat_m = None if sat_raw is None else _parse_number("reactor", "sat_m", sat_raw)
-
-    alpha_raw = get("control", "alpha")
-    alpha = 0.0 if alpha_raw is None else _parse_number("control", "alpha", alpha_raw)
-    ubar_raw = get("control", "u_bar")
-    u_bar = 1.0 if ubar_raw is None else _parse_number("control", "u_bar", ubar_raw)
-
-    nodes_raw = get("grid", "num_nodes")
-    num_nodes = 201 if nodes_raw is None else _parse_int("grid", "num_nodes", nodes_raw)
-
-    tf_raw = get("time", "t_final")
-    t_final = 400.0 if tf_raw is None else _parse_number("time", "t_final", tf_raw)
-    dt_raw = get("time", "dt")
-    dt = None if dt_raw is None else _parse_number("time", "dt", dt_raw)
-    re_raw = get("time", "record_every")
-    record_every = 1 if re_raw is None else _parse_int("time", "record_every", re_raw)
-    hz_raw = get("time", "horizon")
-    horizon = 7000.0 if hz_raw is None else _parse_number("time", "horizon", hz_raw)
-
-    rho0_raw = get("analysis", "rho0")
-    rho0 = 1.0 if rho0_raw is None else _parse_number("analysis", "rho0", rho0_raw)
-    gamma_raw = get("analysis", "gamma")
-    gamma = (v / (2.0 * d_ax) if gamma_raw is None
-             else _parse_number("analysis", "gamma", gamma_raw))
-    wf_raw = get("analysis", "window_fraction")
-    window_fraction = 0.5 if wf_raw is None else _parse_number(
-        "analysis", "window_fraction", wf_raw)
-    floor_raw = get("analysis", "floor")
-    floor = None if floor_raw is None else _parse_number("analysis", "floor", floor_raw)
-
-    cfg = ResolvedConfig(d_ax=d_ax, v=v, k=k, n=n, l=l, sat_m=sat_m, alpha=alpha,
-                         u_bar=u_bar, num_nodes=num_nodes, t_final=t_final, dt=dt,
-                         record_every=record_every, horizon=horizon, rho0=rho0,
-                         gamma=gamma, window_fraction=window_fraction, floor=floor)
-    # fail fast on out-of-domain values with the config exit code
     try:
-        cfg.reactor_params(t_final=max(t_final, 0.0))
+        if peclet is not None:
+            values["d_ax"] = d_ax_from_peclet(values["v"], values["l"], peclet)
+        cfg = ResolvedConfig(**values)
+        # fail fast on out-of-domain values with the config exit code
+        cfg.reactor_params(t_final=max(cfg.t_final, 0.0))
+        if cfg.gamma is None:
+            cfg = replace(cfg, gamma=cfg.v / (2.0 * cfg.d_ax))
         cfg.law()
-        cfg.grid()
         cfg.weight(cfg.grid())
     except ParameterError as exc:
         raise ConfigError(str(exc))
@@ -253,6 +202,8 @@ class RunManifest:
 
 
 def _fmt(value) -> str:
+    if isinstance(value, float):
+        return format(value, ".17g")
     if value is None:
         return ""
     if isinstance(value, str):
@@ -269,77 +220,69 @@ def write_csv(path, manifest_hash: str, header, rows) -> None:
         fh.write(f"# manifest_hash={manifest_hash}\n")
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(_fmt(cell) for cell in row) + "\n")
+            fh.write(",".join(map(_fmt, row)) + "\n")
+
+
+def _field_rows(times, x, states):
+    """(t, x, w) rows of each record, converted to Python floats one record
+    at a time so that the whole table never exists at once."""
+    x = x.tolist()
+    for t, w in zip(times, states):
+        yield from zip(repeat(t), x, w.tolist())
 
 
 def cmd_steady(cfg: ResolvedConfig, out_dir, manifest: RunManifest) -> int:
     grid = cfg.grid()
     params = cfg.reactor_params(t_final=cfg.t_final)
     solution = steady_state_numeric(params, cfg.u_bar, grid)
-    x = grid.nodes
+    x = grid.nodes.tolist()
     write_csv(out_dir / "steady.csv", manifest.hash, ("x", "c_bar"),
-              zip(x, solution.profile.values))
+              zip(x, solution.profile.values.tolist()))
     print(f"steady state solved: {solution.iterations} Newton iterations, "
           f"residual {solution.residual_norm:.3e}")
     if abs(cfg.n - 1.0) <= 1e-12:
         analytic = steady_state_analytic_n1(params, cfg.u_bar)
-        ana_vals = analytic.evaluate(x)
+        ana_vals = analytic.evaluate(grid.nodes)
         write_csv(out_dir / "steady_analytic.csv", manifest.hash, ("x", "c_bar"),
-                  zip(x, ana_vals))
+                  zip(x, ana_vals.tolist()))
         rel = float(np.max(np.abs(solution.profile.values - ana_vals))
                     / np.max(np.abs(ana_vals)))
         print(f"max relative discrepancy vs analytic: {_fmt(rel)}")
     return EXIT_OK
 
 
-def _run_simulation(cfg: ResolvedConfig, t_final: float, dt: float):
+def _simulate(cfg: ResolvedConfig, t_final: float, dt: float, w0=None):
+    """Closed-loop run of cfg to t_final around its steady state, from w0
+    or else from the boundary-compatible initial profile."""
     grid = cfg.grid()
     params = cfg.reactor_params(t_final=t_final)
     law = cfg.law()
     steady = steady_state_numeric(params, cfg.u_bar, grid)
     config = SimulationConfig(params=params, law=law, grid=grid, dt=dt,
                               record_every=cfg.record_every)
-    w0 = initial_profile(grid, params, law)
-    return config, steady, simulate(config, steady, w0)
+    if w0 is None:
+        w0 = initial_profile(grid, params, law)
+    return simulate(config, steady, w0)
 
 
 def cmd_simulate(cfg: ResolvedConfig, out_dir, manifest: RunManifest,
                  snapshots) -> int:
-    dt = cfg.dt if cfg.dt is not None else 0.1
-    _, _, traj = _run_simulation(cfg, cfg.t_final, dt)
-    grid = traj.grid
-    x = grid.nodes
-
-    def trajectory_rows():
-        for j, t in enumerate(traj.times):
-            for i in range(grid.num_nodes):
-                yield (t, x[i], traj.states[j, i])
-
+    traj = _simulate(cfg, cfg.t_final, cfg.dt if cfg.dt is not None else 0.1)
+    times = traj.times.tolist()
+    x = traj.grid.nodes
     write_csv(out_dir / "trajectory.csv", manifest.hash, ("t", "x", "w"),
-              trajectory_rows())
+              _field_rows(times, x, traj.states))
     write_csv(out_dir / "control.csv", manifest.hash, ("t", "u_w"),
-              zip(traj.times, traj.control))
+              zip(times, traj.control.tolist()))
 
-    weight = cfg.weight(grid)
-    quad = grid.quad_weights
-    energies = 0.5 * np.sum(quad * weight.profile.values * traj.states ** 2, axis=1)
-    norms = np.sqrt(2.0 * energies)
+    energies = energy(traj.states, cfg.weight(traj.grid))
     write_csv(out_dir / "energy.csv", manifest.hash, ("t", "energy", "norm_rho"),
-              zip(traj.times, energies, norms))
+              zip(times, energies.tolist(), np.sqrt(2.0 * energies).tolist()))
 
-    snap_indices = []
-    for t_snap in snapshots:
-        idx = int(np.argmin(np.abs(traj.times - t_snap)))
-        if idx not in snap_indices:
-            snap_indices.append(idx)
-
-    def profile_rows():
-        for j in snap_indices:
-            for i in range(grid.num_nodes):
-                yield (traj.times[j], x[i], traj.states[j, i])
-
+    snaps = list(dict.fromkeys(int(np.argmin(np.abs(traj.times - t_snap)))
+                               for t_snap in snapshots))
     write_csv(out_dir / "profiles.csv", manifest.hash, ("t", "x", "w"),
-              profile_rows())
+              _field_rows([times[j] for j in snaps], x, traj.states[snaps]))
     print(f"simulated {traj.times[-1]:g} s in {len(traj.times)} records "
           f"(substeps {traj.substeps}, negativity events {traj.negativity_events})")
     return EXIT_OK
@@ -347,58 +290,43 @@ def cmd_simulate(cfg: ResolvedConfig, out_dir, manifest: RunManifest,
 
 def cmd_sweep(cfg: ResolvedConfig, out_dir, manifest: RunManifest,
               n_list, alpha_list) -> int:
-    if not n_list or not alpha_list:
-        raise ConfigError("n-list and alpha-list must be non-empty")
-    for a in alpha_list:
-        if not 0.0 <= a <= 0.5:
-            raise ConfigError(f"alpha {a} outside [0, 1/2]")
-    for n in n_list:
-        if n <= 0:
-            raise ConfigError(f"reaction order {n} must be > 0")
-
-    dt = cfg.dt if cfg.dt is not None else 1.0
-    grid = cfg.grid()
     params = cfg.reactor_params(t_final=cfg.horizon)
-    base = SimulationConfig(params=params, law=cfg.law(), grid=grid, dt=dt,
+    # out-of-domain list values raise ParameterError, a config error
+    for a in alpha_list:
+        FeedbackLaw(alpha=a, u_bar=cfg.u_bar)
+    for n in n_list:
+        replace(params, n=n)
+
+    grid = cfg.grid()
+    base = SimulationConfig(params=params, law=cfg.law(), grid=grid,
+                            dt=cfg.dt if cfg.dt is not None else 1.0,
                             record_every=cfg.record_every)
     result = sweep(base, n_list, alpha_list, sat_m=cfg.sat_m,
                    weight=cfg.weight(grid),
                    window_fraction=cfg.window_fraction, floor=cfg.floor)
 
     lam_t = lambda_theoretical(params)
+    table = result.table.tolist()  # NaN marks a failed or floor-limited cell
     rows = []
-    failures = 0
-    for n in result.n_values:
-        for a in result.alpha_values:
-            cell = result.cell(n, a)
-            est = cell.estimate
-            if est is None or est.lambda_n is None:
-                failures += 1
-                rows.append((n, a, None, lam_t,
-                             None if est is None else est.fit_r2,
-                             False if est is None else est.floor_hit))
-            else:
-                rows.append((n, a, est.lambda_n, lam_t, est.fit_r2, est.floor_hit))
+    for n, lams in zip(result.n_values, table):
+        for a, lam in zip(result.alpha_values, lams):
+            est = result.cell(n, a).estimate
+            rows.append((n, a, None if math.isnan(lam) else lam, lam_t,
+                         None if est is None else est.fit_r2,
+                         est is not None and est.floor_hit))
     write_csv(out_dir / "sweep.csv", manifest.hash,
               ("n", "alpha", "lambda_n", "lambda_t", "fit_r2", "floor_hit"), rows)
 
-    header = "n\\alpha" + "".join(f"{a:>12g}" for a in result.alpha_values)
-    print(header)
-    for i, n in enumerate(result.n_values):
-        cells = []
-        for a in result.alpha_values:
-            est = result.cell(n, a).estimate
-            if est is None or est.lambda_n is None:
-                cells.append(f"{'-':>12}")
-            else:
-                cells.append(f"{est.lambda_n:>12.4f}")
-        print(f"{n:<7g}" + "".join(cells))
+    print("n\\alpha" + "".join(f"{a:>12g}" for a in result.alpha_values))
+    for n, lams in zip(result.n_values, table):
+        print(f"{n:<7g}" + "".join(f"{'-':>12}" if math.isnan(lam) else f"{lam:>12.4f}"
+                                   for lam in lams))
     for (n, a), cell in sorted(result.cells.items()):
         if cell.error is not None:
             print(f"cell (n={n:g}, alpha={a:g}) failed: {cell.error}",
                   file=sys.stderr)
 
-    if failures == len(rows):
+    if all(math.isnan(lam) for lams in table for lam in lams):
         print("all sweep cells failed", file=sys.stderr)
         return EXIT_SWEEP
     return EXIT_OK
@@ -482,22 +410,13 @@ def _verify_checks(cfg: ResolvedConfig, seed: int):
         return run
 
     def check_equilibrium():
-        dt_sim = cfg.dt if cfg.dt is not None else 0.1
-        steady = steady_state_numeric(params, cfg.u_bar, grid)
-        sim_cfg = SimulationConfig(params=params, law=cfg.law(), grid=grid,
-                                   dt=dt_sim, record_every=cfg.record_every)
-        traj = simulate(sim_cfg, steady, Profile(grid, np.zeros(grid.num_nodes)))
+        traj = _simulate(cfg, cfg.t_final, cfg.dt if cfg.dt is not None else 0.1,
+                         Profile(grid, np.zeros(grid.num_nodes)))
         max_w = float(np.max(np.abs(traj.states)))
         return [("equilibrium", "max_w_inf", max_w, 1e-9, max_w <= 1e-9)]
 
     def check_envelope():
-        dt_long = cfg.dt if cfg.dt is not None else 1.0
-        p_long = replace(params, t_final=cfg.horizon)
-        steady = steady_state_numeric(p_long, cfg.u_bar, grid)
-        sim_cfg = SimulationConfig(params=p_long, law=cfg.law(), grid=grid,
-                                   dt=dt_long, record_every=cfg.record_every)
-        w0 = initial_profile(grid, p_long, cfg.law())
-        traj = simulate(sim_cfg, steady, w0)
+        traj = _simulate(cfg, cfg.horizon, cfg.dt if cfg.dt is not None else 1.0)
         norms = np.sqrt(2.0 * traj.energy)
         lam_t = lambda_theoretical(params)
         ratio = float(np.max(norms / (norms[0] * np.exp(-lam_t * traj.times))))
@@ -526,6 +445,10 @@ def cmd_verify(cfg: ResolvedConfig, out_dir, manifest: RunManifest, seed: int) -
     write_csv(out_dir / "verify.csv", manifest.hash,
               ("check", "metric", "value", "threshold", "pass"), rows)
     return EXIT_VERIFY if failed else EXIT_OK
+
+
+_COMMANDS = {"steady": cmd_steady, "simulate": cmd_simulate, "sweep": cmd_sweep,
+             "verify": cmd_verify}
 
 
 def _parse_float_list(raw: str, flag: str):
@@ -576,33 +499,22 @@ def main(argv=None) -> int:
     started = time.monotonic()
     try:
         cfg = load_config(args.config)
-        resolved = cfg.as_dict()
         extra = {}
         if args.command == "simulate":
-            extra["snapshots"] = list(_parse_float_list(args.snapshots, "--snapshots"))
+            extra["snapshots"] = _parse_float_list(args.snapshots, "--snapshots")
         elif args.command == "sweep":
-            extra["n_list"] = list(_parse_float_list(args.n_list, "--n-list"))
-            extra["alpha_list"] = list(_parse_float_list(args.alpha_list, "--alpha-list"))
+            extra["n_list"] = _parse_float_list(args.n_list, "--n-list")
+            extra["alpha_list"] = _parse_float_list(args.alpha_list, "--alpha-list")
         elif args.command == "verify":
             extra["seed"] = int(args.seed)
-        resolved.update(extra)
 
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
+        # tuples serialize as JSON lists, so the hash and manifest.json see lists
         manifest = RunManifest(config_path=str(args.config), command=args.command,
-                               out_dir=str(out_dir), resolved=resolved, timings={})
-
-        if args.command == "steady":
-            code = cmd_steady(cfg, out_dir, manifest)
-        elif args.command == "simulate":
-            code = cmd_simulate(cfg, out_dir, manifest,
-                                tuple(extra["snapshots"]))
-        elif args.command == "sweep":
-            code = cmd_sweep(cfg, out_dir, manifest,
-                             tuple(extra["n_list"]), tuple(extra["alpha_list"]))
-        else:
-            code = cmd_verify(cfg, out_dir, manifest, extra["seed"])
-
+                               out_dir=str(out_dir), resolved={**asdict(cfg), **extra},
+                               timings={})
+        code = _COMMANDS[args.command](cfg, out_dir, manifest, **extra)
         manifest.timings["total_s"] = time.monotonic() - started
         manifest.write(out_dir / "manifest.json")
         return code

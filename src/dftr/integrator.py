@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import default_weight
+from .analysis import default_weight, energy
 from .errors import ContractError, IntegrationError, ParameterError
 from .model import FeedbackLaw, Profile, ReactorParams, SpatialGrid, reaction_rate
 from .operator import build_generator
@@ -153,12 +153,7 @@ def simulate(config: SimulationConfig, steady: SteadyStateSolution,
 
     p = config.params
     c_bar = steady.profile.values
-    weight_vals = default_weight(config.grid, p).profile.values
-    quad = config.grid.quad_weights
-
-    def energy_of(w):
-        return 0.5 * float(np.sum(quad * weight_vals * w * w))
-
+    weight = default_weight(config.grid, p)
     n_outer = config.num_steps
     m_sub = substep_count(config, c_bar, float(np.max(np.abs(w0.values))))
     dt_sub = config.dt / m_sub
@@ -168,7 +163,7 @@ def simulate(config: SimulationConfig, steady: SteadyStateSolution,
 
     rec_times = [0.0]
     rec_states = [w0.values.copy()]
-    rec_energy = [energy_of(w0.values)]
+    rec_energy = [energy(w0.values, weight)]
 
     w = w0.values.copy()
     r_prev = None
@@ -186,12 +181,11 @@ def simulate(config: SimulationConfig, steady: SteadyStateSolution,
         if i % config.record_every == 0 or i == n_outer:
             rec_times.append(i * config.dt)
             rec_states.append(w.copy())
-            rec_energy.append(energy_of(w))
+            rec_energy.append(energy(w, weight))
 
     times = np.asarray(rec_times)
     states = np.asarray(rec_states)
     control = config.law.alpha * states[:, 0]
-    energy = np.asarray(rec_energy)
     return Trajectory(params=p, grid=config.grid, times=times, states=states,
-                      control=control, energy=energy,
+                      control=control, energy=np.asarray(rec_energy),
                       negativity_events=negativity, substeps=m_sub)

@@ -2,8 +2,8 @@
 
 Physical parameters, uniform spatial grids, node-sampled profiles, the
 saturation nonlinearity, the boundary-compatible initial condition, and the
-theoretical decay constant. Everything here is immutable after construction
-and safe to share across worker threads.
+theoretical decay constant. Everything here is immutable after construction,
+so one instance can be shared by any number of runs.
 
 Units are documentation only (SI: m, s, mol/m^3); the code enforces
 positivity and finiteness, not dimensions.

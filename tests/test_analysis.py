@@ -93,6 +93,17 @@ class TestEnergy:
         with pytest.raises(ContractError):
             energy(Profile(grid201, np.ones(201)), w)
 
+    def test_records_array_gives_per_record_energies(self, params, grid201):
+        # one formula for a Profile, a nodal array and a (records, nodes)
+        # array: each record's energy is bitwise the single-profile value
+        w = default_weight(grid201, params)
+        states = np.stack([np.sin(k * grid201.nodes) for k in range(1, 6)])
+        per_record = energy(states, w)
+        assert per_record.shape == (5,)
+        for row, e in zip(states, per_record):
+            assert energy(Profile(grid201, row), w) == e
+            assert energy(row, w) == e
+
     @settings(max_examples=30, deadline=None)
     @given(c=st.floats(-100.0, 100.0))
     def test_quadratic_scaling(self, c):
@@ -218,6 +229,18 @@ class TestSweep:
         assert cell.provenance["newton_iterations"] >= 1
         assert cell.provenance["substeps"] >= 1
         assert cell.provenance["alpha"] == 0.25
+
+    def test_programming_error_is_not_a_failed_cell(self, monkeypatch):
+        # only toolkit errors are recorded per cell; anything else is a bug
+        # and must surface with its traceback
+        import dftr.integrator
+
+        def broken(*args, **kwargs):
+            raise TypeError("bug in the stepper")
+
+        monkeypatch.setattr(dftr.integrator, "simulate", broken)
+        with pytest.raises(TypeError, match="bug in the stepper"):
+            sweep(_sweep_base(horizon=100.0, num_nodes=101), [1.0], [0.0])
 
     def test_empty_axis_rejected(self):
         with pytest.raises(ParameterError):

@@ -1,12 +1,16 @@
 import json
+import os
 import re
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from dftr.cli import load_config, main
+import dftr
+from dftr.cli import load_config, main, write_csv
 from dftr.errors import ConfigError
 
 HASH_LINE = re.compile(r"^# manifest_hash=[0-9a-f]{16}$")
@@ -96,6 +100,25 @@ class TestLoadConfig:
         with pytest.raises(ConfigError):
             load_config(write_ini(tmp_path / "c.ini", text))
 
+    @pytest.mark.parametrize("key,text", [
+        ("num_nodes", BASE_INI + "[grid]\nnum_nodes = 20.5\n"),
+        ("dt", BASE_INI + "[time]\ndt = inf\n"),
+        ("k", BASE_INI.replace("k = 0.001", "k = nan")),
+    ])
+    def test_unparsable_value_is_named(self, tmp_path, key, text):
+        with pytest.raises(ConfigError, match=rf"^\[\w+\] {key}: "):
+            load_config(write_ini(tmp_path / "c.ini", text))
+
+    def test_required_key_of_missing_section_is_named(self, tmp_path):
+        text = SMALL_GRID + "[control]\nalpha = 0.25\n"
+        with pytest.raises(ConfigError, match=r"'v'.*\[reactor\]"):
+            load_config(write_ini(tmp_path / "c.ini", text))
+
+    def test_zero_dispersion_is_a_config_error(self, tmp_path):
+        text = BASE_INI.replace("peclet = 4", "d_ax = 0")
+        with pytest.raises(ConfigError, match="d_ax"):
+            load_config(write_ini(tmp_path / "c.ini", text))
+
 
 class TestSteadyCommand:
     def test_outputs_and_analytic_cross_check(self, tmp_path, capsys):
@@ -127,7 +150,6 @@ class TestSteadyCommand:
         cfg = write_ini(tmp_path / "c.ini", BASE_INI)
         out = tmp_path / "out"
         main(["steady", "--config", cfg, "--out", str(out)])
-        import dftr
 
         grid = load_config(cfg).grid()
         params = load_config(cfg).reactor_params(t_final=400.0)
@@ -320,12 +342,54 @@ class TestDeterminism:
         assert (out1 / "steady.csv").read_bytes() == (out2 / "steady.csv").read_bytes()
 
 
-@pytest.mark.skipif(shutil.which("dftr") is None,
-                    reason="console script not on PATH")
-def test_console_entry_point(tmp_path):
-    cfg = write_ini(tmp_path / "c.ini", BASE_INI)
-    proc = subprocess.run(["dftr", "steady", "--config", cfg,
-                           "--out", str(tmp_path / "out")],
-                          capture_output=True, text=True)
-    assert proc.returncode == 0
+class TestWriter:
+    def test_edge_values_match_reference_formatting(self, tmp_path):
+        cells = [
+            (-0.0, format(-0.0, ".17g")),
+            (5e-324, format(5e-324, ".17g")),
+            (2.2250738585072014e-308, format(2.2250738585072014e-308, ".17g")),
+            (1.7976931348623157e308, format(1.7976931348623157e308, ".17g")),
+            (0.1, format(0.1, ".17g")),
+            (1 / 3, format(1 / 3, ".17g")),
+            (np.float64(2 / 3), format(2 / 3, ".17g")),
+            (np.float32(0.1), format(float(np.float32(0.1)), ".17g")),
+            (7, str(7)),
+            (np.int64(-3), str(-3)),
+            (True, "true"),
+            (np.bool_(False), "false"),
+            (None, ""),
+            ("skipped", "skipped"),
+        ]
+        values = [value for value, _ in cells]
+        header = [f"c{i}" for i in range(len(cells))]
+        path = tmp_path / "edge.csv"
+        write_csv(path, "0123456789abcdef", header, [values, values[::-1]])
+
+        texts = [text for _, text in cells]
+        expected = ("# manifest_hash=0123456789abcdef\n" + ",".join(header) + "\n"
+                    + ",".join(texts) + "\n" + ",".join(texts[::-1]) + "\n")
+        assert path.read_bytes() == expected.encode()
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param([sys.executable, "-m", "dftr.cli"], id="module"),
+    pytest.param(["dftr"], id="script", marks=pytest.mark.skipif(
+        shutil.which("dftr") is None, reason="console script not on PATH")),
+])
+def test_console_entry_point(tmp_path, argv):
+    # the child finds this package first; its exit code is main()'s
+    paths = [str(Path(dftr.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+
+    def run(text):
+        cfg = write_ini(tmp_path / "c.ini", text)
+        return subprocess.run(argv + ["steady", "--config", cfg,
+                                      "--out", str(tmp_path / "out")],
+                              capture_output=True, text=True, env=env)
+
+    proc = run(BASE_INI)
+    assert proc.returncode == 0, proc.stderr
     assert "steady state solved" in proc.stdout
+    proc = run(BASE_INI.replace("v = 0.01\n", ""))
+    assert proc.returncode == 2
+    assert "config error" in proc.stderr

@@ -111,6 +111,8 @@ class TestSimulate:
         traj = simulate(cfg, steady, initial_profile(g, p, law))
         diffs = np.diff(traj.energy)
         assert np.all(diffs <= 1e-12 * traj.energy[0])
+        # recorded energies are the one weighted-energy formula, bit for bit
+        assert np.array_equal(traj.energy, energy(traj.states, default_weight(g, p)))
 
     def test_control_is_gain_times_inlet_deviation(self):
         p, law, g, steady, cfg = _setup(n=2.0, alpha=0.5, t_final=50.0, dt=0.5,
