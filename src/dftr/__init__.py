@@ -19,8 +19,8 @@ from .errors import (ConfigError, ContractError, DftrError, EstimationError,
 from .integrator import SimulationConfig, Trajectory, simulate, step
 from .model import (FeedbackLaw, Profile, ReactorParams, SpatialGrid,
                     clamped_power, d_ax_from_peclet, default_saturation_bound,
-                    initial_profile, lambda_theoretical, reaction_rate,
-                    saturate)
+                    initial_profile, lambda_theoretical, reaction,
+                    reaction_rate, saturate)
 from .operator import (DiscreteGenerator, DissipativityForm, ResolventSolution,
                        Tridiagonal, build_generator, dissipativity_form,
                        duhamel_oracle, inner_product, random_bc_compatible,
@@ -41,7 +41,7 @@ __all__ = [
     "default_saturation_bound", "default_weight", "dissipativity_form",
     "duhamel_oracle", "energy", "estimate_decay_rate", "initial_profile",
     "inner_product", "lambda_theoretical", "norm_rho", "random_bc_compatible",
-    "reaction_rate", "resolvent_analytic", "resolvent_discrete", "saturate",
-    "simulate", "steady_state_analytic_n1", "steady_state_numeric",
+    "reaction", "reaction_rate", "resolvent_analytic", "resolvent_discrete",
+    "saturate", "simulate", "steady_state_analytic_n1", "steady_state_numeric",
     "steady_state_residual", "step", "sweep", "weight_profile",
 ]

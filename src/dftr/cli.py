@@ -20,7 +20,6 @@ import math
 import sys
 import time
 from dataclasses import asdict, dataclass, replace
-from itertools import repeat
 
 import numpy as np
 
@@ -220,15 +219,18 @@ def write_csv(path, manifest_hash: str, header, rows) -> None:
         fh.write(f"# manifest_hash={manifest_hash}\n")
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(map(_fmt, row)) + "\n")
+            # a str is a block of lines formatted already
+            fh.write(row if isinstance(row, str) else ",".join(map(_fmt, row)) + "\n")
 
 
 def _field_rows(times, x, states):
-    """(t, x, w) rows of each record, converted to Python floats one record
-    at a time so that the whole table never exists at once."""
-    x = x.tolist()
+    """One block of (t, x, w) lines per record, from one '%.17g' % call
+    (same text as format(v, '.17g')); one record at a time is converted to
+    Python floats, so the whole table never exists at once."""
+    x_strs = [format(v, ".17g") for v in x.tolist()]
     for t, w in zip(times, states):
-        yield from zip(repeat(t), x, w.tolist())
+        ts = format(t, ".17g")
+        yield "".join(f"{ts},{xs},%.17g\n" for xs in x_strs) % tuple(w.tolist())
 
 
 def cmd_steady(cfg: ResolvedConfig, out_dir, manifest: RunManifest) -> int:
@@ -458,6 +460,8 @@ def _parse_float_list(raw: str, flag: str):
         raise ConfigError(f"{flag} must be a comma-separated list of numbers, got {raw!r}")
     if not values:
         raise ConfigError(f"{flag} must be non-empty")
+    if not all(map(math.isfinite, values)):
+        raise ConfigError(f"{flag} values must be finite, got {raw!r}")
     return values
 
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .analysis import default_weight, energy
 from .errors import ContractError, IntegrationError, ParameterError
-from .model import FeedbackLaw, Profile, ReactorParams, SpatialGrid, reaction_rate
+from .model import FeedbackLaw, Profile, ReactorParams, SpatialGrid, reaction
 from .operator import build_generator
 from .steady_state import SteadyStateSolution
 
@@ -132,7 +132,7 @@ def step(state: Profile, steady: SteadyStateSolution, config: SimulationConfig) 
         raise ContractError("state and steady grids must match the configuration")
     plus, minus = _crank_nicolson(config, config.dt)
     w = state.values
-    r = reaction_rate(w, steady.profile.values, config.params)
+    r = reaction(steady.profile.values, config.params)(w)
     nxt = minus.solve(plus.apply(w) + config.dt * r)
     if not np.all(np.isfinite(nxt)):
         raise IntegrationError("non-finite state after one step", step_index=1)
@@ -160,32 +160,35 @@ def simulate(config: SimulationConfig, steady: SteadyStateSolution,
 
     plus, minus = _crank_nicolson(config, dt_sub)
     solve = minus.factor()
+    rate = reaction(c_bar, p)
 
-    rec_times = [0.0]
-    rec_states = [w0.values.copy()]
-    rec_energy = [energy(w0.values, weight)]
+    # records: every record_every-th step, plus step 0 and the last step
+    every = config.record_every
+    n_rec = n_outer // every + 1 + (n_outer % every != 0)
+    times = np.zeros(n_rec)
+    states = np.empty((n_rec, config.grid.num_nodes))
+    energies = np.empty(n_rec)
+    states[0] = w = w0.values
+    energies[0] = energy(w, weight)
+    j = 1
 
-    w = w0.values.copy()
     r_prev = None
     negativity = int(np.count_nonzero(w + c_bar < NEGATIVITY_TOL))
 
     for i in range(1, n_outer + 1):
         for _ in range(m_sub):
-            r_now = reaction_rate(w, c_bar, p)
+            r_now = rate(w)
             r_star = r_now if r_prev is None else 1.5 * r_now - 0.5 * r_prev
             w = solve(plus.apply(w) + dt_sub * r_star)
             r_prev = r_now
             negativity += int(np.count_nonzero(w + c_bar < NEGATIVITY_TOL))
-        if not np.all(np.isfinite(w)):
+        if not np.isfinite(w).all():
             raise IntegrationError(f"non-finite state at step {i}", step_index=i)
-        if i % config.record_every == 0 or i == n_outer:
-            rec_times.append(i * config.dt)
-            rec_states.append(w.copy())
-            rec_energy.append(energy(w, weight))
+        if i % every == 0 or i == n_outer:
+            times[j], states[j], energies[j] = i * config.dt, w, energy(w, weight)
+            j += 1
 
-    times = np.asarray(rec_times)
-    states = np.asarray(rec_states)
     control = config.law.alpha * states[:, 0]
     return Trajectory(params=p, grid=config.grid, times=times, states=states,
-                      control=control, energy=np.asarray(rec_energy),
+                      control=control, energy=energies,
                       negativity_events=negativity, substeps=m_sub)

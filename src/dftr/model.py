@@ -152,11 +152,24 @@ def clamped_power(c, n: float):
     return np.maximum(c, 0.0) ** n
 
 
+def reaction(c_bar, params: ReactorParams):
+    """r(w) = k*c_bar^n - k*(Sat_M(w) + c_bar)^n about a fixed c_bar.
+
+    The bound check and c_bar^n run once here, not per call of r, whose
+    minimum/maximum clamp gives the bits of np.clip, NaN included."""
+    k, n, m = params.k, params.n, params.sat_m
+    _require(np.isfinite(m) and m > 0, f"saturation bound must be > 0, got {m}")
+    base = clamped_power(c_bar, n)
+
+    def r(w):
+        return k * (base - clamped_power(np.minimum(np.maximum(w, -m), m) + c_bar, n))
+
+    return r
+
+
 def reaction_rate(w, c_bar, params: ReactorParams):
     """Deviation-form reaction term r(w) = k*c_bar^n - k*(Sat_M(w) + c_bar)^n."""
-    ws = saturate(w, params.sat_m)
-    return params.k * (clamped_power(c_bar, params.n)
-                       - clamped_power(ws + c_bar, params.n))
+    return reaction(c_bar, params)(w)
 
 
 def initial_profile(grid: SpatialGrid, params: ReactorParams, law: FeedbackLaw) -> Profile:

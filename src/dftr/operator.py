@@ -22,7 +22,7 @@ from scipy.linalg import expm
 from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .errors import ContractError, ParameterError, SolverError
-from .model import FeedbackLaw, Profile, ReactorParams, SpatialGrid, reaction_rate
+from .model import FeedbackLaw, Profile, ReactorParams, SpatialGrid, reaction
 
 BC_REL_TOL = 1e-2  # dissipativity_form rejects grossly incompatible vectors
 
@@ -351,7 +351,7 @@ def duhamel_oracle(gen: DiscreteGenerator, w0: Profile, steady, params: ReactorP
     if num_steps < 1:
         raise ParameterError(f"num_steps must be >= 1, got {num_steps}")
 
-    c_bar = steady.profile.values
+    rate = reaction(steady.profile.values, params)
     dt = t_final / num_steps
     e_dt = expm(gen.dense() * dt)
     weights = gen.grid.quad_weights
@@ -366,8 +366,7 @@ def duhamel_oracle(gen: DiscreteGenerator, w0: Profile, steady, params: ReactorP
         states[j + 1] = e_dt @ states[j]
 
     for _ in range(PICARD_MAX_ITER):
-        rates = np.array([reaction_rate(states[j], c_bar, params)
-                          for j in range(num_steps + 1)])
+        rates = rate(states)
         new = np.empty_like(states)
         new[0] = w0.values
         for j in range(num_steps):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import dftr
-from dftr.cli import load_config, main, write_csv
+from dftr.cli import _field_rows, load_config, main, write_csv
 from dftr.errors import ConfigError
 
 HASH_LINE = re.compile(r"^# manifest_hash=[0-9a-f]{16}$")
@@ -319,6 +319,20 @@ class TestExitCodes:
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 4
         assert "integration failure" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command,flag,raw", [
+        ("simulate", "--snapshots", "nan"),
+        ("simulate", "--snapshots", "0,inf"),
+        ("sweep", "--n-list", "inf"),
+        ("sweep", "--alpha-list", "nan"),
+    ])
+    def test_non_finite_list_value_is_two(self, tmp_path, capsys, command, flag, raw):
+        cfg = write_ini(tmp_path / "c.ini", BASE_INI + SMALL_GRID)
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--out", str(out), flag, raw]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: {flag} values must be finite" in err
+        assert not (out / "manifest.json").exists()
+
 
 class TestDeterminism:
     CFG = (BASE_INI + SMALL_GRID + "[time]\nt_final = 400\nhorizon = 400\n")
@@ -369,6 +383,26 @@ class TestWriter:
         expected = ("# manifest_hash=0123456789abcdef\n" + ",".join(header) + "\n"
                     + ",".join(texts) + "\n" + ",".join(texts[::-1]) + "\n")
         assert path.read_bytes() == expected.encode()
+
+    def test_field_rows_match_reference_formatting(self, tmp_path):
+        edges = [-0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+                 0.1, 1 / 3, 1e16, 123456789012345678.0]
+        bits = np.random.default_rng(7).integers(0, 2**64, 11_000, dtype=np.uint64)
+        finite = bits.view(np.float64)[np.isfinite(bits.view(np.float64))][:10_000]
+        assert finite.size == 10_000
+        # 10,008 cells of w in 139 records of 72 nodes; t and x hold the edges too
+        states = np.concatenate([edges, finite]).reshape(139, 72)
+        times = edges + finite[:131].tolist()
+        x = np.concatenate([edges, finite[-64:]])
+        path = tmp_path / "field.csv"
+        write_csv(path, "0123456789abcdef", ("t", "x", "w"),
+                  _field_rows(times, x, states))
+
+        expected = "".join(
+            f"{format(t, '.17g')},{format(xv, '.17g')},{format(wv, '.17g')}\n"
+            for t, w in zip(times, states.tolist()) for xv, wv in zip(x.tolist(), w))
+        header = "# manifest_hash=0123456789abcdef\nt,x,w\n"
+        assert path.read_bytes() == (header + expected).encode()
 
 
 @pytest.mark.parametrize("argv", [

@@ -98,6 +98,22 @@ class TestSimulate:
         assert traj.times[-1] == 40.0
         assert np.all(np.isin(traj.times[1:-1], np.arange(7.0, 40.0, 7.0)))
 
+    @pytest.mark.parametrize("t_final,record_every",
+                             [(40.0, 7), (40.0, 8), (40.0, 1), (40.0, 50), (0.0, 1)])
+    def test_preallocated_records_are_all_filled(self, t_final, record_every):
+        p, law, g, steady, cfg = _setup(n=2.0, t_final=t_final, dt=1.0,
+                                        record_every=record_every, num_nodes=51)
+        w0 = initial_profile(g, p, law)
+        traj = simulate(cfg, steady, w0)
+        n = cfg.num_steps
+        kept = [i for i in range(n + 1) if i % record_every == 0 or i == n]
+        assert traj.times.tolist() == [i * cfg.dt for i in kept]
+        # every row holds the state of its step: the same bits as recording all
+        every_step = simulate(SimulationConfig(params=p, law=law, grid=g, dt=1.0),
+                              steady, w0)
+        assert np.array_equal(traj.states, every_step.states[kept])
+        assert np.array_equal(traj.energy, energy(traj.states, default_weight(g, p)))
+
     def test_deviation_decays_over_reference_horizon(self):
         p, law, g, steady, cfg = _setup(n=1.0, alpha=0.0, t_final=400.0, dt=0.1,
                                         record_every=100)

@@ -17,6 +17,7 @@ from dftr import (
     default_saturation_bound,
     initial_profile,
     lambda_theoretical,
+    reaction,
     reaction_rate,
     saturate,
 )
@@ -189,6 +190,20 @@ class TestReactionRate:
         p = make_params(k=0.0)
         r = reaction_rate(np.array([0.3]), np.array([0.9]), p)
         assert r[0] == 0.0
+
+    @pytest.mark.parametrize("n", [0.5, 1.0, 2.0, 10.0])
+    def test_closure_matches_clip_formula_bitwise(self, n):
+        p = make_params(n=n, sat_m=2.0)
+        rng = np.random.default_rng(11)
+        c_bar = rng.uniform(-0.5, 1.5, 41)  # negative concentrations included
+        w = rng.normal(0.0, 3.0, (30, 41))  # well beyond +-sat_m
+        w[0, :4] = [-2.0, 2.0, -0.0, 0.0]
+        rate = reaction(c_bar, p)
+        for arg in (w, w[5]):  # records-shaped and one profile
+            old = p.k * (clamped_power(c_bar, n)
+                         - clamped_power(np.clip(arg, -p.sat_m, p.sat_m) + c_bar, n))
+            assert np.array_equal(rate(arg).view(np.uint64), old.view(np.uint64))
+        assert np.array_equal(reaction_rate(w[5], c_bar, p), rate(w[5]))
 
 
 class TestInitialProfile:
