@@ -15,9 +15,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import integrator
 from .errors import ContractError, DftrError, EstimationError, ParameterError
 from .model import (FeedbackLaw, Profile, ReactorParams, SpatialGrid,
                     default_saturation_bound, initial_profile, lambda_theoretical)
+from .steady_state import steady_state_numeric
 
 DEFAULT_WINDOW_FRACTION = 0.5
 DEFAULT_FLOOR_FACTOR = 1e-12  # floor = factor * ||w(0)||_rho
@@ -184,17 +186,12 @@ def _provenance(params: ReactorParams, law: FeedbackLaw, grid: SpatialGrid,
 
 def _run_cell(base_config, n: float, alpha: float, sat_m, weight,
               window_fraction: float, floor) -> SweepCell:
-    from .integrator import SimulationConfig, simulate
-    from .steady_state import steady_state_numeric
-
     base = base_config.params
     cell_sat = sat_m if sat_m is not None else default_saturation_bound(
         base.d_ax, base.v, base.l, alpha)
     params = replace(base, n=n, sat_m=cell_sat)
     law = replace(base_config.law, alpha=alpha)
-    config = SimulationConfig(params=params, law=law, grid=base_config.grid,
-                              dt=base_config.dt,
-                              record_every=base_config.record_every)
+    config = replace(base_config, params=params, law=law)
     w = weight if weight is not None else default_weight(config.grid, params)
 
     extra: dict = {}
@@ -202,7 +199,7 @@ def _run_cell(base_config, n: float, alpha: float, sat_m, weight,
         steady = steady_state_numeric(params, law.u_bar, config.grid)
         extra["newton_iterations"] = steady.iterations
         w0 = initial_profile(config.grid, params, law)
-        traj = simulate(config, steady, w0)
+        traj = integrator.simulate(config, steady, w0)
         extra["substeps"] = traj.substeps
         est = estimate_decay_rate(traj, w, window_fraction, floor)
         err = None

@@ -13,11 +13,10 @@ explicitly at the half step, so one tridiagonal solve advances the state.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .analysis import default_weight, energy
 from .errors import ContractError, IntegrationError, ParameterError
 from .model import FeedbackLaw, Profile, ReactorParams, SpatialGrid, reaction
 from .operator import build_generator
@@ -60,34 +59,22 @@ class SimulationConfig:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Recorded closed-loop trajectory.
-
-    states[j] is w(., times[j]) at the grid nodes; control[j] is the
-    recorded feedback alpha * w(0, times[j]) (bitwise equal to
-    law.alpha * states[j, 0]); energy[j] is the weighted energy with the
-    default weight gamma = v/(2 d_ax), rho0 = 1. substeps is the internal
-    refinement factor chosen by the reaction stability guard.
+    """Recorded closed-loop trajectory: states[j] is w(., times[j]) at the
+    grid nodes; substeps is the internal refinement factor chosen by the
+    reaction stability guard. Callers derive the feedback alpha * w(0, t)
+    and any weighted energy from the states.
     """
 
     params: ReactorParams
     grid: SpatialGrid
     times: np.ndarray
     states: np.ndarray
-    control: np.ndarray
-    energy: np.ndarray
     negativity_events: int
     substeps: int
 
     def __post_init__(self):
-        for arr in (self.times, self.states, self.control, self.energy):
-            arr.flags.writeable = False
-
-    @property
-    def profiles(self) -> tuple:
-        return tuple(Profile(self.grid, row) for row in self.states)
-
-    def profile(self, index: int) -> Profile:
-        return Profile(self.grid, self.states[index])
+        self.times.flags.writeable = False
+        self.states.flags.writeable = False
 
 
 def substep_count(config: SimulationConfig, c_bar: np.ndarray, w0_max: float) -> int:
@@ -115,28 +102,11 @@ def substep_count(config: SimulationConfig, c_bar: np.ndarray, w0_max: float) ->
     return max(1, math.ceil(config.dt * lip / REACTION_COURANT))
 
 
-def _crank_nicolson(config: SimulationConfig, dt: float):
-    """(I + dt/2 A_h, I - dt/2 A_h) for the closed-loop generator."""
-    a_h = build_generator(config.grid, config.params, config.law.alpha).diagonals
-    return a_h.shifted(1.0, 0.5 * dt), a_h.shifted(1.0, -0.5 * dt)
-
-
 def step(state: Profile, steady: SteadyStateSolution, config: SimulationConfig) -> Profile:
-    """One IMEX Crank-Nicolson step from a bare state (no history).
-
-    Without a previous state the reaction is extrapolated at first order,
-    r* = r(w); simulate() upgrades to the second-order two-level
-    extrapolation after its first step.
-    """
-    if state.grid != config.grid or steady.profile.grid != config.grid:
-        raise ContractError("state and steady grids must match the configuration")
-    plus, minus = _crank_nicolson(config, config.dt)
-    w = state.values
-    r = reaction(steady.profile.values, config.params)(w)
-    nxt = minus.solve(plus.apply(w) + config.dt * r)
-    if not np.all(np.isfinite(nxt)):
-        raise IntegrationError("non-finite state after one step", step_index=1)
-    return Profile(config.grid, nxt)
+    """simulate() over one step of config.dt from a bare state: the reaction is
+    extrapolated at first order, r* = r(w), and the guard's substeps apply."""
+    one = replace(config, params=replace(config.params, t_final=config.dt), record_every=1)
+    return Profile(config.grid, simulate(one, steady, state).states[-1])
 
 
 def simulate(config: SimulationConfig, steady: SteadyStateSolution,
@@ -153,13 +123,13 @@ def simulate(config: SimulationConfig, steady: SteadyStateSolution,
 
     p = config.params
     c_bar = steady.profile.values
-    weight = default_weight(config.grid, p)
     n_outer = config.num_steps
     m_sub = substep_count(config, c_bar, float(np.max(np.abs(w0.values))))
     dt_sub = config.dt / m_sub
 
-    plus, minus = _crank_nicolson(config, dt_sub)
-    solve = minus.factor()
+    a_h = build_generator(config.grid, p, config.law.alpha).diagonals
+    plus = a_h.shifted(1.0, 0.5 * dt_sub)  # Crank-Nicolson: I + dt/2 A_h
+    solve = a_h.shifted(1.0, -0.5 * dt_sub).factor()  # and (I - dt/2 A_h)^-1
     rate = reaction(c_bar, p)
 
     # records: every record_every-th step, plus step 0 and the last step
@@ -167,9 +137,7 @@ def simulate(config: SimulationConfig, steady: SteadyStateSolution,
     n_rec = n_outer // every + 1 + (n_outer % every != 0)
     times = np.zeros(n_rec)
     states = np.empty((n_rec, config.grid.num_nodes))
-    energies = np.empty(n_rec)
     states[0] = w = w0.values
-    energies[0] = energy(w, weight)
     j = 1
 
     r_prev = None
@@ -185,10 +153,8 @@ def simulate(config: SimulationConfig, steady: SteadyStateSolution,
         if not np.isfinite(w).all():
             raise IntegrationError(f"non-finite state at step {i}", step_index=i)
         if i % every == 0 or i == n_outer:
-            times[j], states[j], energies[j] = i * config.dt, w, energy(w, weight)
+            times[j], states[j] = i * config.dt, w
             j += 1
 
-    control = config.law.alpha * states[:, 0]
     return Trajectory(params=p, grid=config.grid, times=times, states=states,
-                      control=control, energy=energies,
                       negativity_events=negativity, substeps=m_sub)

@@ -137,8 +137,10 @@ def steady_state_numeric(params: ReactorParams, u_bar: float,
 
     Initial guess is the constant u_bar, or the analytic profile when n is
     within 1e-12 of 1. Steps are halved (up to 30 times) until the scaled
-    residual decreases; negative iterates under n < 1 are handled by the
-    clamped power, never by raising mid-iteration.
+    residual decreases, or, when none does, the iterate is accepted if its
+    residual lies at the round-off floor of the stencil (fine grids).
+    Negative iterates under n < 1 are handled by the clamped power, never by
+    raising mid-iteration.
     """
     if not (np.isfinite(u_bar) and u_bar > 0):
         raise ParameterError(f"u_bar must be > 0, got {u_bar}")
@@ -148,6 +150,9 @@ def steady_state_numeric(params: ReactorParams, u_bar: float,
         return a0.apply(c) + b - kw * clamped_power(c, params.n)
 
     scale = max(1.0, abs(u_bar))
+    # round-off floor of the scaled residual per unit max|C|: 16 eps ||A_0||_inf,
+    # the max row sum of |lower|+|diag|+|upper|; it outgrows NEWTON_TOL as h shrinks
+    roundoff = 16.0 * np.finfo(float).eps * np.max(sum(map(np.abs, a0))) / scale
     if abs(params.n - 1.0) <= 1e-12:
         c = steady_state_analytic_n1(params, u_bar).evaluate(grid.nodes)
     else:
@@ -171,6 +176,8 @@ def steady_state_numeric(params: ReactorParams, u_bar: float,
                 break
             lam *= 0.5
         else:
+            if res <= roundoff * np.max(np.abs(c)):
+                break  # at the round-off floor no step can lower the residual
             raise SolverError("Newton damping failed to reduce the residual",
                               residual=res, iterations=iterations)
         c, f, res = trial, f_trial, res_trial

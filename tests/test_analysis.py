@@ -31,9 +31,7 @@ def synthetic_trajectory(rate, grid, params, t_final=7000.0, dt_rec=10.0,
     times = np.arange(0.0, t_final + dt_rec / 2, dt_rec)
     shape = 1.0 + 0.5 * np.sin(2.0 * np.pi * grid.nodes)
     states = amplitude * np.exp(-rate * times)[:, None] * shape[None, :]
-    zeros = np.zeros_like(times)
     return Trajectory(params=params, grid=grid, times=times, states=states,
-                      control=zeros, energy=zeros.copy(),
                       negativity_events=0, substeps=1)
 
 

@@ -202,6 +202,10 @@ class TestSimulateCommand:
         u = np.array([float(r[1]) for r in rows])
         assert u[0] > 0.0
         assert abs(u[-1]) < abs(u[0])
+        # u_w is alpha * w(0, t), bit for bit against the trajectory's inlet node
+        _, _, traj_rows = read_csv(out / "trajectory.csv")
+        w_inlet = np.array([float(r[2]) for r in traj_rows if float(r[1]) == 0.0])
+        assert np.array_equal(u, 0.5 * w_inlet)
 
 
 class TestSweepCommand:
@@ -297,6 +301,27 @@ horizon = 0
         by_name = {r[0]: r for r in rows}
         assert by_name["dissipativity"][-1] == "false"
         capsys.readouterr()
+
+    def test_failed_oracle_comparison_exits_six(self, tmp_path, monkeypatch, capsys):
+        # the Duhamel errors are numpy floats; a wrong oracle must still
+        # fail the run, not only print FAIL
+        oracle = dftr.cli.duhamel_oracle
+
+        def doubled(*args, **kwargs):
+            prof = oracle(*args, **kwargs)
+            return prof.with_values(2.0 * prof.values)
+
+        monkeypatch.setattr(dftr.cli, "duhamel_oracle", doubled)
+        text = (BASE_INI + SMALL_GRID
+                + "[time]\nt_final = 50\ndt = 0.5\nhorizon = 400\n")
+        cfg = write_ini(tmp_path / "c.ini", text)
+        out = tmp_path / "out"
+        assert main(["verify", "--config", cfg, "--out", str(out)]) == 6
+        _, _, rows = read_csv(out / "verify.csv")
+        by_name = {r[0]: r for r in rows}
+        assert by_name["duhamel_nonlinear"][-1] == "false"
+        assert by_name["duhamel_linear"][-1] == "false"
+        assert "FAIL" in capsys.readouterr().out
 
 
 class TestExitCodes:

@@ -123,6 +123,19 @@ class TestNumericSolver:
         assert 0 < sol.iterations <= 10
         assert np.all(sol.profile.values > 0.0)
 
+    @pytest.mark.parametrize("n", [0.5, 1.0, 2.0, 10.0])
+    def test_converges_on_fine_grid(self, n):
+        # at 12001 nodes the round-off floor of max|F| (~ eps * d_ax / h^2)
+        # lies above NEWTON_TOL; the solve must end there, not raise
+        g = SpatialGrid(l=1.0, num_nodes=12001)
+        sol = steady_state_numeric(make_params(n=n), 1.0, g)
+        assert sol.iterations <= 10
+        assert sol.residual_norm <= 1e-9
+        assert np.all(sol.profile.values > 0.0)
+        coarse = steady_state_numeric(make_params(n=n), 1.0,
+                                      SpatialGrid(l=1.0, num_nodes=201))
+        assert np.max(np.abs(sol.profile.values[::60] - coarse.profile.values)) <= 1e-4
+
     def test_continuum_residual_small(self, grid201):
         p = make_params(n=2.0)
         sol = steady_state_numeric(p, 1.0, grid201)
