@@ -223,12 +223,12 @@ def write_csv(path, manifest_hash: str, header, rows) -> None:
 
 def _field_rows(times, x, states):
     """One block of (t, x, w) lines per record, from one '%.17g' % call
-    (same text as format(v, '.17g')); one record at a time is converted to
-    Python floats, so the whole table never exists at once."""
-    x_strs = [format(v, ".17g") for v in x.tolist()]
+    (same text as format(v, '.17g')) on a template built once per file, a
+    NUL standing for the time; one record at a time is converted to Python
+    floats, so the whole table never exists at once."""
+    tmpl = "".join(f"\0,{xs:.17g},%.17g\n" for xs in x.tolist())
     for t, w in zip(times, states):
-        ts = format(t, ".17g")
-        yield "".join(f"{ts},{xs},%.17g\n" for xs in x_strs) % tuple(w.tolist())
+        yield tmpl.replace("\0", format(t, ".17g")) % tuple(w.tolist())
 
 
 def cmd_steady(cfg: ResolvedConfig, out_dir, manifest: RunManifest) -> int:
@@ -251,23 +251,25 @@ def cmd_steady(cfg: ResolvedConfig, out_dir, manifest: RunManifest) -> int:
     return EXIT_OK
 
 
-def _simulate(cfg: ResolvedConfig, t_final: float, dt: float, w0=None):
-    """Closed-loop run of cfg to t_final around its steady state, from w0
+def _closed_loop(cfg: ResolvedConfig, t_final: float, default_dt: float, w0=None):
+    """simulate's (config, steady, w0) for a closed-loop run of cfg to
+    t_final around its steady state, at cfg.dt or else default_dt, from w0
     or else from the boundary-compatible initial profile."""
     grid = cfg.grid()
     params = cfg.reactor_params(t_final=t_final)
     law = cfg.law()
     steady = steady_state_numeric(params, cfg.u_bar, grid)
-    config = SimulationConfig(params=params, law=law, grid=grid, dt=dt,
+    config = SimulationConfig(params=params, law=law, grid=grid,
+                              dt=cfg.dt if cfg.dt is not None else default_dt,
                               record_every=cfg.record_every)
     if w0 is None:
         w0 = initial_profile(grid, params, law)
-    return simulate(config, steady, w0)
+    return config, steady, w0
 
 
 def cmd_simulate(cfg: ResolvedConfig, out_dir, manifest: RunManifest,
                  snapshots) -> int:
-    traj = _simulate(cfg, cfg.t_final, cfg.dt if cfg.dt is not None else 0.1)
+    traj = simulate(*_closed_loop(cfg, cfg.t_final, 0.1))
     times = traj.times.tolist()
     x = traj.grid.nodes
     write_csv(out_dir / "trajectory.csv", manifest.hash, ("t", "x", "w"),
@@ -411,16 +413,26 @@ def _verify_checks(cfg: ResolvedConfig, seed: int):
         return run
 
     def check_equilibrium():
-        traj = _simulate(cfg, cfg.t_final, cfg.dt if cfg.dt is not None else 0.1,
-                         Profile(grid, np.zeros(grid.num_nodes)))
-        max_w = float(np.max(np.abs(traj.states)))
+        max_w = 0.0
+
+        def record(j, t, w):
+            nonlocal max_w
+            max_w = max(max_w, float(np.max(np.abs(w))))
+
+        simulate(*_closed_loop(cfg, cfg.t_final, 0.1,
+                               Profile(grid, np.zeros(grid.num_nodes))), record)
         return [("equilibrium", "max_w_inf", max_w, 1e-9, bool(max_w <= 1e-9))]
 
     def check_envelope():
-        traj = _simulate(cfg, cfg.horizon, cfg.dt if cfg.dt is not None else 1.0)
-        # per record: a (records, nodes) call holds two temporaries that large
-        weight = default_weight(traj.grid, traj.params)
-        norms = np.sqrt(2.0 * np.array([energy(w, weight) for w in traj.states]))
+        config, steady, w0 = _closed_loop(cfg, cfg.horizon, 1.0)
+        weight = default_weight(config.grid, config.params)
+        energies = np.empty(config.num_records)
+
+        def record(j, t, w):
+            energies[j] = energy(w, weight)
+
+        traj = simulate(config, steady, w0, record)
+        norms = np.sqrt(2.0 * energies)
         lam_t = lambda_theoretical(params)
         ratio = float(np.max(norms / (norms[0] * np.exp(-lam_t * traj.times))))
         return [("envelope", "max_norm_over_bound", ratio, 1.01, bool(ratio <= 1.01))]

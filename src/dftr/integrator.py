@@ -56,13 +56,20 @@ class SimulationConfig:
     def num_steps(self) -> int:
         return round(self.params.t_final / self.dt)
 
+    @property
+    def num_records(self) -> int:
+        """Every record_every-th step, plus step 0 and the last step."""
+        n, every = self.num_steps, self.record_every
+        return n // every + 1 + (n % every != 0)
+
 
 @dataclass(frozen=True)
 class Trajectory:
     """Recorded closed-loop trajectory: states[j] is w(., times[j]) at the
     grid nodes; substeps is the internal refinement factor chosen by the
     reaction stability guard. Callers derive the feedback alpha * w(0, t)
-    and any weighted energy from the states.
+    and any weighted energy from the states. A run given a record consumer
+    keeps no states: its states array has no rows.
     """
 
     params: ReactorParams
@@ -110,9 +117,13 @@ def step(state: Profile, steady: SteadyStateSolution, config: SimulationConfig) 
 
 
 def simulate(config: SimulationConfig, steady: SteadyStateSolution,
-             w0: Profile) -> Trajectory:
+             w0: Profile, record=None) -> Trajectory:
     """Integrate the closed loop over [0, t_final], recording every
     record_every steps (the initial state and final time are always kept).
+
+    Each record j at time t goes to record(j, t, w), which must not modify
+    w. By default it is stored in states[j]; a caller that needs only a
+    number per record passes its own record and no states are kept.
 
     Reaction extrapolation r* = 1.5*r(w_k) - 0.5*r(w_{k-1}) keeps second
     order; the first substep falls back to r(w_0). Non-negativity of
@@ -132,12 +143,17 @@ def simulate(config: SimulationConfig, steady: SteadyStateSolution,
     solve = a_h.shifted(1.0, -0.5 * dt_sub).factor()  # and (I - dt/2 A_h)^-1
     rate = reaction(c_bar, p)
 
-    # records: every record_every-th step, plus step 0 and the last step
     every = config.record_every
-    n_rec = n_outer // every + 1 + (n_outer % every != 0)
-    times = np.zeros(n_rec)
-    states = np.empty((n_rec, config.grid.num_nodes))
-    states[0] = w = w0.values
+    times = np.zeros(config.num_records)
+    if record is None:
+        states = np.empty((config.num_records, config.grid.num_nodes))
+
+        def record(j, t, w):
+            states[j] = w
+    else:
+        states = np.empty((0, config.grid.num_nodes))
+    w = w0.values
+    record(0, 0.0, w)
     j = 1
 
     r_prev = None
@@ -153,7 +169,8 @@ def simulate(config: SimulationConfig, steady: SteadyStateSolution,
         if not np.isfinite(w).all():
             raise IntegrationError(f"non-finite state at step {i}", step_index=i)
         if i % every == 0 or i == n_outer:
-            times[j], states[j] = i * config.dt, w
+            times[j] = t = i * config.dt
+            record(j, t, w)
             j += 1
 
     return Trajectory(params=p, grid=config.grid, times=times, states=states,

@@ -4,13 +4,16 @@ import re
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import dftr
-from dftr.cli import _field_rows, load_config, main, write_csv
+from dftr import Profile, default_weight, energy, lambda_theoretical, simulate
+from dftr.cli import (_closed_loop, _field_rows, _verify_checks, load_config, main,
+                      write_csv)
 from dftr.errors import ConfigError
 
 HASH_LINE = re.compile(r"^# manifest_hash=[0-9a-f]{16}$")
@@ -322,6 +325,36 @@ horizon = 0
         assert by_name["duhamel_nonlinear"][-1] == "false"
         assert by_name["duhamel_linear"][-1] == "false"
         assert "FAIL" in capsys.readouterr().out
+
+    def test_checks_keep_no_states(self, tmp_path):
+        # equilibrium (dt 0.1 to t_final) and envelope (dt 1 to the horizon)
+        # each take 2001 records of 401 nodes
+        text = (BASE_INI + "[grid]\nnum_nodes = 401\n"
+                + "[time]\nt_final = 200\nhorizon = 2000\n")
+        cfg = load_config(write_ini(tmp_path / "c.ini", text))
+        tracemalloc.start()
+        try:
+            rows = list(_verify_checks(cfg, 0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2001 * 401 * 8 / 4
+        by_name = {row[0]: row for row in rows}
+
+        # the same values from runs that store their states
+        zeros = Profile(cfg.grid(), np.zeros(401))
+        traj = simulate(*_closed_loop(cfg, cfg.t_final, 0.1, zeros))
+        assert traj.states.shape == (2001, 401)
+        max_w = float(np.max(np.abs(traj.states)))
+        config, steady, w0 = _closed_loop(cfg, cfg.horizon, 1.0)
+        traj = simulate(config, steady, w0)
+        weight = default_weight(config.grid, config.params)
+        norms = np.sqrt(2.0 * np.array([energy(w, weight) for w in traj.states]))
+        bound = norms[0] * np.exp(-lambda_theoretical(config.params) * traj.times)
+        ratio = float(np.max(norms / bound))
+        assert by_name["equilibrium"][2].hex() == max_w.hex()
+        assert by_name["envelope"][2].hex() == ratio.hex()
+        assert by_name["equilibrium"][-1] is True and by_name["envelope"][-1] is True
 
 
 class TestExitCodes:

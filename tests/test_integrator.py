@@ -123,6 +123,25 @@ class TestSimulate:
                               steady, w0)
         assert np.array_equal(traj.states, every_step.states[kept])
 
+    @pytest.mark.parametrize("n,record_every", [(2.0, 7), (2.0, 8), (10.0, 7)])
+    def test_record_consumer_sees_the_stored_records(self, n, record_every):
+        # 40 steps: 7 leaves a short last record interval, 8 divides them;
+        # n=10 at dt=1 substeps
+        p, law, g, steady, cfg = _setup(n=n, t_final=40.0, dt=1.0,
+                                        record_every=record_every, num_nodes=51)
+        w0 = initial_profile(g, p, law)
+        stored = simulate(cfg, steady, w0)
+        seen = []
+        streamed = simulate(cfg, steady, w0,
+                            lambda j, t, w: seen.append((j, t, w.copy())))
+        assert [j for j, _, _ in seen] == list(range(cfg.num_records))
+        assert np.array([t for _, t, _ in seen]).tobytes() == stored.times.tobytes()
+        assert np.array([w for _, _, w in seen]).tobytes() == stored.states.tobytes()
+        assert streamed.states.shape == (0, g.num_nodes)
+        assert streamed.times.tobytes() == stored.times.tobytes()
+        assert (streamed.substeps, streamed.negativity_events) == (
+            stored.substeps, stored.negativity_events)
+
     def test_deviation_decays_over_reference_horizon(self):
         p, law, g, steady, cfg = _setup(n=1.0, alpha=0.0, t_final=400.0, dt=0.1,
                                         record_every=100)
