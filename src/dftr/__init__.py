@@ -12,11 +12,11 @@ decay rates.
 __version__ = "0.1.0"
 
 from .analysis import (DecayEstimate, SweepCell, SweepResult, WeightFunction,
-                       default_weight, energy, estimate_decay_rate, norm_rho,
-                       sweep, weight_profile)
+                       default_weight, energy, estimate_decay_rate,
+                       fit_decay_rate, norm_rho, sweep, weight_profile)
 from .errors import (ConfigError, ContractError, DftrError, EstimationError,
                      IntegrationError, ParameterError, SolverError)
-from .integrator import SimulationConfig, Trajectory, simulate, step
+from .integrator import SimulationConfig, Trajectory, simulate, simulate_stack, step
 from .model import (FeedbackLaw, Profile, ReactorParams, SpatialGrid,
                     clamped_power, d_ax_from_peclet, default_saturation_bound,
                     initial_profile, lambda_theoretical, reaction,
@@ -39,9 +39,10 @@ __all__ = [
     "Trajectory", "Tridiagonal", "WeightFunction", "build_generator",
     "clamped_power", "d_ax_from_peclet",
     "default_saturation_bound", "default_weight", "dissipativity_form",
-    "duhamel_oracle", "energy", "estimate_decay_rate", "initial_profile",
-    "inner_product", "lambda_theoretical", "norm_rho", "random_bc_compatible",
-    "reaction", "reaction_rate", "resolvent_analytic", "resolvent_discrete",
-    "saturate", "simulate", "steady_state_analytic_n1", "steady_state_numeric",
+    "duhamel_oracle", "energy", "estimate_decay_rate", "fit_decay_rate",
+    "initial_profile", "inner_product", "lambda_theoretical", "norm_rho",
+    "random_bc_compatible", "reaction", "reaction_rate", "resolvent_analytic",
+    "resolvent_discrete", "saturate", "simulate", "simulate_stack",
+    "steady_state_analytic_n1", "steady_state_numeric",
     "steady_state_residual", "step", "sweep", "weight_profile",
 ]

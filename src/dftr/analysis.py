@@ -93,21 +93,29 @@ def estimate_decay_rate(traj, weight: WeightFunction,
 
     Norms are computed with the unit-scale weight e^{-gamma x} so the
     result is bit-identical under any rescaling of rho0 (only the decay
-    shape of the weight matters to a rate). Records at or below the floor
-    are excluded; the fit needs at least 10 usable records.
+    shape of the weight matters to a rate). The fit is fit_decay_rate.
+    """
+    unit_weight = weight_profile(traj.grid, 1.0, weight.gamma)
+    norms = np.sqrt(2.0 * energy(traj.states, unit_weight))
+    return fit_decay_rate(traj.times, norms, lambda_theoretical(traj.params),
+                          window_fraction, floor)
+
+
+def fit_decay_rate(times, norms, lambda_t: float,
+                   window_fraction: float = DEFAULT_WINDOW_FRACTION,
+                   floor: float | None = None) -> DecayEstimate:
+    """Least-squares decay rate of log(norms) against times over the trailing
+    window. Records at or below the floor are excluded; the fit needs at
+    least 10 usable records.
     """
     if not (0.0 < window_fraction <= 1.0):
         raise ParameterError(f"window_fraction must lie in (0, 1], got {window_fraction}")
-
-    unit_weight = weight_profile(traj.grid, 1.0, weight.gamma)
-    norms = np.sqrt(2.0 * energy(traj.states, unit_weight))
-    lam_t = lambda_theoretical(traj.params)
 
     if floor is None:
         floor = DEFAULT_FLOOR_FACTOR * norms[0]
     if norms[0] <= floor:
         # identically-zero (or floor-level) run: no rate to report
-        return DecayEstimate(lambda_n=None, lambda_t=lam_t, fit_window=(0.0, 0.0),
+        return DecayEstimate(lambda_n=None, lambda_t=lambda_t, fit_window=(0.0, 0.0),
                              fit_r2=0.0, floor_hit=True)
 
     usable = np.flatnonzero(norms > floor)
@@ -117,14 +125,14 @@ def estimate_decay_rate(traj, weight: WeightFunction,
                               usable_records=int(usable.size))
 
     tail = usable[-max(2, math.ceil(window_fraction * usable.size)):]
-    t = traj.times[tail]
+    t = times[tail]
     y = np.log(norms[tail] / norms[0])
     slope, intercept = np.polyfit(t, y, 1)
     fitted = slope * t + intercept
     ss_res = float(np.sum((y - fitted) ** 2))
     ss_tot = float(np.sum((y - np.mean(y)) ** 2))
     r2 = 1.0 if ss_tot == 0.0 else max(0.0, min(1.0, 1.0 - ss_res / ss_tot))
-    return DecayEstimate(lambda_n=float(-slope), lambda_t=lam_t,
+    return DecayEstimate(lambda_n=float(-slope), lambda_t=lambda_t,
                          fit_window=(float(t[0]), float(t[-1])),
                          fit_r2=r2, floor_hit=floor_hit)
 
@@ -184,31 +192,33 @@ def _provenance(params: ReactorParams, law: FeedbackLaw, grid: SpatialGrid,
     return {"hash": settings_hash(settings), **settings, **extra}
 
 
-def _run_cell(base_config, n: float, alpha: float, sat_m, weight,
-              window_fraction: float, floor) -> SweepCell:
-    base = base_config.params
-    cell_sat = sat_m if sat_m is not None else default_saturation_bound(
-        base.d_ax, base.v, base.l, alpha)
-    params = replace(base, n=n, sat_m=cell_sat)
-    law = replace(base_config.law, alpha=alpha)
-    config = replace(base_config, params=params, law=law)
-    w = weight if weight is not None else default_weight(config.grid, params)
+def _closed_loop(config, extra: dict):
+    """The cell's (config, steady, w0) for the integrator, once it passes the
+    reaction substep guard; the Newton effort goes into extra."""
+    steady = steady_state_numeric(config.params, config.law.u_bar, config.grid)
+    extra["newton_iterations"] = steady.iterations
+    w0 = initial_profile(config.grid, config.params, config.law)
+    integrator.substep_count(config, steady.profile.values, float(np.max(np.abs(w0.values))))
+    return config, steady, w0
 
-    extra: dict = {}
+
+def _isolated(work):
+    """(work(), None), or (None, error text) when work raises a DftrError.
+
+    Per-cell isolation: a toolkit error fails its cell and the sweep goes
+    on; anything else is a bug and surfaces with its traceback."""
     try:
-        steady = steady_state_numeric(params, law.u_bar, config.grid)
-        extra["newton_iterations"] = steady.iterations
-        w0 = initial_profile(config.grid, params, law)
-        traj = integrator.simulate(config, steady, w0)
-        extra["substeps"] = traj.substeps
-        est = estimate_decay_rate(traj, w, window_fraction, floor)
-        err = None
-    except DftrError as exc:  # per-cell isolation: record, keep sweeping
-        est = None
-        err = f"{type(exc).__name__}: {exc}"
-    prov = _provenance(params, law, config.grid, config.dt, config.record_every,
-                       w, window_fraction, floor, extra)
-    return SweepCell(n=n, alpha=alpha, estimate=est, error=err, provenance=prov)
+        return work(), None
+    except DftrError as exc:
+        return None, f"{type(exc).__name__}: {exc}"
+
+
+def _sweep_cell(config, weight, window_fraction, floor, extra, outcome) -> SweepCell:
+    est, err = outcome
+    prov = _provenance(config.params, config.law, config.grid, config.dt,
+                       config.record_every, weight, window_fraction, floor, extra)
+    return SweepCell(n=config.params.n, alpha=config.law.alpha, estimate=est,
+                     error=err, provenance=prov)
 
 
 def sweep(base_config, n_values, alpha_values, sat_m: float | None = None,
@@ -218,17 +228,64 @@ def sweep(base_config, n_values, alpha_values, sat_m: float | None = None,
     """Decay-rate table over all (n, alpha) cells.
 
     Each cell solves its own steady state, builds the alpha-dependent
-    initial profile, simulates to the horizon, and fits lambda_n. Cells run
-    one after another; failures are recorded per cell without aborting.
-    sat_m defaults per cell to ten times the peak of that cell's initial
-    profile.
+    initial profile and passes the reaction substep guard. The cells that
+    get this far step to the horizon together as one
+    integrator.simulate_stack, which hands each record to one energy call,
+    so no states are kept, and each cell's lambda_n is fitted from its
+    norms: the bits of simulate and estimate_decay_rate on that cell
+    alone. A non-finite state spreads across the stack, so if the stack
+    fails, its cells rerun one at a time. Failures are recorded per cell
+    without aborting. sat_m defaults per cell to ten times the peak of that
+    cell's initial profile.
     """
     n_values = tuple(float(n) for n in n_values)
     alpha_values = tuple(float(a) for a in alpha_values)
     if not n_values or not alpha_values:
         raise ParameterError("n_values and alpha_values must be non-empty")
 
-    cells = {(n, a): _run_cell(base_config, n, a, sat_m, weight,
-                               window_fraction, floor)
-             for n in n_values for a in alpha_values}
+    base = base_config.params
+    cells, ready = {}, {}
+    for n in n_values:
+        for a in alpha_values:
+            cell_sat = sat_m if sat_m is not None else default_saturation_bound(
+                base.d_ax, base.v, base.l, a)
+            params = replace(base, n=n, sat_m=cell_sat)
+            config = replace(base_config, params=params, law=replace(base_config.law, alpha=a))
+            w = weight if weight is not None else default_weight(config.grid, params)
+            extra: dict = {}
+            run, err = _isolated(lambda: _closed_loop(config, extra))
+            if run is None:
+                cells[(n, a)] = _sweep_cell(config, w, window_fraction, floor, extra,
+                                            (None, err))
+            else:
+                ready[(n, a)] = (run, w, extra)
+
+    if ready:
+        # the sweep varies n, alpha and sat_m only, so all weights share gamma
+        unit_weight = weight_profile(base_config.grid, 1.0,
+                                     next(iter(ready.values()))[1].gamma)
+        norms = np.empty((len(ready), base_config.num_records))
+
+        def record(rows, j, w):
+            norms[rows, j] = np.sqrt(2.0 * energy(w, unit_weight))
+
+        try:
+            trajs = integrator.simulate_stack([run for run, _, _ in ready.values()], record)
+        except DftrError:
+            trajs = None
+        for q, (key, (run, w, extra)) in enumerate(ready.items()):
+            def work():
+                if trajs is None:  # rerun alone
+                    traj = integrator.simulate(*run)
+                    extra["substeps"] = traj.substeps
+                    return estimate_decay_rate(traj, w, window_fraction, floor)
+                extra["substeps"] = trajs[q].substeps
+                return fit_decay_rate(trajs[q].times, norms[q],
+                                      lambda_theoretical(run[0].params),
+                                      window_fraction, floor)
+
+            cells[key] = _sweep_cell(run[0], w, window_fraction, floor, extra,
+                                     _isolated(work))
+
+    cells = {(n, a): cells[(n, a)] for n in n_values for a in alpha_values}
     return SweepResult(n_values=n_values, alpha_values=alpha_values, cells=cells)

@@ -8,6 +8,8 @@ The closed-loop deviation w = C_A - C_bar solves
 with the feedback folded into the alpha-Robin inlet row of A_h. Each step
 treats A_h by the trapezoidal (Crank-Nicolson) rule and the reaction
 explicitly at the half step, so one tridiagonal solve advances the state.
+Several runs on one grid step together as one block-diagonal system
+(simulate_stack); simulate is a stack of one.
 """
 
 from __future__ import annotations
@@ -18,8 +20,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ContractError, IntegrationError, ParameterError
-from .model import FeedbackLaw, Profile, ReactorParams, SpatialGrid, reaction
-from .operator import build_generator
+from .model import FeedbackLaw, Profile, ReactorParams, SpatialGrid, clamped_power
+from .operator import Tridiagonal, build_generator
 from .steady_state import SteadyStateSolution
 
 NEGATIVITY_TOL = -1e-12
@@ -61,6 +63,11 @@ class SimulationConfig:
         """Every record_every-th step, plus step 0 and the last step."""
         n, every = self.num_steps, self.record_every
         return n // every + 1 + (n % every != 0)
+
+    @property
+    def record_times(self) -> np.ndarray:
+        steps = np.minimum(np.arange(self.num_records) * self.record_every, self.num_steps)
+        return steps * self.dt
 
 
 @dataclass(frozen=True)
@@ -125,26 +132,8 @@ def simulate(config: SimulationConfig, steady: SteadyStateSolution,
     w. By default it is stored in states[j]; a caller that needs only a
     number per record passes its own record and no states are kept.
 
-    Reaction extrapolation r* = 1.5*r(w_k) - 0.5*r(w_{k-1}) keeps second
-    order; the first substep falls back to r(w_0). Non-negativity of
-    C_A = w + C_bar is monitored, never enforced.
+    This is simulate_stack with a stack of one run.
     """
-    if w0.grid != config.grid or steady.profile.grid != config.grid:
-        raise ContractError("w0 and steady grids must match the configuration")
-
-    p = config.params
-    c_bar = steady.profile.values
-    n_outer = config.num_steps
-    m_sub = substep_count(config, c_bar, float(np.max(np.abs(w0.values))))
-    dt_sub = config.dt / m_sub
-
-    a_h = build_generator(config.grid, p, config.law.alpha).diagonals
-    plus = a_h.shifted(1.0, 0.5 * dt_sub)  # Crank-Nicolson: I + dt/2 A_h
-    solve = a_h.shifted(1.0, -0.5 * dt_sub).factor()  # and (I - dt/2 A_h)^-1
-    rate = reaction(c_bar, p)
-
-    every = config.record_every
-    times = np.zeros(config.num_records)
     if record is None:
         states = np.empty((config.num_records, config.grid.num_nodes))
 
@@ -152,26 +141,159 @@ def simulate(config: SimulationConfig, steady: SteadyStateSolution,
             states[j] = w
     else:
         states = np.empty((0, config.grid.num_nodes))
-    w = w0.values
-    record(0, 0.0, w)
-    j = 1
+    times = config.record_times.tolist()
 
+    def record_one(rows, j, w):
+        record(int(j[0]), times[j[0]], w[0])
+
+    (traj,) = simulate_stack([(config, steady, w0)], record_one)
+    return replace(traj, states=states)
+
+
+def _stack_reaction(k, base, c_bar, sat, segments):
+    """model.reaction over stacked blocks, in place on one new array: k,
+    c_bar^n, c_bar and sat_m per node (or one scalar for all), and the
+    power once per node range of equal n. The power keeps a scalar
+    exponent, because numpy's x ** 2 and x ** 0.5 fast paths differ from an
+    array exponent in the last bit."""
+    low = -sat
+
+    def r(w):
+        c = np.maximum(w, low)
+        np.minimum(c, sat, out=c)
+        c += c_bar
+        np.maximum(c, 0.0, out=c)
+        for start, stop, n in segments:
+            part = c[start:stop]
+            part **= n
+        np.subtract(base, c, out=c)
+        c *= k
+        return c
+
+    return r
+
+
+def simulate_stack(runs, record) -> list:
+    """Integrate several closed-loop runs at once as one block-diagonal system.
+
+    runs is a sequence of simulate's (config, steady, w0). All share the
+    grid, dt, t_final and record_every; each keeps its own reaction, gain,
+    saturation bound, steady profile, initial state and substep count. Their
+    Crank-Nicolson matrices sit on the diagonal of one tridiagonal with zero
+    couplings, factored once, so each inner iteration is one solve.
+
+    Runs are stacked by decreasing substep count m. At inner iteration k,
+    every run with k <= num_steps * m advances by its own dt / m, so the
+    finished runs form a suffix and the stack shrinks by slicing (see
+    Tridiagonal.factor). Each run gets the bits of its own run alone.
+
+    Reaction extrapolation r* = 1.5*r(w_k) - 0.5*r(w_{k-1}) keeps second
+    order; the first substep falls back to r(w_0). Non-negativity of
+    C_A = w + C_bar is monitored, never enforced.
+
+    Records go to record(rows, j, w), which must not modify w: w[q] is run
+    rows[q] at its record j[q], each run recording at its own outer steps
+    (record j is at config.record_times[j]). A zero coupling does not stop a
+    NaN (0 * NaN = NaN), so a non-finite state anywhere raises
+    IntegrationError for the whole stack. The stack is checked at each
+    outer step of its most-substepped run, whose step the error names, and
+    before runs leave it. Returns one Trajectory per run, in order, without
+    states.
+    """
+    config0 = runs[0][0]
+    grid, dt, every = config0.grid, config0.dt, config0.record_every
+    t_final, n_outer, nodes = config0.params.t_final, config0.num_steps, grid.num_nodes
+    for config, steady, w0 in runs:
+        if w0.grid != config.grid or steady.profile.grid != config.grid:
+            raise ContractError("w0 and steady grids must match the configuration")
+        if (config.grid, config.dt, config.params.t_final, config.record_every) != (
+                grid, dt, t_final, every):
+            raise ContractError("stacked runs must share grid, dt, t_final and record_every")
+
+    subs = [substep_count(config, steady.profile.values, float(np.max(np.abs(w0.values))))
+            for config, steady, w0 in runs]
+    # equal orders side by side, so that the power runs once per order
+    order = sorted(range(len(runs)), key=lambda r: (-subs[r], runs[r][0].params.n))
+    rows = np.array(order)
+
+    plus, minus, segments, groups = [], [], [], []
+    for q, r in enumerate(order):
+        config, m = runs[r][0], subs[r]
+        a_h = build_generator(grid, config.params, config.law.alpha).diagonals
+        plus.append(a_h.shifted(1.0, 0.5 * dt / m))  # Crank-Nicolson: I + dt/2 A_h
+        minus.append(a_h.shifted(1.0, -0.5 * dt / m))  # and (I - dt/2 A_h)^-1
+        n = config.params.n
+        if segments and segments[-1][2] == n:
+            segments[-1][1] = (q + 1) * nodes
+        else:
+            segments.append([q * nodes, (q + 1) * nodes, n])
+        if groups and groups[-1][0] == m:  # [m, first row, end row]
+            groups[-1][2] = q + 1
+        else:
+            groups.append([m, q, q + 1])
+    plus = Tridiagonal.block_diagonal(plus)
+    solve = Tridiagonal.block_diagonal(minus).factor()
+
+    def per_node(values):  # one scalar when all runs share the value
+        return values[0] if len(set(values)) == 1 else np.repeat(values, nodes)
+
+    def lead(values, a):
+        return values if np.isscalar(values) else values[:a]
+
+    cells = [(runs[r][0].params, runs[r][1].profile.values) for r in order]
+    c_bar = np.concatenate([c for _, c in cells])
+    base = np.concatenate([clamped_power(c, p.n) for p, c in cells])
+    k_node = per_node([p.k for p, _ in cells])
+    sat = per_node([p.sat_m for p, _ in cells])
+    dt_sub = per_node([dt / subs[r] for r in order])
+
+    w = np.concatenate([runs[r][2].values for r in order])
+    negativity = (w + c_bar < NEGATIVITY_TOL).reshape(-1, nodes).sum(axis=1)
+    record(rows, np.zeros(len(runs), dtype=np.int64), w.reshape(-1, nodes))
+
+    m_top = groups[0][0]
+    k = 0
     r_prev = None
-    negativity = int(np.count_nonzero(w + c_bar < NEGATIVITY_TOL))
-
-    for i in range(1, n_outer + 1):
-        for _ in range(m_sub):
+    for last in range(len(groups) - 1, -1, -1):  # one phase per group leaving
+        m_last, _, end_row = groups[last]
+        k_end, a = n_outer * m_last, end_row * nodes
+        active = groups[:last + 1]
+        w = w[:a]
+        if r_prev is not None:
+            r_prev = r_prev[:a]
+        rate = _stack_reaction(lead(k_node, a), base[:a], c_bar[:a], lead(sat, a),
+                               [(s, min(e, a), n) for s, e, n in segments if s < a])
+        plus_a = Tridiagonal(plus.lower[:a], plus.diag[:a], plus.upper[:a])
+        h, cb = lead(dt_sub, a), c_bar[:a]
+        for k in range(k + 1, k_end + 1):
             r_now = rate(w)
             r_star = r_now if r_prev is None else 1.5 * r_now - 0.5 * r_prev
-            w = solve(plus.apply(w) + dt_sub * r_star)
+            w = solve(plus_a.apply(w) + h * r_star)
             r_prev = r_now
-            negativity += int(np.count_nonzero(w + c_bar < NEGATIVITY_TOL))
-        if not np.isfinite(w).all():
-            raise IntegrationError(f"non-finite state at step {i}", step_index=i)
-        if i % every == 0 or i == n_outer:
-            times[j] = t = i * config.dt
-            record(j, t, w)
-            j += 1
+            below = w + cb < NEGATIVITY_TOL
+            if np.count_nonzero(below):
+                negativity[:end_row] += below.reshape(-1, nodes).sum(axis=1)
+            if (k % m_top == 0 or k == k_end) and not np.isfinite(w).all():
+                i = -(-k // m_top)
+                raise IntegrationError(f"non-finite state at step {i}", step_index=i)
+            # a run records at outer step i = k / m if record_every divides
+            # i or i is the last step; its record index is ceil(i / every)
+            due = [g for g in active if k % (g[0] * every) == 0 or k == n_outer * g[0]]
+            if not due:
+                continue
+            states = w.reshape(-1, nodes)
+            if len(due) == 1:
+                m, s, e = due[0]
+                record(rows[s:e], np.array([-(-(k // m) // every)] * (e - s)), states[s:e])
+            else:
+                idx = [q for _, s, e in due for q in range(s, e)]
+                j = [-(-(k // m) // every) for m, s, e in due for _ in range(s, e)]
+                record(rows[idx], np.array(j), states[idx])
 
-    return Trajectory(params=p, grid=config.grid, times=times, states=states,
-                      negativity_events=negativity, substeps=m_sub)
+    times = config0.record_times
+    trajs = [None] * len(runs)
+    for q, r in enumerate(order):
+        trajs[r] = Trajectory(params=runs[r][0].params, grid=grid, times=times,
+                              states=np.empty((0, nodes)),
+                              negativity_events=int(negativity[q]), substeps=subs[r])
+    return trajs

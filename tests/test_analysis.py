@@ -228,17 +228,103 @@ class TestSweep:
         assert cell.provenance["substeps"] >= 1
         assert cell.provenance["alpha"] == 0.25
 
-    def test_programming_error_is_not_a_failed_cell(self, monkeypatch):
-        # only toolkit errors are recorded per cell; anything else is a bug
-        # and must surface with its traceback
+    @staticmethod
+    def _break_the_stack(monkeypatch):
         import dftr.integrator
 
         def broken(*args, **kwargs):
             raise TypeError("bug in the stepper")
 
-        monkeypatch.setattr(dftr.integrator, "simulate", broken)
+        monkeypatch.setattr(dftr.integrator, "simulate_stack", broken)
+
+    def test_programming_error_is_not_a_failed_cell(self, monkeypatch):
+        # only toolkit errors are recorded per cell; anything else is a bug
+        # and must surface with its traceback
+        self._break_the_stack(monkeypatch)
         with pytest.raises(TypeError, match="bug in the stepper"):
             sweep(_sweep_base(horizon=100.0, num_nodes=101), [1.0], [0.0])
+
+    def test_programming_error_in_a_stack_of_cells_surfaces(self, monkeypatch):
+        self._break_the_stack(monkeypatch)
+        with pytest.raises(TypeError, match="bug in the stepper"):
+            sweep(_sweep_base(horizon=100.0, num_nodes=101), [1.0, 2.0], [0.0, 0.5])
+
+    def test_stacked_cells_match_solo_runs(self):
+        # n = 10 needs substeps and n = 2 does not, so the stack shrinks
+        # while it runs; record_every = 7 does not divide the 1000 steps
+        from dftr.integrator import simulate_stack
+
+        base = _sweep_base(horizon=1000.0, num_nodes=101, record_every=7)
+        g = base.grid
+        result = sweep(base, [2.0, 10.0], [0.0, 0.5])
+        runs, solos = [], []
+        for n in (2.0, 10.0):
+            for a in (0.0, 0.5):
+                p = make_params(n=n, t_final=1000.0, alpha_for_sat=a)
+                law = FeedbackLaw(alpha=a)
+                cfg = SimulationConfig(params=p, law=law, grid=g, dt=1.0, record_every=7)
+                runs.append((cfg, steady_state_numeric(p, 1.0, g), initial_profile(g, p, law)))
+                traj = simulate(*runs[-1])
+                solos.append(traj)
+                direct = estimate_decay_rate(traj, default_weight(g, p))
+                cell = result.cell(n, a)
+                assert cell.error is None
+                est = cell.estimate
+                assert est.lambda_n.hex() == direct.lambda_n.hex()
+                assert est.fit_r2.hex() == direct.fit_r2.hex()
+                assert [t.hex() for t in est.fit_window] == [t.hex() for t in direct.fit_window]
+                assert est.floor_hit == direct.floor_hit
+                assert cell.provenance == sweep(base, [n], [a]).cell(n, a).provenance
+                assert cell.provenance["substeps"] == traj.substeps
+        assert len({t.substeps for t in solos}) == 3
+
+        unit = weight_profile(g, 1.0, default_weight(g, runs[0][0].params).gamma)
+        energies = np.full((len(runs), base.num_records), np.nan)
+
+        def record(rows, j, w):
+            energies[rows, j] = energy(w, unit)
+
+        stacked = simulate_stack(runs, record)
+        for q, traj in enumerate(solos):
+            assert energies[q].tobytes() == energy(traj.states, unit).tobytes()
+            assert stacked[q].substeps == traj.substeps
+            assert stacked[q].negativity_events == traj.negativity_events
+            assert np.array_equal(stacked[q].times, traj.times)
+
+    def test_non_finite_cell_reruns_its_stack_alone(self, monkeypatch):
+        # n = 2000 is too stiff for the substep guard; run without substeps,
+        # its reaction overflows. The NaN spreads across the stack, so every
+        # cell reruns on its own and gets its solo result or error
+        import dftr.integrator
+        from dftr.errors import IntegrationError
+
+        guard, stack = dftr.integrator.substep_count, dftr.integrator.simulate_stack
+        sizes = []
+
+        def unguarded(config, c_bar, w0_max):
+            return 1 if config.params.n == 2000.0 else guard(config, c_bar, w0_max)
+
+        def counted(runs, record):
+            sizes.append(len(runs))
+            return stack(runs, record)
+
+        monkeypatch.setattr(dftr.integrator, "substep_count", unguarded)
+        monkeypatch.setattr(dftr.integrator, "simulate_stack", counted)
+        base = _sweep_base(horizon=300.0, num_nodes=101)
+        with np.errstate(over="ignore", invalid="ignore"):
+            result = sweep(base, [2.0, 10.0, 2000.0], [0.0, 0.5])
+            assert sizes == [6] + [1] * 6  # the stack, then each cell alone
+            for (n, a), cell in result.cells.items():
+                assert cell == sweep(base, [n], [a]).cell(n, a)  # a stack of one
+                assert (cell.error is None) == (n != 2000.0)
+
+            p = make_params(n=2000.0, t_final=300.0, alpha_for_sat=0.5)
+            law = FeedbackLaw(alpha=0.5)
+            cfg = SimulationConfig(params=p, law=law, grid=base.grid, dt=1.0)
+            with pytest.raises(IntegrationError, match="non-finite state") as exc:
+                simulate(cfg, steady_state_numeric(p, 1.0, base.grid),
+                         initial_profile(base.grid, p, law))
+        assert result.cell(2000.0, 0.5).error == f"IntegrationError: {exc.value}"
 
     def test_empty_axis_rejected(self):
         with pytest.raises(ParameterError):

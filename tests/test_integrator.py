@@ -142,6 +142,17 @@ class TestSimulate:
         assert (streamed.substeps, streamed.negativity_events) == (
             stored.substeps, stored.negativity_events)
 
+    @pytest.mark.parametrize("change", [{"dt": 0.5}, {"record_every": 2}])
+    def test_stacked_runs_share_the_time_grid(self, change):
+        from dataclasses import replace
+        from dftr.integrator import simulate_stack
+
+        p, law, g, steady, cfg = _setup(t_final=20.0, dt=1.0, num_nodes=51)
+        w0 = initial_profile(g, p, law)
+        with pytest.raises(ContractError, match="must share"):
+            simulate_stack([(cfg, steady, w0), (replace(cfg, **change), steady, w0)],
+                           lambda rows, j, w: None)
+
     def test_deviation_decays_over_reference_horizon(self):
         p, law, g, steady, cfg = _setup(n=1.0, alpha=0.0, t_final=400.0, dt=0.1,
                                         record_every=100)
