@@ -233,10 +233,10 @@ def sweep(base_config, n_values, alpha_values, sat_m: float | None = None,
     integrator.simulate_stack, which hands each record to one energy call,
     so no states are kept, and each cell's lambda_n is fitted from its
     norms: the bits of simulate and estimate_decay_rate on that cell
-    alone. A non-finite state spreads across the stack, so if the stack
-    fails, its cells rerun one at a time. Failures are recorded per cell
-    without aborting. sat_m defaults per cell to ten times the peak of that
-    cell's initial profile.
+    alone. A non-finite state spreads across the stack, so if a stack of
+    several cells fails, each cell steps again as a stack of one. Failures
+    are recorded per cell without aborting. sat_m defaults per cell to ten
+    times the peak of that cell's initial profile.
     """
     n_values = tuple(float(n) for n in n_values)
     alpha_values = tuple(float(a) for a in alpha_values)
@@ -260,32 +260,36 @@ def sweep(base_config, n_values, alpha_values, sat_m: float | None = None,
             else:
                 ready[(n, a)] = (run, w, extra)
 
+    def stack(keys):
+        """Step these cells together and fit each from its norms; a failing
+        stack of several cells steps them again one at a time."""
+        norms = np.empty((len(keys), base_config.num_records))
+
+        def record(j, w):
+            norms[:, j] = np.sqrt(2.0 * energy(w, unit_weight))
+
+        trajs, err = _isolated(
+            lambda: integrator.simulate_stack([ready[key][0] for key in keys], record))
+        if err is not None and len(keys) > 1:
+            for key in keys:
+                stack([key])
+            return
+        for q, key in enumerate(keys):
+            run, w, extra = ready[key]
+            if trajs is None:
+                outcome = None, err
+            else:
+                extra["substeps"] = trajs[q].substeps
+                outcome = _isolated(lambda: fit_decay_rate(
+                    trajs[q].times, norms[q], lambda_theoretical(run[0].params),
+                    window_fraction, floor))
+            cells[key] = _sweep_cell(run[0], w, window_fraction, floor, extra, outcome)
+
     if ready:
         # the sweep varies n, alpha and sat_m only, so all weights share gamma
         unit_weight = weight_profile(base_config.grid, 1.0,
                                      next(iter(ready.values()))[1].gamma)
-        norms = np.empty((len(ready), base_config.num_records))
-
-        def record(rows, j, w):
-            norms[rows, j] = np.sqrt(2.0 * energy(w, unit_weight))
-
-        try:
-            trajs = integrator.simulate_stack([run for run, _, _ in ready.values()], record)
-        except DftrError:
-            trajs = None
-        for q, (key, (run, w, extra)) in enumerate(ready.items()):
-            def work():
-                if trajs is None:  # rerun alone
-                    traj = integrator.simulate(*run)
-                    extra["substeps"] = traj.substeps
-                    return estimate_decay_rate(traj, w, window_fraction, floor)
-                extra["substeps"] = trajs[q].substeps
-                return fit_decay_rate(trajs[q].times, norms[q],
-                                      lambda_theoretical(run[0].params),
-                                      window_fraction, floor)
-
-            cells[key] = _sweep_cell(run[0], w, window_fraction, floor, extra,
-                                     _isolated(work))
+        stack(list(ready))
 
     cells = {(n, a): cells[(n, a)] for n in n_values for a in alpha_values}
     return SweepResult(n_values=n_values, alpha_values=alpha_values, cells=cells)

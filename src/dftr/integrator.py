@@ -107,7 +107,7 @@ def substep_count(config: SimulationConfig, c_bar: np.ndarray, w0_max: float) ->
     else:
         c_scale = max(float(np.min(c_bar)), 1e-6) / 2.0
     with np.errstate(over="ignore"):
-        lip = p.k * p.n * c_scale ** (p.n - 1.0)
+        lip = p.k * p.n * np.float64(c_scale) ** (p.n - 1.0)
     if not np.isfinite(lip) or config.dt * lip / REACTION_COURANT > MAX_SUBSTEPS:
         raise IntegrationError(
             f"reaction stiffness estimate {lip:.3e} is beyond what explicit "
@@ -142,20 +142,15 @@ def simulate(config: SimulationConfig, steady: SteadyStateSolution,
     else:
         states = np.empty((0, config.grid.num_nodes))
     times = config.record_times.tolist()
-
-    def record_one(rows, j, w):
-        record(int(j[0]), times[j[0]], w[0])
-
-    (traj,) = simulate_stack([(config, steady, w0)], record_one)
+    (traj,) = simulate_stack([(config, steady, w0)], lambda j, w: record(j, times[j], w[0]))
     return replace(traj, states=states)
 
 
 def _stack_reaction(k, base, c_bar, sat, segments):
     """model.reaction over stacked blocks, in place on one new array: k,
-    c_bar^n, c_bar and sat_m per node (or one scalar for all), and the
-    power once per node range of equal n. The power keeps a scalar
-    exponent, because numpy's x ** 2 and x ** 0.5 fast paths differ from an
-    array exponent in the last bit."""
+    c_bar^n, c_bar and sat_m per node, and the power once per node range of
+    equal n. The power keeps a scalar exponent, because numpy's x ** 2 and
+    x ** 0.5 fast paths differ from an array exponent in the last bit."""
     low = -sat
 
     def r(w):
@@ -178,27 +173,26 @@ def simulate_stack(runs, record) -> list:
 
     runs is a sequence of simulate's (config, steady, w0). All share the
     grid, dt, t_final and record_every; each keeps its own reaction, gain,
-    saturation bound, steady profile, initial state and substep count. Their
-    Crank-Nicolson matrices sit on the diagonal of one tridiagonal with zero
-    couplings, factored once, so each inner iteration is one solve.
+    saturation bound, steady profile, initial state and substep count m.
+    Their Crank-Nicolson matrices sit on the diagonal of a tridiagonal with
+    zero couplings.
 
-    Runs are stacked by decreasing substep count m. At inner iteration k,
-    every run with k <= num_steps * m advances by its own dt / m, so the
-    finished runs form a suffix and the stack shrinks by slicing (see
-    Tridiagonal.factor). Each run gets the bits of its own run alone.
+    Runs are stacked by decreasing m, and all runs reach each outer step
+    together: substep s of an outer step advances the runs with m >= s,
+    always a leading part of the stack, by their own dt / m. Each leading
+    part has its own block-diagonal matrices, factored once, so a substep
+    is one solve. dgttrf never pivots across a zero coupling, so each run
+    gets the bits of its own run alone.
 
     Reaction extrapolation r* = 1.5*r(w_k) - 0.5*r(w_{k-1}) keeps second
     order; the first substep falls back to r(w_0). Non-negativity of
     C_A = w + C_bar is monitored, never enforced.
 
-    Records go to record(rows, j, w), which must not modify w: w[q] is run
-    rows[q] at its record j[q], each run recording at its own outer steps
-    (record j is at config.record_times[j]). A zero coupling does not stop a
-    NaN (0 * NaN = NaN), so a non-finite state anywhere raises
-    IntegrationError for the whole stack. The stack is checked at each
-    outer step of its most-substepped run, whose step the error names, and
-    before runs leave it. Returns one Trajectory per run, in order, without
-    states.
+    Record j (at config.record_times[j]) goes to record(j, w), which must
+    not modify w; w[q] is the state of runs[q]. A zero coupling does not
+    stop a NaN (0 * NaN = NaN), so the whole stack is checked at each outer
+    step, and a non-finite state anywhere raises IntegrationError for the
+    whole stack. Returns one Trajectory per run, in order, without states.
     """
     config0 = runs[0][0]
     grid, dt, every = config0.grid, config0.dt, config0.record_every
@@ -214,9 +208,9 @@ def simulate_stack(runs, record) -> list:
             for config, steady, w0 in runs]
     # equal orders side by side, so that the power runs once per order
     order = sorted(range(len(runs)), key=lambda r: (-subs[r], runs[r][0].params.n))
-    rows = np.array(order)
+    unsort = np.argsort(order)
 
-    plus, minus, segments, groups = [], [], [], []
+    plus, minus, segments = [], [], []
     for q, r in enumerate(order):
         config, m = runs[r][0], subs[r]
         a_h = build_generator(grid, config.params, config.law.alpha).diagonals
@@ -227,73 +221,50 @@ def simulate_stack(runs, record) -> list:
             segments[-1][1] = (q + 1) * nodes
         else:
             segments.append([q * nodes, (q + 1) * nodes, n])
-        if groups and groups[-1][0] == m:  # [m, first row, end row]
-            groups[-1][2] = q + 1
-        else:
-            groups.append([m, q, q + 1])
-    plus = Tridiagonal.block_diagonal(plus)
-    solve = Tridiagonal.block_diagonal(minus).factor()
-
-    def per_node(values):  # one scalar when all runs share the value
-        return values[0] if len(set(values)) == 1 else np.repeat(values, nodes)
-
-    def lead(values, a):
-        return values if np.isscalar(values) else values[:a]
 
     cells = [(runs[r][0].params, runs[r][1].profile.values) for r in order]
     c_bar = np.concatenate([c for _, c in cells])
     base = np.concatenate([clamped_power(c, p.n) for p, c in cells])
-    k_node = per_node([p.k for p, _ in cells])
-    sat = per_node([p.sat_m for p, _ in cells])
-    dt_sub = per_node([dt / subs[r] for r in order])
+    k_node = np.repeat([p.k for p, _ in cells], nodes)
+    sat = np.repeat([p.sat_m for p, _ in cells], nodes)
+    dt_sub = np.repeat([dt / subs[r] for r in order], nodes)
+
+    def leading(count):
+        a = count * nodes
+        rate = _stack_reaction(k_node[:a], base[:a], c_bar[:a], sat[:a],
+                               [(s, min(e, a), n) for s, e, n in segments if s < a])
+        solve = Tridiagonal.block_diagonal(minus[:count]).factor()
+        return a, Tridiagonal.block_diagonal(plus[:count]), solve, rate, dt_sub[:a], c_bar[:a]
+
+    # substeps len(schedule) + 1 .. m advance the runs with at least m substeps
+    schedule = []
+    for m in sorted(set(subs)):
+        schedule += [leading(sum(m_run >= m for m_run in subs))] * (m - len(schedule))
 
     w = np.concatenate([runs[r][2].values for r in order])
     negativity = (w + c_bar < NEGATIVITY_TOL).reshape(-1, nodes).sum(axis=1)
-    record(rows, np.zeros(len(runs), dtype=np.int64), w.reshape(-1, nodes))
-
-    m_top = groups[0][0]
-    k = 0
-    r_prev = None
-    for last in range(len(groups) - 1, -1, -1):  # one phase per group leaving
-        m_last, _, end_row = groups[last]
-        k_end, a = n_outer * m_last, end_row * nodes
-        active = groups[:last + 1]
-        w = w[:a]
-        if r_prev is not None:
-            r_prev = r_prev[:a]
-        rate = _stack_reaction(lead(k_node, a), base[:a], c_bar[:a], lead(sat, a),
-                               [(s, min(e, a), n) for s, e, n in segments if s < a])
-        plus_a = Tridiagonal(plus.lower[:a], plus.diag[:a], plus.upper[:a])
-        h, cb = lead(dt_sub, a), c_bar[:a]
-        for k in range(k + 1, k_end + 1):
-            r_now = rate(w)
-            r_star = r_now if r_prev is None else 1.5 * r_now - 0.5 * r_prev
-            w = solve(plus_a.apply(w) + h * r_star)
-            r_prev = r_now
-            below = w + cb < NEGATIVITY_TOL
-            if np.count_nonzero(below):
-                negativity[:end_row] += below.reshape(-1, nodes).sum(axis=1)
-            if (k % m_top == 0 or k == k_end) and not np.isfinite(w).all():
-                i = -(-k // m_top)
-                raise IntegrationError(f"non-finite state at step {i}", step_index=i)
-            # a run records at outer step i = k / m if record_every divides
-            # i or i is the last step; its record index is ceil(i / every)
-            due = [g for g in active if k % (g[0] * every) == 0 or k == n_outer * g[0]]
-            if not due:
-                continue
-            states = w.reshape(-1, nodes)
-            if len(due) == 1:
-                m, s, e = due[0]
-                record(rows[s:e], np.array([-(-(k // m) // every)] * (e - s)), states[s:e])
+    record(0, w.reshape(-1, nodes)[unsort])
+    r_prev, j = None, 0
+    for i in range(1, n_outer + 1):
+        for a, plus_a, solve, rate, h, cb in schedule:
+            r_now = rate(w[:a])
+            if r_prev is None:
+                r_star = r_prev = r_now
             else:
-                idx = [q for _, s, e in due for q in range(s, e)]
-                j = [-(-(k // m) // every) for m, s, e in due for _ in range(s, e)]
-                record(rows[idx], np.array(j), states[idx])
+                r_star = 1.5 * r_now - 0.5 * r_prev[:a]
+                r_prev[:a] = r_now
+            w[:a] = solve(plus_a.apply(w[:a]) + h * r_star)
+            below = w[:a] + cb < NEGATIVITY_TOL
+            if np.count_nonzero(below):
+                negativity[:a // nodes] += below.reshape(-1, nodes).sum(axis=1)
+        if not np.isfinite(w).all():
+            raise IntegrationError(f"non-finite state at step {i}", step_index=i)
+        if i % every == 0 or i == n_outer:
+            j += 1
+            record(j, w.reshape(-1, nodes)[unsort])
 
     times = config0.record_times
-    trajs = [None] * len(runs)
-    for q, r in enumerate(order):
-        trajs[r] = Trajectory(params=runs[r][0].params, grid=grid, times=times,
-                              states=np.empty((0, nodes)),
-                              negativity_events=int(negativity[q]), substeps=subs[r])
-    return trajs
+    return [Trajectory(params=config.params, grid=grid, times=times,
+                       states=np.empty((0, nodes)),
+                       negativity_events=int(negativity[unsort[r]]), substeps=subs[r])
+            for r, (config, _, _) in enumerate(runs)]

@@ -66,29 +66,13 @@ class Tridiagonal(NamedTuple):
         return cls(lower, diag, upper)
 
     def factor(self):
-        """LU-factor once (dgttrf); returns solve(rhs), one dgttrs per call.
-
-        rhs may also stop at a zero coupling, as the leading blocks of a
-        block_diagonal matrix do: dgttrf never pivots across a zero
-        coupling, so the leading part of the factors factors those rows
-        alone, and no refactor is needed.
-        """
+        """LU-factor once (dgttrf); returns solve(rhs), one dgttrs per call."""
         *lu, info = dgttrf(self.lower[1:], self.diag, self.upper[:-1])
         if info != 0:
             raise SolverError(f"singular tridiagonal matrix (zero pivot at row {info})")
-        factors = {self.diag.size: lu}
 
         def solve(rhs: np.ndarray) -> np.ndarray:
-            rows = rhs.shape[0]
-            lead = factors.get(rows)
-            if lead is None:
-                if not (2 <= rows < self.diag.size and self.lower[rows] == 0.0
-                        and self.upper[rows - 1] == 0.0):
-                    raise ContractError(f"no zero coupling after row {rows}")
-                dl, d, du, du2, ipiv = lu
-                lead = factors[rows] = (dl[:rows - 1], d[:rows], du[:rows - 1],
-                                        du2[:rows - 2], ipiv[:rows])
-            return dgttrs(*lead, rhs)[0]
+            return dgttrs(*lu, rhs)[0]
         return solve
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:

@@ -250,8 +250,9 @@ class TestSweep:
             sweep(_sweep_base(horizon=100.0, num_nodes=101), [1.0, 2.0], [0.0, 0.5])
 
     def test_stacked_cells_match_solo_runs(self):
-        # n = 10 needs substeps and n = 2 does not, so the stack shrinks
-        # while it runs; record_every = 7 does not divide the 1000 steps
+        # n = 10 needs substeps and n = 2 does not, so substeps advance
+        # leading parts of the stack; record_every = 7 does not divide the
+        # 1000 steps
         from dftr.integrator import simulate_stack
 
         base = _sweep_base(horizon=1000.0, num_nodes=101, record_every=7)
@@ -281,8 +282,8 @@ class TestSweep:
         unit = weight_profile(g, 1.0, default_weight(g, runs[0][0].params).gamma)
         energies = np.full((len(runs), base.num_records), np.nan)
 
-        def record(rows, j, w):
-            energies[rows, j] = energy(w, unit)
+        def record(j, w):
+            energies[:, j] = energy(w, unit)
 
         stacked = simulate_stack(runs, record)
         for q, traj in enumerate(solos):
@@ -324,7 +325,11 @@ class TestSweep:
             with pytest.raises(IntegrationError, match="non-finite state") as exc:
                 simulate(cfg, steady_state_numeric(p, 1.0, base.grid),
                          initial_profile(base.grid, p, law))
+            sizes.clear()
+            alone = sweep(base, [2000.0], [0.5]).cell(2000.0, 0.5)
+            assert sizes == [1]  # a failing stack of one is not stepped again
         assert result.cell(2000.0, 0.5).error == f"IntegrationError: {exc.value}"
+        assert alone.error == f"IntegrationError: {exc.value}"
 
     def test_empty_axis_rejected(self):
         with pytest.raises(ParameterError):

@@ -377,6 +377,18 @@ class TestExitCodes:
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 4
         assert "integration failure" in capsys.readouterr().err
 
+    def test_order_beyond_the_substep_guard_is_four_or_five(self, tmp_path, capsys):
+        # at n = 2000 the guard's power overflows; simulate refuses the run
+        # and the sweep records the failed cell
+        text = (BASE_INI.replace("n = 1", "n = 2000") + SMALL_GRID
+                + "[time]\nt_final = 1\ndt = 1\nhorizon = 400\n")
+        cfg = write_ini(tmp_path / "c.ini", text)
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "sim")]) == 4
+        assert "stiffness estimate inf" in capsys.readouterr().err
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "sw"),
+                     "--n-list", "2000", "--alpha-list", "0"]) == 5
+        assert "stiffness estimate inf" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command,flag,raw", [
         ("simulate", "--snapshots", "nan"),
         ("simulate", "--snapshots", "0,inf"),

@@ -151,7 +151,28 @@ class TestSimulate:
         w0 = initial_profile(g, p, law)
         with pytest.raises(ContractError, match="must share"):
             simulate_stack([(cfg, steady, w0), (replace(cfg, **change), steady, w0)],
-                           lambda rows, j, w: None)
+                           lambda j, w: None)
+
+    def test_stack_records_all_runs_together_in_run_order(self):
+        # n = 10 substeps, more so at alpha = 1/2, and n = 2 does not: three
+        # substep counts, so the stack order differs from the run order
+        from dftr.integrator import simulate_stack
+
+        runs = []
+        for n in (2.0, 10.0):
+            for alpha in (0.0, 0.5):
+                p, law, g, steady, cfg = _setup(n=n, alpha=alpha, t_final=40.0, dt=1.0,
+                                                record_every=7, num_nodes=51)
+                runs.append((cfg, steady, initial_profile(g, p, law)))
+        solos = [simulate(*run) for run in runs]
+        assert len({traj.substeps for traj in solos}) == 3
+        seen = []
+        simulate_stack(runs, lambda j, w: seen.append((j, w.copy())))
+        assert [j for j, _ in seen] == list(range(cfg.num_records))
+        for j, w in seen:
+            assert w.shape == (len(runs), g.num_nodes)
+            for q, traj in enumerate(solos):
+                assert w[q].tobytes() == traj.states[j].tobytes()
 
     def test_deviation_decays_over_reference_horizon(self):
         p, law, g, steady, cfg = _setup(n=1.0, alpha=0.0, t_final=400.0, dt=0.1,
@@ -210,6 +231,16 @@ class TestSubstepping:
         p, law, g, steady, cfg = _setup(n=1.0, t_final=10.0, dt=1.0, num_nodes=51)
         traj = simulate(cfg, steady, initial_profile(g, p, law))
         assert traj.substeps == 1
+
+    def test_guard_refuses_an_order_whose_power_overflows(self):
+        # c ** (n - 1) leaves the float range at n = 2000: the guard's own
+        # error, not an OverflowError from the power
+        from dftr.integrator import substep_count
+
+        p, law, g, steady, cfg = _setup(n=2000.0, t_final=1.0, dt=1.0, num_nodes=51)
+        w0_max = float(np.max(np.abs(initial_profile(g, p, law).values)))
+        with pytest.raises(IntegrationError, match="stiffness estimate inf"):
+            substep_count(cfg, steady.profile.values, w0_max)
 
     def test_untamable_stiffness_raises(self):
         # astronomically steep rate law: the substep estimate overflows any
