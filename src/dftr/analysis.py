@@ -280,6 +280,7 @@ def sweep(base_config, n_values, alpha_values, sat_m: float | None = None,
                 outcome = None, err
             else:
                 extra["substeps"] = trajs[q].substeps
+                extra["negativity_events"] = trajs[q].negativity_events
                 outcome = _isolated(lambda: fit_decay_rate(
                     trajs[q].times, norms[q], lambda_theoretical(run[0].params),
                     window_fraction, floor))

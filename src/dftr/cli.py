@@ -318,6 +318,14 @@ def cmd_sweep(cfg: ResolvedConfig, out_dir, manifest: RunManifest,
                          est is not None and est.floor_hit))
     write_csv(out_dir / "sweep.csv", manifest.hash,
               ("n", "alpha", "lambda_n", "lambda_t", "fit_r2", "floor_hit"), rows)
+    # the per-cell record, outside the manifest hash
+    keys = ("newton_iterations", "substeps", "negativity_events")
+    cells = [{"hash": cell.provenance["hash"], "n": cell.n, "alpha": cell.alpha,
+              **{key: cell.provenance.get(key) for key in keys}, "error": cell.error}
+             for cell in result.cells.values()]
+    with open(out_dir / "sweep_cells.json", "w", newline="\n") as fh:
+        json.dump(cells, fh, indent=2)
+        fh.write("\n")
 
     print("n\\alpha" + "".join(f"{a:>12g}" for a in result.alpha_values))
     for n, lams in zip(result.n_values, table):
@@ -434,7 +442,9 @@ def _verify_checks(cfg: ResolvedConfig, seed: int):
         traj = simulate(config, steady, w0, record)
         norms = np.sqrt(2.0 * energies)
         lam_t = lambda_theoretical(params)
-        ratio = float(np.max(norms / (norms[0] * np.exp(-lam_t * traj.times))))
+        ratios = norms / (norms[0] * np.exp(-lam_t * traj.times))
+        # the t = 0 ratio is 1 by construction; it counts only when alone
+        ratio = float(np.max(ratios[1:] if ratios.size > 1 else ratios))
         return [("envelope", "max_norm_over_bound", ratio, 1.01, bool(ratio <= 1.01))]
 
     yield from guarded([("dissipativity", 1e-8)], check_dissipativity)
@@ -464,7 +474,7 @@ _COMMANDS = {"steady": cmd_steady, "simulate": cmd_simulate, "sweep": cmd_sweep,
              "verify": cmd_verify}
 
 
-def _parse_float_list(raw: str, flag: str):
+def _parse_float_list(raw: str, flag: str, distinct: bool = False):
     try:
         values = tuple(float(tok) for tok in raw.split(",") if tok.strip() != "")
     except ValueError:
@@ -473,6 +483,8 @@ def _parse_float_list(raw: str, flag: str):
         raise ConfigError(f"{flag} must be non-empty")
     if not all(map(math.isfinite, values)):
         raise ConfigError(f"{flag} values must be finite, got {raw!r}")
+    if distinct and len(set(values)) < len(values):
+        raise ConfigError(f"{flag} values must be distinct, got {raw!r}")
     return values
 
 
@@ -518,8 +530,9 @@ def main(argv=None) -> int:
         if args.command == "simulate":
             extra["snapshots"] = _parse_float_list(args.snapshots, "--snapshots")
         elif args.command == "sweep":
-            extra["n_list"] = _parse_float_list(args.n_list, "--n-list")
-            extra["alpha_list"] = _parse_float_list(args.alpha_list, "--alpha-list")
+            extra["n_list"] = _parse_float_list(args.n_list, "--n-list", distinct=True)
+            extra["alpha_list"] = _parse_float_list(args.alpha_list, "--alpha-list",
+                                                    distinct=True)
         elif args.command == "verify":
             extra["seed"] = int(args.seed)
 

@@ -128,9 +128,10 @@ def simulate(config: SimulationConfig, steady: SteadyStateSolution,
     """Integrate the closed loop over [0, t_final], recording every
     record_every steps (the initial state and final time are always kept).
 
-    Each record j at time t goes to record(j, t, w), which must not modify
-    w. By default it is stored in states[j]; a caller that needs only a
-    number per record passes its own record and no states are kept.
+    Each record j at time t goes to record(j, t, w), which must neither
+    modify w nor keep it past the call (w is the live state). By default
+    it is stored in states[j]; a caller that needs only a number per
+    record passes its own record and no states are kept.
 
     This is simulate_stack with a stack of one run.
     """
@@ -146,28 +147,6 @@ def simulate(config: SimulationConfig, steady: SteadyStateSolution,
     return replace(traj, states=states)
 
 
-def _stack_reaction(k, base, c_bar, sat, segments):
-    """model.reaction over stacked blocks, in place on one new array: k,
-    c_bar^n, c_bar and sat_m per node, and the power once per node range of
-    equal n. The power keeps a scalar exponent, because numpy's x ** 2 and
-    x ** 0.5 fast paths differ from an array exponent in the last bit."""
-    low = -sat
-
-    def r(w):
-        c = np.maximum(w, low)
-        np.minimum(c, sat, out=c)
-        c += c_bar
-        np.maximum(c, 0.0, out=c)
-        for start, stop, n in segments:
-            part = c[start:stop]
-            part **= n
-        np.subtract(base, c, out=c)
-        c *= k
-        return c
-
-    return r
-
-
 def simulate_stack(runs, record) -> list:
     """Integrate several closed-loop runs at once as one block-diagonal system.
 
@@ -180,16 +159,20 @@ def simulate_stack(runs, record) -> list:
     Runs are stacked by decreasing m, and all runs reach each outer step
     together: substep s of an outer step advances the runs with m >= s,
     always a leading part of the stack, by their own dt / m. Each leading
-    part has its own block-diagonal matrices, factored once, so a substep
-    is one solve. dgttrf never pivots across a zero coupling, so each run
-    gets the bits of its own run alone.
+    part has its own block-diagonal matrices, factored once, and its own
+    views of the state, the per-node arrays and the work buffers, built
+    once, so a substep is one solve and allocates no array. dgttrf never
+    pivots across a zero coupling, so each run gets the bits of its own
+    run alone.
 
     Reaction extrapolation r* = 1.5*r(w_k) - 0.5*r(w_{k-1}) keeps second
     order; the first substep falls back to r(w_0). Non-negativity of
     C_A = w + C_bar is monitored, never enforced.
 
     Record j (at config.record_times[j]) goes to record(j, w), which must
-    not modify w; w[q] is the state of runs[q]. A zero coupling does not
+    neither modify w nor keep it past the call; w[q] is the state of
+    runs[q], and w is a view of the live state when the stack order is
+    the run order (always for a stack of one). A zero coupling does not
     stop a NaN (0 * NaN = NaN), so the whole stack is checked at each outer
     step, and a non-finite state anywhere raises IntegrationError for the
     whole stack. Returns one Trajectory per run, in order, without states.
@@ -222,46 +205,78 @@ def simulate_stack(runs, record) -> list:
         else:
             segments.append([q * nodes, (q + 1) * nodes, n])
 
+    plus, minus = Tridiagonal.block_diagonal(plus), Tridiagonal.block_diagonal(minus)
     cells = [(runs[r][0].params, runs[r][1].profile.values) for r in order]
     c_bar = np.concatenate([c for _, c in cells])
     base = np.concatenate([clamped_power(c, p.n) for p, c in cells])
     k_node = np.repeat([p.k for p, _ in cells], nodes)
     sat = np.repeat([p.sat_m for p, _ in cells], nodes)
     dt_sub = np.repeat([dt / subs[r] for r in order], nodes)
+    w = np.concatenate([runs[r][2].values for r in order])
+    # work buffers, used by each leading part through their heads: r (also a
+    # temporary once r* is formed), h * r*, the right-hand side, and each
+    # node's 0.5 * r of its last substep
+    rate, r_star, rhs, half_prev = np.empty((4, w.size))
+    below = np.empty(w.size, dtype=bool)
 
-    def leading(count):
+    def part(count):
+        """The first count runs' views: state, per-node arrays, powers, the
+        plus diagonals, the in-place minus solve and the work buffers."""
         a = count * nodes
-        rate = _stack_reaction(k_node[:a], base[:a], c_bar[:a], sat[:a],
-                               [(s, min(e, a), n) for s, e, n in segments if s < a])
-        solve = Tridiagonal.block_diagonal(minus[:count]).factor()
-        return a, Tridiagonal.block_diagonal(plus[:count]), solve, rate, dt_sub[:a], c_bar[:a]
+        return (count, w[:a], w[:a - 1], w[1:a], k_node[:a], base[:a], c_bar[:a], sat[:a],
+                -sat[:a], dt_sub[:a], [(rate[s:min(e, a)], n) for s, e, n in segments if s < a],
+                plus.diag[:a], plus.upper[:a - 1], plus.lower[1:a],
+                Tridiagonal(*(d[:a] for d in minus)).factor(in_place=True), rate[:a],
+                rate[:a - 1], r_star[:a], rhs[:a], rhs[:a - 1], rhs[1:a], half_prev[:a], below[:a])
 
     # substeps len(schedule) + 1 .. m advance the runs with at least m substeps
     schedule = []
     for m in sorted(set(subs)):
-        schedule += [leading(sum(m_run >= m for m_run in subs))] * (m - len(schedule))
+        schedule += [part(sum(m_run >= m for m_run in subs))] * (m - len(schedule))
 
-    w = np.concatenate([runs[r][2].values for r in order])
     negativity = (w + c_bar < NEGATIVITY_TOL).reshape(-1, nodes).sum(axis=1)
-    record(0, w.reshape(-1, nodes)[unsort])
-    r_prev, j = None, 0
+    rows, in_order = w.reshape(-1, nodes), order == sorted(order)
+    record(0, rows if in_order else rows[unsort])
+    first, j = True, 0
     for i in range(1, n_outer + 1):
-        for a, plus_a, solve, rate, h, cb in schedule:
-            r_now = rate(w[:a])
-            if r_prev is None:
-                r_star = r_prev = r_now
-            else:
-                r_star = 1.5 * r_now - 0.5 * r_prev[:a]
-                r_prev[:a] = r_now
-            w[:a] = solve(plus_a.apply(w[:a]) + h * r_star)
-            below = w[:a] + cb < NEGATIVITY_TOL
-            if np.count_nonzero(below):
-                negativity[:a // nodes] += below.reshape(-1, nodes).sum(axis=1)
-        if not np.isfinite(w).all():
+        for (count, w_a, w_lo, w_hi, k, bs, cb, hi, lo, h, powers, d, u, l, solve,
+             r, r_lo, r_s, b, b_lo, b_hi, half, neg) in schedule:
+            # model.reaction in place: the power once per node range of equal
+            # n, with a scalar exponent, because numpy's x ** 2 and x ** 0.5
+            # fast paths differ from an array exponent in the last bit
+            np.maximum(w_a, lo, out=r)
+            np.minimum(r, hi, out=r)
+            r += cb
+            np.maximum(r, 0.0, out=r)
+            for seg, n in powers:
+                seg **= n
+            np.subtract(bs, r, out=r)
+            r *= k
+            if first:  # r* = r(w_0)
+                np.multiply(h, r, out=r_s)
+                first = False
+            else:  # r* = 1.5 * r(w_k) - 0.5 * r(w_{k-1})
+                np.multiply(r, 1.5, out=r_s)
+                r_s -= half
+                r_s *= h
+            np.multiply(r, 0.5, out=half)
+            # b = (I + dt/2 A_h) w + h r*, and w = (I - dt/2 A_h)^-1 b
+            np.multiply(d, w_a, out=b)
+            np.multiply(u, w_hi, out=r_lo)
+            b_lo += r_lo
+            np.multiply(l, w_lo, out=r_lo)
+            b_hi += r_lo
+            b += r_s
+            solve(b)
+            w_a[:] = b
+            np.add(w_a, cb, out=r)
+            if np.count_nonzero(np.less(r, NEGATIVITY_TOL, out=neg)):
+                negativity[:count] += neg.reshape(-1, nodes).sum(axis=1)
+        if np.count_nonzero(np.isfinite(w, out=below)) < w.size:
             raise IntegrationError(f"non-finite state at step {i}", step_index=i)
         if i % every == 0 or i == n_outer:
             j += 1
-            record(j, w.reshape(-1, nodes)[unsort])
+            record(j, rows if in_order else rows[unsort])
 
     times = config0.record_times
     return [Trajectory(params=config.params, grid=grid, times=times,

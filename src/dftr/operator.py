@@ -14,7 +14,7 @@ global O(h^2) order and the matrix stays tridiagonal.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import NamedTuple
 
 import numpy as np
@@ -65,11 +65,17 @@ class Tridiagonal(NamedTuple):
         upper[ends - 1] = 0.0
         return cls(lower, diag, upper)
 
-    def factor(self):
-        """LU-factor once (dgttrf); returns solve(rhs), one dgttrs per call."""
+    def factor(self, in_place: bool = False):
+        """LU-factor once (dgttrf); returns solve(rhs), one dgttrs per call.
+
+        With in_place, solve is dgttrs itself, bound to the factors: it
+        overwrites rhs, a contiguous float64 array, with the solution and
+        makes no Python call of its own."""
         *lu, info = dgttrf(self.lower[1:], self.diag, self.upper[:-1])
         if info != 0:
             raise SolverError(f"singular tridiagonal matrix (zero pivot at row {info})")
+        if in_place:
+            return partial(dgttrs, *lu, overwrite_b=True)
 
         def solve(rhs: np.ndarray) -> np.ndarray:
             return dgttrs(*lu, rhs)[0]

@@ -242,6 +242,68 @@ class TestSweepCommand:
         assert rows[0][2] == ""  # lambda_n column empty for the failed cell
         assert "failed" in capsys.readouterr().err
 
+    def test_cell_record_is_written_beside_the_table(self, tmp_path):
+        # k = 1: both n = 0.5 cells fail their steady solve, the others fit
+        from dataclasses import asdict
+        from dftr.analysis import settings_hash
+
+        cfg = write_ini(tmp_path / "c.ini", self.CFG.replace("k = 0.001", "k = 1"))
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", cfg, "--out", str(out),
+                     "--n-list", "0.5,1,2", "--alpha-list", "0,0.5"]) == 0
+        cells = json.loads((out / "sweep_cells.json").read_text())
+        hash_line, _, rows = read_csv(out / "sweep.csv")
+        assert [(c["n"], c["alpha"]) for c in cells] == [
+            (float(row[0]), float(row[1])) for row in rows]
+        assert len({c["hash"] for c in cells}) == len(cells) == 6
+        for cell, row in zip(cells, rows):
+            assert set(cell) == {"hash", "n", "alpha", "newton_iterations", "substeps",
+                                 "negativity_events", "error"}
+            if cell["n"] == 0.5:
+                assert cell["error"].startswith("SolverError: Newton did not converge")
+                assert cell["newton_iterations"] is cell["substeps"] is None
+                assert cell["negativity_events"] is None and row[2] == ""
+            else:
+                assert cell["error"] is None and float(row[2]) > 0.0
+                assert cell["newton_iterations"] >= 1 and cell["substeps"] >= 1
+                assert cell["negativity_events"] >= 0
+
+        # the side file is outside the manifest hash: it covers the command,
+        # the version and the resolved settings only
+        manifest = json.loads((out / "manifest.json").read_text())
+        settings = {**asdict(load_config(cfg)), "n_list": [0.5, 1.0, 2.0],
+                    "alpha_list": [0.0, 0.5]}
+        assert manifest["settings"] == settings
+        assert manifest["hash"] == settings_hash(
+            {"command": "sweep", "version": dftr.__version__, "settings": settings})
+        assert hash_line == f"# manifest_hash={manifest['hash']}"
+
+    def test_cell_record_reads_the_stack_negativity_events(self, tmp_path):
+        # each cell's events are those of its run alone through simulate;
+        # k = 1 drives C_A below zero
+        from dataclasses import replace
+        from dftr import (FeedbackLaw, SimulationConfig, default_saturation_bound,
+                          initial_profile, steady_state_numeric)
+
+        cfg = write_ini(tmp_path / "c.ini", self.CFG.replace("k = 0.001", "k = 1"))
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", cfg, "--out", str(out),
+                     "--n-list", "1,2", "--alpha-list", "0,0.5"]) == 0
+        resolved = load_config(cfg)
+        cells = json.loads((out / "sweep_cells.json").read_text())
+        assert any(cell["negativity_events"] > 0 for cell in cells)
+        for cell in cells:
+            law = FeedbackLaw(alpha=cell["alpha"])
+            params = resolved.reactor_params(t_final=resolved.horizon)
+            sat = default_saturation_bound(params.d_ax, params.v, params.l, law.alpha)
+            params = replace(params, n=cell["n"], sat_m=sat)
+            grid = resolved.grid()
+            traj = simulate(SimulationConfig(params=params, law=law, grid=grid, dt=1.0),
+                            steady_state_numeric(params, 1.0, grid),
+                            initial_profile(grid, params, law), lambda j, t, w: None)
+            assert (cell["substeps"], cell["negativity_events"]) == (
+                traj.substeps, traj.negativity_events)
+
     def test_invalid_list_arguments(self, tmp_path):
         cfg = write_ini(tmp_path / "c.ini", self.CFG)
         out = tmp_path / "out"
@@ -351,7 +413,7 @@ horizon = 0
         weight = default_weight(config.grid, config.params)
         norms = np.sqrt(2.0 * np.array([energy(w, weight) for w in traj.states]))
         bound = norms[0] * np.exp(-lambda_theoretical(config.params) * traj.times)
-        ratio = float(np.max(norms / bound))
+        ratio = float(np.max(norms[1:] / bound[1:]))  # records after t = 0
         assert by_name["equilibrium"][2].hex() == max_w.hex()
         assert by_name["envelope"][2].hex() == ratio.hex()
         assert by_name["equilibrium"][-1] is True and by_name["envelope"][-1] is True
@@ -388,6 +450,16 @@ class TestExitCodes:
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "sw"),
                      "--n-list", "2000", "--alpha-list", "0"]) == 5
         assert "stiffness estimate inf" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag,raw", [("--n-list", "2,2"), ("--alpha-list", "0,0.5,0.0")])
+    def test_repeated_sweep_list_value_is_two(self, tmp_path, capsys, flag, raw):
+        # a repeated value would print and write one computed cell twice
+        cfg = write_ini(tmp_path / "c.ini", BASE_INI + SMALL_GRID)
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", cfg, "--out", str(out), flag, raw]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: {flag} values must be distinct, got {raw!r}" in err
+        assert not (out / "sweep.csv").exists()
 
     @pytest.mark.parametrize("command,flag,raw", [
         ("simulate", "--snapshots", "nan"),

@@ -207,6 +207,122 @@ class TestSimulate:
             traj.states[0, 0] = 99.0
 
 
+def _reference_run(config, steady, w0):
+    """One run stepped by the plain allocating loop: the clamp and power of
+    model.reaction, r* = 1.5*r - 0.5*r_prev, Tridiagonal.apply and factor(),
+    and a count_nonzero negativity count per substep. Returns the recorded
+    states, the negativity events and the substep count, or the
+    IntegrationError the run raises."""
+    from dftr.integrator import NEGATIVITY_TOL, substep_count
+
+    p, c_bar = config.params, steady.profile.values
+    m = substep_count(config, c_bar, float(np.max(np.abs(w0.values))))
+    a_h = build_generator(config.grid, p, config.law.alpha).diagonals
+    plus = a_h.shifted(1.0, 0.5 * config.dt / m)
+    solve = a_h.shifted(1.0, -0.5 * config.dt / m).factor()
+    base = np.maximum(c_bar, 0.0) ** p.n
+
+    def rate(w):
+        c = np.minimum(np.maximum(w, -p.sat_m), p.sat_m) + c_bar
+        return p.k * (base - np.maximum(c, 0.0) ** p.n)
+
+    w, r_prev = w0.values.copy(), None
+    states, events = [w.copy()], np.count_nonzero(w + c_bar < NEGATIVITY_TOL)
+    for i in range(1, config.num_steps + 1):
+        for _ in range(m):
+            r_now = rate(w)
+            r_star = r_now if r_prev is None else 1.5 * r_now - 0.5 * r_prev
+            r_prev = r_now
+            w = solve(plus.apply(w) + config.dt / m * r_star)
+            events += np.count_nonzero(w + c_bar < NEGATIVITY_TOL)
+        if not np.isfinite(w).all():
+            return IntegrationError(f"non-finite state at step {i}", step_index=i)
+        if i % config.record_every == 0 or i == config.num_steps:
+            states.append(w.copy())
+    return np.array(states), events, m
+
+
+class TestFusedSubstep:
+    """simulate_stack's in-place substep against the plain reference loop."""
+
+    @staticmethod
+    def _stack(runs):
+        from dftr.integrator import simulate_stack
+
+        seen = []
+        trajs = simulate_stack(runs, lambda j, w: seen.append(w.copy()))
+        return np.array(seen), trajs
+
+    def test_stack_matches_the_reference_loop_bit_for_bit(self):
+        # four orders (n = 1 included) and two gains: several substep counts
+        # and several power segments; one more run starts at w0 = -2 c_bar,
+        # where C_A is negative
+        runs = []
+        for n in (0.5, 1.0, 2.0, 10.0):
+            for alpha in (0.0, 0.5):
+                p, law, g, steady, cfg = _setup(n=n, alpha=alpha, t_final=40.0, dt=1.0,
+                                                record_every=7, num_nodes=51)
+                runs.append((cfg, steady, initial_profile(g, p, law)))
+        p, law, g, steady, cfg = _setup(n=2.0, t_final=40.0, dt=1.0, record_every=7,
+                                        num_nodes=51)
+        runs.append((cfg, steady, Profile(g, -2.0 * steady.profile.values)))
+        refs = [_reference_run(*run) for run in runs]
+        assert len({m for _, _, m in refs}) >= 3
+        assert refs[-1][1] > 0
+        seen, trajs = self._stack(runs)
+        assert seen.shape == (cfg.num_records, len(runs), g.num_nodes)
+        for q, (states, events, m) in enumerate(refs):
+            assert seen[:, q].tobytes() == states.tobytes()
+            assert (trajs[q].negativity_events, trajs[q].substeps) == (events, m)
+
+    def test_non_finite_run_fails_the_stack_like_the_reference(self, monkeypatch):
+        # without substeps, n = 2000's reaction overflows in the first step
+        import dftr.integrator
+
+        monkeypatch.setattr(dftr.integrator, "substep_count", lambda config, c_bar, w0_max: 1)
+        runs = []
+        for n in (2.0, 2000.0):
+            p, law, g, steady, cfg = _setup(n=n, t_final=40.0, dt=1.0, num_nodes=51)
+            runs.append((cfg, steady, initial_profile(g, p, law)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected = _reference_run(*runs[1])
+            assert isinstance(expected, IntegrationError)
+            assert not isinstance(_reference_run(*runs[0]), IntegrationError)
+            with pytest.raises(IntegrationError) as exc:
+                self._stack(runs)
+        assert (str(exc.value), exc.value.step_index) == (str(expected), expected.step_index)
+
+    def test_substeps_allocate_no_array(self):
+        # tracemalloc sees numpy's array buffers; between two records (one
+        # outer step, up to 10 substeps over three leading parts) the traced
+        # peak must stay below one state's buffer. The runs are in stack
+        # order, so each record is a view, not a copy.
+        import tracemalloc
+        from dftr.integrator import simulate_stack
+
+        runs = []
+        for n, alpha in ((10.0, 0.5), (10.0, 0.0), (2.0, 0.0)):
+            p, law, g, steady, cfg = _setup(n=n, alpha=alpha, t_final=20.0, dt=1.0,
+                                            num_nodes=201)
+            runs.append((cfg, steady, initial_profile(g, p, law)))
+        transient = []
+
+        def record(j, w):
+            current, peak = tracemalloc.get_traced_memory()
+            if j > 0:
+                transient.append(peak - current)
+            tracemalloc.reset_peak()
+
+        tracemalloc.start()
+        try:
+            trajs = simulate_stack(runs, record)
+        finally:
+            tracemalloc.stop()
+        assert len({t.substeps for t in trajs}) == 3
+        assert len(transient) == cfg.num_steps
+        assert max(transient) < g.num_nodes * 8
+
+
 class TestSubstepping:
     def test_stiff_rate_triggers_substeps(self):
         # n=10 with dt=1: the Lipschitz estimate forces the reaction onto

@@ -85,6 +85,16 @@ class TestTridiagonal:
                 assert np.linalg.norm(x - ref) <= bound * np.linalg.norm(ref)
                 assert np.array_equal(x, mat.solve(rhs))  # factor-once == one-shot
 
+    def test_in_place_solve_overwrites_its_rhs_with_the_solution(self, params):
+        rng = np.random.default_rng(6)
+        for mat in _tridiagonal_cases(params):
+            solve, solve_in_place = mat.factor(), mat.factor(in_place=True)
+            buffer = rng.standard_normal(40)
+            rhs = buffer[:31]  # a contiguous view, as a leading part's buffer
+            expected = solve(rhs.copy())
+            solve_in_place(rhs)
+            assert rhs.tobytes() == expected.tobytes()
+
     def test_block_diagonal_solves_leading_blocks_alone(self, params):
         # dgttrf never pivots across a zero coupling: each leading stack
         # gives each of its blocks the bits of that block's own solve
