@@ -242,6 +242,8 @@ def sweep(base_config, n_values, alpha_values, sat_m: float | None = None,
     alpha_values = tuple(float(a) for a in alpha_values)
     if not n_values or not alpha_values:
         raise ParameterError("n_values and alpha_values must be non-empty")
+    if len(set(n_values)) < len(n_values) or len(set(alpha_values)) < len(alpha_values):
+        raise ParameterError(f"n and alpha values must be distinct: {n_values}, {alpha_values}")
 
     base = base_config.params
     cells, ready = {}, {}
@@ -279,7 +281,7 @@ def sweep(base_config, n_values, alpha_values, sat_m: float | None = None,
             if trajs is None:
                 outcome = None, err
             else:
-                extra["substeps"] = trajs[q].substeps
+                extra["inner_steps"] = trajs[q].inner_steps
                 extra["negativity_events"] = trajs[q].negativity_events
                 outcome = _isolated(lambda: fit_decay_rate(
                     trajs[q].times, norms[q], lambda_theoretical(run[0].params),

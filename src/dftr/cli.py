@@ -286,7 +286,7 @@ def cmd_simulate(cfg: ResolvedConfig, out_dir, manifest: RunManifest,
     write_csv(out_dir / "profiles.csv", manifest.hash, ("t", "x", "w"),
               _field_rows([times[j] for j in snaps], x, traj.states[snaps]))
     print(f"simulated {traj.times[-1]:g} s in {len(traj.times)} records "
-          f"(substeps {traj.substeps}, negativity events {traj.negativity_events})")
+          f"(inner steps {traj.inner_steps}, negativity events {traj.negativity_events})")
     return EXIT_OK
 
 
@@ -319,7 +319,7 @@ def cmd_sweep(cfg: ResolvedConfig, out_dir, manifest: RunManifest,
     write_csv(out_dir / "sweep.csv", manifest.hash,
               ("n", "alpha", "lambda_n", "lambda_t", "fit_r2", "floor_hit"), rows)
     # the per-cell record, outside the manifest hash
-    keys = ("newton_iterations", "substeps", "negativity_events")
+    keys = ("newton_iterations", "inner_steps", "negativity_events")
     cells = [{"hash": cell.provenance["hash"], "n": cell.n, "alpha": cell.alpha,
               **{key: cell.provenance.get(key) for key in keys}, "error": cell.error}
              for cell in result.cells.values()]

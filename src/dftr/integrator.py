@@ -14,7 +14,6 @@ Several runs on one grid step together as one block-diagonal system
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -72,48 +71,47 @@ class SimulationConfig:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Recorded closed-loop trajectory: states[j] is w(., times[j]) at the
-    grid nodes; substeps is the internal refinement factor chosen by the
-    reaction stability guard. Callers derive the feedback alpha * w(0, t)
-    and any weighted energy from the states. A run given a record consumer
-    keeps no states: its states array has no rows.
-    """
+    """Recorded closed-loop trajectory: states[j] is w(., times[j]) at the nodes (no rows
+    for a run given a record consumer); inner_steps counts its substeps over all steps."""
 
     params: ReactorParams
     grid: SpatialGrid
     times: np.ndarray
     states: np.ndarray
     negativity_events: int
-    substeps: int
+    inner_steps: int
 
     def __post_init__(self):
         self.times.flags.writeable = False
         self.states.flags.writeable = False
 
 
-def substep_count(config: SimulationConfig, c_bar: np.ndarray, w0_max: float) -> int:
-    """Internal refinement so the explicit reaction stays well inside its
-    stability region.
+def _reach(params: ReactorParams, c_bar: np.ndarray):
+    """(c0, cap) of the guard's concentration scale c0 + min(max|w|, cap): for n >= 1 the
+    most the clamped reaction sees, for n < 1 (r' blows up at 0) half the least C_bar."""
+    return ((float(np.max(c_bar)), params.sat_m) if params.n >= 1.0
+            else (max(float(np.min(c_bar)), 1e-6) / 2.0, 0.0))
 
-    The reaction Lipschitz scale is estimated as L = k*n*c^(n-1) with c the
-    largest concentration reached for n >= 1 (growing powers) and half the
-    smallest steady value for n < 1 (the derivative blows up near zero).
-    """
-    p = config.params
-    if p.k == 0.0:
-        return 1
-    if p.n >= 1.0:
-        c_scale = float(np.max(c_bar)) + w0_max
-    else:
-        c_scale = max(float(np.min(c_bar)), 1e-6) / 2.0
+
+def _substeps(dt, k, n, c, step_index=0):
+    """Per run, the count m keeping dt / m * L = k*n*c^(n-1) within REACTION_COURANT, n the
+    power order (L = 0 at k = 0); IntegrationError if L overflows or m > MAX_SUBSTEPS."""
     with np.errstate(over="ignore"):
-        lip = p.k * p.n * np.float64(c_scale) ** (p.n - 1.0)
-    if not np.isfinite(lip) or config.dt * lip / REACTION_COURANT > MAX_SUBSTEPS:
+        lip = k * n * c ** (n - 1.0)
+    ratio = dt * lip / REACTION_COURANT
+    if not np.max(ratio) <= MAX_SUBSTEPS:
         raise IntegrationError(
-            f"reaction stiffness estimate {lip:.3e} is beyond what explicit "
+            f"reaction stiffness estimate {np.max(lip):.3e} is beyond what explicit "
             "substepping can stabilize; reduce dt or the reaction scale",
-            step_index=0)
-    return max(1, math.ceil(config.dt * lip / REACTION_COURANT))
+            step_index=step_index)
+    return np.maximum(np.ceil(ratio), 1.0).astype(int)
+
+
+def substep_count(config: SimulationConfig, c_bar: np.ndarray, w_max: float) -> int:
+    """The guard's substep count of one run while max|w| is w_max."""
+    p = config.params
+    c0, cap = _reach(p, c_bar)
+    return int(_substeps(config.dt, p.k, p.power_order, np.float64(c0 + min(w_max, cap))))
 
 
 def step(state: Profile, steady: SteadyStateSolution, config: SimulationConfig) -> Profile:
@@ -132,8 +130,6 @@ def simulate(config: SimulationConfig, steady: SteadyStateSolution,
     modify w nor keep it past the call (w is the live state). By default
     it is stored in states[j]; a caller that needs only a number per
     record passes its own record and no states are kept.
-
-    This is simulate_stack with a stack of one run.
     """
     if record is None:
         states = np.empty((config.num_records, config.grid.num_nodes))
@@ -150,32 +146,22 @@ def simulate(config: SimulationConfig, steady: SteadyStateSolution,
 def simulate_stack(runs, record) -> list:
     """Integrate several closed-loop runs at once as one block-diagonal system.
 
-    runs is a sequence of simulate's (config, steady, w0). All share the
-    grid, dt, t_final and record_every; each keeps its own reaction, gain,
-    saturation bound, steady profile, initial state and substep count m.
-    Their Crank-Nicolson matrices sit on the diagonal of a tridiagonal with
-    zero couplings.
+    runs are simulate's (config, steady, w0) on a shared grid, dt, t_final
+    and record_every; their Crank-Nicolson matrices sit, in run order, on
+    the diagonal of a tridiagonal with zero couplings. Before each outer
+    step the guard gives each run a substep count m from its max|w| (not
+    read again if it gives 1 for all runs at max|w| = sat_m). If every run
+    needs m = 1 now and did before, the step is one in-place solve of the
+    stack; else each run takes m substeps of dt / m on its slice, through
+    parts built once (up to each run's first m before record 0), so no
+    substep allocates. dgttrf never pivots across a zero coupling, so each
+    run gets its solo bits. The reaction enters as 1.5*r(w_k) - 0.5*r(w_{k-1}),
+    or as r(w_k) at a run's first substep and its first after m changes.
 
-    Runs are stacked by decreasing m, and all runs reach each outer step
-    together: substep s of an outer step advances the runs with m >= s,
-    always a leading part of the stack, by their own dt / m. Each leading
-    part has its own block-diagonal matrices, factored once, and its own
-    views of the state, the per-node arrays and the work buffers, built
-    once, so a substep is one solve and allocates no array. dgttrf never
-    pivots across a zero coupling, so each run gets the bits of its own
-    run alone.
-
-    Reaction extrapolation r* = 1.5*r(w_k) - 0.5*r(w_{k-1}) keeps second
-    order; the first substep falls back to r(w_0). Non-negativity of
-    C_A = w + C_bar is monitored, never enforced.
-
-    Record j (at config.record_times[j]) goes to record(j, w), which must
-    neither modify w nor keep it past the call; w[q] is the state of
-    runs[q], and w is a view of the live state when the stack order is
-    the run order (always for a stack of one). A zero coupling does not
-    stop a NaN (0 * NaN = NaN), so the whole stack is checked at each outer
-    step, and a non-finite state anywhere raises IntegrationError for the
-    whole stack. Returns one Trajectory per run, in order, without states.
+    record(j, w) gets record j (at config.record_times[j]) as a view of the
+    live state, w[q] that of runs[q]; it must neither modify nor keep w. A
+    non-finite state anywhere raises IntegrationError for the whole stack.
+    Returns one state-less Trajectory per run, in order.
     """
     config0 = runs[0][0]
     grid, dt, every = config0.grid, config0.dt, config0.record_every
@@ -187,99 +173,106 @@ def simulate_stack(runs, record) -> list:
                 grid, dt, t_final, every):
             raise ContractError("stacked runs must share grid, dt, t_final and record_every")
 
-    subs = [substep_count(config, steady.profile.values, float(np.max(np.abs(w0.values))))
-            for config, steady, w0 in runs]
-    # equal orders side by side, so that the power runs once per order
-    order = sorted(range(len(runs)), key=lambda r: (-subs[r], runs[r][0].params.n))
-    unsort = np.argsort(order)
-
-    plus, minus, segments = [], [], []
-    for q, r in enumerate(order):
-        config, m = runs[r][0], subs[r]
-        a_h = build_generator(grid, config.params, config.law.alpha).diagonals
-        plus.append(a_h.shifted(1.0, 0.5 * dt / m))  # Crank-Nicolson: I + dt/2 A_h
-        minus.append(a_h.shifted(1.0, -0.5 * dt / m))  # and (I - dt/2 A_h)^-1
-        n = config.params.n
-        if segments and segments[-1][2] == n:
-            segments[-1][1] = (q + 1) * nodes
-        else:
-            segments.append([q * nodes, (q + 1) * nodes, n])
-
-    plus, minus = Tridiagonal.block_diagonal(plus), Tridiagonal.block_diagonal(minus)
-    cells = [(runs[r][0].params, runs[r][1].profile.values) for r in order]
-    c_bar = np.concatenate([c for _, c in cells])
-    base = np.concatenate([clamped_power(c, p.n) for p, c in cells])
-    k_node = np.repeat([p.k for p, _ in cells], nodes)
-    sat = np.repeat([p.sat_m for p, _ in cells], nodes)
-    dt_sub = np.repeat([dt / subs[r] for r in order], nodes)
-    w = np.concatenate([runs[r][2].values for r in order])
-    # work buffers, used by each leading part through their heads: r (also a
-    # temporary once r* is formed), h * r*, the right-hand side, and each
-    # node's 0.5 * r of its last substep
+    params = [config.params for config, _, _ in runs]
+    orders = [p.power_order for p in params]
+    c_bars = [steady.profile.values for _, steady, _ in runs]
+    gens = [build_generator(grid, cf.params, cf.law.alpha).diagonals for cf, _, _ in runs]
+    k_run, n_run = np.array([p.k for p in params]), np.array(orders)
+    c0, cap = np.array([_reach(p, c) for p, c in zip(params, c_bars)]).T
+    c_bar = np.concatenate(c_bars)
+    base = np.concatenate([clamped_power(c, n) for c, n in zip(c_bars, orders)])
+    k_node, sat = np.repeat(k_run, nodes), np.repeat([p.sat_m for p in params], nodes)
+    w = np.concatenate([w0.values for _, _, w0 in runs])
+    # work buffers seen through each part's views: r, h r*, b, 0.5 r of the last substep
     rate, r_star, rhs, half_prev = np.empty((4, w.size))
-    below = np.empty(w.size, dtype=bool)
+    below, c, parts = np.empty(w.size, dtype=bool), np.empty(len(runs)), {}
 
-    def part(count):
-        """The first count runs' views: state, per-node arrays, powers, the
-        plus diagonals, the in-place minus solve and the work buffers."""
-        a = count * nodes
-        return (count, w[:a], w[:a - 1], w[1:a], k_node[:a], base[:a], c_bar[:a], sat[:a],
-                -sat[:a], dt_sub[:a], [(rate[s:min(e, a)], n) for s, e, n in segments if s < a],
-                plus.diag[:a], plus.upper[:a - 1], plus.lower[1:a],
-                Tridiagonal(*(d[:a] for d in minus)).factor(in_place=True), rate[:a],
-                rate[:a - 1], r_star[:a], rhs[:a], rhs[:a - 1], rhs[1:a], half_prev[:a], below[:a])
+    def substeps(i):  # each run's count m from its state at step i
+        np.abs(w, out=rate)
+        np.max(rate.reshape(-1, nodes), axis=1, out=c)
+        np.minimum(c, cap, out=c)
+        np.add(c, c0, out=c)
+        return _substeps(dt, k_run, n_run, c, i)
 
-    # substeps len(schedule) + 1 .. m advance the runs with at least m substeps
-    schedule = []
-    for m in sorted(set(subs)):
-        schedule += [part(sum(m_run >= m for m_run in subs))] * (m - len(schedule))
+    def part(q0, q1, m):
+        """Runs q0..q1-1 at dt / m: views, powers, plus diagonals, in-place solve."""
+        if (q0, q1, m) not in parts:
+            a, b = q0 * nodes, q1 * nodes
+            plus, minus = (Tridiagonal.block_diagonal(  # I +- dt/2 A_h
+                [g.shifted(1.0, sign * 0.5 * dt / m) for g in gens[q0:q1]]) for sign in (1, -1))
+            cuts = [q for q in range(q0, q1 + 1) if q in (q0, q1) or orders[q] != orders[q - 1]]
+            parts[q0, q1, m] = (
+                slice(q0, q1), w[a:b], w[a:b - 1], w[a + 1:b], k_node[a:b], base[a:b],
+                c_bar[a:b], sat[a:b], -sat[a:b], dt / m,
+                [(rate[s * nodes:e * nodes], orders[s]) for s, e in zip(cuts, cuts[1:])],
+                plus.diag, plus.upper[:-1], plus.lower[1:], minus.factor(in_place=True),
+                rate[a:b], rate[a:b - 1], r_star[a:b], rhs[a:b], rhs[a:b - 1], rhs[a + 1:b],
+                half_prev[a:b], below[a:b])
+        return parts[q0, q1, m]
 
+    def advance(part, restart):
+        """One substep of part's runs, every operation in place."""
+        (rows, w_a, w_lo, w_hi, k, bs, cb, hi, lo, h, powers, d, u, l, solve,
+         r, r_lo, r_s, b, b_lo, b_hi, half, neg) = part
+        # model.reaction in place: the power once per range of equal order with a scalar
+        # exponent, as numpy's x ** 2 and x ** 0.5 fast paths differ from an array exponent
+        np.maximum(w_a, lo, out=r)
+        np.minimum(r, hi, out=r)
+        r += cb
+        np.maximum(r, 0.0, out=r)
+        for seg, n in powers:
+            seg **= n
+        np.subtract(bs, r, out=r)
+        r *= k
+        if restart:  # r* = r(w_k)
+            np.multiply(h, r, out=r_s)
+        else:  # r* = 1.5 * r(w_k) - 0.5 * r(w_{k-1})
+            np.multiply(r, 1.5, out=r_s)
+            r_s -= half
+            r_s *= h
+        np.multiply(r, 0.5, out=half)
+        # b = (I + dt/2 A_h) w + h r*, and w = (I - dt/2 A_h)^-1 b
+        np.multiply(d, w_a, out=b)
+        np.multiply(u, w_hi, out=r_lo)
+        b_lo += r_lo
+        np.multiply(l, w_lo, out=r_lo)
+        b_hi += r_lo
+        b += r_s
+        solve(b)
+        w_a[:] = b
+        np.add(w_a, cb, out=r)
+        if np.count_nonzero(np.less(r, NEGATIVITY_TOL, out=neg)):
+            negativity[rows] += neg.reshape(-1, nodes).sum(axis=1)
+
+    m = substeps(0)
+    try:
+        quiet = max(_substeps(dt, k_run, n_run, c0 + cap).tolist()) == 1
+    except IntegrationError:
+        quiet = False
+    whole = part(0, len(runs), 1)
+    for q in () if quiet else range(len(runs)):
+        for m_q in range(1, m[q] + 1):
+            part(q, q + 1, m_q)
+    m_prev, inner = np.zeros_like(m), np.full_like(m, n_outer if quiet else 0)
     negativity = (w + c_bar < NEGATIVITY_TOL).reshape(-1, nodes).sum(axis=1)
-    rows, in_order = w.reshape(-1, nodes), order == sorted(order)
-    record(0, rows if in_order else rows[unsort])
-    first, j = True, 0
+    rows = w.reshape(-1, nodes)
+    record(0, rows)
     for i in range(1, n_outer + 1):
-        for (count, w_a, w_lo, w_hi, k, bs, cb, hi, lo, h, powers, d, u, l, solve,
-             r, r_lo, r_s, b, b_lo, b_hi, half, neg) in schedule:
-            # model.reaction in place: the power once per node range of equal
-            # n, with a scalar exponent, because numpy's x ** 2 and x ** 0.5
-            # fast paths differ from an array exponent in the last bit
-            np.maximum(w_a, lo, out=r)
-            np.minimum(r, hi, out=r)
-            r += cb
-            np.maximum(r, 0.0, out=r)
-            for seg, n in powers:
-                seg **= n
-            np.subtract(bs, r, out=r)
-            r *= k
-            if first:  # r* = r(w_0)
-                np.multiply(h, r, out=r_s)
-                first = False
-            else:  # r* = 1.5 * r(w_k) - 0.5 * r(w_{k-1})
-                np.multiply(r, 1.5, out=r_s)
-                r_s -= half
-                r_s *= h
-            np.multiply(r, 0.5, out=half)
-            # b = (I + dt/2 A_h) w + h r*, and w = (I - dt/2 A_h)^-1 b
-            np.multiply(d, w_a, out=b)
-            np.multiply(u, w_hi, out=r_lo)
-            b_lo += r_lo
-            np.multiply(l, w_lo, out=r_lo)
-            b_hi += r_lo
-            b += r_s
-            solve(b)
-            w_a[:] = b
-            np.add(w_a, cb, out=r)
-            if np.count_nonzero(np.less(r, NEGATIVITY_TOL, out=neg)):
-                negativity[:count] += neg.reshape(-1, nodes).sum(axis=1)
+        if not quiet:
+            if i > 1:
+                m_prev, m = m, substeps(i - 1)
+            inner += m
+        if quiet or (m.max() == 1 and m_prev.max() <= 1):  # m_prev 0 at step 1
+            advance(whole, i == 1)
+        else:
+            for q, m_q in enumerate(m.tolist()):
+                for s in range(m_q):
+                    advance(part(q, q + 1, m_q), s == 0 and m_q != m_prev[q])
         if np.count_nonzero(np.isfinite(w, out=below)) < w.size:
             raise IntegrationError(f"non-finite state at step {i}", step_index=i)
         if i % every == 0 or i == n_outer:
-            j += 1
-            record(j, rows if in_order else rows[unsort])
+            record(-(-i // every), rows)
 
-    times = config0.record_times
-    return [Trajectory(params=config.params, grid=grid, times=times,
-                       states=np.empty((0, nodes)),
-                       negativity_events=int(negativity[unsort[r]]), substeps=subs[r])
-            for r, (config, _, _) in enumerate(runs)]
+    return [Trajectory(params=p, grid=grid, times=config0.record_times,
+                       states=np.empty((0, nodes)), negativity_events=int(negativity[q]),
+                       inner_steps=int(inner[q])) for q, p in enumerate(params)]

@@ -62,6 +62,11 @@ class ReactorParams:
     def peclet(self) -> float:
         return self.v * self.l / self.d_ax
 
+    @property
+    def power_order(self) -> float:
+        """n, or 1 when k = 0: a disabled reaction is then 0 even where C**n overflows."""
+        return self.n if self.k else 1.0
+
 
 @dataclass(frozen=True)
 class FeedbackLaw:
@@ -157,7 +162,7 @@ def reaction(c_bar, params: ReactorParams):
 
     The bound check and c_bar^n run once here, not per call of r, whose
     minimum/maximum clamp gives the bits of np.clip, NaN included."""
-    k, n, m = params.k, params.n, params.sat_m
+    k, n, m = params.k, params.power_order, params.sat_m
     _require(np.isfinite(m) and m > 0, f"saturation bound must be > 0, got {m}")
     base = clamped_power(c_bar, n)
 

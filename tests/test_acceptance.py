@@ -55,6 +55,7 @@ TOL_DUHAMEL_NONLINEAR = 1e-2
 TOL_DUHAMEL_LINEAR = 1e-4
 TOL_EQUILIBRIUM = 1e-9
 MIN_RICHARDSON_RATIO = 3.4    # second order in dt gives 4
+TOL_SPECTRAL_REL = 1e-3       # fitted lambda_N vs the discrete spectral rate
 LONG_RUN_BUDGET_S = 300.0
 
 
@@ -157,6 +158,34 @@ def test_fitted_decay_rates_clear_theoretical_bound(long_runs):
                           for n, a, lam in outside)
         warnings.warn(f"fitted rates outside the reported bracket "
                       f"{REPORTED_BRACKET}: {lines}", stacklevel=1)
+
+
+def test_fitted_decay_rates_match_the_spectral_rate(long_runs):
+    # lambda_spec = -max eig(A_h + diag(-k n C_bar^(n-1))), the generator
+    # linearized at the steady profile. A_h is written out here with the
+    # ghost nodes of the Robin inlet and the zero-gradient outlet eliminated.
+    # With cell Peclet h v / d_ax < 2 every lower * upper product is
+    # positive, so A_h + J is diagonally similar to the symmetric
+    # tridiagonal matrix with off-diagonal sqrt(upper * lower).
+    from scipy.linalg import eigh_tridiagonal
+
+    cells, _ = long_runs
+    for (n, alpha), (traj, est) in cells.items():
+        p, grid = traj.params, traj.grid
+        m, h, d, v = grid.num_nodes, grid.h, p.d_ax, p.v
+        assert h * v / d < 2.0
+        lower = np.full(m, d / h ** 2 + v / (2.0 * h))
+        diag = np.full(m, -2.0 * d / h ** 2)
+        upper = np.full(m, d / h ** 2 - v / (2.0 * h))
+        diag[0] = -2.0 * d / h ** 2 - 2.0 * v * (1.0 - alpha) / h - v * v * (1.0 - alpha) / d
+        upper[0] = 2.0 * d / h ** 2
+        lower[-1] = 2.0 * d / h ** 2
+        c_bar = steady_state_numeric(p, 1.0, grid).profile.values
+        jac = -p.k * n * c_bar ** (n - 1.0)
+        top = eigh_tridiagonal(diag + jac, np.sqrt(upper[:-1] * lower[1:]), eigvals_only=True,
+                               select="i", select_range=(m - 1, m - 1))[0]
+        rel = abs(est.lambda_n + top) / -top
+        assert rel <= TOL_SPECTRAL_REL, (n, alpha, est.lambda_n, -top)
 
 
 def test_time_stepper_agrees_with_mild_solution_oracle():

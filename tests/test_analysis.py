@@ -32,7 +32,7 @@ def synthetic_trajectory(rate, grid, params, t_final=7000.0, dt_rec=10.0,
     shape = 1.0 + 0.5 * np.sin(2.0 * np.pi * grid.nodes)
     states = amplitude * np.exp(-rate * times)[:, None] * shape[None, :]
     return Trajectory(params=params, grid=grid, times=times, states=states,
-                      negativity_events=0, substeps=1)
+                      negativity_events=0, inner_steps=times.size - 1)
 
 
 class TestWeightProfile:
@@ -225,7 +225,7 @@ class TestSweep:
         cell = sweep(base, [2.0], [0.25]).cell(2.0, 0.25)
         assert len(cell.provenance["hash"]) == 16
         assert cell.provenance["newton_iterations"] >= 1
-        assert cell.provenance["substeps"] >= 1
+        assert cell.provenance["inner_steps"] >= 200  # horizon / dt
         assert cell.provenance["alpha"] == 0.25
 
     @staticmethod
@@ -250,9 +250,9 @@ class TestSweep:
             sweep(_sweep_base(horizon=100.0, num_nodes=101), [1.0, 2.0], [0.0, 0.5])
 
     def test_stacked_cells_match_solo_runs(self):
-        # n = 10 needs substeps and n = 2 does not, so substeps advance
-        # leading parts of the stack; record_every = 7 does not divide the
-        # 1000 steps
+        # n = 10 needs substeps and n = 2 does not, so the stack takes both
+        # ways through a step; record_every = 7 does not divide the 1000
+        # steps
         from dftr.integrator import simulate_stack
 
         base = _sweep_base(horizon=1000.0, num_nodes=101, record_every=7)
@@ -276,8 +276,8 @@ class TestSweep:
                 assert [t.hex() for t in est.fit_window] == [t.hex() for t in direct.fit_window]
                 assert est.floor_hit == direct.floor_hit
                 assert cell.provenance == sweep(base, [n], [a]).cell(n, a).provenance
-                assert cell.provenance["substeps"] == traj.substeps
-        assert len({t.substeps for t in solos}) == 3
+                assert cell.provenance["inner_steps"] == traj.inner_steps
+        assert len({t.inner_steps for t in solos}) == 3
 
         unit = weight_profile(g, 1.0, default_weight(g, runs[0][0].params).gamma)
         energies = np.full((len(runs), base.num_records), np.nan)
@@ -288,7 +288,7 @@ class TestSweep:
         stacked = simulate_stack(runs, record)
         for q, traj in enumerate(solos):
             assert energies[q].tobytes() == energy(traj.states, unit).tobytes()
-            assert stacked[q].substeps == traj.substeps
+            assert stacked[q].inner_steps == traj.inner_steps
             assert stacked[q].negativity_events == traj.negativity_events
             assert np.array_equal(stacked[q].times, traj.times)
 
@@ -299,17 +299,18 @@ class TestSweep:
         import dftr.integrator
         from dftr.errors import IntegrationError
 
-        guard, stack = dftr.integrator.substep_count, dftr.integrator.simulate_stack
+        guard, stack = dftr.integrator._substeps, dftr.integrator.simulate_stack
         sizes = []
 
-        def unguarded(config, c_bar, w0_max):
-            return 1 if config.params.n == 2000.0 else guard(config, c_bar, w0_max)
+        def unguarded(dt, k, n, c, step_index=0):
+            # order 1 gives one substep
+            return guard(dt, k, np.where(n == 2000.0, 1.0, n), c, step_index)
 
         def counted(runs, record):
             sizes.append(len(runs))
             return stack(runs, record)
 
-        monkeypatch.setattr(dftr.integrator, "substep_count", unguarded)
+        monkeypatch.setattr(dftr.integrator, "_substeps", unguarded)
         monkeypatch.setattr(dftr.integrator, "simulate_stack", counted)
         base = _sweep_base(horizon=300.0, num_nodes=101)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -334,6 +335,13 @@ class TestSweep:
     def test_empty_axis_rejected(self):
         with pytest.raises(ParameterError):
             sweep(_sweep_base(), [], [0.0])
+
+    @pytest.mark.parametrize("n_values,alpha_values", [([2, 2.0], [0.0]),
+                                                       ([2.0], [0.0, 0.5, 0])])
+    def test_repeated_axis_value_rejected(self, n_values, alpha_values):
+        # a repeated value would give one computed cell two rows of the table
+        with pytest.raises(ParameterError, match="distinct"):
+            sweep(_sweep_base(horizon=100.0, num_nodes=51), n_values, alpha_values)
 
 
 class TestWeightAdmissibility:

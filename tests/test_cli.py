@@ -257,15 +257,15 @@ class TestSweepCommand:
             (float(row[0]), float(row[1])) for row in rows]
         assert len({c["hash"] for c in cells}) == len(cells) == 6
         for cell, row in zip(cells, rows):
-            assert set(cell) == {"hash", "n", "alpha", "newton_iterations", "substeps",
+            assert set(cell) == {"hash", "n", "alpha", "newton_iterations", "inner_steps",
                                  "negativity_events", "error"}
             if cell["n"] == 0.5:
                 assert cell["error"].startswith("SolverError: Newton did not converge")
-                assert cell["newton_iterations"] is cell["substeps"] is None
+                assert cell["newton_iterations"] is cell["inner_steps"] is None
                 assert cell["negativity_events"] is None and row[2] == ""
             else:
                 assert cell["error"] is None and float(row[2]) > 0.0
-                assert cell["newton_iterations"] >= 1 and cell["substeps"] >= 1
+                assert cell["newton_iterations"] >= 1 and cell["inner_steps"] >= 400  # horizon / dt
                 assert cell["negativity_events"] >= 0
 
         # the side file is outside the manifest hash: it covers the command,
@@ -301,8 +301,8 @@ class TestSweepCommand:
             traj = simulate(SimulationConfig(params=params, law=law, grid=grid, dt=1.0),
                             steady_state_numeric(params, 1.0, grid),
                             initial_profile(grid, params, law), lambda j, t, w: None)
-            assert (cell["substeps"], cell["negativity_events"]) == (
-                traj.substeps, traj.negativity_events)
+            assert (cell["inner_steps"], cell["negativity_events"]) == (
+                traj.inner_steps, traj.negativity_events)
 
     def test_invalid_list_arguments(self, tmp_path):
         cfg = write_ini(tmp_path / "c.ini", self.CFG)

@@ -75,7 +75,7 @@ class TestStep:
         p, law, g, steady, cfg = _setup(n=n, t_final=20.0, dt=1.0, num_nodes=101)
         w0 = initial_profile(g, p, law)
         traj = simulate(cfg, steady, w0)
-        assert (traj.substeps > 1) == substepped
+        assert (traj.inner_steps > cfg.num_steps) == substepped
         assert np.array_equal(step(w0, steady, cfg).values, traj.states[1])
 
     @settings(max_examples=25, deadline=None)
@@ -139,8 +139,8 @@ class TestSimulate:
         assert np.array([w for _, _, w in seen]).tobytes() == stored.states.tobytes()
         assert streamed.states.shape == (0, g.num_nodes)
         assert streamed.times.tobytes() == stored.times.tobytes()
-        assert (streamed.substeps, streamed.negativity_events) == (
-            stored.substeps, stored.negativity_events)
+        assert (streamed.inner_steps, streamed.negativity_events) == (
+            stored.inner_steps, stored.negativity_events)
 
     @pytest.mark.parametrize("change", [{"dt": 0.5}, {"record_every": 2}])
     def test_stacked_runs_share_the_time_grid(self, change):
@@ -155,7 +155,8 @@ class TestSimulate:
 
     def test_stack_records_all_runs_together_in_run_order(self):
         # n = 10 substeps, more so at alpha = 1/2, and n = 2 does not: three
-        # substep counts, so the stack order differs from the run order
+        # inner step counts, so the runs take the stack's two ways through a
+        # step
         from dftr.integrator import simulate_stack
 
         runs = []
@@ -165,7 +166,7 @@ class TestSimulate:
                                                 record_every=7, num_nodes=51)
                 runs.append((cfg, steady, initial_profile(g, p, law)))
         solos = [simulate(*run) for run in runs]
-        assert len({traj.substeps for traj in solos}) == 3
+        assert len({traj.inner_steps for traj in solos}) == 3
         seen = []
         simulate_stack(runs, lambda j, w: seen.append((j, w.copy())))
         assert [j for j, _ in seen] == list(range(cfg.num_records))
@@ -180,6 +181,18 @@ class TestSimulate:
         w0 = initial_profile(g, p, law)
         traj = simulate(cfg, steady, w0)
         assert np.max(np.abs(traj.states[-1])) <= 0.15 * np.max(np.abs(w0.values))
+
+    @pytest.mark.parametrize("n", [2.0, 400.0, 2000.0])
+    def test_zero_rate_constant_makes_the_order_irrelevant(self, n):
+        # k = 0 disables the reaction: every order gives the bits of n = 1,
+        # also where C**n overflows (n = 2000)
+        runs = {}
+        for order in (1.0, n):
+            p, law, g, steady, cfg = _setup(n=order, k=0.0, alpha=0.25, t_final=50.0,
+                                            dt=1.0, num_nodes=51)
+            runs[order] = simulate(cfg, steady, initial_profile(g, p, law))
+        assert runs[n].states.tobytes() == runs[1.0].states.tobytes()
+        assert runs[n].inner_steps == runs[1.0].inner_steps == cfg.num_steps
 
     def test_energy_never_increases_without_reaction(self):
         p, law, g, steady, cfg = _setup(k=0.0, alpha=0.5, t_final=100.0, dt=1.0,
@@ -208,38 +221,42 @@ class TestSimulate:
 
 
 def _reference_run(config, steady, w0):
-    """One run stepped by the plain allocating loop: the clamp and power of
-    model.reaction, r* = 1.5*r - 0.5*r_prev, Tridiagonal.apply and factor(),
-    and a count_nonzero negativity count per substep. Returns the recorded
-    states, the negativity events and the substep count, or the
-    IntegrationError the run raises."""
+    """One run stepped by the plain allocating loop: the guard's substep
+    count m read from max|w| before every outer step, the clamp and power of
+    model.reaction, r* = 1.5*r - 0.5*r_prev (r* = r at the first substep and
+    whenever m changes), Tridiagonal.apply and factor(), and a count_nonzero
+    negativity count per substep. Returns the recorded states, the
+    negativity events and the inner step count, or the IntegrationError
+    the run raises."""
     from dftr.integrator import NEGATIVITY_TOL, substep_count
 
     p, c_bar = config.params, steady.profile.values
-    m = substep_count(config, c_bar, float(np.max(np.abs(w0.values))))
     a_h = build_generator(config.grid, p, config.law.alpha).diagonals
-    plus = a_h.shifted(1.0, 0.5 * config.dt / m)
-    solve = a_h.shifted(1.0, -0.5 * config.dt / m).factor()
     base = np.maximum(c_bar, 0.0) ** p.n
 
     def rate(w):
         c = np.minimum(np.maximum(w, -p.sat_m), p.sat_m) + c_bar
         return p.k * (base - np.maximum(c, 0.0) ** p.n)
 
-    w, r_prev = w0.values.copy(), None
+    w, r_prev, m_prev, inner = w0.values.copy(), None, None, 0
     states, events = [w.copy()], np.count_nonzero(w + c_bar < NEGATIVITY_TOL)
     for i in range(1, config.num_steps + 1):
-        for _ in range(m):
+        m = substep_count(config, c_bar, float(np.max(np.abs(w))))
+        plus = a_h.shifted(1.0, 0.5 * config.dt / m)
+        solve = a_h.shifted(1.0, -0.5 * config.dt / m).factor()
+        for s in range(m):
             r_now = rate(w)
-            r_star = r_now if r_prev is None else 1.5 * r_now - 0.5 * r_prev
+            restart = r_prev is None or (s == 0 and m != m_prev)
+            r_star = r_now if restart else 1.5 * r_now - 0.5 * r_prev
             r_prev = r_now
             w = solve(plus.apply(w) + config.dt / m * r_star)
             events += np.count_nonzero(w + c_bar < NEGATIVITY_TOL)
+        m_prev, inner = m, inner + m
         if not np.isfinite(w).all():
             return IntegrationError(f"non-finite state at step {i}", step_index=i)
         if i % config.record_every == 0 or i == config.num_steps:
             states.append(w.copy())
-    return np.array(states), events, m
+    return np.array(states), events, inner
 
 
 class TestFusedSubstep:
@@ -254,9 +271,9 @@ class TestFusedSubstep:
         return np.array(seen), trajs
 
     def test_stack_matches_the_reference_loop_bit_for_bit(self):
-        # four orders (n = 1 included) and two gains: several substep counts
-        # and several power segments; one more run starts at w0 = -2 c_bar,
-        # where C_A is negative
+        # four orders (n = 1 included) and two gains: several inner step
+        # counts and several power segments; one more run starts at
+        # w0 = -2 c_bar, where C_A is negative
         runs = []
         for n in (0.5, 1.0, 2.0, 10.0):
             for alpha in (0.0, 0.5):
@@ -271,15 +288,16 @@ class TestFusedSubstep:
         assert refs[-1][1] > 0
         seen, trajs = self._stack(runs)
         assert seen.shape == (cfg.num_records, len(runs), g.num_nodes)
-        for q, (states, events, m) in enumerate(refs):
+        for q, (states, events, inner) in enumerate(refs):
             assert seen[:, q].tobytes() == states.tobytes()
-            assert (trajs[q].negativity_events, trajs[q].substeps) == (events, m)
+            assert (trajs[q].negativity_events, trajs[q].inner_steps) == (events, inner)
 
     def test_non_finite_run_fails_the_stack_like_the_reference(self, monkeypatch):
         # without substeps, n = 2000's reaction overflows in the first step
         import dftr.integrator
 
-        monkeypatch.setattr(dftr.integrator, "substep_count", lambda config, c_bar, w0_max: 1)
+        monkeypatch.setattr(dftr.integrator, "_substeps",
+                            lambda dt, k, n, c, step_index=0: np.ones_like(n, dtype=int))
         runs = []
         for n in (2.0, 2000.0):
             p, law, g, steady, cfg = _setup(n=n, t_final=40.0, dt=1.0, num_nodes=51)
@@ -294,9 +312,10 @@ class TestFusedSubstep:
 
     def test_substeps_allocate_no_array(self):
         # tracemalloc sees numpy's array buffers; between two records (one
-        # outer step, up to 10 substeps over three leading parts) the traced
-        # peak must stay below one state's buffer. The runs are in stack
-        # order, so each record is a view, not a copy.
+        # outer step: the guard read from the state, then up to 10 substeps
+        # per run on its slice, or one solve of the whole stack) the traced
+        # peak must stay below one state's buffer. Each record is a view,
+        # not a copy.
         import tracemalloc
         from dftr.integrator import simulate_stack
 
@@ -318,7 +337,7 @@ class TestFusedSubstep:
             trajs = simulate_stack(runs, record)
         finally:
             tracemalloc.stop()
-        assert len({t.substeps for t in trajs}) == 3
+        assert len({t.inner_steps for t in trajs}) == 3
         assert len(transient) == cfg.num_steps
         assert max(transient) < g.num_nodes * 8
 
@@ -330,7 +349,7 @@ class TestSubstepping:
         p, law, g, steady, cfg = _setup(n=10.0, alpha=0.0, t_final=20.0, dt=1.0,
                                         num_nodes=101)
         traj = simulate(cfg, steady, initial_profile(g, p, law))
-        assert traj.substeps > 1
+        assert traj.inner_steps > cfg.num_steps
         assert traj.times[-1] == 20.0
         assert np.allclose(np.diff(traj.times), 1.0, rtol=1e-12)
 
@@ -340,13 +359,13 @@ class TestSubstepping:
             p, law, g, steady, cfg = _setup(n=10.0, alpha=alpha, t_final=1.0,
                                             dt=1.0, num_nodes=51)
             traj = simulate(cfg, steady, initial_profile(g, p, law))
-            counts[alpha] = traj.substeps
+            counts[alpha] = traj.inner_steps
         assert counts[0.5] > counts[0.0]
 
     def test_mild_problem_needs_no_substeps(self):
         p, law, g, steady, cfg = _setup(n=1.0, t_final=10.0, dt=1.0, num_nodes=51)
         traj = simulate(cfg, steady, initial_profile(g, p, law))
-        assert traj.substeps == 1
+        assert traj.inner_steps == cfg.num_steps
 
     def test_guard_refuses_an_order_whose_power_overflows(self):
         # c ** (n - 1) leaves the float range at n = 2000: the guard's own

@@ -191,6 +191,13 @@ class TestReactionRate:
         r = reaction_rate(np.array([0.3]), np.array([0.9]), p)
         assert r[0] == 0.0
 
+    def test_no_reaction_when_k_zero_at_an_order_whose_power_overflows(self):
+        # (0.9 + 3)**2000 is inf; k = 0 must still give a zero reaction, not
+        # 0 * (C_bar**n - inf) = NaN
+        p = make_params(k=0.0, n=2000.0)
+        w = np.array([-3.0, 0.0, 0.3, 3.0])
+        assert np.array_equal(reaction_rate(w, np.full(4, 0.9), p), np.zeros(4))
+
     @pytest.mark.parametrize("n", [0.5, 1.0, 2.0, 10.0])
     def test_closure_matches_clip_formula_bitwise(self, n):
         p = make_params(n=n, sat_m=2.0)
