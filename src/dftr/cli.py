@@ -251,19 +251,20 @@ def cmd_steady(cfg: ResolvedConfig, out_dir, manifest: RunManifest) -> int:
     return EXIT_OK
 
 
+def _run_config(cfg: ResolvedConfig, t_final: float, default_dt: float) -> SimulationConfig:
+    """A closed-loop run of cfg to t_final, at cfg.dt or else default_dt."""
+    return SimulationConfig(params=cfg.reactor_params(t_final=t_final), law=cfg.law(),
+                            grid=cfg.grid(), dt=cfg.dt if cfg.dt is not None else default_dt,
+                            record_every=cfg.record_every)
+
+
 def _closed_loop(cfg: ResolvedConfig, t_final: float, default_dt: float, w0=None):
-    """simulate's (config, steady, w0) for a closed-loop run of cfg to
-    t_final around its steady state, at cfg.dt or else default_dt, from w0
-    or else from the boundary-compatible initial profile."""
-    grid = cfg.grid()
-    params = cfg.reactor_params(t_final=t_final)
-    law = cfg.law()
-    steady = steady_state_numeric(params, cfg.u_bar, grid)
-    config = SimulationConfig(params=params, law=law, grid=grid,
-                              dt=cfg.dt if cfg.dt is not None else default_dt,
-                              record_every=cfg.record_every)
+    """simulate's (config, steady, w0) for _run_config's run around its steady
+    state, from w0 or else from the boundary-compatible initial profile."""
+    config = _run_config(cfg, t_final, default_dt)
+    steady = steady_state_numeric(config.params, cfg.u_bar, config.grid)
     if w0 is None:
-        w0 = initial_profile(grid, params, law)
+        w0 = initial_profile(config.grid, config.params, config.law)
     return config, steady, w0
 
 
@@ -351,6 +352,8 @@ def _verify_checks(cfg: ResolvedConfig, seed: int):
     """
     grid = cfg.grid()
     params = cfg.reactor_params(t_final=cfg.t_final)
+    # time settings no run can take are a config error, raised before any row
+    _run_config(cfg, cfg.t_final, 0.1), _run_config(cfg, cfg.horizon, 1.0)
 
     def guarded(expected_rows, fn):
         # expected_rows: [(check_name, threshold), ...] matching fn's yield

@@ -48,6 +48,8 @@ class SimulationConfig:
             raise ParameterError(f"dt must be > 0, got {self.dt}")
         if self.record_every < 1:
             raise ParameterError(f"record_every must be >= 1, got {self.record_every}")
+        if not (ratio := self.params.t_final / self.dt) <= np.iinfo(np.intp).max:
+            raise ParameterError(f"t_final / dt = {ratio:g} steps, more than numpy can index")
         steps = self.num_steps
         if abs(steps * self.dt - self.params.t_final) > 1e-9 * max(1.0, self.params.t_final):
             raise ParameterError(

@@ -13,16 +13,35 @@ global O(h^2) order and the matrix stays tridiagonal.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
+import sys
 from dataclasses import dataclass
 from functools import cached_property, partial
+from operator import attrgetter
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import expm
-from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .errors import ContractError, ParameterError, SolverError
 from .model import FeedbackLaw, Profile, ReactorParams, SpatialGrid, reaction
+
+
+def _lapack():
+    """scipy's compiled LAPACK module, loaded from its file without the 0.3 s of
+    scipy.linalg imports; scipy.linalg.lapack if that fails, as on a scipy rename."""
+    name = "scipy.linalg._flapack"
+    try:
+        scipy_dir, = importlib.util.find_spec("scipy").submodule_search_locations
+        spec = importlib.machinery.PathFinder.find_spec(name, [os.path.join(scipy_dir, "linalg")])
+        return sys.modules.setdefault(name, importlib.util.module_from_spec(spec))
+    except Exception:
+        from scipy.linalg import lapack
+        return lapack
+
+
+dgttrf, dgttrs = attrgetter("dgttrf", "dgttrs")(_lapack())
 
 BC_REL_TOL = 1e-2  # dissipativity_form rejects grossly incompatible vectors
 
@@ -366,6 +385,7 @@ def duhamel_oracle(gen: DiscreteGenerator, w0: Profile, steady, params: ReactorP
     if num_steps < 1:
         raise ParameterError(f"num_steps must be >= 1, got {num_steps}")
 
+    from scipy.linalg import expm  # the only scipy.linalg user, so imported here
     rate = reaction(steady.profile.values, params)
     dt = t_final / num_steps
     e_dt = expm(gen.dense() * dt)

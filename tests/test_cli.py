@@ -475,6 +475,21 @@ class TestExitCodes:
         assert f"config error: {flag} values must be finite" in err
         assert not (out / "manifest.json").exists()
 
+    @pytest.mark.parametrize("command,key,raw", [
+        ("simulate", "dt", "1e-300"), ("verify", "dt", "1e-300"),
+        ("simulate", "dt", "5e-324"), ("verify", "dt", "5e-324"),
+        ("sweep", "horizon", "1e300"),
+    ])
+    def test_step_count_no_array_can_index_is_two(self, tmp_path, capsys, command, key, raw):
+        # t_final 1 at dt 1, then one setting past any array index or infinite
+        time = {"t_final": "1", "dt": "1", key: raw}
+        cfg = write_ini(tmp_path / "c.ini", BASE_INI + "[grid]\nnum_nodes = 21\n[time]\n"
+                        + "".join(f"{k} = {v}\n" for k, v in time.items()))
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        assert "config error: t_final / dt = " in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
+
 
 class TestDeterminism:
     CFG = (BASE_INI + SMALL_GRID + "[time]\nt_final = 400\nhorizon = 400\n")
@@ -547,15 +562,20 @@ class TestWriter:
         assert path.read_bytes() == (header + expected).encode()
 
 
+def _child_env():
+    """The environment of a child process that finds this package first."""
+    paths = [str(Path(dftr.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+
+
 @pytest.mark.parametrize("argv", [
     pytest.param([sys.executable, "-m", "dftr.cli"], id="module"),
     pytest.param(["dftr"], id="script", marks=pytest.mark.skipif(
         shutil.which("dftr") is None, reason="console script not on PATH")),
 ])
 def test_console_entry_point(tmp_path, argv):
-    # the child finds this package first; its exit code is main()'s
-    paths = [str(Path(dftr.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+    # the child's exit code is main()'s
+    env = _child_env()
 
     def run(text):
         cfg = write_ini(tmp_path / "c.ini", text)
@@ -569,3 +589,28 @@ def test_console_entry_point(tmp_path, argv):
     proc = run(BASE_INI.replace("v = 0.01\n", ""))
     assert proc.returncode == 2
     assert "config error" in proc.stderr
+
+
+def test_runs_never_import_scipy_linalg(tmp_path):
+    # dgttrf/dgttrs come from scipy's LAPACK extension file; only verify's
+    # Duhamel oracle imports scipy.linalg, for expm, when it runs
+    cfg = write_ini(tmp_path / "c.ini", BASE_INI + "[grid]\nnum_nodes = 21\n"
+                    + "[time]\nt_final = 10\ndt = 0.5\nhorizon = 100\n")
+
+    def run(*commands):
+        script = ("import sys\nfrom dftr.cli import main\n"
+                  f"for command in {commands!r}:\n"
+                  f"    assert main([command, '--config', {cfg!r}, '--out', "
+                  f"{str(tmp_path / 'out')!r}]) == 0\n"
+                  "print('scipy.linalg' in sys.modules)\n")
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, env=_child_env())
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.splitlines()
+
+    assert run("steady", "simulate")[-1] == "False"
+    out = run("verify")
+    assert out[-1] == "True"
+    duhamel = [line.split() for line in out if line.startswith("duhamel_")]
+    assert [row[0] for row in duhamel] == ["duhamel_nonlinear", "duhamel_linear"]
+    assert all(row[-1] == "pass" for row in duhamel)

@@ -54,6 +54,14 @@ class TestSimulationConfig:
         _, _, _, _, cfg = _setup(t_final=400.0, dt=0.1)
         assert cfg.num_steps == 4000
 
+    @pytest.mark.parametrize("t_final,dt", [(1.0, 1e-300), (1.0, 5e-324), (1e300, 1.0)])
+    def test_rejects_more_steps_than_an_array_can_index(self, t_final, dt):
+        # t_final / dt above np.intp's maximum (or infinite) sized no array
+        p = make_params(t_final=t_final)
+        g = SpatialGrid(l=1.0, num_nodes=21)
+        with pytest.raises(ParameterError, match="more than numpy can index"):
+            SimulationConfig(params=p, law=FeedbackLaw(alpha=0.0), grid=g, dt=dt)
+
 
 class TestStep:
     def test_equilibrium_is_fixed_point(self):

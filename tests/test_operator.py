@@ -1,3 +1,6 @@
+import importlib.machinery
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,6 +25,7 @@ from dftr import (
     simulate,
     steady_state_numeric,
 )
+from dftr import operator
 from conftest import make_params
 
 
@@ -116,6 +120,39 @@ class TestTridiagonal:
             mat.factor()
         with pytest.raises(SolverError):
             mat.solve(np.ones(5))
+
+
+class TestLapackLoader:
+    def test_extension_is_loaded_by_path(self):
+        # the fast path is taken on the installed scipy; a renamed or moved
+        # extension fails here instead of silently importing scipy.linalg
+        lapack = operator._lapack()
+        assert lapack.__name__ == "scipy.linalg._flapack"
+        assert lapack is sys.modules["scipy.linalg._flapack"]
+        assert operator.dgttrf is lapack.dgttrf and operator.dgttrs is lapack.dgttrs
+
+    def test_fallback_gives_the_same_bytes(self, params, monkeypatch):
+        import scipy.linalg.lapack  # imported before PathFinder stops finding anything
+
+        fast = operator._lapack()
+        monkeypatch.setattr(importlib.machinery.PathFinder, "find_spec",
+                            lambda *args, **kwargs: None)
+        fallback = operator._lapack()
+        assert fallback is scipy.linalg.lapack
+        monkeypatch.undo()
+
+        mat = build_generator(SpatialGrid(l=1.0, num_nodes=2001), params,
+                              0.25).diagonals.shifted(1.0, -0.5)
+        rhs = np.random.default_rng(8).standard_normal(2001)
+        results = []
+        for lapack in (fast, fallback):
+            monkeypatch.setattr(operator, "dgttrf", lapack.dgttrf)
+            monkeypatch.setattr(operator, "dgttrs", lapack.dgttrs)
+            in_place = rhs.copy()
+            mat.factor(in_place=True)(in_place)
+            results.append((mat.solve(rhs).tobytes(), in_place.tobytes()))
+        assert results[0] == results[1]
+        assert results[0][0] == results[0][1]
 
 
 class TestDissipativity:
