@@ -12,6 +12,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -32,6 +33,10 @@ class WeightFunction:
     rho0: float
     gamma: float
     profile: Profile
+
+    @cached_property
+    def quad_rho(self) -> np.ndarray:
+        return self.profile.grid.quad_weights * self.profile.values
 
 
 def weight_profile(grid: SpatialGrid, rho0: float, gamma: float) -> WeightFunction:
@@ -59,12 +64,11 @@ def energy(w, weight: WeightFunction):
     w is a Profile, an array of node values, or a (records, nodes) array,
     which gives one energy per record.
     """
-    grid = weight.profile.grid
     if isinstance(w, Profile):
-        if w.grid != grid:
+        if w.grid != weight.profile.grid:
             raise ContractError("profile and weight grids do not match")
         w = w.values
-    return 0.5 * np.sum(grid.quad_weights * weight.profile.values * w ** 2, axis=-1)
+    return 0.5 * np.add.reduce(weight.quad_rho * w ** 2, axis=-1)
 
 
 def norm_rho(w: Profile, weight: WeightFunction) -> float:

@@ -343,12 +343,13 @@ def cmd_sweep(cfg: ResolvedConfig, out_dir, manifest: RunManifest,
     return EXIT_OK
 
 
-def _verify_checks(cfg: ResolvedConfig, seed: int):
+def _verify_checks(cfg: ResolvedConfig, seed: int, cpu_s: dict):
     """Run the oracle suite; yields (check, metric, value, threshold, pass),
     pass a Python bool or "skipped".
 
     A check that raises a toolkit error is reported as a failed row (with
-    the error on stderr) so the report is always complete.
+    the error on stderr) so the report is always complete. cpu_s gets each
+    check's process CPU seconds, keyed by its rows' names joined by '+'.
     """
     grid = cfg.grid()
     params = cfg.reactor_params(t_final=cfg.t_final)
@@ -357,12 +358,15 @@ def _verify_checks(cfg: ResolvedConfig, seed: int):
 
     def guarded(expected_rows, fn):
         # expected_rows: [(check_name, threshold), ...] matching fn's yield
+        started = time.process_time()
         try:
             return fn()
         except DftrError as exc:
             print(f"check {expected_rows[0][0]} errored: {exc}", file=sys.stderr)
             return [(name, "error", None, threshold, False)
                     for name, threshold in expected_rows]
+        finally:
+            cpu_s["+".join(name for name, _ in expected_rows)] = time.process_time() - started
 
     def check_dissipativity():
         rng = np.random.default_rng(seed)
@@ -428,7 +432,7 @@ def _verify_checks(cfg: ResolvedConfig, seed: int):
 
         def record(j, t, w):
             nonlocal max_w
-            max_w = max(max_w, float(np.max(np.abs(w))))
+            max_w = max(max_w, float(np.maximum.reduce(np.abs(w))))
 
         simulate(*_closed_loop(cfg, cfg.t_final, 0.1,
                                Profile(grid, np.zeros(grid.num_nodes))), record)
@@ -463,7 +467,7 @@ def _verify_checks(cfg: ResolvedConfig, seed: int):
 
 def cmd_verify(cfg: ResolvedConfig, out_dir, manifest: RunManifest, seed: int) -> int:
     rows = []
-    for row in _verify_checks(cfg, seed):
+    for row in _verify_checks(cfg, seed, manifest.timings.setdefault("checks", {})):
         rows.append(row)
         check, metric, value, _, status = row
         mark = status if isinstance(status, str) else ("pass" if status else "FAIL")

@@ -102,6 +102,18 @@ class TestEnergy:
             assert energy(Profile(grid201, row), w) == e
             assert energy(row, w) == e
 
+    def test_keeps_the_bits_of_the_written_out_formula(self, params, grid201):
+        # energy reduces quad_rho * w^2 with np.add.reduce; the sum written
+        # with the weight product first must give the same float bits
+        w = weight_profile(grid201, 2.5, params.v / (2.0 * params.d_ax))
+        q, rho = grid201.quad_weights, w.profile.values
+        states = np.stack([np.cos(k * grid201.nodes) + 0.1 * k for k in range(1, 8)])
+        old = 0.5 * np.sum(q * rho * states ** 2, axis=-1)
+        assert [e.hex() for e in energy(states, w).tolist()] == [e.hex() for e in old.tolist()]
+        for row, e in zip(states, old.tolist()):
+            assert float(energy(row, w)).hex() == e.hex()
+            assert float(energy(Profile(grid201, row), w)).hex() == e.hex()
+
     @settings(max_examples=30, deadline=None)
     @given(c=st.floats(-100.0, 100.0))
     def test_quadratic_scaling(self, c):

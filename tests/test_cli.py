@@ -12,11 +12,13 @@ import pytest
 
 import dftr
 from dftr import Profile, default_weight, energy, lambda_theoretical, simulate
+from dftr.analysis import settings_hash
 from dftr.cli import (_closed_loop, _field_rows, _verify_checks, load_config, main,
                       write_csv)
 from dftr.errors import ConfigError
 
 HASH_LINE = re.compile(r"^# manifest_hash=[0-9a-f]{16}$")
+REPO = Path(__file__).resolve().parents[1]
 
 BASE_INI = """\
 [reactor]
@@ -330,6 +332,29 @@ class TestVerifyCommand:
         assert all(r[-1] == "true" for r in rows)
         assert "pass" in capsys.readouterr().out
 
+    def test_check_cpu_times_stay_out_of_the_hash(self, tmp_path):
+        # each check's CPU seconds land in manifest.json; reruns keep the
+        # hash and the verify.csv bytes although their timings differ
+        text = (BASE_INI + "[grid]\nnum_nodes = 21\n"
+                + "[time]\nt_final = 10\ndt = 0.5\nhorizon = 100\n")
+        cfg = write_ini(tmp_path / "c.ini", text)
+        docs, csvs = [], []
+        for name in ("a", "b"):
+            out = tmp_path / name
+            assert main(["verify", "--config", cfg, "--out", str(out)]) == 0
+            docs.append(json.loads((out / "manifest.json").read_text()))
+            csvs.append((out / "verify.csv").read_bytes())
+        assert csvs[0] == csvs[1]
+        assert docs[0]["hash"] == docs[1]["hash"] == settings_hash(
+            {"command": "verify", "version": dftr.__version__,
+             "settings": docs[0]["settings"]})
+        _, _, rows = read_csv(tmp_path / "a" / "verify.csv")
+        for doc in docs:
+            checks = doc["timings"]["checks"]
+            names = [name for key in checks for name in key.split("+")]
+            assert sorted(names) == sorted(r[0] for r in rows)
+            assert all(seconds >= 0.0 for seconds in checks.values())
+
     def test_coarse_grid_skips_resolvent_refinement(self, tmp_path):
         # five nodes cannot host a three-level refinement study; those rows
         # must be marked skipped rather than silently passed
@@ -396,7 +421,7 @@ horizon = 0
         cfg = load_config(write_ini(tmp_path / "c.ini", text))
         tracemalloc.start()
         try:
-            rows = list(_verify_checks(cfg, 0))
+            rows = list(_verify_checks(cfg, 0, {}))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -592,25 +617,29 @@ def test_console_entry_point(tmp_path, argv):
 
 
 def test_runs_never_import_scipy_linalg(tmp_path):
-    # dgttrf/dgttrs come from scipy's LAPACK extension file; only verify's
-    # Duhamel oracle imports scipy.linalg, for expm, when it runs
+    # dgttrf/dgttrs come from scipy's LAPACK extension file and the Duhamel
+    # oracle's matrix exponential is numpy's, so no command needs scipy.linalg
     cfg = write_ini(tmp_path / "c.ini", BASE_INI + "[grid]\nnum_nodes = 21\n"
                     + "[time]\nt_final = 10\ndt = 0.5\nhorizon = 100\n")
-
-    def run(*commands):
-        script = ("import sys\nfrom dftr.cli import main\n"
-                  f"for command in {commands!r}:\n"
-                  f"    assert main([command, '--config', {cfg!r}, '--out', "
-                  f"{str(tmp_path / 'out')!r}]) == 0\n"
-                  "print('scipy.linalg' in sys.modules)\n")
-        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                              text=True, env=_child_env())
-        assert proc.returncode == 0, proc.stderr
-        return proc.stdout.splitlines()
-
-    assert run("steady", "simulate")[-1] == "False"
-    out = run("verify")
-    assert out[-1] == "True"
+    commands = ("steady", "simulate", "sweep", "verify")
+    script = ("import sys\nfrom dftr.cli import main\n"
+              f"for command in {commands!r}:\n"
+              f"    assert main([command, '--config', {cfg!r}, '--out', "
+              f"{str(tmp_path / 'out')!r}]) == 0\n"
+              "print('scipy.linalg' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    out = proc.stdout.splitlines()
+    assert out[-1] == "False"
     duhamel = [line.split() for line in out if line.startswith("duhamel_")]
     assert [row[0] for row in duhamel] == ["duhamel_nonlinear", "duhamel_linear"]
     assert all(row[-1] == "pass" for row in duhamel)
+
+
+@pytest.mark.parametrize("path", sorted(
+    str(p.relative_to(REPO)) for pattern in ("configs/*.ini", "perfbench/configs/*.ini")
+    for p in REPO.glob(pattern)))
+def test_committed_configs_load(path):
+    # a ConfigError here names the key a committed config gets wrong
+    load_config(str(REPO / path))

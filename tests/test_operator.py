@@ -1,4 +1,6 @@
 import importlib.machinery
+import inspect
+import math
 import sys
 
 import numpy as np
@@ -318,3 +320,31 @@ class TestDuhamelOracle:
         w0 = initial_profile(g, params, FeedbackLaw(alpha=0.0))
         with pytest.raises(ParameterError):
             duhamel_oracle(gen, w0, steady, params, t_final=1.0, num_steps=0)
+
+
+class TestExpm:
+    @pytest.mark.parametrize("dt", [0.01, 0.1, 10.0])
+    @pytest.mark.parametrize("peclet", [0.5, 4.0, 100.0])
+    @pytest.mark.parametrize("m", [11, 51, 101])
+    def test_matches_scipy_on_the_generator(self, m, peclet, dt):
+        # the grid takes both the unscaled branch (1-norm within theta_13)
+        # and up to 11 squarings (101 nodes, Pe 0.5, dt 10)
+        from scipy.linalg import expm
+        p = make_params(d_ax=0.01 / peclet)
+        a = build_generator(SpatialGrid(l=1.0, num_nodes=m), p, 0.25).dense() * dt
+        ref = expm(a)
+        assert np.max(np.abs(operator._expm(a) - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("m", [1, 5, 101])
+    def test_zero_matrix_gives_the_identity_exactly(self, m):
+        assert np.array_equal(operator._expm(np.zeros((m, m))), np.eye(m))
+
+    @pytest.mark.parametrize("x", [-3.0, -1.0, -0.25, 1e-3, 0.5, 1.0, 3.0])
+    def test_scalar_is_exp_to_a_few_ulp(self, x):
+        # within |x| <= 3; for x < 0 the numerator V + U cancels like e^{-|x|},
+        # so the Pade quotient loses more ulp at larger |x|
+        got = operator._expm(np.array([[x]]))[0, 0]
+        assert abs(got - math.exp(x)) <= 4 * math.ulp(math.exp(x))
+
+    def test_duhamel_oracle_needs_no_scipy(self):
+        assert "scipy" not in inspect.getsource(duhamel_oracle)
