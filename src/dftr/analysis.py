@@ -105,30 +105,42 @@ def estimate_decay_rate(traj, weight: WeightFunction,
                           window_fraction, floor)
 
 
+def check_window_fraction(window_fraction: float) -> None:
+    """ParameterError unless the fit window's fraction lies in (0, 1]."""
+    if not (0.0 < window_fraction <= 1.0):
+        raise ParameterError(f"window_fraction must lie in (0, 1], got {window_fraction}")
+
+
+def _fit_floor(norm0, floor: float | None):
+    """The fit's floor for a norm history starting at norm0 (an array gives
+    one floor per history): floor, or DEFAULT_FLOOR_FACTOR * norm0 if None."""
+    return DEFAULT_FLOOR_FACTOR * norm0 if floor is None else floor
+
+
 def fit_decay_rate(times, norms, lambda_t: float,
                    window_fraction: float = DEFAULT_WINDOW_FRACTION,
                    floor: float | None = None) -> DecayEstimate:
     """Least-squares decay rate of log(norms) against times over the trailing
-    window. Records at or below the floor are excluded; the fit needs at
-    least 10 usable records.
+    window. The usable records are the leading run before the first record
+    at or below the floor (_fit_floor); nothing from that record on is read,
+    so the series may end there. The fit needs at least 10 usable records;
+    floor_hit flags a record at or below the floor.
     """
-    if not (0.0 < window_fraction <= 1.0):
-        raise ParameterError(f"window_fraction must lie in (0, 1], got {window_fraction}")
-
-    if floor is None:
-        floor = DEFAULT_FLOOR_FACTOR * norms[0]
+    check_window_fraction(window_fraction)
+    floor = _fit_floor(norms[0], floor)
     if norms[0] <= floor:
         # identically-zero (or floor-level) run: no rate to report
         return DecayEstimate(lambda_n=None, lambda_t=lambda_t, fit_window=(0.0, 0.0),
                              fit_r2=0.0, floor_hit=True)
 
-    usable = np.flatnonzero(norms > floor)
-    floor_hit = usable.size < norms.size
-    if usable.size < 10:
-        raise EstimationError(f"only {usable.size} records above the floor (need 10)",
-                              usable_records=int(usable.size))
+    below = np.flatnonzero(~(norms > floor))
+    usable = int(below[0]) if below.size else norms.size
+    floor_hit = usable < norms.size
+    if usable < 10:
+        raise EstimationError(f"only {usable} records above the floor (need 10)",
+                              usable_records=usable)
 
-    tail = usable[-max(2, math.ceil(window_fraction * usable.size)):]
+    tail = slice(usable - max(2, math.ceil(window_fraction * usable)), usable)
     t = times[tail]
     y = np.log(norms[tail] / norms[0])
     slope, intercept = np.polyfit(t, y, 1)
@@ -233,11 +245,13 @@ def sweep(base_config, n_values, alpha_values, sat_m: float | None = None,
 
     Each cell solves its own steady state, builds the alpha-dependent
     initial profile and passes the reaction substep guard. The cells that
-    get this far step to the horizon together as one
-    integrator.simulate_stack, which hands each record to one energy call,
-    so no states are kept, and each cell's lambda_n is fitted from its
-    norms: the bits of simulate and estimate_decay_rate on that cell
-    alone. A non-finite state spreads across the stack, so if a stack of
+    get this far step together as one integrator.simulate_stack, which
+    hands each record to one energy call, so no states are kept. The stack
+    stops at the first record by which every cell's norm has been at or
+    below its fit floor (or at the horizon), since fit_decay_rate reads no
+    record past that, and each cell's lambda_n is fitted from its norms:
+    the bits of simulate and estimate_decay_rate on that cell alone, at
+    any horizon. A non-finite state spreads across the stack, so if a stack of
     several cells fails, each cell steps again as a stack of one. Failures
     are recorded per cell without aborting. sat_m defaults per cell to ten
     times the peak of that cell's initial profile.
@@ -248,6 +262,8 @@ def sweep(base_config, n_values, alpha_values, sat_m: float | None = None,
         raise ParameterError("n_values and alpha_values must be non-empty")
     if len(set(n_values)) < len(n_values) or len(set(alpha_values)) < len(alpha_values):
         raise ParameterError(f"n and alpha values must be distinct: {n_values}, {alpha_values}")
+
+    check_window_fraction(window_fraction)
 
     base = base_config.params
     cells, ready = {}, {}
@@ -267,12 +283,18 @@ def sweep(base_config, n_values, alpha_values, sat_m: float | None = None,
                 ready[(n, a)] = (run, w, extra)
 
     def stack(keys):
-        """Step these cells together and fit each from its norms; a failing
-        stack of several cells steps them again one at a time."""
+        """Step these cells together until each has had a record at or below
+        its fit floor, and fit each from its norms; a failing stack of
+        several cells steps them again one at a time."""
         norms = np.empty((len(keys), base_config.num_records))
+        floors, reached = np.empty(len(keys)), np.zeros(len(keys), dtype=bool)
 
         def record(j, w):
             norms[:, j] = np.sqrt(2.0 * energy(w, unit_weight))
+            if j == 0:
+                floors[:] = _fit_floor(norms[:, 0], floor)
+            reached[:] |= ~(norms[:, j] > floors)
+            return reached.all()
 
         trajs, err = _isolated(
             lambda: integrator.simulate_stack([ready[key][0] for key in keys], record))
@@ -287,8 +309,9 @@ def sweep(base_config, n_values, alpha_values, sat_m: float | None = None,
             else:
                 extra["inner_steps"] = trajs[q].inner_steps
                 extra["negativity_events"] = trajs[q].negativity_events
+                times = trajs[q].times
                 outcome = _isolated(lambda: fit_decay_rate(
-                    trajs[q].times, norms[q], lambda_theoretical(run[0].params),
+                    times, norms[q, :times.size], lambda_theoretical(run[0].params),
                     window_fraction, floor))
             cells[key] = _sweep_cell(run[0], w, window_fraction, floor, extra, outcome)
 

@@ -24,8 +24,8 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from . import __version__
-from .analysis import (DEFAULT_WINDOW_FRACTION, default_weight, energy,
-                       settings_hash, sweep, weight_profile)
+from .analysis import (DEFAULT_WINDOW_FRACTION, check_window_fraction, default_weight,
+                       energy, settings_hash, sweep, weight_profile)
 from .errors import (ConfigError, DftrError, EstimationError, IntegrationError,
                      ParameterError, SolverError)
 from .integrator import SimulationConfig, simulate
@@ -162,6 +162,7 @@ def load_config(path: str) -> ResolvedConfig:
             cfg = replace(cfg, gamma=cfg.v / (2.0 * cfg.d_ax))
         cfg.law()
         cfg.weight(cfg.grid())
+        check_window_fraction(cfg.window_fraction)
     except ParameterError as exc:
         raise ConfigError(str(exc))
     return cfg
@@ -322,7 +323,10 @@ def cmd_sweep(cfg: ResolvedConfig, out_dir, manifest: RunManifest,
     # the per-cell record, outside the manifest hash
     keys = ("newton_iterations", "inner_steps", "negativity_events")
     cells = [{"hash": cell.provenance["hash"], "n": cell.n, "alpha": cell.alpha,
-              **{key: cell.provenance.get(key) for key in keys}, "error": cell.error}
+              **{key: cell.provenance.get(key) for key in keys},
+              "fit_window": None if cell.estimate is None else list(cell.estimate.fit_window),
+              "fit_r2": None if cell.estimate is None else cell.estimate.fit_r2,
+              "error": cell.error}
              for cell in result.cells.values()]
     with open(out_dir / "sweep_cells.json", "w", newline="\n") as fh:
         json.dump(cells, fh, indent=2)

@@ -131,7 +131,8 @@ def simulate(config: SimulationConfig, steady: SteadyStateSolution,
     Each record j at time t goes to record(j, t, w), which must neither
     modify w nor keep it past the call (w is the live state). By default
     it is stored in states[j]; a caller that needs only a number per
-    record passes its own record and no states are kept.
+    record passes its own record and no states are kept. What record
+    returns is ignored: the run always reaches t_final.
     """
     if record is None:
         states = np.empty((config.num_records, config.grid.num_nodes))
@@ -141,7 +142,11 @@ def simulate(config: SimulationConfig, steady: SteadyStateSolution,
     else:
         states = np.empty((0, config.grid.num_nodes))
     times = config.record_times.tolist()
-    (traj,) = simulate_stack([(config, steady, w0)], lambda j, w: record(j, times[j], w[0]))
+
+    def each(j, w):
+        record(j, times[j], w[0])
+
+    (traj,) = simulate_stack([(config, steady, w0)], each)
     return replace(traj, states=states)
 
 
@@ -162,8 +167,10 @@ def simulate_stack(runs, record) -> list:
 
     record(j, w) gets record j (at config.record_times[j]) as a view of the
     live state, w[q] that of runs[q]; it must neither modify nor keep w. A
-    non-finite state anywhere raises IntegrationError for the whole stack.
-    Returns one state-less Trajectory per run, in order.
+    truthy return ends the stepping after that record. A non-finite state
+    anywhere raises IntegrationError for the whole stack. Returns one
+    state-less Trajectory per run, in order, whose times, inner_steps and
+    negativity_events cover the records stepped.
     """
     config0 = runs[0][0]
     grid, dt, every = config0.grid, config0.dt, config0.record_every
@@ -255,11 +262,11 @@ def simulate_stack(runs, record) -> list:
     for q in () if quiet else range(len(runs)):
         for m_q in range(1, m[q] + 1):
             part(q, q + 1, m_q)
-    m_prev, inner = np.zeros_like(m), np.full_like(m, n_outer if quiet else 0)
+    m_prev, inner = np.zeros_like(m), np.zeros_like(m)
     negativity = (w + c_bar < NEGATIVITY_TOL).reshape(-1, nodes).sum(axis=1)
     rows = w.reshape(-1, nodes)
-    record(0, rows)
-    for i in range(1, n_outer + 1):
+    stop = 0 if record(0, rows) else n_outer
+    for i in range(1, stop + 1):
         if not quiet:
             if i > 1:
                 m_prev, m = m, substeps(i - 1)
@@ -272,9 +279,13 @@ def simulate_stack(runs, record) -> list:
                     advance(part(q, q + 1, m_q), s == 0 and m_q != m_prev[q])
         if np.count_nonzero(np.isfinite(w, out=below)) < w.size:
             raise IntegrationError(f"non-finite state at step {i}", step_index=i)
-        if i % every == 0 or i == n_outer:
-            record(-(-i // every), rows)
+        if (i % every == 0 or i == n_outer) and record(-(-i // every), rows):
+            stop = i
+            break
 
-    return [Trajectory(params=p, grid=grid, times=config0.record_times,
+    if quiet:
+        inner += stop
+    times = config0.record_times[:-(-stop // every) + 1]
+    return [Trajectory(params=p, grid=grid, times=times,
                        states=np.empty((0, nodes)), negativity_events=int(negativity[q]),
                        inner_steps=int(inner[q])) for q, p in enumerate(params)]

@@ -15,6 +15,7 @@ from dftr import (
     default_weight,
     energy,
     estimate_decay_rate,
+    fit_decay_rate,
     initial_profile,
     norm_rho,
     simulate,
@@ -157,6 +158,40 @@ class TestDecayEstimator:
         assert est.floor_hit
         assert est.fit_window[1] < 1000.0
         assert est.lambda_n == pytest.approx(1e-1, rel=1e-6)
+
+    def test_norm_back_above_the_floor_is_ignored(self):
+        # the usable records end at the first one at or below the floor,
+        # e^-27.8 < 1e-12 at t = 139; what follows it is never read
+        times = np.arange(200.0)
+        norms = np.exp(-0.2 * times)
+        norms[160:] = 0.5
+        est = fit_decay_rate(times, norms, 0.0025)
+        assert est.floor_hit
+        assert est.fit_window == (69.0, 138.0)
+        assert est.lambda_n == pytest.approx(0.2, rel=1e-12)
+        assert est == fit_decay_rate(times[:140], norms[:140], 0.0025)
+
+    @settings(max_examples=60, deadline=None)
+    @given(logs=st.lists(st.floats(-27.0, 0.0), min_size=10, max_size=120),
+           crossing=st.floats(0.0, 1e-12),
+           after=st.lists(st.floats(0.0, 10.0), max_size=40),
+           dt=st.floats(0.1, 10.0),
+           window_fraction=st.floats(0.01, 1.0),
+           floor=st.sampled_from([None, 1e-12]))
+    def test_fit_reads_nothing_past_the_first_floor_record(self, logs, crossing, after,
+                                                           dt, window_fraction, floor):
+        # norms[0] = 1, so both floors are 1e-12: the leading records lie
+        # above it, then one at or below it, then anything
+        norms = np.exp(np.array([0.0] + logs))
+        norms = np.concatenate([norms, [crossing], after])
+        times = dt * np.arange(norms.size)
+        cut = len(logs) + 2  # one record after the first crossing
+        full = fit_decay_rate(times, norms, 0.0025, window_fraction, floor)
+        short = fit_decay_rate(times[:cut], norms[:cut], 0.0025, window_fraction, floor)
+        assert full.floor_hit and short.floor_hit
+        assert full.lambda_n.hex() == short.lambda_n.hex()
+        assert full.fit_r2.hex() == short.fit_r2.hex()
+        assert [t.hex() for t in full.fit_window] == [t.hex() for t in short.fit_window]
 
     def test_all_zero_trajectory(self, params, grid201):
         traj = synthetic_trajectory(1e-3, grid201, params, amplitude=0.0)
@@ -303,6 +338,36 @@ class TestSweep:
             assert stacked[q].inner_steps == traj.inner_steps
             assert stacked[q].negativity_events == traj.negativity_events
             assert np.array_equal(stacked[q].times, traj.times)
+
+    def test_stack_stops_once_every_cell_is_at_its_floor(self):
+        # every cell's norm is at its floor by t = 1,876 s, so the stack
+        # stops there, yet each fit keeps the bits of a fit to the horizon;
+        # record_every = 7 does not divide the 2500 steps
+        base = _sweep_base(horizon=2500.0, num_nodes=101, record_every=7)
+        g = base.grid
+        result = sweep(base, [2.0, 10.0], [0.0, 0.5])
+        for n in (2.0, 10.0):
+            for a in (0.0, 0.5):
+                p = make_params(n=n, t_final=2500.0, alpha_for_sat=a)
+                law = FeedbackLaw(alpha=a)
+                cfg = SimulationConfig(params=p, law=law, grid=g, dt=1.0, record_every=7)
+                traj = simulate(cfg, steady_state_numeric(p, 1.0, g), initial_profile(g, p, law))
+                direct = estimate_decay_rate(traj, default_weight(g, p))
+                cell = result.cell(n, a)
+                assert cell.error is None
+                est = cell.estimate
+                assert est.lambda_n.hex() == direct.lambda_n.hex()
+                assert est.fit_r2.hex() == direct.fit_r2.hex()
+                assert [t.hex() for t in est.fit_window] == [t.hex() for t in direct.fit_window]
+                assert est.floor_hit and direct.floor_hit
+                assert cell.provenance["inner_steps"] < base.num_steps <= traj.inner_steps
+
+    def test_window_fraction_is_checked_before_any_stepping(self, monkeypatch):
+        self._break_the_stack(monkeypatch)
+        for bad in (0.0, -0.5, 1.5):
+            with pytest.raises(ParameterError, match="window_fraction"):
+                sweep(_sweep_base(horizon=100.0, num_nodes=51), [1.0], [0.0],
+                      window_fraction=bad)
 
     def test_non_finite_cell_reruns_its_stack_alone(self, monkeypatch):
         # n = 2000 is too stiff for the substep guard; run without substeps,

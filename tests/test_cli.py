@@ -260,15 +260,18 @@ class TestSweepCommand:
         assert len({c["hash"] for c in cells}) == len(cells) == 6
         for cell, row in zip(cells, rows):
             assert set(cell) == {"hash", "n", "alpha", "newton_iterations", "inner_steps",
-                                 "negativity_events", "error"}
+                                 "negativity_events", "fit_window", "fit_r2", "error"}
             if cell["n"] == 0.5:
                 assert cell["error"].startswith("SolverError: Newton did not converge")
                 assert cell["newton_iterations"] is cell["inner_steps"] is None
                 assert cell["negativity_events"] is None and row[2] == ""
+                assert cell["fit_window"] is cell["fit_r2"] is None
             else:
                 assert cell["error"] is None and float(row[2]) > 0.0
                 assert cell["newton_iterations"] >= 1 and cell["inner_steps"] >= 400  # horizon / dt
                 assert cell["negativity_events"] >= 0
+                assert 0.0 < cell["fit_window"][0] < cell["fit_window"][1] <= 400.0
+                assert cell["fit_r2"] == float(row[4])  # the table's fit_r2, same bits
 
         # the side file is outside the manifest hash: it covers the command,
         # the version and the resolved settings only
@@ -281,30 +284,42 @@ class TestSweepCommand:
         assert hash_line == f"# manifest_hash={manifest['hash']}"
 
     def test_cell_record_reads_the_stack_negativity_events(self, tmp_path):
-        # each cell's events are those of its run alone through simulate;
-        # k = 1 drives C_A below zero
+        # each cell's events are those of its run alone through simulate to
+        # the stack's stop: the first record by which every cell's norm has
+        # been at or below its fit floor; k = 1 drives C_A below zero
         from dataclasses import replace
         from dftr import (FeedbackLaw, SimulationConfig, default_saturation_bound,
-                          initial_profile, steady_state_numeric)
+                          initial_profile, steady_state_numeric, weight_profile)
 
         cfg = write_ini(tmp_path / "c.ini", self.CFG.replace("k = 0.001", "k = 1"))
         out = tmp_path / "out"
         assert main(["sweep", "--config", cfg, "--out", str(out),
                      "--n-list", "1,2", "--alpha-list", "0,0.5"]) == 0
         resolved = load_config(cfg)
+        grid = resolved.grid()
+        unit = weight_profile(grid, 1.0, resolved.gamma)
         cells = json.loads((out / "sweep_cells.json").read_text())
         assert any(cell["negativity_events"] > 0 for cell in cells)
+        runs, full, stop = [], [], 0
         for cell in cells:
             law = FeedbackLaw(alpha=cell["alpha"])
             params = resolved.reactor_params(t_final=resolved.horizon)
             sat = default_saturation_bound(params.d_ax, params.v, params.l, law.alpha)
             params = replace(params, n=cell["n"], sat_m=sat)
-            grid = resolved.grid()
-            traj = simulate(SimulationConfig(params=params, law=law, grid=grid, dt=1.0),
-                            steady_state_numeric(params, 1.0, grid),
-                            initial_profile(grid, params, law), lambda j, t, w: None)
+            runs.append((SimulationConfig(params=params, law=law, grid=grid, dt=1.0),
+                         steady_state_numeric(params, 1.0, grid),
+                         initial_profile(grid, params, law)))
+            full.append(simulate(*runs[-1]))
+            norms = np.sqrt(2.0 * energy(full[-1].states, unit))
+            first = np.flatnonzero(norms <= 1e-12 * norms[0])
+            stop = max(stop, int(first[0]))  # one record per step of 1 s
+        assert 0 < stop < resolved.horizon  # the stack stopped early
+        for cell, (config, steady, w0), traj in zip(cells, runs, full):
+            cut = replace(config, params=replace(config.params, t_final=float(stop)))
+            alone = simulate(cut, steady, w0, lambda j, t, w: None)
             assert (cell["inner_steps"], cell["negativity_events"]) == (
-                traj.inner_steps, traj.negativity_events)
+                alone.inner_steps, alone.negativity_events)
+            assert cell["inner_steps"] < traj.inner_steps
 
     def test_invalid_list_arguments(self, tmp_path):
         cfg = write_ini(tmp_path / "c.ini", self.CFG)
@@ -475,6 +490,18 @@ class TestExitCodes:
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "sw"),
                      "--n-list", "2000", "--alpha-list", "0"]) == 5
         assert "stiffness estimate inf" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    @pytest.mark.parametrize("raw", ["0", "-0.5", "1.5"])
+    def test_window_fraction_outside_the_unit_interval_is_two(self, tmp_path, capsys,
+                                                              command, raw):
+        cfg = write_ini(tmp_path / "c.ini", BASE_INI + SMALL_GRID
+                        + f"[analysis]\nwindow_fraction = {raw}\n")
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: window_fraction must lie in (0, 1], got {float(raw)}" in err
+        assert not (out / "manifest.json").exists()
 
     @pytest.mark.parametrize("flag,raw", [("--n-list", "2,2"), ("--alpha-list", "0,0.5,0.0")])
     def test_repeated_sweep_list_value_is_two(self, tmp_path, capsys, flag, raw):

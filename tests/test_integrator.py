@@ -134,14 +134,15 @@ class TestSimulate:
     @pytest.mark.parametrize("n,record_every", [(2.0, 7), (2.0, 8), (10.0, 7)])
     def test_record_consumer_sees_the_stored_records(self, n, record_every):
         # 40 steps: 7 leaves a short last record interval, 8 divides them;
-        # n=10 at dt=1 substeps
+        # n=10 at dt=1 substeps. The consumer returns True, which simulate
+        # ignores: it steps to t_final
         p, law, g, steady, cfg = _setup(n=n, t_final=40.0, dt=1.0,
                                         record_every=record_every, num_nodes=51)
         w0 = initial_profile(g, p, law)
         stored = simulate(cfg, steady, w0)
         seen = []
         streamed = simulate(cfg, steady, w0,
-                            lambda j, t, w: seen.append((j, t, w.copy())))
+                            lambda j, t, w: seen.append((j, t, w.copy())) or True)
         assert [j for j, _, _ in seen] == list(range(cfg.num_records))
         assert np.array([t for _, t, _ in seen]).tobytes() == stored.times.tobytes()
         assert np.array([w for _, _, w in seen]).tobytes() == stored.states.tobytes()
@@ -149,6 +150,33 @@ class TestSimulate:
         assert streamed.times.tobytes() == stored.times.tobytes()
         assert (streamed.inner_steps, streamed.negativity_events) == (
             stored.inner_steps, stored.negativity_events)
+
+    @pytest.mark.parametrize("orders", [(2.0,), (2.0, 10.0)])
+    @pytest.mark.parametrize("last", [0, 3, 6])
+    def test_truthy_record_ends_the_stack_after_that_record(self, orders, last):
+        # records at steps 0, 7, ..., 35, 40; n = 2 alone never substeps and
+        # n = 10 does, and the run from -2 c_bar has negativity events
+        from dataclasses import replace
+        from dftr.integrator import simulate_stack
+
+        runs = []
+        for n in orders:
+            p, law, g, steady, cfg = _setup(n=n, t_final=40.0, dt=1.0, record_every=7,
+                                            num_nodes=51)
+            runs.append((cfg, steady, initial_profile(g, p, law)))
+        runs.append((cfg, steady, Profile(g, -2.0 * steady.profile.values)))
+        seen = []
+        trajs = simulate_stack(runs, lambda j, w: seen.append((j, w.copy())) or j == last)
+        assert [j for j, _ in seen] == list(range(last + 1))
+        stop = min(7 * last, 40)
+        for q, ((config, steady, w0), traj) in enumerate(zip(runs, trajs)):
+            cut = replace(config, params=replace(config.params, t_final=float(stop)))
+            alone = simulate(cut, steady, w0)
+            assert traj.times.tobytes() == alone.times.tobytes()
+            assert np.array([w[q] for _, w in seen]).tobytes() == alone.states.tobytes()
+            assert (traj.inner_steps, traj.negativity_events) == (
+                alone.inner_steps, alone.negativity_events)
+        assert trajs[-1].negativity_events > 0
 
     @pytest.mark.parametrize("change", [{"dt": 0.5}, {"record_every": 2}])
     def test_stacked_runs_share_the_time_grid(self, change):
