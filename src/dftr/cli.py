@@ -24,6 +24,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from . import __version__
+from ._g17 import WORDS, fill, slots
 from .analysis import (DEFAULT_WINDOW_FRACTION, check_window_fraction, default_weight,
                        energy, settings_hash, sweep, weight_profile)
 from .errors import (ConfigError, DftrError, EstimationError, IntegrationError,
@@ -214,22 +215,61 @@ def _fmt(value) -> str:
 
 
 def write_csv(path, manifest_hash: str, header, rows) -> None:
-    with open(path, "w", newline="\n") as fh:
-        fh.write(f"# manifest_hash={manifest_hash}\n")
-        fh.write(",".join(header) + "\n")
+    with open(path, "wb") as fh:
+        fh.write(f"# manifest_hash={manifest_hash}\n{','.join(header)}\n".encode())
         for row in rows:
-            # a str is a block of lines formatted already
-            fh.write(row if isinstance(row, str) else ",".join(map(_fmt, row)) + "\n")
+            # a uint8 array is a block of lines formatted already
+            fh.write(row if isinstance(row, np.ndarray)
+                     else (",".join(map(_fmt, row)) + "\n").encode())
+
+
+_BLOCK_VALUES = 4096  # w values per block of _field_rows
+
+
+def _aligned(values, width: int, right: bool):
+    """Texts of values at the right or left end of (n, width) rows, and
+    their masks."""
+    text, keep = slots(values)
+    lengths = keep.sum(axis=1)[:, None]
+    cols = np.arange(width)
+    aligned = cols >= width - lengths if right else cols < lengths
+    out = np.zeros(aligned.shape, np.uint8)
+    out[aligned] = text[keep]
+    return out, aligned
 
 
 def _field_rows(times, x, states):
-    """One block of (t, x, w) lines per record, from one '%.17g' % call
-    (same text as format(v, '.17g')) on a template built once per file, a
-    NUL standing for the time; one record at a time is converted to Python
-    floats, so the whole table never exists at once."""
-    tmpl = "".join(f"\0,{xs:.17g},%.17g\n" for xs in x.tolist())
-    for t, w in zip(times, states):
-        yield tmpl.replace("\0", format(t, ".17g")) % tuple(w.tolist())
+    """Blocks of (t, x, w) lines, each field the text of format(v, '.17g').
+
+    A block's records fill one skeleton of (records, nodes, line) bytes and
+    its keep mask: t right-aligned in bytes 0..23 and ',' at 24, then 'x,'
+    left-aligned from 25, written once per file, so that 't,x,' is one run;
+    the w row of _g17 from byte 56, filled in place; then '\n'. One boolean
+    compress gives the block's bytes.
+    """
+    nodes = len(x)
+    per_block = max(1, _BLOCK_VALUES // nodes)
+    w_words = slice(7, 7 + WORDS)
+    line = 8 * w_words.stop + 8
+    skeleton = np.zeros((per_block, nodes, line), np.uint8)
+    keep = np.zeros(skeleton.shape, bool)
+    ends = [24, line - 8]
+    skeleton[..., ends], keep[..., ends] = np.frombuffer(b",\n", np.uint8), True
+    x_text, x_keep = _aligned(x, 25, right=False)
+    x_ends = (np.arange(nodes), x_keep.sum(axis=1))
+    x_text[x_ends], x_keep[x_ends] = ord(","), True
+    skeleton[..., 25:50], keep[..., 25:50] = x_text, x_keep
+    skeleton64, keep64 = skeleton.view(np.uint64), keep.view(np.uint64)
+    for start in range(0, len(times), per_block):
+        t_text, t_keep = (part.view(np.uint64) for part in
+                          _aligned(times[start:start + per_block], 24, right=True))
+        records = len(t_text)
+        for word in range(3):
+            skeleton64[:records, :, word] = t_text[:, word, None]
+            keep64[:records, :, word] = t_keep[:, word, None]
+        fill(states[start:start + records], skeleton64[:records, :, w_words],
+             keep64[:records, :, w_words])
+        yield skeleton[:records][keep[:records]]
 
 
 def cmd_steady(cfg: ResolvedConfig, out_dir, manifest: RunManifest) -> int:
@@ -271,7 +311,11 @@ def _closed_loop(cfg: ResolvedConfig, t_final: float, default_dt: float, w0=None
 
 def cmd_simulate(cfg: ResolvedConfig, out_dir, manifest: RunManifest,
                  snapshots) -> int:
-    traj = simulate(*_closed_loop(cfg, cfg.t_final, 0.1))
+    started = time.process_time()
+    closed_loop = _closed_loop(cfg, cfg.t_final, 0.1)
+    steadied = time.process_time()
+    traj = simulate(*closed_loop)
+    stepped = time.process_time()
     times = traj.times.tolist()
     x = traj.grid.nodes
     write_csv(out_dir / "trajectory.csv", manifest.hash, ("t", "x", "w"),
@@ -287,6 +331,9 @@ def cmd_simulate(cfg: ResolvedConfig, out_dir, manifest: RunManifest,
                                for t_snap in snapshots))
     write_csv(out_dir / "profiles.csv", manifest.hash, ("t", "x", "w"),
               _field_rows([times[j] for j in snaps], x, traj.states[snaps]))
+    # process CPU seconds of each phase, in manifest.json outside the hash
+    manifest.timings["phases"] = {"steady": steadied - started, "step": stepped - steadied,
+                                  "write": time.process_time() - stepped}
     print(f"simulated {traj.times[-1]:g} s in {len(traj.times)} records "
           f"(inner steps {traj.inner_steps}, negativity events {traj.negativity_events})")
     return EXIT_OK
@@ -545,7 +592,9 @@ def main(argv=None) -> int:
             extra["alpha_list"] = _parse_float_list(args.alpha_list, "--alpha-list",
                                                     distinct=True)
         elif args.command == "verify":
-            extra["seed"] = int(args.seed)
+            if args.seed < 0:
+                raise ConfigError(f"--seed must be >= 0, got {args.seed}")
+            extra["seed"] = args.seed
 
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)

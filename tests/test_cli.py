@@ -191,6 +191,28 @@ class TestSimulateCommand:
         times = sorted({float(r[0]) for r in rows})
         assert times == [0.0, 25.0, 50.0]
 
+    def test_phase_cpu_times_stay_out_of_the_hash(self, tmp_path):
+        # steady, step and write CPU seconds land in manifest.json; reruns
+        # keep the hash and every CSV byte although their timings differ
+        cfg = write_ini(tmp_path / "c.ini", self.CFG)
+        docs, csvs = [], []
+        for name in ("a", "b"):
+            out = tmp_path / name
+            assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+            docs.append(json.loads((out / "manifest.json").read_text()))
+            csvs.append({p.name: p.read_bytes() for p in sorted(out.glob("*.csv"))})
+        assert list(csvs[0]) == ["control.csv", "energy.csv", "profiles.csv",
+                                 "trajectory.csv"]
+        assert csvs[0] == csvs[1]
+        assert docs[0]["hash"] == docs[1]["hash"] == settings_hash(
+            {"command": "simulate", "version": dftr.__version__,
+             "settings": docs[0]["settings"]})
+        for doc in docs:
+            assert sorted(doc["timings"]) == ["phases", "total_s"]
+            phases = doc["timings"]["phases"]
+            assert sorted(phases) == ["steady", "step", "write"]
+            assert all(seconds >= 0.0 for seconds in phases.values())
+
     def test_zero_gain_means_zero_control(self, tmp_path):
         cfg = write_ini(tmp_path / "c.ini", self.CFG)
         out = tmp_path / "out"
@@ -369,6 +391,24 @@ class TestVerifyCommand:
             names = [name for key in checks for name in key.split("+")]
             assert sorted(names) == sorted(r[0] for r in rows)
             assert all(seconds >= 0.0 for seconds in checks.values())
+
+    def test_negative_seed_is_a_config_error(self, tmp_path, capsys):
+        # numpy's SeedSequence rejects it; no check may run first
+        cfg = write_ini(tmp_path / "c.ini", BASE_INI)
+        out = tmp_path / "out"
+        assert main(["verify", "--config", cfg, "--out", str(out), "--seed", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "config error: --seed must be >= 0, got -1\n"
+        assert captured.out == ""
+        assert not (out / "verify.csv").exists() and not (out / "manifest.json").exists()
+
+    def test_seed_zero_runs(self, tmp_path):
+        text = (BASE_INI + "[grid]\nnum_nodes = 21\n"
+                + "[time]\nt_final = 10\ndt = 0.5\nhorizon = 100\n")
+        cfg = write_ini(tmp_path / "c.ini", text)
+        out = tmp_path / "out"
+        assert main(["verify", "--config", cfg, "--out", str(out), "--seed", "0"]) == 0
+        assert json.loads((out / "manifest.json").read_text())["settings"]["seed"] == 0
 
     def test_coarse_grid_skips_resolvent_refinement(self, tmp_path):
         # five nodes cannot host a three-level refinement study; those rows
