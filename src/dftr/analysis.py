@@ -18,9 +18,8 @@ import numpy as np
 
 from . import integrator
 from .errors import ContractError, DftrError, EstimationError, ParameterError
-from .model import (FeedbackLaw, Profile, ReactorParams, SpatialGrid,
-                    default_saturation_bound, initial_profile, lambda_theoretical)
-from .steady_state import steady_state_numeric
+from .model import (Profile, ReactorParams, SpatialGrid, default_saturation_bound,
+                    lambda_theoretical)
 
 DEFAULT_WINDOW_FRACTION = 0.5
 DEFAULT_FLOOR_FACTOR = 1e-12  # floor = factor * ||w(0)||_rho
@@ -193,27 +192,11 @@ def settings_hash(settings: dict) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
 
-def _provenance(params: ReactorParams, law: FeedbackLaw, grid: SpatialGrid,
-                dt: float, record_every: int, weight: WeightFunction,
-                window_fraction: float, floor, extra: dict) -> dict:
-    settings = {
-        "d_ax": params.d_ax, "v": params.v, "k": params.k, "n": params.n,
-        "l": params.l, "t_final": params.t_final, "sat_m": params.sat_m,
-        "alpha": law.alpha, "u_bar": law.u_bar,
-        "num_nodes": grid.num_nodes, "dt": dt, "record_every": record_every,
-        "rho0": weight.rho0, "gamma": weight.gamma,
-        "window_fraction": window_fraction,
-        "floor": "default" if floor is None else floor,
-    }
-    return {"hash": settings_hash(settings), **settings, **extra}
-
-
 def _closed_loop(config, extra: dict):
-    """The cell's (config, steady, w0) for the integrator, once it passes the
-    reaction substep guard; the Newton effort goes into extra."""
-    steady = steady_state_numeric(config.params, config.law.u_bar, config.grid)
+    """The cell's integrator.closed_loop, once it passes the reaction substep
+    guard; the Newton effort goes into extra."""
+    config, steady, w0 = integrator.closed_loop(config)
     extra["newton_iterations"] = steady.iterations
-    w0 = initial_profile(config.grid, config.params, config.law)
     integrator.substep_count(config, steady.profile.values, float(np.max(np.abs(w0.values))))
     return config, steady, w0
 
@@ -227,14 +210,6 @@ def _isolated(work):
         return work(), None
     except DftrError as exc:
         return None, f"{type(exc).__name__}: {exc}"
-
-
-def _sweep_cell(config, weight, window_fraction, floor, extra, outcome) -> SweepCell:
-    est, err = outcome
-    prov = _provenance(config.params, config.law, config.grid, config.dt,
-                       config.record_every, weight, window_fraction, floor, extra)
-    return SweepCell(n=config.params.n, alpha=config.law.alpha, estimate=est,
-                     error=err, provenance=prov)
 
 
 def sweep(base_config, n_values, alpha_values, sat_m: float | None = None,
@@ -254,7 +229,9 @@ def sweep(base_config, n_values, alpha_values, sat_m: float | None = None,
     any horizon. A non-finite state spreads across the stack, so if a stack of
     several cells fails, each cell steps again as a stack of one. Failures
     are recorded per cell without aborting. sat_m defaults per cell to ten
-    times the peak of that cell's initial profile.
+    times the peak of that cell's initial profile, and weight to the cells'
+    shared default_weight. Every alpha, then every n, is checked (ParameterError)
+    before any cell's steady solve.
     """
     n_values = tuple(float(n) for n in n_values)
     alpha_values = tuple(float(a) for a in alpha_values)
@@ -264,23 +241,42 @@ def sweep(base_config, n_values, alpha_values, sat_m: float | None = None,
         raise ParameterError(f"n and alpha values must be distinct: {n_values}, {alpha_values}")
 
     check_window_fraction(window_fraction)
-
     base = base_config.params
+    # every alpha, then every n, is checked before any cell's steady solve
+    laws = {a: replace(base_config.law, alpha=a) for a in alpha_values}
+    reactors = {n: replace(base, n=n) for n in n_values}
+    # the cells vary n, alpha and sat_m only, so they share the default weight
+    weight = weight if weight is not None else default_weight(base_config.grid, base)
+    unit_weight = weight_profile(base_config.grid, 1.0, weight.gamma)
+    shared = {"d_ax": base.d_ax, "v": base.v, "k": base.k, "l": base.l,
+              "t_final": base.t_final, "u_bar": base_config.law.u_bar,
+              "num_nodes": base_config.grid.num_nodes, "dt": base_config.dt,
+              "record_every": base_config.record_every, "rho0": weight.rho0,
+              "gamma": weight.gamma, "window_fraction": window_fraction,
+              "floor": "default" if floor is None else floor}
+
+    def finish(config, extra, outcome) -> SweepCell:
+        """The cell of config's run; its provenance holds its settings, their hash
+        and extra."""
+        est, err = outcome
+        p, a = config.params, config.law.alpha
+        settings = {**shared, "n": p.n, "alpha": a, "sat_m": p.sat_m}
+        return SweepCell(n=p.n, alpha=a, estimate=est, error=err,
+                         provenance={"hash": settings_hash(settings), **settings, **extra})
+
     cells, ready = {}, {}
     for n in n_values:
         for a in alpha_values:
             cell_sat = sat_m if sat_m is not None else default_saturation_bound(
                 base.d_ax, base.v, base.l, a)
-            params = replace(base, n=n, sat_m=cell_sat)
-            config = replace(base_config, params=params, law=replace(base_config.law, alpha=a))
-            w = weight if weight is not None else default_weight(config.grid, params)
+            config = replace(base_config, params=replace(reactors[n], sat_m=cell_sat),
+                             law=laws[a])
             extra: dict = {}
             run, err = _isolated(lambda: _closed_loop(config, extra))
             if run is None:
-                cells[(n, a)] = _sweep_cell(config, w, window_fraction, floor, extra,
-                                            (None, err))
+                cells[(n, a)] = finish(config, extra, (None, err))
             else:
-                ready[(n, a)] = (run, w, extra)
+                ready[(n, a)] = (run, extra)
 
     def stack(keys):
         """Step these cells together until each has had a record at or below
@@ -303,7 +299,7 @@ def sweep(base_config, n_values, alpha_values, sat_m: float | None = None,
                 stack([key])
             return
         for q, key in enumerate(keys):
-            run, w, extra = ready[key]
+            run, extra = ready[key]
             if trajs is None:
                 outcome = None, err
             else:
@@ -313,12 +309,9 @@ def sweep(base_config, n_values, alpha_values, sat_m: float | None = None,
                 outcome = _isolated(lambda: fit_decay_rate(
                     times, norms[q, :times.size], lambda_theoretical(run[0].params),
                     window_fraction, floor))
-            cells[key] = _sweep_cell(run[0], w, window_fraction, floor, extra, outcome)
+            cells[key] = finish(run[0], extra, outcome)
 
     if ready:
-        # the sweep varies n, alpha and sat_m only, so all weights share gamma
-        unit_weight = weight_profile(base_config.grid, 1.0,
-                                     next(iter(ready.values()))[1].gamma)
         stack(list(ready))
 
     cells = {(n, a): cells[(n, a)] for n in n_values for a in alpha_values}

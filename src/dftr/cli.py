@@ -29,10 +29,9 @@ from .analysis import (DEFAULT_WINDOW_FRACTION, check_window_fraction, default_w
                        energy, settings_hash, sweep, weight_profile)
 from .errors import (ConfigError, DftrError, EstimationError, IntegrationError,
                      ParameterError, SolverError)
-from .integrator import SimulationConfig, simulate
+from .integrator import SimulationConfig, closed_loop, simulate
 from .model import (FeedbackLaw, Profile, ReactorParams, SpatialGrid,
-                    d_ax_from_peclet, default_saturation_bound, initial_profile,
-                    lambda_theoretical)
+                    d_ax_from_peclet, default_saturation_bound, lambda_theoretical)
 from .operator import (build_generator, dissipativity_form, duhamel_oracle,
                        inner_product, random_bc_compatible, resolvent_analytic,
                        resolvent_discrete)
@@ -67,8 +66,7 @@ _KEYS = {
 class ResolvedConfig:
     """A config document with every default materialized.
 
-    dt stays None when the file omits it; each command applies its own
-    default (0.1 s for simulate/steady-horizon work, 1 s for sweeps).
+    dt stays None when the file omits it, and run() applies its default.
     sat_m stays None when omitted so sweep cells can apply the per-alpha
     default.
     """
@@ -105,6 +103,14 @@ class ResolvedConfig:
 
     def weight(self, grid: SpatialGrid):
         return weight_profile(grid, self.rho0, self.gamma)
+
+    def run(self, to_horizon: bool = False) -> SimulationConfig:
+        """The closed-loop run to t_final at dt or else 0.1 s; with to_horizon, the
+        decay run to the horizon at dt or else 1 s."""
+        t_final, dt = (self.horizon, 1.0) if to_horizon else (self.t_final, 0.1)
+        return SimulationConfig(params=self.reactor_params(t_final=t_final), law=self.law(),
+                                grid=self.grid(), dt=dt if self.dt is None else self.dt,
+                                record_every=self.record_every)
 
 
 def _parse(section: str, key: str, kind: type, raw: str):
@@ -292,29 +298,12 @@ def cmd_steady(cfg: ResolvedConfig, out_dir, manifest: RunManifest) -> int:
     return EXIT_OK
 
 
-def _run_config(cfg: ResolvedConfig, t_final: float, default_dt: float) -> SimulationConfig:
-    """A closed-loop run of cfg to t_final, at cfg.dt or else default_dt."""
-    return SimulationConfig(params=cfg.reactor_params(t_final=t_final), law=cfg.law(),
-                            grid=cfg.grid(), dt=cfg.dt if cfg.dt is not None else default_dt,
-                            record_every=cfg.record_every)
-
-
-def _closed_loop(cfg: ResolvedConfig, t_final: float, default_dt: float, w0=None):
-    """simulate's (config, steady, w0) for _run_config's run around its steady
-    state, from w0 or else from the boundary-compatible initial profile."""
-    config = _run_config(cfg, t_final, default_dt)
-    steady = steady_state_numeric(config.params, cfg.u_bar, config.grid)
-    if w0 is None:
-        w0 = initial_profile(config.grid, config.params, config.law)
-    return config, steady, w0
-
-
 def cmd_simulate(cfg: ResolvedConfig, out_dir, manifest: RunManifest,
                  snapshots) -> int:
     started = time.process_time()
-    closed_loop = _closed_loop(cfg, cfg.t_final, 0.1)
+    run = closed_loop(cfg.run())
     steadied = time.process_time()
-    traj = simulate(*closed_loop)
+    traj = simulate(*run)
     stepped = time.process_time()
     times = traj.times.tolist()
     x = traj.grid.nodes
@@ -341,22 +330,12 @@ def cmd_simulate(cfg: ResolvedConfig, out_dir, manifest: RunManifest,
 
 def cmd_sweep(cfg: ResolvedConfig, out_dir, manifest: RunManifest,
               n_list, alpha_list) -> int:
-    params = cfg.reactor_params(t_final=cfg.horizon)
+    base = cfg.run(to_horizon=True)
     # out-of-domain list values raise ParameterError, a config error
-    for a in alpha_list:
-        FeedbackLaw(alpha=a, u_bar=cfg.u_bar)
-    for n in n_list:
-        replace(params, n=n)
-
-    grid = cfg.grid()
-    base = SimulationConfig(params=params, law=cfg.law(), grid=grid,
-                            dt=cfg.dt if cfg.dt is not None else 1.0,
-                            record_every=cfg.record_every)
-    result = sweep(base, n_list, alpha_list, sat_m=cfg.sat_m,
-                   weight=cfg.weight(grid),
+    result = sweep(base, n_list, alpha_list, sat_m=cfg.sat_m, weight=cfg.weight(base.grid),
                    window_fraction=cfg.window_fraction, floor=cfg.floor)
 
-    lam_t = lambda_theoretical(params)
+    lam_t = lambda_theoretical(base.params)
     table = result.table.tolist()  # NaN marks a failed or floor-limited cell
     rows = []
     for n, lams in zip(result.n_values, table):
@@ -394,30 +373,65 @@ def cmd_sweep(cfg: ResolvedConfig, out_dir, manifest: RunManifest,
     return EXIT_OK
 
 
-def _verify_checks(cfg: ResolvedConfig, seed: int, cpu_s: dict):
-    """Run the oracle suite; yields (check, metric, value, threshold, pass),
-    pass a Python bool or "skipped".
+# verify row -> (metric, threshold); a row passes at value <= threshold, or within the
+# band of an order's "centre+-width" threshold
+_VERIFY_ROWS = {
+    "dissipativity": ("max_form_over_norm2", 1e-8),
+    "resolvent_error": ("max_rel_l2", 1e-3),
+    "resolvent_order": ("observed_order", "2.0+-0.3"),
+    "duhamel_nonlinear": ("rel_l2", 1e-2),
+    "duhamel_linear": ("rel_l2", 1e-4),
+    "equilibrium": ("max_w_inf", 1e-9),
+    "envelope": ("max_norm_over_bound", 1.01),
+}
 
-    A check that raises a toolkit error is reported as a failed row (with
-    the error on stderr) so the report is always complete. cpu_s gets each
-    check's process CPU seconds, keyed by its rows' names joined by '+'.
+
+def _verify_row(name: str, value) -> tuple:
+    """verify.csv's (check, metric, value, threshold, pass) row of _VERIFY_ROWS[name].
+
+    value is the check's number, or "error" for a check that raised (pass False) or
+    "skipped" for one the grid is too coarse for (pass "skipped").
     """
-    grid = cfg.grid()
-    params = cfg.reactor_params(t_final=cfg.t_final)
-    # time settings no run can take are a config error, raised before any row
-    _run_config(cfg, cfg.t_final, 0.1), _run_config(cfg, cfg.horizon, 1.0)
+    metric, threshold = _VERIFY_ROWS[name]
+    if isinstance(value, str):
+        metric, passed = {"error": ("error", False),
+                          "skipped": ("skipped_insufficient_resolution", "skipped")}[value]
+        return name, metric, None, threshold, passed
+    if isinstance(threshold, str):
+        centre, width = map(float, threshold.split("+-"))
+        passed = centre - width <= value <= centre + width
+    else:
+        passed = value <= threshold
+    return name, metric, value, threshold, bool(passed)
 
-    def guarded(expected_rows, fn):
-        # expected_rows: [(check_name, threshold), ...] matching fn's yield
+
+def _rel_l2(grid: SpatialGrid, approx, exact):
+    """||approx - exact|| / ||exact|| in the grid's trapezoidal L2 norm."""
+    diff = approx - exact
+    return np.sqrt(inner_product(grid, diff, diff)) / np.sqrt(inner_product(grid, exact, exact))
+
+
+def _verify_checks(cfg: ResolvedConfig, seed: int, cpu_s: dict):
+    """Run the oracle suite; yields _verify_row's rows in _VERIFY_ROWS order.
+
+    A check that raises a toolkit error gives errored rows (with the error
+    on stderr) so the report is always complete. cpu_s gets each check's
+    process CPU seconds, keyed by its rows' names joined by '+'.
+    """
+    # time settings no run can take are a config error, raised before any row
+    transient, decay = cfg.run(), cfg.run(to_horizon=True)
+    grid, params = transient.grid, transient.params
+
+    def rows(check, *names):
+        """names' rows of check's value, or of its values when it has several."""
         started = time.process_time()
         try:
-            return fn()
+            values = check() if len(names) > 1 else [check()]
         except DftrError as exc:
-            print(f"check {expected_rows[0][0]} errored: {exc}", file=sys.stderr)
-            return [(name, "error", None, threshold, False)
-                    for name, threshold in expected_rows]
-        finally:
-            cpu_s["+".join(name for name, _ in expected_rows)] = time.process_time() - started
+            print(f"check {names[0]} errored: {exc}", file=sys.stderr)
+            values = ["error"] * len(names)
+        cpu_s["+".join(names)] = time.process_time() - started
+        return [_verify_row(name, value) for name, value in zip(names, values)]
 
     def check_dissipativity():
         rng = np.random.default_rng(seed)
@@ -429,54 +443,34 @@ def _verify_checks(cfg: ResolvedConfig, seed: int, cpu_s: dict):
                 form = dissipativity_form(gen, xi).form
                 norm2 = inner_product(grid, xi.values, xi.values)
                 worst = max(worst, form / norm2)
-        return [("dissipativity", "max_form_over_norm2", worst, 1e-8,
-                 bool(worst <= 1e-8))]
+        return worst
 
     def check_resolvent():
         base = grid.num_nodes - 1
         if base % 4 != 0 or base // 4 + 1 < 11:
-            return [("resolvent_error", "skipped_insufficient_resolution", None,
-                     1e-3, "skipped"),
-                    ("resolvent_order", "skipped_insufficient_resolution", None,
-                     "2.0+-0.3", "skipped")]
-        levels = [base // 4 + 1, base // 2 + 1, base + 1]
+            return "skipped", "skipped"
         errors = {lam: [] for lam in (0.1, 1.0, 10.0)}
-        for m in levels:
+        for m in (base // 4 + 1, base // 2 + 1, base + 1):
             g = SpatialGrid(l=cfg.l, num_nodes=m)
             eta = Profile(g, np.ones(m))
+            gen = build_generator(g, params, cfg.alpha)
             for lam in errors:
-                gen = build_generator(g, params, cfg.alpha)
-                xi_d = resolvent_discrete(gen, eta, lam).values
                 xi_a = resolvent_analytic(eta, lam, params, cfg.alpha).xi.values
-                num = np.sqrt(inner_product(g, xi_d - xi_a, xi_d - xi_a))
-                den = np.sqrt(inner_product(g, xi_a, xi_a))
-                errors[lam].append(num / den)
+                errors[lam].append(_rel_l2(g, resolvent_discrete(gen, eta, lam).values, xi_a))
         max_err = max(errs[-1] for errs in errors.values())
         min_order = min(0.5 * (math.log2(errs[0] / errs[1])
                                + math.log2(errs[1] / errs[2]))
                         for errs in errors.values())
-        return [("resolvent_error", "max_rel_l2", max_err, 1e-3, bool(max_err <= 1e-3)),
-                ("resolvent_order", "observed_order", min_order, "2.0+-0.3",
-                 bool(1.7 <= min_order <= 2.3))]
+        return max_err, min_order
 
-    def check_duhamel(label, k_val, tol):
-        def run():
-            g_small = (grid if grid.num_nodes <= 101
-                       else SpatialGrid(l=cfg.l, num_nodes=51))
-            p = replace(params, k=k_val, t_final=50.0)
-            steady = steady_state_numeric(p, cfg.u_bar, g_small)
-            law = cfg.law()
-            w0 = initial_profile(g_small, p, law)
-            gen = build_generator(g_small, p, law.alpha)
-            oracle = duhamel_oracle(gen, w0, steady, p, t_final=50.0,
-                                    num_steps=500)
-            traj = simulate(SimulationConfig(params=p, law=law, grid=g_small,
-                                             dt=0.1), steady, w0)
-            diff = traj.states[-1] - oracle.values
-            rel = (np.sqrt(inner_product(g_small, diff, diff))
-                   / np.sqrt(inner_product(g_small, oracle.values, oracle.values)))
-            return [(label, "rel_l2", rel, tol, bool(rel <= tol))]
-        return run
+    def check_duhamel(k):
+        # the oracle's 500 steps to 50 s at the default dt, on up to 101 nodes or else 51
+        config, steady, w0 = closed_loop(replace(
+            cfg, k=k, t_final=50.0, dt=None,
+            num_nodes=cfg.num_nodes if cfg.num_nodes <= 101 else 51).run())
+        gen = build_generator(config.grid, config.params, cfg.alpha)
+        oracle = duhamel_oracle(gen, w0, steady, config.params, t_final=50.0, num_steps=500)
+        return _rel_l2(config.grid, simulate(config, steady, w0).states[-1], oracle.values)
 
     def check_equilibrium():
         max_w = 0.0
@@ -485,12 +479,11 @@ def _verify_checks(cfg: ResolvedConfig, seed: int, cpu_s: dict):
             nonlocal max_w
             max_w = max(max_w, float(np.maximum.reduce(np.abs(w))))
 
-        simulate(*_closed_loop(cfg, cfg.t_final, 0.1,
-                               Profile(grid, np.zeros(grid.num_nodes))), record)
-        return [("equilibrium", "max_w_inf", max_w, 1e-9, bool(max_w <= 1e-9))]
+        simulate(*closed_loop(transient, Profile(grid, np.zeros(grid.num_nodes))), record)
+        return max_w
 
     def check_envelope():
-        config, steady, w0 = _closed_loop(cfg, cfg.horizon, 1.0)
+        config, steady, w0 = closed_loop(decay)
         weight = default_weight(config.grid, config.params)
         energies = np.empty(config.num_records)
 
@@ -502,18 +495,14 @@ def _verify_checks(cfg: ResolvedConfig, seed: int, cpu_s: dict):
         lam_t = lambda_theoretical(params)
         ratios = norms / (norms[0] * np.exp(-lam_t * traj.times))
         # the t = 0 ratio is 1 by construction; it counts only when alone
-        ratio = float(np.max(ratios[1:] if ratios.size > 1 else ratios))
-        return [("envelope", "max_norm_over_bound", ratio, 1.01, bool(ratio <= 1.01))]
+        return float(np.max(ratios[1:] if ratios.size > 1 else ratios))
 
-    yield from guarded([("dissipativity", 1e-8)], check_dissipativity)
-    yield from guarded([("resolvent_error", 1e-3),
-                        ("resolvent_order", "2.0+-0.3")], check_resolvent)
-    yield from guarded([("duhamel_nonlinear", 1e-2)],
-                       check_duhamel("duhamel_nonlinear", cfg.k, 1e-2))
-    yield from guarded([("duhamel_linear", 1e-4)],
-                       check_duhamel("duhamel_linear", 0.0, 1e-4))
-    yield from guarded([("equilibrium", 1e-9)], check_equilibrium)
-    yield from guarded([("envelope", 1.01)], check_envelope)
+    yield from rows(check_dissipativity, "dissipativity")
+    yield from rows(check_resolvent, "resolvent_error", "resolvent_order")
+    yield from rows(lambda: check_duhamel(cfg.k), "duhamel_nonlinear")
+    yield from rows(lambda: check_duhamel(0.0), "duhamel_linear")
+    yield from rows(check_equilibrium, "equilibrium")
+    yield from rows(check_envelope, "envelope")
 
 
 def cmd_verify(cfg: ResolvedConfig, out_dir, manifest: RunManifest, seed: int) -> int:

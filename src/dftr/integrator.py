@@ -19,9 +19,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ContractError, IntegrationError, ParameterError
-from .model import FeedbackLaw, Profile, ReactorParams, SpatialGrid, clamped_power
+from .model import (FeedbackLaw, Profile, ReactorParams, SpatialGrid, clamped_power,
+                    initial_profile)
 from .operator import Tridiagonal, build_generator
-from .steady_state import SteadyStateSolution
+from .steady_state import SteadyStateSolution, steady_state_numeric
 
 NEGATIVITY_TOL = -1e-12
 REACTION_COURANT = 0.5  # max dt * L allowed for the explicit reaction part
@@ -86,6 +87,15 @@ class Trajectory:
     def __post_init__(self):
         self.times.flags.writeable = False
         self.states.flags.writeable = False
+
+
+def closed_loop(config: SimulationConfig, w0: Profile | None = None):
+    """simulate's (config, steady, w0) for config's run around its steady state, from w0
+    or else from the boundary-compatible initial profile."""
+    steady = steady_state_numeric(config.params, config.law.u_bar, config.grid)
+    if w0 is None:
+        w0 = initial_profile(config.grid, config.params, config.law)
+    return config, steady, w0
 
 
 def _reach(params: ReactorParams, c_bar: np.ndarray):

@@ -227,7 +227,10 @@ def random_bc_compatible(gen: DiscreteGenerator, rng: np.random.Generator) -> Pr
     xi[1:-1] = rng.uniform(-1.0, 1.0, m - 2)
     # (1-alpha)*xi0 = (d/v) * (-3 xi0 + 4 xi1 - xi2)/(2h)
     r = d / (2.0 * h * v)
-    xi[0] = r * (4.0 * xi[1] - xi[2]) / ((1.0 - gen.alpha) + 3.0 * r)
+    if m == 3:  # xi2 is the outlet value below: both closures together give xi0
+        xi[0] = 8.0 * r / 3.0 * xi[1] / ((1.0 - gen.alpha) + 8.0 * r / 3.0)
+    else:
+        xi[0] = r * (4.0 * xi[1] - xi[2]) / ((1.0 - gen.alpha) + 3.0 * r)
     # (3 xi_{m-1} - 4 xi_{m-2} + xi_{m-3})/(2h) = 0
     xi[-1] = (4.0 * xi[-2] - xi[-3]) / 3.0
     return Profile(gen.grid, xi)

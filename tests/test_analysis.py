@@ -267,6 +267,25 @@ class TestSweep:
         assert np.isnan(table[0, 0])
         assert np.isfinite(table[1, 0])
 
+    @pytest.mark.parametrize("n_values, alpha_values, message", [
+        ([1.0, -1.0], [0.25], "n must be > 0"),
+        ([1.0], [0.0, 0.7], "alpha must lie in"),
+        ([-1.0], [0.7], "alpha must lie in"),  # alpha is checked first
+    ])
+    def test_values_are_checked_before_any_steady_solve(self, monkeypatch, n_values,
+                                                         alpha_values, message):
+        import dftr.integrator
+        solve, calls = dftr.integrator.steady_state_numeric, []
+
+        def counted(*args):
+            calls.append(args)
+            return solve(*args)
+
+        monkeypatch.setattr(dftr.integrator, "steady_state_numeric", counted)
+        with pytest.raises(ParameterError, match=message):
+            sweep(_sweep_base(horizon=100.0, num_nodes=51), n_values, alpha_values)
+        assert calls == []
+
     def test_provenance_records_solver_effort(self):
         base = _sweep_base(horizon=200.0, num_nodes=101)
         cell = sweep(base, [2.0], [0.25]).cell(2.0, 0.25)

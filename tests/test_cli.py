@@ -13,9 +13,10 @@ import pytest
 import dftr
 from dftr import Profile, default_weight, energy, lambda_theoretical, simulate
 from dftr.analysis import settings_hash
-from dftr.cli import (_closed_loop, _field_rows, _verify_checks, load_config, main,
-                      write_csv)
+from dftr.cli import (_VERIFY_ROWS, _field_rows, _fmt, _verify_checks, _verify_row,
+                      load_config, main, write_csv)
 from dftr.errors import ConfigError
+from dftr.integrator import closed_loop
 
 HASH_LINE = re.compile(r"^# manifest_hash=[0-9a-f]{16}$")
 REPO = Path(__file__).resolve().parents[1]
@@ -343,11 +344,12 @@ class TestSweepCommand:
                 alone.inner_steps, alone.negativity_events)
             assert cell["inner_steps"] < traj.inner_steps
 
-    def test_invalid_list_arguments(self, tmp_path):
+    def test_invalid_list_arguments(self, tmp_path, capsys):
         cfg = write_ini(tmp_path / "c.ini", self.CFG)
         out = tmp_path / "out"
         assert main(["sweep", "--config", cfg, "--out", str(out),
                      "--alpha-list", "0,0.7"]) == 2
+        assert capsys.readouterr().err == "config error: alpha must lie in [0, 1/2], got 0.7\n"
         assert main(["sweep", "--config", cfg, "--out", str(out),
                      "--n-list", "1,zap"]) == 2
 
@@ -423,6 +425,35 @@ class TestVerifyCommand:
         assert by_name["resolvent_error"][1] == "skipped_insufficient_resolution"
         assert by_name["resolvent_error"][-1] == "skipped"
 
+    def test_three_nodes_pass_with_the_table_thresholds(self, tmp_path):
+        # at 3 nodes the random dissipativity vectors must still meet both closures
+        text = (BASE_INI + "[grid]\nnum_nodes = 3\n"
+                + "[time]\nt_final = 10\ndt = 0.5\nhorizon = 100\n")
+        cfg = write_ini(tmp_path / "c.ini", text)
+        out = tmp_path / "out"
+        assert main(["verify", "--config", cfg, "--out", str(out)]) == 0
+        _, _, rows = read_csv(out / "verify.csv")
+        assert [row[0] for row in rows] == list(_VERIFY_ROWS)
+        for name, metric, _, threshold, _ in rows:
+            assert threshold == _fmt(_VERIFY_ROWS[name][1])
+            assert metric in (_VERIFY_ROWS[name][0], "skipped_insufficient_resolution")
+        assert rows[0][1] == "max_form_over_norm2" and rows[0][-1] == "true"
+
+    @pytest.mark.parametrize("name", list(_VERIFY_ROWS))
+    def test_pass_rule_at_its_edges(self, name):
+        metric, threshold = _VERIFY_ROWS[name]
+        if isinstance(threshold, str):
+            assert threshold == "2.0+-0.3"
+            edges = [(1.7, True), (2.3, True), (np.nextafter(1.7, -np.inf), False),
+                     (np.nextafter(2.3, np.inf), False)]
+        else:
+            edges = [(threshold, True), (np.nextafter(threshold, np.inf), False)]
+        for value, passed in edges:
+            assert _verify_row(name, value) == (name, metric, value, threshold, passed)
+        assert _verify_row(name, "error") == (name, "error", None, threshold, False)
+        assert _verify_row(name, "skipped") == (
+            name, "skipped_insufficient_resolution", None, threshold, "skipped")
+
     def test_nondissipative_discretization_fails(self, tmp_path, capsys):
         # convection-dominated mesh: h is far beyond 8*d_ax/v, the central
         # generator loses negativity and the suite must say so
@@ -485,10 +516,10 @@ horizon = 0
 
         # the same values from runs that store their states
         zeros = Profile(cfg.grid(), np.zeros(401))
-        traj = simulate(*_closed_loop(cfg, cfg.t_final, 0.1, zeros))
+        traj = simulate(*closed_loop(cfg.run(), zeros))
         assert traj.states.shape == (2001, 401)
         max_w = float(np.max(np.abs(traj.states)))
-        config, steady, w0 = _closed_loop(cfg, cfg.horizon, 1.0)
+        config, steady, w0 = closed_loop(cfg.run(to_horizon=True))
         traj = simulate(config, steady, w0)
         weight = default_weight(config.grid, config.params)
         norms = np.sqrt(2.0 * np.array([energy(w, weight) for w in traj.states]))

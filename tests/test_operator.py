@@ -170,6 +170,19 @@ class TestDissipativity:
         assert abs(outlet) <= 1e-13
 
     @pytest.mark.parametrize("alpha", [0.0, 0.25, 0.5])
+    def test_three_node_vectors_satisfy_both_closures(self, params, alpha):
+        # at 3 nodes the outlet value enters the inlet closure
+        g = SpatialGrid(l=1.0, num_nodes=3)
+        gen = build_generator(g, params, alpha)
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            xi = random_bc_compatible(gen, rng).values
+            inlet, outlet = operator._boundary_defects(gen, xi)
+            assert abs(inlet) <= 1e-14 * np.max(np.abs(xi))
+            assert abs(outlet) <= 1e-14 * np.max(np.abs(xi))
+            dissipativity_form(gen, Profile(g, xi))  # raises on a defect
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.25, 0.5])
     def test_form_negative_on_admissible_vectors(self, params, grid201, alpha):
         gen = build_generator(grid201, params, alpha)
         rng = np.random.default_rng(42)
