@@ -110,6 +110,12 @@ def check_window_fraction(window_fraction: float) -> None:
         raise ParameterError(f"window_fraction must lie in (0, 1], got {window_fraction}")
 
 
+def check_floor(floor: float | None) -> None:
+    """ParameterError unless the fit floor is None (the default) or >= 0."""
+    if floor is not None and not floor >= 0.0:
+        raise ParameterError(f"floor must be >= 0, got {floor}")
+
+
 def _fit_floor(norm0, floor: float | None):
     """The fit's floor for a norm history starting at norm0 (an array gives
     one floor per history): floor, or DEFAULT_FLOOR_FACTOR * norm0 if None."""
@@ -126,6 +132,7 @@ def fit_decay_rate(times, norms, lambda_t: float,
     floor_hit flags a record at or below the floor.
     """
     check_window_fraction(window_fraction)
+    check_floor(floor)
     floor = _fit_floor(norms[0], floor)
     if norms[0] <= floor:
         # identically-zero (or floor-level) run: no rate to report
@@ -241,6 +248,7 @@ def sweep(base_config, n_values, alpha_values, sat_m: float | None = None,
         raise ParameterError(f"n and alpha values must be distinct: {n_values}, {alpha_values}")
 
     check_window_fraction(window_fraction)
+    check_floor(floor)
     base = base_config.params
     # every alpha, then every n, is checked before any cell's steady solve
     laws = {a: replace(base_config.law, alpha=a) for a in alpha_values}

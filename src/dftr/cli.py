@@ -25,11 +25,11 @@ import numpy as np
 
 from . import __version__
 from ._g17 import WORDS, fill, slots
-from .analysis import (DEFAULT_WINDOW_FRACTION, check_window_fraction, default_weight,
-                       energy, settings_hash, sweep, weight_profile)
+from .analysis import (DEFAULT_WINDOW_FRACTION, check_floor, check_window_fraction,
+                       default_weight, energy, settings_hash, sweep, weight_profile)
 from .errors import (ConfigError, DftrError, EstimationError, IntegrationError,
                      ParameterError, SolverError)
-from .integrator import SimulationConfig, closed_loop, simulate
+from .integrator import SimulationConfig, closed_loop, simulate, simulate_stack, substep_count
 from .model import (FeedbackLaw, Profile, ReactorParams, SpatialGrid,
                     d_ax_from_peclet, default_saturation_bound, lambda_theoretical)
 from .operator import (build_generator, dissipativity_form, duhamel_oracle,
@@ -170,6 +170,7 @@ def load_config(path: str) -> ResolvedConfig:
         cfg.law()
         cfg.weight(cfg.grid())
         check_window_fraction(cfg.window_fraction)
+        check_floor(cfg.floor)
     except ParameterError as exc:
         raise ConfigError(str(exc))
     return cfg
@@ -312,7 +313,11 @@ def cmd_simulate(cfg: ResolvedConfig, out_dir, manifest: RunManifest,
     write_csv(out_dir / "control.csv", manifest.hash, ("t", "u_w"),
               zip(times, (cfg.alpha * traj.states[:, 0]).tolist()))
 
-    energies = energy(traj.states, cfg.weight(traj.grid))
+    # a block of records at a time, so the temporaries stay small; a 2-D reduce
+    # keeps each row's bits
+    weight, per_block = cfg.weight(traj.grid), max(1, _BLOCK_VALUES // len(x))
+    energies = np.concatenate([energy(traj.states[start:start + per_block], weight)
+                               for start in range(0, len(times), per_block)])
     write_csv(out_dir / "energy.csv", manifest.hash, ("t", "energy", "norm_rho"),
               zip(times, energies.tolist(), np.sqrt(2.0 * energies).tolist()))
 
@@ -473,13 +478,27 @@ def _verify_checks(cfg: ResolvedConfig, seed: int, cpu_s: dict):
         return _rel_l2(config.grid, simulate(config, steady, w0).states[-1], oracle.values)
 
     def check_equilibrium():
-        max_w = 0.0
+        # max|w| over every step from w = 0; it may stop early, so it goes through
+        # simulate_stack, which honours its consumer's return
+        run = closed_loop(replace(transient, record_every=1),
+                          Profile(grid, np.zeros(grid.num_nodes)))
+        single = substep_count(run[0], run[1].profile.values, 0.0) == 1
+        max_w, zeros = 0.0, 0
 
-        def record(j, t, w):
-            nonlocal max_w
-            max_w = max(max_w, float(np.maximum.reduce(np.abs(w))))
+        def record(j, w):
+            # With one substep per step, step i >= 2 is a fixed function of w_{i-1}
+            # and the AB2 history 0.5 r(w_{i-2}). Once records j-2, j-1 and j (j >= 2)
+            # are all zero, step j+1 gets step j's inputs up to the sign of zero, and
+            # that sign changes no bit of a nonzero result (x + -0 is x, and r(+-0) is
+            # r(0) bit for bit); so it repeats step j, as does every later step, and
+            # max_w is final.
+            nonlocal max_w, zeros
+            w_max = float(np.maximum.reduce(np.abs(w[0])))
+            max_w = max(max_w, w_max)
+            zeros = zeros + 1 if w_max == 0.0 else 0
+            return single and zeros == 3
 
-        simulate(*closed_loop(transient, Profile(grid, np.zeros(grid.num_nodes))), record)
+        simulate_stack([run], record)
         return max_w
 
     def check_envelope():

@@ -215,6 +215,15 @@ class TestDecayEstimator:
             with pytest.raises(ParameterError):
                 estimate_decay_rate(traj, w, window_fraction=bad)
 
+    def test_floor_domain(self, params, grid201):
+        # a negative floor lets the fit reach norms that underflow to 0 and take log(0)
+        traj = synthetic_trajectory(1e-3, grid201, params)
+        w = default_weight(grid201, params)
+        for bad in (-1.0, -5e-324, float("nan")):
+            with pytest.raises(ParameterError, match="floor must be >= 0"):
+                estimate_decay_rate(traj, w, floor=bad)
+        assert estimate_decay_rate(traj, w, floor=0.0).lambda_n == pytest.approx(1e-3)
+
     def test_window_bounds_lie_in_horizon(self, params, grid201):
         traj = synthetic_trajectory(1e-3, grid201, params)
         est = estimate_decay_rate(traj, default_weight(grid201, params),
@@ -387,6 +396,11 @@ class TestSweep:
             with pytest.raises(ParameterError, match="window_fraction"):
                 sweep(_sweep_base(horizon=100.0, num_nodes=51), [1.0], [0.0],
                       window_fraction=bad)
+
+    def test_floor_is_checked_before_any_stepping(self, monkeypatch):
+        self._break_the_stack(monkeypatch)
+        with pytest.raises(ParameterError, match="floor must be >= 0, got -1.0"):
+            sweep(_sweep_base(horizon=100.0, num_nodes=51), [1.0], [0.0], floor=-1.0)
 
     def test_non_finite_cell_reruns_its_stack_alone(self, monkeypatch):
         # n = 2000 is too stiff for the substep guard; run without substeps,

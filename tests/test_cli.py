@@ -5,6 +5,7 @@ import shutil
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -505,6 +506,8 @@ horizon = 0
         text = (BASE_INI + "[grid]\nnum_nodes = 401\n"
                 + "[time]\nt_final = 200\nhorizon = 2000\n")
         cfg = load_config(write_ini(tmp_path / "c.ini", text))
+        # numpy imports numpy.random on first use; its modules are no run's state
+        np.random.default_rng(0)
         tracemalloc.start()
         try:
             rows = list(_verify_checks(cfg, 0, {}))
@@ -528,6 +531,87 @@ horizon = 0
         assert by_name["equilibrium"][2].hex() == max_w.hex()
         assert by_name["envelope"][2].hex() == ratio.hex()
         assert by_name["equilibrium"][-1] is True and by_name["envelope"][-1] is True
+
+
+class TestEquilibriumStop:
+    """The equilibrium check stops once three records in a row are exactly zero."""
+
+    # the reference point on 51 nodes: 4,000 steps of 0.1 s to t_final
+    TEXT = (BASE_INI.replace("n = 1", "n = 2") + "[control]\nalpha = 0.25\n"
+            + "[grid]\nnum_nodes = 51\n[time]\nt_final = 400\nhorizon = 100\n")
+
+    @staticmethod
+    def _run(monkeypatch, cfg):
+        """The equilibrium row and the record indices its stack was given."""
+        stack, seen = dftr.cli.simulate_stack, []
+
+        def counted(runs, record):
+            def each(j, w):
+                seen.append(j)
+                return record(j, w)
+            return stack(runs, each)
+
+        monkeypatch.setattr(dftr.cli, "simulate_stack", counted)
+        rows = {row[0]: row for row in _verify_checks(cfg, 0, {})}
+        return rows["equilibrium"], seen
+
+    @staticmethod
+    def _full_max(cfg):
+        """max|w| over every step of a stored run from w = 0 to t_final."""
+        zeros = Profile(cfg.grid(), np.zeros(cfg.num_nodes))
+        traj = simulate(*closed_loop(replace(cfg, record_every=1).run(), zeros))
+        assert traj.states.shape[0] == cfg.run().num_steps + 1
+        return float(np.max(np.abs(traj.states)))
+
+    @staticmethod
+    def _perturb_the_reaction(monkeypatch):
+        # C_bar**n off by 1e-6 relative in the stepper only, so r(0) != 0
+        import dftr.integrator
+
+        power = dftr.integrator.clamped_power
+        monkeypatch.setattr(dftr.integrator, "clamped_power",
+                            lambda c, n: power(c, n) * (1.0 + 1e-6))
+
+    @pytest.mark.parametrize("every", [1, 10])
+    def test_reference_point_steps_three_records(self, tmp_path, monkeypatch, every):
+        cfg = load_config(write_ini(tmp_path / "c.ini", self.TEXT
+                                    + f"record_every = {every}\n"))
+        row, seen = self._run(monkeypatch, cfg)
+        assert seen == [0, 1, 2]
+        assert row[2].hex() == self._full_max(cfg).hex() == (0.0).hex()
+        assert row[-1] is True
+
+    @pytest.mark.parametrize("every", [1, 10])
+    def test_a_nonzero_reaction_at_zero_steps_to_t_final_and_fails(
+            self, tmp_path, monkeypatch, capsys, every):
+        # the check can fail through the stepper: once w leaves zero it never stops,
+        # and it reads every step whatever record_every is
+        self._perturb_the_reaction(monkeypatch)
+        path = write_ini(tmp_path / "c.ini", self.TEXT + f"record_every = {every}\n")
+        cfg = load_config(path)
+        row, seen = self._run(monkeypatch, cfg)
+        assert seen == list(range(cfg.run().num_steps + 1))
+        assert row[2].hex() == self._full_max(cfg).hex()
+        assert row[2] > _VERIFY_ROWS["equilibrium"][1] and row[-1] is False
+
+        out = tmp_path / "out"
+        assert main(["verify", "--config", path, "--out", str(out)]) == 6
+        _, _, rows = read_csv(out / "verify.csv")
+        assert [r[0] for r in rows if r[-1] == "false"] == ["equilibrium"]
+        assert re.search(r"^equilibrium .* FAIL$", capsys.readouterr().out, re.M)
+
+    def test_substeps_at_zero_step_to_t_final(self, tmp_path, monkeypatch):
+        # k = 1, n = 2, dt = 1 on 51 nodes: the guard gives two substeps at w = 0
+        from dftr.integrator import substep_count
+
+        text = (BASE_INI.replace("k = 0.001", "k = 1").replace("n = 1", "n = 2")
+                + "[grid]\nnum_nodes = 51\n[time]\nt_final = 50\ndt = 1\nhorizon = 50\n")
+        cfg = load_config(write_ini(tmp_path / "c.ini", text))
+        config, steady, _ = closed_loop(cfg.run())
+        assert substep_count(config, steady.profile.values, 0.0) == 2
+        row, seen = self._run(monkeypatch, cfg)
+        assert seen == list(range(51))
+        assert row[2].hex() == self._full_max(cfg).hex()
 
 
 class TestExitCodes:
@@ -573,6 +657,18 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert f"config error: window_fraction must lie in (0, 1], got {float(raw)}" in err
         assert not (out / "manifest.json").exists()
+
+    @pytest.mark.parametrize("command", ["steady", "simulate", "sweep", "verify"])
+    def test_negative_floor_is_two(self, tmp_path, capsys, command):
+        # before the check, this sweep took log(0) of an underflowed norm and exited 5
+        cfg = write_ini(tmp_path / "c.ini", BASE_INI + "[grid]\nnum_nodes = 21\n"
+                        + "[time]\ndt = 2\nhorizon = 60000\n[analysis]\nfloor = -1\n")
+        out = tmp_path / "out"
+        args = ["--n-list", "10", "--alpha-list", "0"] if command == "sweep" else []
+        assert main([command, "--config", cfg, "--out", str(out), *args]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "config error: floor must be >= 0, got -1.0\n"
+        assert captured.out == "" and not out.exists()
 
     @pytest.mark.parametrize("flag,raw", [("--n-list", "2,2"), ("--alpha-list", "0,0.5,0.0")])
     def test_repeated_sweep_list_value_is_two(self, tmp_path, capsys, flag, raw):
