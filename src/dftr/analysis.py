@@ -11,7 +11,8 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, replace
+import time
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -172,11 +173,13 @@ class SweepCell:
 
 @dataclass(frozen=True)
 class SweepResult:
-    """Decay-rate table over reaction orders and feedback gains."""
+    """Decay-rate table over reaction orders and feedback gains; phases holds the
+    process CPU seconds of the steady solves, the stack and the fits."""
 
     n_values: tuple
     alpha_values: tuple
     cells: dict
+    phases: dict = field(default_factory=dict, compare=False)
 
     def cell(self, n: float, alpha: float) -> SweepCell:
         return self.cells[(n, alpha)]
@@ -272,7 +275,7 @@ def sweep(base_config, n_values, alpha_values, sat_m: float | None = None,
         return SweepCell(n=p.n, alpha=a, estimate=est, error=err,
                          provenance={"hash": settings_hash(settings), **settings, **extra})
 
-    cells, ready = {}, {}
+    cells, ready, started = {}, {}, time.process_time()
     for n in n_values:
         for a in alpha_values:
             cell_sat = sat_m if sat_m is not None else default_saturation_bound(
@@ -285,6 +288,7 @@ def sweep(base_config, n_values, alpha_values, sat_m: float | None = None,
                 cells[(n, a)] = finish(config, extra, (None, err))
             else:
                 ready[(n, a)] = (run, extra)
+    phases = {"steady": time.process_time() - started, "stack": 0.0, "fit": 0.0}
 
     def stack(keys):
         """Step these cells together until each has had a record at or below
@@ -300,8 +304,10 @@ def sweep(base_config, n_values, alpha_values, sat_m: float | None = None,
             reached[:] |= ~(norms[:, j] > floors)
             return reached.all()
 
+        started = time.process_time()
         trajs, err = _isolated(
             lambda: integrator.simulate_stack([ready[key][0] for key in keys], record))
+        phases["stack"] += time.process_time() - started
         if err is not None and len(keys) > 1:
             for key in keys:
                 stack([key])
@@ -313,14 +319,16 @@ def sweep(base_config, n_values, alpha_values, sat_m: float | None = None,
             else:
                 extra["inner_steps"] = trajs[q].inner_steps
                 extra["negativity_events"] = trajs[q].negativity_events
-                times = trajs[q].times
+                times, started = trajs[q].times, time.process_time()
                 outcome = _isolated(lambda: fit_decay_rate(
                     times, norms[q, :times.size], lambda_theoretical(run[0].params),
                     window_fraction, floor))
+                phases["fit"] += time.process_time() - started
             cells[key] = finish(run[0], extra, outcome)
 
     if ready:
         stack(list(ready))
 
     cells = {(n, a): cells[(n, a)] for n in n_values for a in alpha_values}
-    return SweepResult(n_values=n_values, alpha_values=alpha_values, cells=cells)
+    return SweepResult(n_values=n_values, alpha_values=alpha_values, cells=cells,
+                       phases=phases)

@@ -250,9 +250,9 @@ def _field_rows(times, x, states):
 
     A block's records fill one skeleton of (records, nodes, line) bytes and
     its keep mask: t right-aligned in bytes 0..23 and ',' at 24, then 'x,'
-    left-aligned from 25, written once per file, so that 't,x,' is one run;
-    the w row of _g17 from byte 56, filled in place; then '\n'. One boolean
-    compress gives the block's bytes.
+    left-aligned from 25, so that 't,x,' is one run; t and x are formatted
+    once per file; the w row of _g17 from byte 56, filled in place; then
+    '\n'. One boolean compress gives the block's bytes.
     """
     nodes = len(x)
     per_block = max(1, _BLOCK_VALUES // nodes)
@@ -267,16 +267,34 @@ def _field_rows(times, x, states):
     x_text[x_ends], x_keep[x_ends] = ord(","), True
     skeleton[..., 25:50], keep[..., 25:50] = x_text, x_keep
     skeleton64, keep64 = skeleton.view(np.uint64), keep.view(np.uint64)
+    t_text, t_keep = (part.view(np.uint64) for part in _aligned(times, 24, right=True))
     for start in range(0, len(times), per_block):
-        t_text, t_keep = (part.view(np.uint64) for part in
-                          _aligned(times[start:start + per_block], 24, right=True))
-        records = len(t_text)
+        records = min(per_block, len(times) - start)
         for word in range(3):
-            skeleton64[:records, :, word] = t_text[:, word, None]
-            keep64[:records, :, word] = t_keep[:, word, None]
+            skeleton64[:records, :, word] = t_text[start:start + records, word, None]
+            keep64[:records, :, word] = t_keep[start:start + records, word, None]
         fill(states[start:start + records], skeleton64[:records, :, w_words],
              keep64[:records, :, w_words])
         yield skeleton[:records][keep[:records]]
+
+
+def _column_rows(*columns):
+    """Blocks of lines of the columns' values side by side, comma-separated, each
+    field the text of format(v, '.17g'): field j of a row fills words
+    j * (WORDS + 1) onwards of one skeleton row, its ',' or '\n' the word after."""
+    per_block = max(1, _BLOCK_VALUES // len(columns))
+    skeleton = np.zeros((per_block, len(columns), WORDS + 1), np.uint64)
+    keep = np.zeros(skeleton.shape, np.uint64)
+    ends = (..., 8 * WORDS)
+    skeleton.view(np.uint8).reshape(per_block, len(columns), -1)[ends] = np.frombuffer(
+        b"," * (len(columns) - 1) + b"\n", np.uint8)
+    keep.view(np.uint8).reshape(per_block, len(columns), -1)[ends] = True
+    for start in range(0, len(columns[0]), per_block):
+        records = min(per_block, len(columns[0]) - start)
+        for j, values in enumerate(columns):
+            fill(values[start:start + records], skeleton[:records, j, :WORDS],
+                 keep[:records, j, :WORDS])
+        yield skeleton[:records].view(np.uint8)[keep[:records].view(bool)]
 
 
 def cmd_steady(cfg: ResolvedConfig, out_dir, manifest: RunManifest) -> int:
@@ -306,12 +324,11 @@ def cmd_simulate(cfg: ResolvedConfig, out_dir, manifest: RunManifest,
     steadied = time.process_time()
     traj = simulate(*run)
     stepped = time.process_time()
-    times = traj.times.tolist()
-    x = traj.grid.nodes
+    times, x = traj.times, traj.grid.nodes
     write_csv(out_dir / "trajectory.csv", manifest.hash, ("t", "x", "w"),
               _field_rows(times, x, traj.states))
     write_csv(out_dir / "control.csv", manifest.hash, ("t", "u_w"),
-              zip(times, (cfg.alpha * traj.states[:, 0]).tolist()))
+              _column_rows(times, cfg.alpha * traj.states[:, 0]))
 
     # a block of records at a time, so the temporaries stay small; a 2-D reduce
     # keeps each row's bits
@@ -319,12 +336,12 @@ def cmd_simulate(cfg: ResolvedConfig, out_dir, manifest: RunManifest,
     energies = np.concatenate([energy(traj.states[start:start + per_block], weight)
                                for start in range(0, len(times), per_block)])
     write_csv(out_dir / "energy.csv", manifest.hash, ("t", "energy", "norm_rho"),
-              zip(times, energies.tolist(), np.sqrt(2.0 * energies).tolist()))
+              _column_rows(times, energies, np.sqrt(2.0 * energies)))
 
-    snaps = list(dict.fromkeys(int(np.argmin(np.abs(traj.times - t_snap)))
+    snaps = list(dict.fromkeys(int(np.argmin(np.abs(times - t_snap)))
                                for t_snap in snapshots))
     write_csv(out_dir / "profiles.csv", manifest.hash, ("t", "x", "w"),
-              _field_rows([times[j] for j in snaps], x, traj.states[snaps]))
+              _field_rows(times[snaps], x, traj.states[snaps]))
     # process CPU seconds of each phase, in manifest.json outside the hash
     manifest.timings["phases"] = {"steady": steadied - started, "step": stepped - steadied,
                                   "write": time.process_time() - stepped}
@@ -339,6 +356,7 @@ def cmd_sweep(cfg: ResolvedConfig, out_dir, manifest: RunManifest,
     # out-of-domain list values raise ParameterError, a config error
     result = sweep(base, n_list, alpha_list, sat_m=cfg.sat_m, weight=cfg.weight(base.grid),
                    window_fraction=cfg.window_fraction, floor=cfg.floor)
+    swept = time.process_time()
 
     lam_t = lambda_theoretical(base.params)
     table = result.table.tolist()  # NaN marks a failed or floor-limited cell
@@ -362,6 +380,8 @@ def cmd_sweep(cfg: ResolvedConfig, out_dir, manifest: RunManifest,
     with open(out_dir / "sweep_cells.json", "w", newline="\n") as fh:
         json.dump(cells, fh, indent=2)
         fh.write("\n")
+    # process CPU seconds of each phase, in manifest.json outside the hash
+    manifest.timings["phases"] = {**result.phases, "write": time.process_time() - swept}
 
     print("n\\alpha" + "".join(f"{a:>12g}" for a in result.alpha_values))
     for n, lams in zip(result.n_values, table):

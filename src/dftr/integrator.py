@@ -105,18 +105,53 @@ def _reach(params: ReactorParams, c_bar: np.ndarray):
             else (max(float(np.min(c_bar)), 1e-6) / 2.0, 0.0))
 
 
-def _substeps(dt, k, n, c, step_index=0):
-    """Per run, the count m keeping dt / m * L = k*n*c^(n-1) within REACTION_COURANT, n the
-    power order (L = 0 at k = 0); IntegrationError if L overflows or m > MAX_SUBSTEPS."""
+def _ratio(dt, k, n, c):
+    """Per run, (dt * L / REACTION_COURANT, L) with L = k*n*c^(n-1), n the power order."""
     with np.errstate(over="ignore"):
         lip = k * n * c ** (n - 1.0)
-    ratio = dt * lip / REACTION_COURANT
+    return dt * lip / REACTION_COURANT, lip
+
+
+def _substeps(dt, k, n, c, step_index=0):
+    """Per run, the count m keeping dt / m * L within REACTION_COURANT (L = 0 at k = 0);
+    IntegrationError if L overflows or m > MAX_SUBSTEPS."""
+    ratio, lip = _ratio(dt, k, n, c)
     if not np.max(ratio) <= MAX_SUBSTEPS:
         raise IntegrationError(
             f"reaction stiffness estimate {np.max(lip):.3e} is beyond what explicit "
             "substepping can stabilize; reduce dt or the reaction scale",
             step_index=step_index)
     return np.maximum(np.ceil(ratio), 1.0).astype(int)
+
+
+_MARGIN = 1e-9  # relative; see _one_substep_below
+
+
+def _one_substep_below(dt, k, n, c0, cap):
+    """Per run, a max|w| up to which the guard is certain to give m = 1: inf where it
+    gives 1 at every max|w|, and below 0 or -inf where no max|w| is certain.
+
+    The guard's c = c0 + min(max|w|, cap) is c0 at every max|w| for n < 1 (cap = 0),
+    and c^0 = 1 at n = 1, so there the one ratio at t = cap decides. For n > 1 the
+    ratio a*c^(n-1), a = dt*k*n/REACTION_COURANT, grows with c >= c0 > 0; let
+    c_t = ((1 - _MARGIN) / a)^(1/(n-1)) * (1 - _MARGIN), where the exact ratio is
+    (1 - _MARGIN)^n, and t = c_t - c0. Take max|w| <= t. Rounding is monotone, so
+    the guard's c is at most fl(c0 + t). Rounding moves each of the n - 1 factors
+    of c^(n-1) by at most about 2.3e3 ulp (5e-13) relative: the sum, t's difference,
+    the powers' own errors, and the exponents' rounding (1/(n-1) in c_t, n - 1 in
+    the guard) times |log c| <= 745. It moves the ratio as a whole by a few ulp
+    more: the products with dt, k, n and 1/REACTION_COURANT, and the rounding of
+    (1 - _MARGIN)/a, raised to 1/(n-1) in c_t and back to n - 1 in the guard. One
+    (1 - _MARGIN) per factor and one on the ratio cover both at any n, so the
+    guard's ratio is at most 1 and m = 1. Last, t stands only if the guard's ratio
+    at c0 + t, as it computes it, is at most 1: that catches an overflow of c^(n-1)
+    or of k*n*c^(n-1), which the guard reads as too stiff.
+    """
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        c_t = ((1.0 - _MARGIN) * REACTION_COURANT / (dt * k * n)) ** (1.0 / (n - 1.0))
+        t = np.where(n > 1.0, np.minimum(c_t * (1.0 - _MARGIN) - c0, cap), cap)
+        certain = _ratio(dt, k, n, c0 + t)[0] <= 1.0
+    return np.where(certain, np.where(t < cap, t, np.inf), -np.inf)
 
 
 def substep_count(config: SimulationConfig, c_bar: np.ndarray, w_max: float) -> int:
@@ -166,14 +201,16 @@ def simulate_stack(runs, record) -> list:
     runs are simulate's (config, steady, w0) on a shared grid, dt, t_final
     and record_every; their Crank-Nicolson matrices sit, in run order, on
     the diagonal of a tridiagonal with zero couplings. Before each outer
-    step the guard gives each run a substep count m from its max|w| (not
-    read again if it gives 1 for all runs at max|w| = sat_m). If every run
-    needs m = 1 now and did before, the step is one in-place solve of the
-    stack; else each run takes m substeps of dt / m on its slice, through
-    parts built once (up to each run's first m before record 0), so no
-    substep allocates. dgttrf never pivots across a zero coupling, so each
-    run gets its solo bits. The reaction enters as 1.5*r(w_k) - 0.5*r(w_{k-1}),
-    or as r(w_k) at a run's first substep and its first after m changes.
+    step the guard gives each run a substep count m from its max|w|. It runs
+    in full only while some run's max|w| is above that run's threshold
+    (_one_substep_below), under which m = 1 for certain, and is not read at
+    all if every threshold is at or above its run's cap. If every run needs
+    m = 1 now and did before, the step is one in-place solve of the stack;
+    else each run takes m substeps of dt / m on its slice, through parts
+    built once (up to each run's first m before record 0), so no substep
+    allocates. dgttrf never pivots across a zero coupling, so each run gets
+    its solo bits. The reaction enters as 1.5*r(w_k) - 0.5*r(w_{k-1}), or as
+    r(w_k) at a run's first substep and its first after m changes.
 
     record(j, w) gets record j (at config.record_times[j]) as a view of the
     live state, w[q] that of runs[q]; it must neither modify nor keep w. A
@@ -205,13 +242,20 @@ def simulate_stack(runs, record) -> list:
     # work buffers seen through each part's views: r, h r*, b, 0.5 r of the last substep
     rate, r_star, rhs, half_prev = np.empty((4, w.size))
     below, c, parts = np.empty(w.size, dtype=bool), np.empty(len(runs)), {}
+    thresholds, ones = _one_substep_below(dt, k_run, n_run, c0, cap), np.ones(len(runs), int)
+    quiet = bool(np.all(thresholds >= cap))  # m = 1 at every max|w|: the guard is never read
+    cool = np.empty(len(runs), dtype=bool)
 
-    def substeps(i):  # each run's count m from its state at step i
+    def substeps(i):
+        """Each run's count m from its state at step i, and whether every m is 1."""
         np.abs(w, out=rate)
-        np.max(rate.reshape(-1, nodes), axis=1, out=c)
+        np.maximum.reduce(rate.reshape(-1, nodes), axis=1, out=c)
+        if np.less_equal(c, thresholds, out=cool).all():  # a NaN max|w| runs the guard
+            return ones, True
         np.minimum(c, cap, out=c)
         np.add(c, c0, out=c)
-        return _substeps(dt, k_run, n_run, c, i)
+        m = _substeps(dt, k_run, n_run, c, i)
+        return m, max(m.tolist()) == 1
 
     def part(q0, q1, m):
         """Runs q0..q1-1 at dt / m: views, powers, plus diagonals, in-place solve."""
@@ -260,34 +304,35 @@ def simulate_stack(runs, record) -> list:
         solve(b)
         w_a[:] = b
         np.add(w_a, cb, out=r)
+        # clean: no C below NEGATIVITY_TOL and none non-finite (a NaN fails both)
+        if np.minimum.reduce(r) >= NEGATIVITY_TOL and np.maximum.reduce(r) < np.inf:
+            return False
         if np.count_nonzero(np.less(r, NEGATIVITY_TOL, out=neg)):
             negativity[rows] += neg.reshape(-1, nodes).sum(axis=1)
+        return True
 
-    m = substeps(0)
-    try:
-        quiet = max(_substeps(dt, k_run, n_run, c0 + cap).tolist()) == 1
-    except IntegrationError:
-        quiet = False
+    m, single = substeps(0)
     whole = part(0, len(runs), 1)
     for q in () if quiet else range(len(runs)):
         for m_q in range(1, m[q] + 1):
             part(q, q + 1, m_q)
-    m_prev, inner = np.zeros_like(m), np.zeros_like(m)
+    m_prev, single_prev, inner = np.zeros_like(m), True, np.zeros_like(m)  # m_prev 0 at step 1
     negativity = (w + c_bar < NEGATIVITY_TOL).reshape(-1, nodes).sum(axis=1)
     rows = w.reshape(-1, nodes)
     stop = 0 if record(0, rows) else n_outer
     for i in range(1, stop + 1):
         if not quiet:
             if i > 1:
-                m_prev, m = m, substeps(i - 1)
+                (m_prev, single_prev), (m, single) = (m, single), substeps(i - 1)
             inner += m
-        if quiet or (m.max() == 1 and m_prev.max() <= 1):  # m_prev 0 at step 1
-            advance(whole, i == 1)
+        if quiet or (single and single_prev):
+            unclean = advance(whole, i == 1)
         else:
+            unclean = False
             for q, m_q in enumerate(m.tolist()):
                 for s in range(m_q):
-                    advance(part(q, q + 1, m_q), s == 0 and m_q != m_prev[q])
-        if np.count_nonzero(np.isfinite(w, out=below)) < w.size:
+                    unclean |= advance(part(q, q + 1, m_q), s == 0 and m_q != m_prev[q])
+        if unclean and np.count_nonzero(np.isfinite(w, out=below)) < w.size:
             raise IntegrationError(f"non-finite state at step {i}", step_index=i)
         if (i % every == 0 or i == n_outer) and record(-(-i // every), rows):
             stop = i

@@ -14,8 +14,8 @@ import pytest
 import dftr
 from dftr import Profile, default_weight, energy, lambda_theoretical, simulate
 from dftr.analysis import settings_hash
-from dftr.cli import (_VERIFY_ROWS, _field_rows, _fmt, _verify_checks, _verify_row,
-                      load_config, main, write_csv)
+from dftr.cli import (_VERIFY_ROWS, _column_rows, _field_rows, _fmt, _verify_checks,
+                      _verify_row, load_config, main, write_csv)
 from dftr.errors import ConfigError
 from dftr.integrator import closed_loop
 
@@ -344,6 +344,29 @@ class TestSweepCommand:
             assert (cell["inner_steps"], cell["negativity_events"]) == (
                 alone.inner_steps, alone.negativity_events)
             assert cell["inner_steps"] < traj.inner_steps
+
+    def test_phase_cpu_times_stay_out_of_the_hash(self, tmp_path):
+        # steady, stack, fit and write CPU seconds land in manifest.json; reruns
+        # keep the hash and every output byte although their timings differ
+        cfg = write_ini(tmp_path / "c.ini", self.CFG)
+        docs, outputs = [], []
+        for name in ("a", "b"):
+            out = tmp_path / name
+            assert main(["sweep", "--config", cfg, "--out", str(out),
+                         "--n-list", "1,10", "--alpha-list", "0,0.5"]) == 0
+            docs.append(json.loads((out / "manifest.json").read_text()))
+            outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())
+                            if p.name != "manifest.json"})
+        assert list(outputs[0]) == ["sweep.csv", "sweep_cells.json"]
+        assert outputs[0] == outputs[1]
+        assert docs[0]["hash"] == docs[1]["hash"] == settings_hash(
+            {"command": "sweep", "version": dftr.__version__,
+             "settings": docs[0]["settings"]})
+        for doc in docs:
+            assert sorted(doc["timings"]) == ["phases", "total_s"]
+            phases = doc["timings"]["phases"]
+            assert sorted(phases) == ["fit", "stack", "steady", "write"]
+            assert all(seconds >= 0.0 for seconds in phases.values())
 
     def test_invalid_list_arguments(self, tmp_path, capsys):
         cfg = write_ini(tmp_path / "c.ini", self.CFG)
@@ -778,6 +801,23 @@ class TestWriter:
             f"{format(t, '.17g')},{format(xv, '.17g')},{format(wv, '.17g')}\n"
             for t, w in zip(times, states.tolist()) for xv, wv in zip(x.tolist(), w))
         header = "# manifest_hash=0123456789abcdef\nt,x,w\n"
+        assert path.read_bytes() == (header + expected).encode()
+
+
+    def test_column_rows_match_reference_formatting(self, tmp_path):
+        # 3,000 rows of three columns: three blocks, the last one short; every
+        # column holds the edges in its first ten rows
+        edges = [-0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+                 0.1, 1 / 3, 1e16, 123456789012345678.0, 0.0, -1e-5]
+        bits = np.random.default_rng(11).integers(0, 2**64, 9_200, dtype=np.uint64)
+        finite = bits.view(np.float64)[np.isfinite(bits.view(np.float64))][:9_000 - 30]
+        columns = np.concatenate([edges * 3, finite]).reshape(3_000, 3).T
+        path = tmp_path / "columns.csv"
+        write_csv(path, "0123456789abcdef", ("a", "b", "c"), _column_rows(*columns))
+
+        expected = "".join(",".join(format(v, ".17g") for v in row) + "\n"
+                           for row in columns.T.tolist())
+        header = "# manifest_hash=0123456789abcdef\na,b,c\n"
         assert path.read_bytes() == (header + expected).encode()
 
 

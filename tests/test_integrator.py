@@ -378,6 +378,148 @@ class TestFusedSubstep:
         assert max(transient) < g.num_nodes * 8
 
 
+def _guard_calls(monkeypatch):
+    """A list that grows by one at each call of the full substep guard."""
+    import dftr.integrator
+
+    guard, calls = dftr.integrator._substeps, []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return guard(*args, **kwargs)
+
+    monkeypatch.setattr(dftr.integrator, "_substeps", counted)
+    return calls
+
+
+class TestSubstepThreshold:
+    """simulate_stack reads the full guard only above each run's threshold."""
+
+    @pytest.mark.parametrize("orders", [(0.5, 1.0, 2.0, 10.0), (0.5, 1.0, 2.0)])
+    def test_full_guard_at_every_step_changes_no_bit(self, monkeypatch, orders):
+        # n = 10 at the default sat_m substeps (and is above its threshold at
+        # first) beside n <= 2, which never substep; the last run, from
+        # w0 = -2 c_bar, has negativity events. With every threshold forced
+        # below every max|w|, the guard runs in full at every step, as it did
+        # before the thresholds; states, inner steps and events stay the same
+        import dftr.integrator
+        from dftr.integrator import simulate_stack
+
+        runs = []
+        for n in orders:
+            for alpha in (0.0, 0.5):
+                p, law, g, steady, cfg = _setup(n=n, alpha=alpha, t_final=40.0, dt=1.0,
+                                                record_every=7, num_nodes=51)
+                runs.append((cfg, steady, initial_profile(g, p, law)))
+        p, law, g, steady, cfg = _setup(n=2.0, t_final=40.0, dt=1.0, record_every=7,
+                                        num_nodes=51)
+        runs.append((cfg, steady, Profile(g, -2.0 * steady.profile.values)))
+
+        def stack():
+            seen = []
+            trajs = simulate_stack(runs, lambda j, w: seen.append(w.copy()))
+            return np.array(seen), [(t.inner_steps, t.negativity_events) for t in trajs]
+
+        calls = _guard_calls(monkeypatch)
+        seen, counts = stack()
+        read = len(calls)
+        monkeypatch.setattr(dftr.integrator, "_one_substep_below",
+                            lambda dt, k, n, c0, cap: np.full(len(runs), -np.inf))
+        forced_seen, forced_counts = stack()
+        assert len(calls) - read == cfg.num_steps  # steps 0..39, every one in full
+        if 10.0 in orders:
+            assert 0 < read < cfg.num_steps
+        else:  # every threshold is inf: the guard is never read
+            assert read == 0
+        assert np.array_equal(seen, forced_seen)
+        assert counts == forced_counts
+        assert counts[-1][1] > 0
+        for q, run in enumerate(runs):
+            states, events, inner = _reference_run(*run)
+            assert np.array_equal(seen[:, q], states)
+            assert counts[q] == (inner, events)
+
+    def test_max_w_at_the_threshold_takes_one_substep(self, monkeypatch):
+        # one step of n = 10 from w0 capped at the threshold t (0.56; max|w0| is
+        # 0.75): at t the guard is not read, one ulp above t it is
+        from dftr.integrator import _one_substep_below, _reach, simulate_stack, substep_count
+
+        p, law, g, steady, cfg = _setup(n=10.0, t_final=1.0, dt=1.0, num_nodes=51)
+        c_bar = steady.profile.values
+        c0, cap = _reach(p, c_bar)
+        (t,) = _one_substep_below(cfg.dt, np.array([p.k]), np.array([p.n]),
+                                  np.array([c0]), np.array([cap]))
+        assert 0.0 < t < cap
+        w0 = initial_profile(g, p, law).values
+        calls = _guard_calls(monkeypatch)
+        for w_max, guard_runs in ((t, False), (np.nextafter(t, np.inf), True)):
+            calls.clear()
+            run = (cfg, steady, Profile(g, np.minimum(w0, w_max)))
+            assert np.max(run[2].values) == w_max
+            (traj,) = simulate_stack([run], lambda j, w: None)
+            assert bool(calls) == guard_runs
+            assert traj.inner_steps == 1 == substep_count(cfg, c_bar, w_max)
+        # the threshold is tight: 1e-6 above it the guard gives two substeps
+        assert substep_count(cfg, c_bar, t + 1e-6 * (t + np.max(c_bar))) == 2
+
+    def test_threshold_holds_at_its_edge_for_any_order(self):
+        # random orders and rates put the guard's ratio at 1 at c_t = c0 * (1..3);
+        # at the threshold the guard gives m = 1, and 1e-6 above it m = 2
+        from dftr.integrator import REACTION_COURANT, _one_substep_below, _substeps
+
+        rng = np.random.default_rng(3)
+        n = np.concatenate([rng.uniform(1.01, 12.0, 4000), np.arange(2.0, 13.0)])
+        c0 = rng.uniform(0.05, 2.0, n.size)
+        c_t = c0 * rng.uniform(1.01, 3.0, n.size)
+        dt = 10.0 ** rng.uniform(-2.0, 1.0, n.size)
+        k = REACTION_COURANT / (dt * n * c_t ** (n - 1.0))
+        cap = np.full(n.size, 100.0)
+        t = _one_substep_below(dt, k, n, c0, cap)
+        assert np.all((0.0 < t) & (t < cap))
+        assert np.all(_substeps(dt, k, n, c0 + t) == 1)
+        assert np.all(_substeps(dt, k, n, (c0 + t) * (1.0 + 1e-6)) == 2)
+
+    @pytest.mark.parametrize("n", [0.5, 1.0])
+    @pytest.mark.parametrize("dt,expected", [(1.0, np.inf), (1000.0, -np.inf)])
+    def test_order_up_to_one_has_one_guard_value(self, n, dt, expected):
+        # n < 1 reads the guard at c0 alone (cap 0) and n = 1 at c^0 = 1: the
+        # threshold is inf where that value gives m = 1, else -inf
+        from dftr.integrator import _one_substep_below, _reach, _substeps
+
+        p = make_params(n=n, t_final=1000.0)
+        g = SpatialGrid(l=1.0, num_nodes=51)
+        c0, cap = _reach(p, steady_state_numeric(p, 1.0, g).profile.values)
+        args = (dt, np.array([p.k]), np.array([n]))
+        assert (_substeps(*args, np.array([c0 + cap])) == 1)[0] == (expected == np.inf)
+        assert _one_substep_below(*args, np.array([c0]), np.array([cap]))[0] == expected
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("orders", [(2.0,), (2.0, 10.0)])
+    def test_non_finite_state_raises_at_the_next_step(self, bad, orders):
+        # a value written into the live state at record 3 (step 3): the step
+        # after it fails the clean check and raises there. With n = 10 in the
+        # stack a NaN max|w| reaches the guard first, which raises at step 3
+        from dftr.integrator import simulate_stack
+
+        runs = []
+        for n in orders:
+            p, law, g, steady, cfg = _setup(n=n, t_final=10.0, dt=1.0, num_nodes=51)
+            runs.append((cfg, steady, initial_profile(g, p, law)))
+
+        def record(j, w):
+            if j == 3:
+                w[0, 20] = bad
+
+        with np.errstate(invalid="ignore", over="ignore"):
+            with pytest.raises(IntegrationError) as exc:
+                simulate_stack(runs, record)
+        if np.isnan(bad) and len(orders) > 1:
+            assert str(exc.value).startswith("reaction stiffness estimate nan")
+            assert exc.value.step_index == 3
+        else:
+            assert (str(exc.value), exc.value.step_index) == ("non-finite state at step 4", 4)
+
+
 class TestSubstepping:
     def test_stiff_rate_triggers_substeps(self):
         # n=10 with dt=1: the Lipschitz estimate forces the reaction onto

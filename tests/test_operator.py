@@ -335,6 +335,58 @@ class TestDuhamelOracle:
             duhamel_oracle(gen, w0, steady, params, t_final=1.0, num_steps=0)
 
 
+def _reference_picard(gen, w0, steady, params, t_final, num_steps):
+    """duhamel_oracle's Picard iteration with each sweep's difference taken row by
+    row, max(l2(new[j] - states[j])): the profile and every sweep's difference."""
+    from dftr.model import reaction
+
+    rate = reaction(steady.profile.values, params)
+    dt = t_final / num_steps
+    e_dt = operator._expm(gen.dense() * dt)
+    weights = gen.grid.quad_weights
+
+    def l2(vec):
+        return np.sqrt(np.sum(weights * vec * vec))
+
+    states = np.zeros((num_steps + 1, gen.grid.num_nodes))
+    states[0] = w0.values
+    for j in range(num_steps):
+        states[j + 1] = e_dt @ states[j]
+    diffs = []
+    for _ in range(operator.PICARD_MAX_ITER):
+        rates = rate(states)
+        new = np.empty_like(states)
+        new[0] = w0.values
+        for j in range(num_steps):
+            new[j + 1] = e_dt @ (new[j] + 0.5 * dt * rates[j]) + 0.5 * dt * rates[j + 1]
+        diffs.append(max(l2(new[j] - states[j]) for j in range(num_steps + 1)))
+        states = new
+        if diffs[-1] <= operator.PICARD_TOL:
+            return states[-1], diffs
+    raise AssertionError("the reference did not contract")
+
+
+class TestPicardDifference:
+    @pytest.mark.parametrize("n,k,alpha", [(2.0, 0.001, 0.25), (10.0, 0.01, 0.0)])
+    def test_sweeps_and_profile_match_the_row_by_row_difference(self, monkeypatch,
+                                                                n, k, alpha):
+        # verify's setting: 51 nodes, 500 steps to 50 s. The oracle stops after
+        # the same sweep with the same profile, and one sweep short it reports
+        # the same difference
+        p = make_params(n=n, k=k, t_final=50.0, alpha_for_sat=alpha)
+        g = SpatialGrid(l=1.0, num_nodes=51)
+        gen = build_generator(g, p, alpha)
+        steady = steady_state_numeric(p, 1.0, g)
+        w0 = _quadratic_profile(g, p, alpha)
+        profile, diffs = _reference_picard(gen, w0, steady, p, 50.0, 500)
+        assert len(diffs) >= 3
+        assert np.array_equal(duhamel_oracle(gen, w0, steady, p, 50.0, 500).values, profile)
+        monkeypatch.setattr(operator, "PICARD_MAX_ITER", len(diffs) - 1)
+        with pytest.raises(SolverError) as exc:
+            duhamel_oracle(gen, w0, steady, p, 50.0, 500)
+        assert exc.value.residual == diffs[-2]
+
+
 class TestExpm:
     @pytest.mark.parametrize("dt", [0.01, 0.1, 10.0])
     @pytest.mark.parametrize("peclet", [0.5, 4.0, 100.0])
