@@ -498,8 +498,7 @@ def _verify_checks(cfg: ResolvedConfig, seed: int, cpu_s: dict):
         return _rel_l2(config.grid, simulate(config, steady, w0).states[-1], oracle.values)
 
     def check_equilibrium():
-        # max|w| over every step from w = 0; it may stop early, so it goes through
-        # simulate_stack, which honours its consumer's return
+        # max|w| over every step from w = 0, which may stop early
         run = closed_loop(replace(transient, record_every=1),
                           Profile(grid, np.zeros(grid.num_nodes)))
         single = substep_count(run[0], run[1].profile.values, 0.0) == 1
@@ -522,17 +521,18 @@ def _verify_checks(cfg: ResolvedConfig, seed: int, cpu_s: dict):
         return max_w
 
     def check_envelope():
-        config, steady, w0 = closed_loop(decay)
+        run = closed_loop(decay)
+        config = run[0]
         weight = default_weight(config.grid, config.params)
         energies = np.empty(config.num_records)
 
-        def record(j, t, w):
-            energies[j] = energy(w, weight)
+        def record(j, w):
+            energies[j] = energy(w[0], weight)
 
-        traj = simulate(config, steady, w0, record)
+        simulate_stack([run], record)
         norms = np.sqrt(2.0 * energies)
         lam_t = lambda_theoretical(params)
-        ratios = norms / (norms[0] * np.exp(-lam_t * traj.times))
+        ratios = norms / (norms[0] * np.exp(-lam_t * config.record_times))
         # the t = 0 ratio is 1 by construction; it counts only when alone
         return float(np.max(ratios[1:] if ratios.size > 1 else ratios))
 
@@ -625,7 +625,10 @@ def main(argv=None) -> int:
             extra["seed"] = args.seed
 
         out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"--out {out_dir} is not a usable directory: {exc}") from exc
         # tuples serialize as JSON lists, so the hash and manifest.json see lists
         manifest = RunManifest(config_path=str(args.config), command=args.command,
                                out_dir=str(out_dir), resolved={**asdict(cfg), **extra},

@@ -75,7 +75,8 @@ class SimulationConfig:
 @dataclass(frozen=True)
 class Trajectory:
     """Recorded closed-loop trajectory: states[j] is w(., times[j]) at the nodes (no rows
-    for a run given a record consumer); inner_steps counts its substeps over all steps."""
+    from simulate_stack, which hands each record to its consumer); inner_steps counts its
+    substeps over all steps."""
 
     params: ReactorParams
     grid: SpatialGrid
@@ -105,11 +106,12 @@ def _reach(params: ReactorParams, c_bar: np.ndarray):
             else (max(float(np.min(c_bar)), 1e-6) / 2.0, 0.0))
 
 
-def _ratio(dt, k, n, c):
-    """Per run, (dt * L / REACTION_COURANT, L) with L = k*n*c^(n-1), n the power order."""
+def _ratio(dt, k, n, c, out=None):
+    """Per run, (dt * L / REACTION_COURANT, L) with L = k*n*c^(n-1), n the power order.
+    Given out, both are computed in it, so only the ratio is left."""
     with np.errstate(over="ignore"):
-        lip = k * n * c ** (n - 1.0)
-    return dt * lip / REACTION_COURANT, lip
+        lip = np.multiply(k * n, np.power(c, n - 1.0, out=out), out=out)
+    return np.divide(np.multiply(dt, lip, out=out), REACTION_COURANT, out=out), lip
 
 
 def _substeps(dt, k, n, c, step_index=0):
@@ -122,36 +124,6 @@ def _substeps(dt, k, n, c, step_index=0):
             "substepping can stabilize; reduce dt or the reaction scale",
             step_index=step_index)
     return np.maximum(np.ceil(ratio), 1.0).astype(int)
-
-
-_MARGIN = 1e-9  # relative; see _one_substep_below
-
-
-def _one_substep_below(dt, k, n, c0, cap):
-    """Per run, a max|w| up to which the guard is certain to give m = 1: inf where it
-    gives 1 at every max|w|, and below 0 or -inf where no max|w| is certain.
-
-    The guard's c = c0 + min(max|w|, cap) is c0 at every max|w| for n < 1 (cap = 0),
-    and c^0 = 1 at n = 1, so there the one ratio at t = cap decides. For n > 1 the
-    ratio a*c^(n-1), a = dt*k*n/REACTION_COURANT, grows with c >= c0 > 0; let
-    c_t = ((1 - _MARGIN) / a)^(1/(n-1)) * (1 - _MARGIN), where the exact ratio is
-    (1 - _MARGIN)^n, and t = c_t - c0. Take max|w| <= t. Rounding is monotone, so
-    the guard's c is at most fl(c0 + t). Rounding moves each of the n - 1 factors
-    of c^(n-1) by at most about 2.3e3 ulp (5e-13) relative: the sum, t's difference,
-    the powers' own errors, and the exponents' rounding (1/(n-1) in c_t, n - 1 in
-    the guard) times |log c| <= 745. It moves the ratio as a whole by a few ulp
-    more: the products with dt, k, n and 1/REACTION_COURANT, and the rounding of
-    (1 - _MARGIN)/a, raised to 1/(n-1) in c_t and back to n - 1 in the guard. One
-    (1 - _MARGIN) per factor and one on the ratio cover both at any n, so the
-    guard's ratio is at most 1 and m = 1. Last, t stands only if the guard's ratio
-    at c0 + t, as it computes it, is at most 1: that catches an overflow of c^(n-1)
-    or of k*n*c^(n-1), which the guard reads as too stiff.
-    """
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        c_t = ((1.0 - _MARGIN) * REACTION_COURANT / (dt * k * n)) ** (1.0 / (n - 1.0))
-        t = np.where(n > 1.0, np.minimum(c_t * (1.0 - _MARGIN) - c0, cap), cap)
-        certain = _ratio(dt, k, n, c0 + t)[0] <= 1.0
-    return np.where(certain, np.where(t < cap, t, np.inf), -np.inf)
 
 
 def substep_count(config: SimulationConfig, c_bar: np.ndarray, w_max: float) -> int:
@@ -169,29 +141,16 @@ def step(state: Profile, steady: SteadyStateSolution, config: SimulationConfig) 
 
 
 def simulate(config: SimulationConfig, steady: SteadyStateSolution,
-             w0: Profile, record=None) -> Trajectory:
-    """Integrate the closed loop over [0, t_final], recording every
-    record_every steps (the initial state and final time are always kept).
+             w0: Profile) -> Trajectory:
+    """Integrate the closed loop over [0, t_final], storing every record_every-th
+    state in states (the initial state and final time are always kept). A caller
+    that needs only a number per record steps simulate_stack([run], record)."""
+    states = np.empty((config.num_records, config.grid.num_nodes))
 
-    Each record j at time t goes to record(j, t, w), which must neither
-    modify w nor keep it past the call (w is the live state). By default
-    it is stored in states[j]; a caller that needs only a number per
-    record passes its own record and no states are kept. What record
-    returns is ignored: the run always reaches t_final.
-    """
-    if record is None:
-        states = np.empty((config.num_records, config.grid.num_nodes))
+    def record(j, w):
+        states[j] = w[0]
 
-        def record(j, t, w):
-            states[j] = w
-    else:
-        states = np.empty((0, config.grid.num_nodes))
-    times = config.record_times.tolist()
-
-    def each(j, w):
-        record(j, times[j], w[0])
-
-    (traj,) = simulate_stack([(config, steady, w0)], each)
+    (traj,) = simulate_stack([(config, steady, w0)], record)
     return replace(traj, states=states)
 
 
@@ -201,16 +160,19 @@ def simulate_stack(runs, record) -> list:
     runs are simulate's (config, steady, w0) on a shared grid, dt, t_final
     and record_every; their Crank-Nicolson matrices sit, in run order, on
     the diagonal of a tridiagonal with zero couplings. Before each outer
-    step the guard gives each run a substep count m from its max|w|. It runs
-    in full only while some run's max|w| is above that run's threshold
-    (_one_substep_below), under which m = 1 for certain, and is not read at
-    all if every threshold is at or above its run's cap. If every run needs
-    m = 1 now and did before, the step is one in-place solve of the stack;
-    else each run takes m substeps of dt / m on its slice, through parts
-    built once (up to each run's first m before record 0), so no substep
-    allocates. dgttrf never pivots across a zero coupling, so each run gets
-    its solo bits. The reaction enters as 1.5*r(w_k) - 0.5*r(w_{k-1}), or as
-    r(w_k) at a run's first substep and its first after m changes.
+    step the guard gives each run a substep count m from its max|w|: each
+    run's _ratio is computed in place, and only if some ratio is above 1 (or
+    NaN) does _substeps give the m, so m is the guard's own value at every
+    step. A stack is quiet, and reads the ratio only before its first step,
+    when every run's ratio at c0 + cap, the most it can see, is at most 1/2:
+    for n > 1 the ratio grows with c, for n <= 1 it is the same at every c,
+    and the factor 2 covers any rounding. If every run needs m = 1 now and
+    did before, the step is one in-place solve of the stack; else each run
+    takes m substeps of dt / m on its slice, through parts built once (up to
+    each run's first m before record 0), so no substep allocates. dgttrf
+    never pivots across a zero coupling, so each run gets its solo bits. The
+    reaction enters as 1.5*r(w_k) - 0.5*r(w_{k-1}), or as r(w_k) at a run's
+    first substep and its first after m changes.
 
     record(j, w) gets record j (at config.record_times[j]) as a view of the
     live state, w[q] that of runs[q]; it must neither modify nor keep w. A
@@ -242,20 +204,18 @@ def simulate_stack(runs, record) -> list:
     # work buffers seen through each part's views: r, h r*, b, 0.5 r of the last substep
     rate, r_star, rhs, half_prev = np.empty((4, w.size))
     below, c, parts = np.empty(w.size, dtype=bool), np.empty(len(runs)), {}
-    thresholds, ones = _one_substep_below(dt, k_run, n_run, c0, cap), np.ones(len(runs), int)
-    quiet = bool(np.all(thresholds >= cap))  # m = 1 at every max|w|: the guard is never read
-    cool = np.empty(len(runs), dtype=bool)
+    guard, ones = np.empty(len(runs)), np.ones(len(runs), int)
+    quiet = bool(np.all(_ratio(dt, k_run, n_run, c0 + cap)[0] <= 0.5))
 
     def substeps(i):
         """Each run's count m from its state at step i, and whether every m is 1."""
         np.abs(w, out=rate)
         np.maximum.reduce(rate.reshape(-1, nodes), axis=1, out=c)
-        if np.less_equal(c, thresholds, out=cool).all():  # a NaN max|w| runs the guard
-            return ones, True
         np.minimum(c, cap, out=c)
         np.add(c, c0, out=c)
-        m = _substeps(dt, k_run, n_run, c, i)
-        return m, max(m.tolist()) == 1
+        if np.maximum.reduce(_ratio(dt, k_run, n_run, c, guard)[0]) <= 1.0:  # NaN fails
+            return ones, True
+        return _substeps(dt, k_run, n_run, c, i), False  # some m >= 2
 
     def part(q0, q1, m):
         """Runs q0..q1-1 at dt / m: views, powers, plus diagonals, in-place solve."""

@@ -17,7 +17,7 @@ from dftr.analysis import settings_hash
 from dftr.cli import (_VERIFY_ROWS, _column_rows, _field_rows, _fmt, _verify_checks,
                       _verify_row, load_config, main, write_csv)
 from dftr.errors import ConfigError
-from dftr.integrator import closed_loop
+from dftr.integrator import closed_loop, simulate_stack
 
 HASH_LINE = re.compile(r"^# manifest_hash=[0-9a-f]{16}$")
 REPO = Path(__file__).resolve().parents[1]
@@ -340,7 +340,7 @@ class TestSweepCommand:
         assert 0 < stop < resolved.horizon  # the stack stopped early
         for cell, (config, steady, w0), traj in zip(cells, runs, full):
             cut = replace(config, params=replace(config.params, t_final=float(stop)))
-            alone = simulate(cut, steady, w0, lambda j, t, w: None)
+            (alone,) = simulate_stack([(cut, steady, w0)], lambda j, w: None)
             assert (cell["inner_steps"], cell["negativity_events"]) == (
                 alone.inner_steps, alone.negativity_events)
             assert cell["inner_steps"] < traj.inner_steps
@@ -565,7 +565,8 @@ class TestEquilibriumStop:
 
     @staticmethod
     def _run(monkeypatch, cfg):
-        """The equilibrium row and the record indices its stack was given."""
+        """The equilibrium row and the record indices its stack was given: the checks
+        stop at that row, before the envelope check steps its own stack."""
         stack, seen = dftr.cli.simulate_stack, []
 
         def counted(runs, record):
@@ -575,8 +576,9 @@ class TestEquilibriumStop:
             return stack(runs, each)
 
         monkeypatch.setattr(dftr.cli, "simulate_stack", counted)
-        rows = {row[0]: row for row in _verify_checks(cfg, 0, {})}
-        return rows["equilibrium"], seen
+        for row in _verify_checks(cfg, 0, {}):
+            if row[0] == "equilibrium":
+                return row, seen
 
     @staticmethod
     def _full_max(cfg):
@@ -657,9 +659,10 @@ class TestExitCodes:
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 4
         assert "integration failure" in capsys.readouterr().err
 
-    def test_order_beyond_the_substep_guard_is_four_or_five(self, tmp_path, capsys):
+    def test_order_beyond_the_substep_guard_is_four_or_five(self, tmp_path, capsys,
+                                                            recwarn):
         # at n = 2000 the guard's power overflows; simulate refuses the run
-        # and the sweep records the failed cell
+        # and the sweep records the failed cell, and neither warns on the way
         text = (BASE_INI.replace("n = 1", "n = 2000") + SMALL_GRID
                 + "[time]\nt_final = 1\ndt = 1\nhorizon = 400\n")
         cfg = write_ini(tmp_path / "c.ini", text)
@@ -668,6 +671,19 @@ class TestExitCodes:
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "sw"),
                      "--n-list", "2000", "--alpha-list", "0"]) == 5
         assert "stiffness estimate inf" in capsys.readouterr().err
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+    @pytest.mark.parametrize("shape", ["file", "under_a_file"])
+    def test_out_that_cannot_be_a_directory_is_two(self, tmp_path, capsys, shape):
+        # --out naming an existing file, or a path below one, is a config error
+        # that names the path, not an OSError traceback
+        cfg = write_ini(tmp_path / "c.ini", BASE_INI + SMALL_GRID)
+        (tmp_path / "taken").write_text("not a directory\n")
+        out = tmp_path / "taken" if shape == "file" else tmp_path / "taken" / "x"
+        assert main(["steady", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: --out {out} is not a usable directory")
+        assert (tmp_path / "taken").read_text() == "not a directory\n"
 
     @pytest.mark.parametrize("command", ["simulate", "sweep"])
     @pytest.mark.parametrize("raw", ["0", "-0.5", "1.5"])

@@ -134,18 +134,19 @@ class TestSimulate:
     @pytest.mark.parametrize("n,record_every", [(2.0, 7), (2.0, 8), (10.0, 7)])
     def test_record_consumer_sees_the_stored_records(self, n, record_every):
         # 40 steps: 7 leaves a short last record interval, 8 divides them;
-        # n=10 at dt=1 substeps. The consumer returns True, which simulate
-        # ignores: it steps to t_final
+        # n=10 at dt=1 substeps. A stack of one handed a consumer sees the
+        # records simulate stores, and keeps no states itself
+        from dftr.integrator import simulate_stack
+
         p, law, g, steady, cfg = _setup(n=n, t_final=40.0, dt=1.0,
                                         record_every=record_every, num_nodes=51)
         w0 = initial_profile(g, p, law)
         stored = simulate(cfg, steady, w0)
         seen = []
-        streamed = simulate(cfg, steady, w0,
-                            lambda j, t, w: seen.append((j, t, w.copy())) or True)
-        assert [j for j, _, _ in seen] == list(range(cfg.num_records))
-        assert np.array([t for _, t, _ in seen]).tobytes() == stored.times.tobytes()
-        assert np.array([w for _, _, w in seen]).tobytes() == stored.states.tobytes()
+        (streamed,) = simulate_stack([(cfg, steady, w0)],
+                                     lambda j, w: seen.append((j, w[0].copy())))
+        assert [j for j, _ in seen] == list(range(cfg.num_records))
+        assert np.array([w for _, w in seen]).tobytes() == stored.states.tobytes()
         assert streamed.states.shape == (0, g.num_nodes)
         assert streamed.times.tobytes() == stored.times.tobytes()
         assert (streamed.inner_steps, streamed.negativity_events) == (
@@ -393,16 +394,16 @@ def _guard_calls(monkeypatch):
 
 
 class TestSubstepThreshold:
-    """simulate_stack reads the full guard only above each run's threshold."""
+    """simulate_stack reads each run's guard ratio before every step, and the full
+    guard only where some ratio is above 1."""
 
     @pytest.mark.parametrize("orders", [(0.5, 1.0, 2.0, 10.0), (0.5, 1.0, 2.0)])
     def test_full_guard_at_every_step_changes_no_bit(self, monkeypatch, orders):
-        # n = 10 at the default sat_m substeps (and is above its threshold at
-        # first) beside n <= 2, which never substep; the last run, from
-        # w0 = -2 c_bar, has negativity events. With every threshold forced
-        # below every max|w|, the guard runs in full at every step, as it did
-        # before the thresholds; states, inner steps and events stay the same
-        import dftr.integrator
+        # n = 10 at the default sat_m substeps at first, beside n <= 2, which never
+        # substep; the last run, from w0 = -2 c_bar, has negativity events. The
+        # reference reads the full guard at every step: states, inner steps and
+        # events are the same, with _substeps called only at the steps where n = 10
+        # needs more than one substep, and never in a stack of n <= 2
         from dftr.integrator import simulate_stack
 
         runs = []
@@ -415,83 +416,94 @@ class TestSubstepThreshold:
                                         num_nodes=51)
         runs.append((cfg, steady, Profile(g, -2.0 * steady.profile.values)))
 
-        def stack():
-            seen = []
-            trajs = simulate_stack(runs, lambda j, w: seen.append(w.copy()))
-            return np.array(seen), [(t.inner_steps, t.negativity_events) for t in trajs]
-
-        calls = _guard_calls(monkeypatch)
-        seen, counts = stack()
-        read = len(calls)
-        monkeypatch.setattr(dftr.integrator, "_one_substep_below",
-                            lambda dt, k, n, c0, cap: np.full(len(runs), -np.inf))
-        forced_seen, forced_counts = stack()
-        assert len(calls) - read == cfg.num_steps  # steps 0..39, every one in full
+        calls, seen = _guard_calls(monkeypatch), []
+        trajs = simulate_stack(runs, lambda j, w: seen.append(w.copy()))
+        seen = np.array(seen)
         if 10.0 in orders:
-            assert 0 < read < cfg.num_steps
-        else:  # every threshold is inf: the guard is never read
-            assert read == 0
-        assert np.array_equal(seen, forced_seen)
-        assert counts == forced_counts
-        assert counts[-1][1] > 0
+            assert 0 < len(calls) < cfg.num_steps
+        else:
+            assert not calls
+        assert trajs[-1].negativity_events > 0
         for q, run in enumerate(runs):
             states, events, inner = _reference_run(*run)
             assert np.array_equal(seen[:, q], states)
-            assert counts[q] == (inner, events)
+            assert (trajs[q].inner_steps, trajs[q].negativity_events) == (inner, events)
 
-    def test_max_w_at_the_threshold_takes_one_substep(self, monkeypatch):
-        # one step of n = 10 from w0 capped at the threshold t (0.56; max|w0| is
-        # 0.75): at t the guard is not read, one ulp above t it is
-        from dftr.integrator import _one_substep_below, _reach, simulate_stack, substep_count
+    @staticmethod
+    def _ratio_reads(monkeypatch):
+        """A list of the largest per-step guard ratio, one entry per step read."""
+        import dftr.integrator
 
-        p, law, g, steady, cfg = _setup(n=10.0, t_final=1.0, dt=1.0, num_nodes=51)
-        c_bar = steady.profile.values
-        c0, cap = _reach(p, c_bar)
-        (t,) = _one_substep_below(cfg.dt, np.array([p.k]), np.array([p.n]),
-                                  np.array([c0]), np.array([cap]))
-        assert 0.0 < t < cap
-        w0 = initial_profile(g, p, law).values
-        calls = _guard_calls(monkeypatch)
-        for w_max, guard_runs in ((t, False), (np.nextafter(t, np.inf), True)):
-            calls.clear()
-            run = (cfg, steady, Profile(g, np.minimum(w0, w_max)))
-            assert np.max(run[2].values) == w_max
-            (traj,) = simulate_stack([run], lambda j, w: None)
-            assert bool(calls) == guard_runs
-            assert traj.inner_steps == 1 == substep_count(cfg, c_bar, w_max)
-        # the threshold is tight: 1e-6 above it the guard gives two substeps
-        assert substep_count(cfg, c_bar, t + 1e-6 * (t + np.max(c_bar))) == 2
+        ratio, reads = dftr.integrator._ratio, []
 
-    def test_threshold_holds_at_its_edge_for_any_order(self):
-        # random orders and rates put the guard's ratio at 1 at c_t = c0 * (1..3);
-        # at the threshold the guard gives m = 1, and 1e-6 above it m = 2
-        from dftr.integrator import REACTION_COURANT, _one_substep_below, _substeps
+        def counted(dt, k, n, c, out=None):
+            result = ratio(dt, k, n, c, out)
+            if out is not None:
+                reads.append(float(np.max(result[0])))
+            return result
 
-        rng = np.random.default_rng(3)
-        n = np.concatenate([rng.uniform(1.01, 12.0, 4000), np.arange(2.0, 13.0)])
-        c0 = rng.uniform(0.05, 2.0, n.size)
-        c_t = c0 * rng.uniform(1.01, 3.0, n.size)
-        dt = 10.0 ** rng.uniform(-2.0, 1.0, n.size)
-        k = REACTION_COURANT / (dt * n * c_t ** (n - 1.0))
-        cap = np.full(n.size, 100.0)
-        t = _one_substep_below(dt, k, n, c0, cap)
-        assert np.all((0.0 < t) & (t < cap))
-        assert np.all(_substeps(dt, k, n, c0 + t) == 1)
-        assert np.all(_substeps(dt, k, n, (c0 + t) * (1.0 + 1e-6)) == 2)
+        monkeypatch.setattr(dftr.integrator, "_ratio", counted)
+        return reads
 
-    @pytest.mark.parametrize("n", [0.5, 1.0])
-    @pytest.mark.parametrize("dt,expected", [(1.0, np.inf), (1000.0, -np.inf)])
-    def test_order_up_to_one_has_one_guard_value(self, n, dt, expected):
-        # n < 1 reads the guard at c0 alone (cap 0) and n = 1 at c^0 = 1: the
-        # threshold is inf where that value gives m = 1, else -inf
-        from dftr.integrator import _one_substep_below, _reach, _substeps
+    @staticmethod
+    def _cap_ratio(runs):
+        """The largest guard ratio of runs at c0 + cap, the most each can see."""
+        from dftr.integrator import _ratio, _reach
 
-        p = make_params(n=n, t_final=1000.0)
-        g = SpatialGrid(l=1.0, num_nodes=51)
-        c0, cap = _reach(p, steady_state_numeric(p, 1.0, g).profile.values)
-        args = (dt, np.array([p.k]), np.array([n]))
-        assert (_substeps(*args, np.array([c0 + cap])) == 1)[0] == (expected == np.inf)
-        assert _one_substep_below(*args, np.array([c0]), np.array([cap]))[0] == expected
+        ratios = []
+        for config, steady, _ in runs:
+            p = config.params
+            c0, cap = _reach(p, steady.profile.values)
+            ratios.append(float(_ratio(config.dt, p.k, p.power_order, c0 + cap)[0]))
+        return max(ratios)
+
+    def test_ratio_in_the_upper_half_is_read_at_every_step_and_never_substeps(
+            self, monkeypatch):
+        # sat_m = max|w0|, so each run starts at its cap, and dt puts the largest ratio
+        # there at 0.75: the stack is not quiet, the ratio is read before each of its
+        # 40 steps and is above 1/2 at the first, and no step reads the full guard
+        from dataclasses import replace
+        from dftr.integrator import simulate_stack
+
+        def run(n, alpha, dt):
+            p, law, g, steady, _ = _setup(n=n, alpha=alpha, num_nodes=51)
+            w0 = initial_profile(g, p, law)
+            p = replace(p, sat_m=float(np.max(np.abs(w0.values))), t_final=40.0 * dt)
+            return SimulationConfig(params=p, law=law, grid=g, dt=dt, record_every=7), \
+                steady, w0
+
+        cells = ((10.0, 0.0), (10.0, 0.5), (2.0, 0.0))
+        dt = 0.75 / self._cap_ratio([run(n, alpha, 1.0) for n, alpha in cells])
+        runs = [run(n, alpha, dt) for n, alpha in cells]
+        assert 0.5 < self._cap_ratio(runs) <= 1.0
+        reads, calls, seen = self._ratio_reads(monkeypatch), _guard_calls(monkeypatch), []
+        trajs = simulate_stack(runs, lambda j, w: seen.append(w.copy()))
+        assert len(reads) == runs[0][0].num_steps == 40
+        assert 0.5 < reads[0] and max(reads) <= 1.0
+        assert not calls
+        seen = np.array(seen)
+        for q, run in enumerate(runs):
+            states, events, inner = _reference_run(*run)
+            assert seen[:, q].tobytes() == states.tobytes()
+            assert (trajs[q].inner_steps, trajs[q].negativity_events) == (inner, events)
+            assert inner == 40
+
+    def test_quiet_stack_never_calls_the_guard(self, monkeypatch):
+        # n <= 2 at dt = 1: every ratio at c0 + cap is at most 1/2, so the stack is
+        # quiet; it reads the ratio once, from w0, and never calls _substeps
+        from dftr.integrator import simulate_stack
+
+        runs = []
+        for n in (0.5, 1.0, 2.0):
+            for alpha in (0.0, 0.5):
+                p, law, g, steady, cfg = _setup(n=n, alpha=alpha, t_final=40.0, dt=1.0,
+                                                num_nodes=51)
+                runs.append((cfg, steady, initial_profile(g, p, law)))
+        assert self._cap_ratio(runs) <= 0.5
+        reads, calls = self._ratio_reads(monkeypatch), _guard_calls(monkeypatch)
+        trajs = simulate_stack(runs, lambda j, w: None)
+        assert len(reads) == 1 and not calls
+        assert [t.inner_steps for t in trajs] == [cfg.num_steps] * len(runs)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("orders", [(2.0,), (2.0, 10.0)])
