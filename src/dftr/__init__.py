@@ -19,8 +19,7 @@ from .errors import (ConfigError, ContractError, DftrError, EstimationError,
 from .integrator import SimulationConfig, Trajectory, simulate, simulate_stack, step
 from .model import (FeedbackLaw, Profile, ReactorParams, SpatialGrid,
                     clamped_power, d_ax_from_peclet, default_saturation_bound,
-                    initial_profile, lambda_theoretical, reaction,
-                    reaction_rate, saturate)
+                    initial_profile, lambda_theoretical, reaction_rate, saturate)
 from .operator import (DiscreteGenerator, DissipativityForm, ResolventSolution,
                        Tridiagonal, build_generator, dissipativity_form,
                        duhamel_oracle, inner_product, random_bc_compatible,
@@ -41,7 +40,7 @@ __all__ = [
     "default_saturation_bound", "default_weight", "dissipativity_form",
     "duhamel_oracle", "energy", "estimate_decay_rate", "fit_decay_rate",
     "initial_profile", "inner_product", "lambda_theoretical", "norm_rho",
-    "random_bc_compatible", "reaction", "reaction_rate", "resolvent_analytic",
+    "random_bc_compatible", "reaction_rate", "resolvent_analytic",
     "resolvent_discrete", "saturate", "simulate", "simulate_stack",
     "steady_state_analytic_n1", "steady_state_numeric",
     "steady_state_residual", "step", "sweep", "weight_profile",

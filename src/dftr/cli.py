@@ -532,7 +532,10 @@ def _verify_checks(cfg: ResolvedConfig, seed: int, cpu_s: dict):
         simulate_stack([run], record)
         norms = np.sqrt(2.0 * energies)
         lam_t = lambda_theoretical(params)
-        ratios = norms / (norms[0] * np.exp(-lam_t * config.record_times))
+        bound = norms[0] * np.exp(-lam_t * config.record_times)
+        # a zero norm meets any bound; a positive one over an underflowed bound is inf
+        with np.errstate(divide="ignore"):
+            ratios = np.divide(norms, bound, out=np.zeros_like(norms), where=norms > 0.0)
         # the t = 0 ratio is 1 by construction; it counts only when alone
         return float(np.max(ratios[1:] if ratios.size > 1 else ratios))
 

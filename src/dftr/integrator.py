@@ -19,8 +19,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ContractError, IntegrationError, ParameterError
-from .model import (FeedbackLaw, Profile, ReactorParams, SpatialGrid, clamped_power,
-                    initial_profile)
+from .model import (FeedbackLaw, Profile, ReactorParams, SpatialGrid, _reaction_into,
+                    clamped_power, initial_profile)
 from .operator import Tridiagonal, build_generator
 from .steady_state import SteadyStateSolution, steady_state_numeric
 
@@ -237,16 +237,7 @@ def simulate_stack(runs, record) -> list:
         """One substep of part's runs, every operation in place."""
         (rows, w_a, w_lo, w_hi, k, bs, cb, hi, lo, h, powers, d, u, l, solve,
          r, r_lo, r_s, b, b_lo, b_hi, half, neg) = part
-        # model.reaction in place: the power once per range of equal order with a scalar
-        # exponent, as numpy's x ** 2 and x ** 0.5 fast paths differ from an array exponent
-        np.maximum(w_a, lo, out=r)
-        np.minimum(r, hi, out=r)
-        r += cb
-        np.maximum(r, 0.0, out=r)
-        for seg, n in powers:
-            seg **= n
-        np.subtract(bs, r, out=r)
-        r *= k
+        _reaction_into(w_a, r, lo, hi, cb, bs, k, powers)
         if restart:  # r* = r(w_k)
             np.multiply(h, r, out=r_s)
         else:  # r* = 1.5 * r(w_k) - 0.5 * r(w_{k-1})

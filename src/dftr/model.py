@@ -157,24 +157,29 @@ def clamped_power(c, n: float):
     return np.maximum(c, 0.0) ** n
 
 
-def reaction(c_bar, params: ReactorParams):
-    """r(w) = k*c_bar^n - k*(Sat_M(w) + c_bar)^n about a fixed c_bar.
+def _reaction_into(w, out, lo, hi, c_bar, base, k, powers):
+    """out = k*(base - max(min(max(w, lo), hi) + c_bar, 0)**n), the reaction in place.
 
-    The bound check and c_bar^n run once here, not per call of r, whose
-    minimum/maximum clamp gives the bits of np.clip, NaN included."""
-    k, n, m = params.k, params.power_order, params.sat_m
-    _require(np.isfinite(m) and m > 0, f"saturation bound must be > 0, got {m}")
-    base = clamped_power(c_bar, n)
-
-    def r(w):
-        return k * (base - clamped_power(np.minimum(np.maximum(w, -m), m) + c_bar, n))
-
-    return r
+    base is clamped_power(c_bar, n); lo, hi and k may be scalars or per-node arrays.
+    powers pairs each segment of out with its order n as a scalar, as numpy's x ** 2
+    and x ** 0.5 fast paths differ from an array exponent. The maximum/minimum clamp
+    gives the bits of np.clip, NaN included."""
+    np.maximum(w, lo, out=out)
+    np.minimum(out, hi, out=out)
+    out += c_bar
+    np.maximum(out, 0.0, out=out)
+    for seg, n in powers:
+        seg **= n
+    np.subtract(base, out, out=out)
+    out *= k
+    return out
 
 
 def reaction_rate(w, c_bar, params: ReactorParams):
     """Deviation-form reaction term r(w) = k*c_bar^n - k*(Sat_M(w) + c_bar)^n."""
-    return reaction(c_bar, params)(w)
+    m, n = params.sat_m, params.power_order
+    out = np.empty(np.broadcast_shapes(np.shape(w), np.shape(c_bar)))
+    return _reaction_into(w, out, -m, m, c_bar, clamped_power(c_bar, n), params.k, [(out, n)])
 
 
 def initial_profile(grid: SpatialGrid, params: ReactorParams, law: FeedbackLaw) -> Profile:

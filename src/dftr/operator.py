@@ -26,7 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ContractError, ParameterError, SolverError
-from .model import FeedbackLaw, Profile, ReactorParams, SpatialGrid, reaction
+from .model import FeedbackLaw, Profile, ReactorParams, SpatialGrid, reaction_rate
 
 
 def _lapack():
@@ -411,7 +411,6 @@ def duhamel_oracle(gen: DiscreteGenerator, w0: Profile, steady, params: ReactorP
     if num_steps < 1:
         raise ParameterError(f"num_steps must be >= 1, got {num_steps}")
 
-    rate = reaction(steady.profile.values, params)
     dt = t_final / num_steps
     e_dt = _expm(gen.dense() * dt)
     weights = gen.grid.quad_weights
@@ -423,7 +422,7 @@ def duhamel_oracle(gen: DiscreteGenerator, w0: Profile, steady, params: ReactorP
         states[j + 1] = e_dt @ states[j]
 
     for _ in range(PICARD_MAX_ITER):
-        rates = rate(states)
+        rates = reaction_rate(states, steady.profile.values, params)
         new = np.empty_like(states)
         new[0] = w0.values
         for j in range(num_steps):

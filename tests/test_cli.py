@@ -5,6 +5,7 @@ import shutil
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -637,6 +638,60 @@ class TestEquilibriumStop:
         row, seen = self._run(monkeypatch, cfg)
         assert seen == list(range(51))
         assert row[2].hex() == self._full_max(cfg).hex()
+
+
+class TestEnvelopeUnderflow:
+    """The envelope row once the norm or the bound underflows to zero (n = 2, horizon
+    7000 s), read with every RuntimeWarning an error."""
+
+    @staticmethod
+    def _cfg(tmp_path, peclet, num_nodes, extra=""):
+        text = (BASE_INI.replace("peclet = 4", f"peclet = {peclet}").replace("n = 1", "n = 2")
+                + f"[grid]\nnum_nodes = {num_nodes}\n[time]\nt_final = 10\n{extra}")
+        return load_config(write_ini(tmp_path / "c.ini", text))
+
+    @staticmethod
+    def _envelope(cfg):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rows = list(_verify_checks(cfg, 0, {}))
+        assert rows[-1][0] == "envelope"
+        return rows[-1]
+
+    @staticmethod
+    def _norms_and_bound(cfg):
+        """Each record's norm and bound after t = 0, from a run that stores its states."""
+        config, steady, w0 = closed_loop(cfg.run(to_horizon=True))
+        traj = simulate(config, steady, w0)
+        weight = default_weight(config.grid, config.params)
+        norms = np.sqrt(2.0 * np.array([energy(w, weight) for w in traj.states]))
+        bound = norms[0] * np.exp(-lambda_theoretical(config.params) * traj.times)
+        return norms[1:], bound[1:]
+
+    def test_a_zero_norm_meets_the_bound(self, tmp_path):
+        # Pe 300: the norm is exactly 0 from t = 936 s, the bound from t = 3,938 s
+        cfg = self._cfg(tmp_path, 300, 201)
+        row = self._envelope(cfg)
+        norms, bound = self._norms_and_bound(cfg)
+        live = norms > 0.0
+        assert norms[-1] == bound[-1] == 0.0 and np.all(bound[live] > 0.0)
+        assert row[2].hex() == float(np.max(norms[live] / bound[live])).hex()
+        assert row[2] < 1.0 and row[-1] is True
+
+    def test_a_positive_norm_over_an_underflowed_bound_is_inf_and_fails(self, tmp_path):
+        # Pe 1000 on 51 nodes: the norm outlives the bound, at a log-ratio of 4,036
+        cfg = self._cfg(tmp_path, 1000, 51)
+        row = self._envelope(cfg)
+        norms, bound = self._norms_and_bound(cfg)
+        assert np.any((norms > 0.0) & (bound == 0.0))
+        assert row[2] == np.inf and row[-1] is False
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+    def test_envelope_holds_at_pe_100_on_401_nodes_at_dt_1(self, tmp_path):
+        # Crank-Nicolson damps A_h's most negative eigenvalue (-66.0) at 0.0606 per
+        # second, below lambda_T = 0.0625: the ratio grows to 6.27 at t = 5,889 s,
+        # where the energy is subnormal (at dt = 0.1 it reads 0.983)
+        assert self._envelope(self._cfg(tmp_path, 100, 401, "dt = 1\n"))[-1] is True
 
 
 class TestExitCodes:

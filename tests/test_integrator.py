@@ -260,8 +260,8 @@ class TestSimulate:
 def _reference_run(config, steady, w0):
     """One run stepped by the plain allocating loop: the guard's substep
     count m read from max|w| before every outer step, the clamp and power of
-    model.reaction, r* = 1.5*r - 0.5*r_prev (r* = r at the first substep and
-    whenever m changes), Tridiagonal.apply and factor(), and a count_nonzero
+    model.reaction_rate, r* = 1.5*r - 0.5*r_prev (r* = r at the first substep
+    and whenever m changes), Tridiagonal.apply and factor(), and a count_nonzero
     negativity count per substep. Returns the recorded states, the
     negativity events and the inner step count, or the IntegrationError
     the run raises."""

@@ -17,7 +17,6 @@ from dftr import (
     default_saturation_bound,
     initial_profile,
     lambda_theoretical,
-    reaction,
     reaction_rate,
     saturate,
 )
@@ -199,18 +198,33 @@ class TestReactionRate:
         assert np.array_equal(reaction_rate(w, np.full(4, 0.9), p), np.zeros(4))
 
     @pytest.mark.parametrize("n", [0.5, 1.0, 2.0, 10.0])
-    def test_closure_matches_clip_formula_bitwise(self, n):
+    def test_rate_matches_clip_formula_bitwise(self, n):
         p = make_params(n=n, sat_m=2.0)
         rng = np.random.default_rng(11)
         c_bar = rng.uniform(-0.5, 1.5, 41)  # negative concentrations included
         w = rng.normal(0.0, 3.0, (30, 41))  # well beyond +-sat_m
-        w[0, :4] = [-2.0, 2.0, -0.0, 0.0]
-        rate = reaction(c_bar, p)
-        for arg in (w, w[5]):  # records-shaped and one profile
+        w[0, :7] = [-2.0, 2.0, -0.0, 0.0, np.nan, np.inf, -np.inf]
+        for arg in (w, w[0], w[5]):  # records-shaped and two profiles
             old = p.k * (clamped_power(c_bar, n)
                          - clamped_power(np.clip(arg, -p.sat_m, p.sat_m) + c_bar, n))
-            assert np.array_equal(rate(arg).view(np.uint64), old.view(np.uint64))
-        assert np.array_equal(reaction_rate(w[5], c_bar, p), rate(w[5]))
+            assert reaction_rate(arg, c_bar, p).tobytes() == old.tobytes()
+
+    def test_kernel_takes_per_node_bounds_and_constants_over_two_segments(self):
+        # two runs side by side, each its own order, k and sat_m, against each run alone
+        from dftr.model import _reaction_into
+
+        rng = np.random.default_rng(12)
+        runs = [make_params(n=2.0, k=0.003, sat_m=1.5), make_params(n=0.5, k=0.02, sat_m=0.7)]
+        c_bars = [rng.uniform(-0.5, 1.5, 21) for _ in runs]
+        ws = [rng.normal(0.0, 2.0, 21) for _ in runs]
+        ws[0][:4] = [np.nan, np.inf, -np.inf, -0.0]
+        out = np.empty(42)
+        sat = np.repeat([p.sat_m for p in runs], 21)
+        _reaction_into(np.concatenate(ws), out, -sat, sat, np.concatenate(c_bars),
+                       np.concatenate([clamped_power(c, p.n) for c, p in zip(c_bars, runs)]),
+                       np.repeat([p.k for p in runs], 21), [(out[:21], 2.0), (out[21:], 0.5)])
+        alone = np.concatenate([reaction_rate(w, c, p) for w, c, p in zip(ws, c_bars, runs)])
+        assert out.tobytes() == alone.tobytes()
 
 
 class TestInitialProfile:

@@ -338,9 +338,8 @@ class TestDuhamelOracle:
 def _reference_picard(gen, w0, steady, params, t_final, num_steps):
     """duhamel_oracle's Picard iteration with each sweep's difference taken row by
     row, max(l2(new[j] - states[j])): the profile and every sweep's difference."""
-    from dftr.model import reaction
+    from dftr.model import reaction_rate
 
-    rate = reaction(steady.profile.values, params)
     dt = t_final / num_steps
     e_dt = operator._expm(gen.dense() * dt)
     weights = gen.grid.quad_weights
@@ -354,7 +353,7 @@ def _reference_picard(gen, w0, steady, params, t_final, num_steps):
         states[j + 1] = e_dt @ states[j]
     diffs = []
     for _ in range(operator.PICARD_MAX_ITER):
-        rates = rate(states)
+        rates = reaction_rate(states, steady.profile.values, params)
         new = np.empty_like(states)
         new[0] = w0.values
         for j in range(num_steps):
