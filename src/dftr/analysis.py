@@ -184,17 +184,6 @@ class SweepResult:
     def cell(self, n: float, alpha: float) -> SweepCell:
         return self.cells[(n, alpha)]
 
-    @property
-    def table(self) -> np.ndarray:
-        """lambda_n per cell (NaN for failed or floor-limited cells)."""
-        out = np.full((len(self.n_values), len(self.alpha_values)), np.nan)
-        for i, n in enumerate(self.n_values):
-            for j, a in enumerate(self.alpha_values):
-                c = self.cells[(n, a)]
-                if c.estimate is not None and c.estimate.lambda_n is not None:
-                    out[i, j] = c.estimate.lambda_n
-        return out
-
 
 def settings_hash(settings: dict) -> str:
     """Provenance hash: sha256 of the sorted-key JSON, cut to 16 hex digits."""
@@ -202,11 +191,11 @@ def settings_hash(settings: dict) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
 
-def _closed_loop(config, extra: dict):
+def _closed_loop(config, provenance: dict):
     """The cell's integrator.closed_loop, once it passes the reaction substep
-    guard; the Newton effort goes into extra."""
+    guard; the Newton effort goes into the cell's provenance."""
     config, steady, w0 = integrator.closed_loop(config)
-    extra["newton_iterations"] = steady.iterations
+    provenance["newton_iterations"] = steady.iterations
     integrator.substep_count(config, steady.profile.values, float(np.max(np.abs(w0.values))))
     return config, steady, w0
 
@@ -266,15 +255,6 @@ def sweep(base_config, n_values, alpha_values, sat_m: float | None = None,
               "gamma": weight.gamma, "window_fraction": window_fraction,
               "floor": "default" if floor is None else floor}
 
-    def finish(config, extra, outcome) -> SweepCell:
-        """The cell of config's run; its provenance holds its settings, their hash
-        and extra."""
-        est, err = outcome
-        p, a = config.params, config.law.alpha
-        settings = {**shared, "n": p.n, "alpha": a, "sat_m": p.sat_m}
-        return SweepCell(n=p.n, alpha=a, estimate=est, error=err,
-                         provenance={"hash": settings_hash(settings), **settings, **extra})
-
     cells, ready, started = {}, {}, time.process_time()
     for n in n_values:
         for a in alpha_values:
@@ -282,12 +262,14 @@ def sweep(base_config, n_values, alpha_values, sat_m: float | None = None,
                 base.d_ax, base.v, base.l, a)
             config = replace(base_config, params=replace(reactors[n], sat_m=cell_sat),
                              law=laws[a])
-            extra: dict = {}
-            run, err = _isolated(lambda: _closed_loop(config, extra))
+            # the cell's settings and their hash; its run adds its solver effort
+            settings = {**shared, "n": n, "alpha": a, "sat_m": cell_sat}
+            provenance = {"hash": settings_hash(settings), **settings}
+            run, err = _isolated(lambda: _closed_loop(config, provenance))
             if run is None:
-                cells[(n, a)] = finish(config, extra, (None, err))
+                cells[(n, a)] = SweepCell(n, a, None, err, provenance)
             else:
-                ready[(n, a)] = (run, extra)
+                ready[(n, a)] = (run, provenance)
     phases = {"steady": time.process_time() - started, "stack": 0.0, "fit": 0.0}
 
     def stack(keys):
@@ -313,18 +295,18 @@ def sweep(base_config, n_values, alpha_values, sat_m: float | None = None,
                 stack([key])
             return
         for q, key in enumerate(keys):
-            run, extra = ready[key]
+            run, provenance = ready[key]
             if trajs is None:
-                outcome = None, err
+                est = None  # and err is the stack's
             else:
-                extra["inner_steps"] = trajs[q].inner_steps
-                extra["negativity_events"] = trajs[q].negativity_events
+                provenance["inner_steps"] = trajs[q].inner_steps
+                provenance["negativity_events"] = trajs[q].negativity_events
                 times, started = trajs[q].times, time.process_time()
-                outcome = _isolated(lambda: fit_decay_rate(
+                est, err = _isolated(lambda: fit_decay_rate(
                     times, norms[q, :times.size], lambda_theoretical(run[0].params),
                     window_fraction, floor))
                 phases["fit"] += time.process_time() - started
-            cells[key] = finish(run[0], extra, outcome)
+            cells[key] = SweepCell(*key, est, err, provenance)
 
     if ready:
         stack(list(ready))

@@ -359,40 +359,37 @@ def cmd_sweep(cfg: ResolvedConfig, out_dir, manifest: RunManifest,
     swept = time.process_time()
 
     lam_t = lambda_theoretical(base.params)
-    table = result.table.tolist()  # NaN marks a failed or floor-limited cell
-    rows = []
-    for n, lams in zip(result.n_values, table):
-        for a, lam in zip(result.alpha_values, lams):
-            est = result.cell(n, a).estimate
-            rows.append((n, a, None if math.isnan(lam) else lam, lam_t,
-                         None if est is None else est.fit_r2,
-                         est is not None and est.floor_hit))
+    # one sweep.csv row and one sweep_cells.json entry (outside the hash) per cell
+    keys = ("newton_iterations", "inner_steps", "negativity_events")
+    rows, cells = [], []
+    for cell in result.cells.values():
+        est = cell.estimate
+        rows.append((cell.n, cell.alpha, None if est is None else est.lambda_n, lam_t,
+                     None if est is None else est.fit_r2, est is not None and est.floor_hit))
+        cells.append({"hash": cell.provenance["hash"], "n": cell.n, "alpha": cell.alpha,
+                      **{key: cell.provenance.get(key) for key in keys},
+                      "fit_window": None if est is None else list(est.fit_window),
+                      "fit_r2": None if est is None else est.fit_r2, "error": cell.error})
     write_csv(out_dir / "sweep.csv", manifest.hash,
               ("n", "alpha", "lambda_n", "lambda_t", "fit_r2", "floor_hit"), rows)
-    # the per-cell record, outside the manifest hash
-    keys = ("newton_iterations", "inner_steps", "negativity_events")
-    cells = [{"hash": cell.provenance["hash"], "n": cell.n, "alpha": cell.alpha,
-              **{key: cell.provenance.get(key) for key in keys},
-              "fit_window": None if cell.estimate is None else list(cell.estimate.fit_window),
-              "fit_r2": None if cell.estimate is None else cell.estimate.fit_r2,
-              "error": cell.error}
-             for cell in result.cells.values()]
     with open(out_dir / "sweep_cells.json", "w", newline="\n") as fh:
         json.dump(cells, fh, indent=2)
         fh.write("\n")
     # process CPU seconds of each phase, in manifest.json outside the hash
     manifest.timings["phases"] = {**result.phases, "write": time.process_time() - swept}
 
+    # a '-' marks a cell with no rate: failed, or its norm started at the floor
     print("n\\alpha" + "".join(f"{a:>12g}" for a in result.alpha_values))
-    for n, lams in zip(result.n_values, table):
-        print(f"{n:<7g}" + "".join(f"{'-':>12}" if math.isnan(lam) else f"{lam:>12.4f}"
-                                   for lam in lams))
+    width = len(result.alpha_values)
+    for i in range(0, len(rows), width):
+        print(f"{rows[i][0]:<7g}" + "".join(f"{'-':>12}" if row[2] is None else f"{row[2]:>12.4f}"
+                                            for row in rows[i:i + width]))
     for (n, a), cell in sorted(result.cells.items()):
         if cell.error is not None:
             print(f"cell (n={n:g}, alpha={a:g}) failed: {cell.error}",
                   file=sys.stderr)
 
-    if all(math.isnan(lam) for lams in table for lam in lams):
+    if all(cell.error is not None for cell in result.cells.values()):
         print("all sweep cells failed", file=sys.stderr)
         return EXIT_SWEEP
     return EXIT_OK
@@ -474,8 +471,11 @@ def _verify_checks(cfg: ResolvedConfig, seed: int, cpu_s: dict):
         base = grid.num_nodes - 1
         if base % 4 != 0 or base // 4 + 1 < 11:
             return "skipped", "skipped"
+        # the levels coarsen to (N-1)/4+1 nodes, or refine to 4N-3 when that coarsest grid's
+        # cell Peclet number h v / d_ax is above 1 (h wider than the layer d_ax / v)
+        scale = 4 if 4.0 * grid.h * params.v / params.d_ax > 1.0 else 1
         errors = {lam: [] for lam in (0.1, 1.0, 10.0)}
-        for m in (base // 4 + 1, base // 2 + 1, base + 1):
+        for m in (base * scale // 4 + 1, base * scale // 2 + 1, base * scale + 1):
             g = SpatialGrid(l=cfg.l, num_nodes=m)
             eta = Profile(g, np.ones(m))
             gen = build_generator(g, params, cfg.alpha)

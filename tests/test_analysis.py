@@ -266,15 +266,7 @@ class TestSweep:
         assert "SolverError" in bad.error
         good = result.cell(1.0, 0.0)
         assert good.error is None
-
-    def test_table_marks_failures_nan(self):
-        base = _sweep_base(horizon=100.0, num_nodes=101)
-        from dataclasses import replace
-        hostile = replace(base, params=make_params(k=1.0, t_final=100.0))
-        result = sweep(hostile, [0.5, 1.0], [0.0])
-        table = result.table
-        assert np.isnan(table[0, 0])
-        assert np.isfinite(table[1, 0])
+        assert np.isfinite(good.estimate.lambda_n)
 
     @pytest.mark.parametrize("n_values, alpha_values, message", [
         ([1.0, -1.0], [0.25], "n must be > 0"),

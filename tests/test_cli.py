@@ -269,6 +269,23 @@ class TestSweepCommand:
         assert rows[0][2] == ""  # lambda_n column empty for the failed cell
         assert "failed" in capsys.readouterr().err
 
+    def test_floor_limited_cells_have_not_failed(self, tmp_path, capsys):
+        # floor = 1e10 lies above every cell's first norm: no cell has a rate, yet
+        # none failed, so the sweep exits 0
+        text = (BASE_INI + "[grid]\nnum_nodes = 51\n[time]\ndt = 1\nhorizon = 200\n"
+                + "[analysis]\nfloor = 1e10\n")
+        cfg = write_ini(tmp_path / "c.ini", text)
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", cfg, "--out", str(out),
+                     "--n-list", "1,2", "--alpha-list", "0,0.5"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out.splitlines()[1:] == [f"{n:<7}" + f"{'-':>12}" * 2 for n in "12"]
+        _, _, rows = read_csv(out / "sweep.csv")
+        assert [(row[2], row[-1]) for row in rows] == [("", "true")] * 4
+        cells = json.loads((out / "sweep_cells.json").read_text())
+        assert [cell["error"] for cell in cells] == [None] * 4
+
     def test_cell_record_is_written_beside_the_table(self, tmp_path):
         # k = 1: both n = 0.5 cells fail their steady solve, the others fit
         from dataclasses import asdict
@@ -377,6 +394,9 @@ class TestSweepCommand:
         assert capsys.readouterr().err == "config error: alpha must lie in [0, 1/2], got 0.7\n"
         assert main(["sweep", "--config", cfg, "--out", str(out),
                      "--n-list", "1,zap"]) == 2
+        capsys.readouterr()
+        assert main(["sweep", "--config", cfg, "--out", str(out), "--n-list", ","]) == 2
+        assert capsys.readouterr().err == "config error: --n-list must be non-empty\n"
 
 
 class TestVerifyCommand:
@@ -449,6 +469,42 @@ class TestVerifyCommand:
         by_name = {r[0]: r for r in rows}
         assert by_name["resolvent_error"][1] == "skipped_insufficient_resolution"
         assert by_name["resolvent_error"][-1] == "skipped"
+
+    @staticmethod
+    def _resolvent_study(tmp_path, monkeypatch, dispersion, num_nodes):
+        """verify's two resolvent rows at n = 2, and the grid sizes the study solved on."""
+        sizes, solve = set(), dftr.cli.resolvent_discrete
+
+        def spy(gen, eta, lam):
+            sizes.add(gen.grid.num_nodes)
+            return solve(gen, eta, lam)
+
+        monkeypatch.setattr(dftr.cli, "resolvent_discrete", spy)
+        text = (BASE_INI.replace("peclet = 4", dispersion).replace("n = 1", "n = 2")
+                + f"[grid]\nnum_nodes = {num_nodes}\n[time]\nt_final = 10\n")
+        checks = _verify_checks(load_config(write_ini(tmp_path / "c.ini", text)), 0, {})
+        rows = [next(checks) for _ in range(3)][1:]
+        assert [row[0] for row in rows] == ["resolvent_error", "resolvent_order"]
+        return rows, sorted(sizes)
+
+    def test_pe_300_passes_both_resolvent_rows(self, tmp_path, monkeypatch):
+        # on 51, 101 and 201 nodes the rows read 0.0029 and 1.12, both FAIL: the
+        # coarsest level's cell Peclet number is 6
+        rows, sizes = self._resolvent_study(tmp_path, monkeypatch, "peclet = 300", 201)
+        assert sizes == [201, 401, 801]
+        assert rows[0][2] < 2e-4 and abs(rows[1][2] - 2.0) < 0.05
+        assert rows[0][-1] is rows[1][-1] is True
+
+    @pytest.mark.parametrize("dispersion, num_nodes, sizes", [
+        ("d_ax = 0.0002", 201, [51, 101, 201]),  # h v / d_ax = 0.02 * 0.01 / 0.0002 = 1
+        ("d_ax = 0.000199", 201, [201, 401, 801]),  # 1.005
+        ("peclet = 300", 21, []),  # too coarse for the study, at any Peclet number
+    ])
+    def test_levels_follow_the_cell_peclet_number(self, tmp_path, monkeypatch, dispersion,
+                                                  num_nodes, sizes):
+        rows, got = self._resolvent_study(tmp_path, monkeypatch, dispersion, num_nodes)
+        assert got == sizes
+        assert [row[-1] == "skipped" for row in rows] == [not sizes] * 2
 
     def test_three_nodes_pass_with_the_table_thresholds(self, tmp_path):
         # at 3 nodes the random dissipativity vectors must still meet both closures
@@ -727,6 +783,16 @@ class TestExitCodes:
                      "--n-list", "2000", "--alpha-list", "0"]) == 5
         assert "stiffness estimate inf" in capsys.readouterr().err
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+    @pytest.mark.parametrize("text, message", [(None, "cannot read config file"),
+                                               ("v = 0.01\n", "malformed config file")])
+    def test_unreadable_or_malformed_config_is_two(self, tmp_path, capsys, text, message):
+        path = tmp_path / "c.ini"
+        if text is not None:
+            path.write_text(text)
+        assert main(["steady", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {message} {path}: ")
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("shape", ["file", "under_a_file"])
     def test_out_that_cannot_be_a_directory_is_two(self, tmp_path, capsys, shape):

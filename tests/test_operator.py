@@ -222,6 +222,12 @@ class TestDissipativity:
         with pytest.raises(ContractError):
             dissipativity_form(gen, Profile(grid201, np.ones(201)))
 
+    def test_profile_on_another_grid_rejected(self, params, grid201):
+        gen = build_generator(grid201, params, 0.0)
+        g = SpatialGrid(l=1.0, num_nodes=101)
+        with pytest.raises(ContractError, match="grid"):
+            dissipativity_form(gen, Profile(g, np.zeros(101)))
+
     def test_coarse_upwind_violation_is_reported(self):
         # convection-dominated on five nodes: h far above 8*d_ax/v, the
         # central scheme loses the sign and the form goes positive
@@ -272,6 +278,12 @@ class TestResolventAnalytic:
         with pytest.raises(ParameterError):
             resolvent_analytic(eta, 0.0, params, 0.0)
 
+    @pytest.mark.parametrize("alpha", [-0.1, 0.6, np.nan])
+    def test_rejects_gain_outside_range(self, params, grid201, alpha):
+        eta = Profile(grid201, np.ones(201))
+        with pytest.raises(ParameterError, match="alpha must lie in"):
+            resolvent_analytic(eta, 1.0, params, alpha)
+
     @settings(max_examples=50, deadline=None)
     @given(lam=st.floats(1e-3, 1e3))
     def test_roots_bracket_zero_and_satisfy_vieta(self, lam):
@@ -293,6 +305,18 @@ class TestResolventDiscrete:
         resid = gen.apply(xi) - 1.0 * xi - eta_vals
         norm_eta = np.sqrt(inner_product(grid201, eta_vals, eta_vals))
         assert np.sqrt(inner_product(grid201, resid, resid)) <= 1e-12 * norm_eta
+
+    @pytest.mark.parametrize("lam", [0.0, -1.0])
+    def test_rejects_nonpositive_shift(self, params, grid201, lam):
+        gen = build_generator(grid201, params, 0.0)
+        with pytest.raises(ParameterError, match="lambda_shift"):
+            resolvent_discrete(gen, Profile(grid201, np.ones(201)), lam)
+
+    def test_rejects_profile_on_another_grid(self, params, grid201):
+        gen = build_generator(grid201, params, 0.0)
+        g = SpatialGrid(l=1.0, num_nodes=101)
+        with pytest.raises(ContractError, match="grid"):
+            resolvent_discrete(gen, Profile(g, np.ones(101)), 1.0)
 
 
 class TestDuhamelOracle:
@@ -324,6 +348,16 @@ class TestDuhamelOracle:
         steady = steady_state_numeric(params, 1.0, grid201)
         w0 = initial_profile(grid201, params, FeedbackLaw(alpha=0.0))
         with pytest.raises(ContractError):
+            duhamel_oracle(gen, w0, steady, params, t_final=1.0, num_steps=10)
+
+    @pytest.mark.parametrize("moved", ["w0", "steady"])
+    def test_profiles_on_another_grid_rejected(self, params, moved):
+        g, other = SpatialGrid(l=1.0, num_nodes=26), SpatialGrid(l=1.0, num_nodes=21)
+        gen = build_generator(g, params, 0.0)
+        grids = {"w0": g, "steady": g, moved: other}
+        steady = steady_state_numeric(params, 1.0, grids["steady"])
+        w0 = initial_profile(grids["w0"], params, FeedbackLaw(alpha=0.0))
+        with pytest.raises(ContractError, match="generator grid"):
             duhamel_oracle(gen, w0, steady, params, t_final=1.0, num_steps=10)
 
     def test_step_count_validated(self, params):

@@ -157,6 +157,14 @@ class TestNumericSolver:
             steady_state_numeric(p, 1.0, grid201)
         assert exc_info.value.residual is not None
 
+    def test_failed_damping_raises(self):
+        # Pe 100 on five nodes with n = 0.1: no halving of the first Newton step
+        # lowers the residual, which sits far above the round-off floor
+        p = make_params(n=0.1, d_ax=1e-4)
+        with pytest.raises(SolverError, match="damping failed") as exc_info:
+            steady_state_numeric(p, 1.0, SpatialGrid(l=1.0, num_nodes=5))
+        assert exc_info.value.iterations == 1 and exc_info.value.residual > 1e-3
+
     def test_rejects_nonpositive_setpoint(self, params, grid201):
         with pytest.raises(ParameterError):
             steady_state_numeric(params, 0.0, grid201)
