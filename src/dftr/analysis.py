@@ -12,15 +12,14 @@ import hashlib
 import json
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from . import integrator
 from .errors import ContractError, DftrError, EstimationError, ParameterError
-from .model import (Profile, ReactorParams, SpatialGrid, default_saturation_bound,
-                    lambda_theoretical)
+from .model import Profile, ReactorParams, SpatialGrid, lambda_theoretical
 
 DEFAULT_WINDOW_FRACTION = 0.5
 DEFAULT_FLOOR_FACTOR = 1e-12  # floor = factor * ||w(0)||_rho
@@ -173,11 +172,10 @@ class SweepCell:
 
 @dataclass(frozen=True)
 class SweepResult:
-    """Decay-rate table over reaction orders and feedback gains; phases holds the
-    process CPU seconds of the steady solves, the stack and the fits."""
+    """Decay-rate table over reaction orders and feedback gains, one cell per
+    (n, alpha) in the order of sweep's configs; phases holds the process CPU
+    seconds of the steady solves, the stack and the fits."""
 
-    n_values: tuple
-    alpha_values: tuple
     cells: dict
     phases: dict = field(default_factory=dict, compare=False)
 
@@ -211,11 +209,13 @@ def _isolated(work):
         return None, f"{type(exc).__name__}: {exc}"
 
 
-def sweep(base_config, n_values, alpha_values, sat_m: float | None = None,
-          weight: WeightFunction | None = None,
+def sweep(configs, weight: WeightFunction,
           window_fraction: float = DEFAULT_WINDOW_FRACTION,
           floor: float | None = None) -> SweepResult:
-    """Decay-rate table over all (n, alpha) cells.
+    """Decay-rate table with one cell per run config, keyed by its (n, alpha).
+
+    The configs share grid, dt, t_final and record_every, as simulate_stack's
+    runs do; weight gives every cell's rho0 and gamma.
 
     Each cell solves its own steady state, builds the alpha-dependent
     initial profile and passes the reaction substep guard. The cells that
@@ -227,56 +227,39 @@ def sweep(base_config, n_values, alpha_values, sat_m: float | None = None,
     the bits of simulate and estimate_decay_rate on that cell alone, at
     any horizon. A non-finite state spreads across the stack, so if a stack of
     several cells fails, each cell steps again as a stack of one. Failures
-    are recorded per cell without aborting. sat_m defaults per cell to ten
-    times the peak of that cell's initial profile, and weight to the cells'
-    shared default_weight. Every alpha, then every n, is checked (ParameterError)
-    before any cell's steady solve.
+    are recorded per cell without aborting. Two configs sharing an (n, alpha),
+    a bad window_fraction or a bad floor raise ParameterError before any
+    cell's steady solve.
     """
-    n_values = tuple(float(n) for n in n_values)
-    alpha_values = tuple(float(a) for a in alpha_values)
-    if not n_values or not alpha_values:
-        raise ParameterError("n_values and alpha_values must be non-empty")
-    if len(set(n_values)) < len(n_values) or len(set(alpha_values)) < len(alpha_values):
-        raise ParameterError(f"n and alpha values must be distinct: {n_values}, {alpha_values}")
-
     check_window_fraction(window_fraction)
     check_floor(floor)
-    base = base_config.params
-    # every alpha, then every n, is checked before any cell's steady solve
-    laws = {a: replace(base_config.law, alpha=a) for a in alpha_values}
-    reactors = {n: replace(base, n=n) for n in n_values}
-    # the cells vary n, alpha and sat_m only, so they share the default weight
-    weight = weight if weight is not None else default_weight(base_config.grid, base)
-    unit_weight = weight_profile(base_config.grid, 1.0, weight.gamma)
-    shared = {"d_ax": base.d_ax, "v": base.v, "k": base.k, "l": base.l,
-              "t_final": base.t_final, "u_bar": base_config.law.u_bar,
-              "num_nodes": base_config.grid.num_nodes, "dt": base_config.dt,
-              "record_every": base_config.record_every, "rho0": weight.rho0,
-              "gamma": weight.gamma, "window_fraction": window_fraction,
-              "floor": "default" if floor is None else floor}
+    keys = [(config.params.n, config.law.alpha) for config in configs]
+    if len(set(keys)) < len(keys):
+        raise ParameterError(f"each (n, alpha) must have one config, got {keys}")
+    unit_weight = weight_profile(weight.profile.grid, 1.0, weight.gamma)
 
     cells, ready, started = {}, {}, time.process_time()
-    for n in n_values:
-        for a in alpha_values:
-            cell_sat = sat_m if sat_m is not None else default_saturation_bound(
-                base.d_ax, base.v, base.l, a)
-            config = replace(base_config, params=replace(reactors[n], sat_m=cell_sat),
-                             law=laws[a])
-            # the cell's settings and their hash; its run adds its solver effort
-            settings = {**shared, "n": n, "alpha": a, "sat_m": cell_sat}
-            provenance = {"hash": settings_hash(settings), **settings}
-            run, err = _isolated(lambda: _closed_loop(config, provenance))
-            if run is None:
-                cells[(n, a)] = SweepCell(n, a, None, err, provenance)
-            else:
-                ready[(n, a)] = (run, provenance)
+    for key, config in zip(keys, configs):
+        # the cell's settings and their hash; its run adds its solver effort
+        settings = {**asdict(config.params), **asdict(config.law),
+                    "num_nodes": config.grid.num_nodes, "dt": config.dt,
+                    "record_every": config.record_every, "rho0": weight.rho0,
+                    "gamma": weight.gamma, "window_fraction": window_fraction,
+                    "floor": "default" if floor is None else floor}
+        provenance = {"hash": settings_hash(settings), **settings}
+        run, err = _isolated(lambda: _closed_loop(config, provenance))
+        if run is None:
+            cells[key] = SweepCell(*key, None, err, provenance)
+        else:
+            ready[key] = (run, provenance)
     phases = {"steady": time.process_time() - started, "stack": 0.0, "fit": 0.0}
 
     def stack(keys):
         """Step these cells together until each has had a record at or below
         its fit floor, and fit each from its norms; a failing stack of
         several cells steps them again one at a time."""
-        norms = np.empty((len(keys), base_config.num_records))
+        runs = [ready[key][0] for key in keys]
+        norms = np.empty((len(keys), runs[0][0].num_records))
         floors, reached = np.empty(len(keys)), np.zeros(len(keys), dtype=bool)
 
         def record(j, w):
@@ -287,8 +270,7 @@ def sweep(base_config, n_values, alpha_values, sat_m: float | None = None,
             return reached.all()
 
         started = time.process_time()
-        trajs, err = _isolated(
-            lambda: integrator.simulate_stack([ready[key][0] for key in keys], record))
+        trajs, err = _isolated(lambda: integrator.simulate_stack(runs, record))
         phases["stack"] += time.process_time() - started
         if err is not None and len(keys) > 1:
             for key in keys:
@@ -311,6 +293,4 @@ def sweep(base_config, n_values, alpha_values, sat_m: float | None = None,
     if ready:
         stack(list(ready))
 
-    cells = {(n, a): cells[(n, a)] for n in n_values for a in alpha_values}
-    return SweepResult(n_values=n_values, alpha_values=alpha_values, cells=cells,
-                       phases=phases)
+    return SweepResult(cells={key: cells[key] for key in keys}, phases=phases)

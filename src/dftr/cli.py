@@ -27,8 +27,7 @@ from . import __version__
 from ._g17 import WORDS, fill, slots
 from .analysis import (DEFAULT_WINDOW_FRACTION, check_floor, check_window_fraction,
                        default_weight, energy, settings_hash, sweep, weight_profile)
-from .errors import (ConfigError, DftrError, EstimationError, IntegrationError,
-                     ParameterError, SolverError)
+from .errors import ConfigError, DftrError, IntegrationError, ParameterError, SolverError
 from .integrator import SimulationConfig, closed_loop, simulate, simulate_stack, substep_count
 from .model import (FeedbackLaw, Profile, ReactorParams, SpatialGrid,
                     d_ax_from_peclet, default_saturation_bound, lambda_theoretical)
@@ -67,8 +66,8 @@ class ResolvedConfig:
     """A config document with every default materialized.
 
     dt stays None when the file omits it, and run() applies its default.
-    sat_m stays None when omitted so sweep cells can apply the per-alpha
-    default.
+    sat_m stays None when omitted, and reactor_params() applies the per-alpha
+    default, so each sweep cell replace(cfg, n=n, alpha=a) gets its own.
     """
 
     d_ax: float
@@ -108,7 +107,8 @@ class ResolvedConfig:
         """The closed-loop run to t_final at dt or else 0.1 s; with to_horizon, the
         decay run to the horizon at dt or else 1 s."""
         t_final, dt = (self.horizon, 1.0) if to_horizon else (self.t_final, 0.1)
-        return SimulationConfig(params=self.reactor_params(t_final=t_final), law=self.law(),
+        # alpha is checked before the per-alpha sat_m default needs it
+        return SimulationConfig(law=self.law(), params=self.reactor_params(t_final=t_final),
                                 grid=self.grid(), dt=dt if self.dt is None else self.dt,
                                 record_every=self.record_every)
 
@@ -352,13 +352,14 @@ def cmd_simulate(cfg: ResolvedConfig, out_dir, manifest: RunManifest,
 
 def cmd_sweep(cfg: ResolvedConfig, out_dir, manifest: RunManifest,
               n_list, alpha_list) -> int:
-    base = cfg.run(to_horizon=True)
-    # out-of-domain list values raise ParameterError, a config error
-    result = sweep(base, n_list, alpha_list, sat_m=cfg.sat_m, weight=cfg.weight(base.grid),
-                   window_fraction=cfg.window_fraction, floor=cfg.floor)
+    # every cell's run, n then alpha in list order; an out-of-domain list value
+    # raises ParameterError, a config error, before any steady solve
+    runs = [replace(cfg, n=n, alpha=a).run(to_horizon=True)
+            for n in n_list for a in alpha_list]
+    result = sweep(runs, cfg.weight(runs[0].grid), cfg.window_fraction, cfg.floor)
     swept = time.process_time()
 
-    lam_t = lambda_theoretical(base.params)
+    lam_t = lambda_theoretical(runs[0].params)
     # one sweep.csv row and one sweep_cells.json entry (outside the hash) per cell
     keys = ("newton_iterations", "inner_steps", "negativity_events")
     rows, cells = [], []
@@ -379,8 +380,8 @@ def cmd_sweep(cfg: ResolvedConfig, out_dir, manifest: RunManifest,
     manifest.timings["phases"] = {**result.phases, "write": time.process_time() - swept}
 
     # a '-' marks a cell with no rate: failed, or its norm started at the floor
-    print("n\\alpha" + "".join(f"{a:>12g}" for a in result.alpha_values))
-    width = len(result.alpha_values)
+    print("n\\alpha" + "".join(f"{a:>12g}" for a in alpha_list))
+    width = len(alpha_list)
     for i in range(0, len(rows), width):
         print(f"{rows[i][0]:<7g}" + "".join(f"{'-':>12}" if row[2] is None else f"{row[2]:>12.4f}"
                                             for row in rows[i:i + width]))
@@ -650,9 +651,6 @@ def main(argv=None) -> int:
     except IntegrationError as exc:
         print(f"integration failure: {exc}", file=sys.stderr)
         return EXIT_INTEGRATION
-    except EstimationError as exc:
-        print(f"estimation failure: {exc}", file=sys.stderr)
-        return EXIT_SWEEP
     except DftrError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

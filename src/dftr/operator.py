@@ -142,12 +142,6 @@ class DiscreteGenerator:
             arr.flags.writeable = False
         return Tridiagonal(lower, diag, upper)
 
-    def apply(self, values: np.ndarray) -> np.ndarray:
-        return self.diagonals.apply(values)
-
-    def dense(self) -> np.ndarray:
-        return self.diagonals.dense()
-
 
 def build_generator(grid: SpatialGrid, params: ReactorParams,
                     alpha: float) -> DiscreteGenerator:
@@ -199,7 +193,7 @@ def dissipativity_form(gen: DiscreteGenerator, xi: Profile) -> DissipativityForm
                 f"(inlet defect {inlet:.3e}, outlet defect {outlet:.3e}, "
                 f"scale {scale:.3e})")
 
-    form = inner_product(gen.grid, gen.apply(vals), vals)
+    form = inner_product(gen.grid, gen.diagonals.apply(vals), vals)
 
     h = gen.grid.h
     deriv = np.empty_like(vals)
@@ -412,7 +406,7 @@ def duhamel_oracle(gen: DiscreteGenerator, w0: Profile, steady, params: ReactorP
         raise ParameterError(f"num_steps must be >= 1, got {num_steps}")
 
     dt = t_final / num_steps
-    e_dt = _expm(gen.dense() * dt)
+    e_dt = _expm(gen.diagonals.dense() * dt)
     weights = gen.grid.quad_weights
 
     # iterate on the whole trajectory; states[j] approximates xi(t_j)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,6 +14,7 @@ from dftr import (
     SpatialGrid,
     Trajectory,
     WeightFunction,
+    default_saturation_bound,
     default_weight,
     energy,
     estimate_decay_rate,
@@ -240,10 +243,20 @@ def _sweep_base(horizon=2000.0, dt=1.0, num_nodes=201, record_every=1):
                             dt=dt, record_every=record_every)
 
 
+def _sweep(base, n_values, alpha_values, **kwargs):
+    """sweep over base's (n, alpha) cells, n then alpha, each at its per-alpha
+    default sat_m, with base's default weight."""
+    p = base.params
+    configs = [replace(base, law=replace(base.law, alpha=a), params=replace(
+        p, n=n, sat_m=default_saturation_bound(p.d_ax, p.v, p.l, a)))
+        for n in n_values for a in alpha_values]
+    return sweep(configs, default_weight(base.grid, p), **kwargs)
+
+
 class TestSweep:
     def test_single_cell_matches_direct_composition(self):
         base = _sweep_base()
-        result = sweep(base, [1.0], [0.0])
+        result = _sweep(base, [1.0], [0.0])
         cell = result.cell(1.0, 0.0)
 
         p = make_params(t_final=2000.0)
@@ -258,9 +271,8 @@ class TestSweep:
 
     def test_failed_cell_is_isolated(self):
         base = _sweep_base(horizon=100.0, num_nodes=101)
-        from dataclasses import replace
         hostile = replace(base, params=make_params(k=1.0, t_final=100.0))
-        result = sweep(hostile, [0.5, 1.0], [0.0])
+        result = _sweep(hostile, [0.5, 1.0], [0.0])
         bad = result.cell(0.5, 0.0)
         assert bad.estimate is None
         assert "SolverError" in bad.error
@@ -268,28 +280,9 @@ class TestSweep:
         assert good.error is None
         assert np.isfinite(good.estimate.lambda_n)
 
-    @pytest.mark.parametrize("n_values, alpha_values, message", [
-        ([1.0, -1.0], [0.25], "n must be > 0"),
-        ([1.0], [0.0, 0.7], "alpha must lie in"),
-        ([-1.0], [0.7], "alpha must lie in"),  # alpha is checked first
-    ])
-    def test_values_are_checked_before_any_steady_solve(self, monkeypatch, n_values,
-                                                         alpha_values, message):
-        import dftr.integrator
-        solve, calls = dftr.integrator.steady_state_numeric, []
-
-        def counted(*args):
-            calls.append(args)
-            return solve(*args)
-
-        monkeypatch.setattr(dftr.integrator, "steady_state_numeric", counted)
-        with pytest.raises(ParameterError, match=message):
-            sweep(_sweep_base(horizon=100.0, num_nodes=51), n_values, alpha_values)
-        assert calls == []
-
     def test_provenance_records_solver_effort(self):
         base = _sweep_base(horizon=200.0, num_nodes=101)
-        cell = sweep(base, [2.0], [0.25]).cell(2.0, 0.25)
+        cell = _sweep(base, [2.0], [0.25]).cell(2.0, 0.25)
         assert len(cell.provenance["hash"]) == 16
         assert cell.provenance["newton_iterations"] >= 1
         assert cell.provenance["inner_steps"] >= 200  # horizon / dt
@@ -309,12 +302,12 @@ class TestSweep:
         # and must surface with its traceback
         self._break_the_stack(monkeypatch)
         with pytest.raises(TypeError, match="bug in the stepper"):
-            sweep(_sweep_base(horizon=100.0, num_nodes=101), [1.0], [0.0])
+            _sweep(_sweep_base(horizon=100.0, num_nodes=101), [1.0], [0.0])
 
     def test_programming_error_in_a_stack_of_cells_surfaces(self, monkeypatch):
         self._break_the_stack(monkeypatch)
         with pytest.raises(TypeError, match="bug in the stepper"):
-            sweep(_sweep_base(horizon=100.0, num_nodes=101), [1.0, 2.0], [0.0, 0.5])
+            _sweep(_sweep_base(horizon=100.0, num_nodes=101), [1.0, 2.0], [0.0, 0.5])
 
     def test_stacked_cells_match_solo_runs(self):
         # n = 10 needs substeps and n = 2 does not, so the stack takes both
@@ -324,7 +317,7 @@ class TestSweep:
 
         base = _sweep_base(horizon=1000.0, num_nodes=101, record_every=7)
         g = base.grid
-        result = sweep(base, [2.0, 10.0], [0.0, 0.5])
+        result = _sweep(base, [2.0, 10.0], [0.0, 0.5])
         runs, solos = [], []
         for n in (2.0, 10.0):
             for a in (0.0, 0.5):
@@ -342,7 +335,7 @@ class TestSweep:
                 assert est.fit_r2.hex() == direct.fit_r2.hex()
                 assert [t.hex() for t in est.fit_window] == [t.hex() for t in direct.fit_window]
                 assert est.floor_hit == direct.floor_hit
-                assert cell.provenance == sweep(base, [n], [a]).cell(n, a).provenance
+                assert cell.provenance == _sweep(base, [n], [a]).cell(n, a).provenance
                 assert cell.provenance["inner_steps"] == traj.inner_steps
         assert len({t.inner_steps for t in solos}) == 3
 
@@ -365,7 +358,7 @@ class TestSweep:
         # record_every = 7 does not divide the 2500 steps
         base = _sweep_base(horizon=2500.0, num_nodes=101, record_every=7)
         g = base.grid
-        result = sweep(base, [2.0, 10.0], [0.0, 0.5])
+        result = _sweep(base, [2.0, 10.0], [0.0, 0.5])
         for n in (2.0, 10.0):
             for a in (0.0, 0.5):
                 p = make_params(n=n, t_final=2500.0, alpha_for_sat=a)
@@ -386,13 +379,13 @@ class TestSweep:
         self._break_the_stack(monkeypatch)
         for bad in (0.0, -0.5, 1.5):
             with pytest.raises(ParameterError, match="window_fraction"):
-                sweep(_sweep_base(horizon=100.0, num_nodes=51), [1.0], [0.0],
+                _sweep(_sweep_base(horizon=100.0, num_nodes=51), [1.0], [0.0],
                       window_fraction=bad)
 
     def test_floor_is_checked_before_any_stepping(self, monkeypatch):
         self._break_the_stack(monkeypatch)
         with pytest.raises(ParameterError, match="floor must be >= 0, got -1.0"):
-            sweep(_sweep_base(horizon=100.0, num_nodes=51), [1.0], [0.0], floor=-1.0)
+            _sweep(_sweep_base(horizon=100.0, num_nodes=51), [1.0], [0.0], floor=-1.0)
 
     def test_non_finite_cell_reruns_its_stack_alone(self, monkeypatch):
         # n = 2000 is too stiff for the substep guard; run without substeps,
@@ -416,10 +409,10 @@ class TestSweep:
         monkeypatch.setattr(dftr.integrator, "simulate_stack", counted)
         base = _sweep_base(horizon=300.0, num_nodes=101)
         with np.errstate(over="ignore", invalid="ignore"):
-            result = sweep(base, [2.0, 10.0, 2000.0], [0.0, 0.5])
+            result = _sweep(base, [2.0, 10.0, 2000.0], [0.0, 0.5])
             assert sizes == [6] + [1] * 6  # the stack, then each cell alone
             for (n, a), cell in result.cells.items():
-                assert cell == sweep(base, [n], [a]).cell(n, a)  # a stack of one
+                assert cell == _sweep(base, [n], [a]).cell(n, a)  # a stack of one
                 assert (cell.error is None) == (n != 2000.0)
 
             p = make_params(n=2000.0, t_final=300.0, alpha_for_sat=0.5)
@@ -429,21 +422,16 @@ class TestSweep:
                 simulate(cfg, steady_state_numeric(p, 1.0, base.grid),
                          initial_profile(base.grid, p, law))
             sizes.clear()
-            alone = sweep(base, [2000.0], [0.5]).cell(2000.0, 0.5)
+            alone = _sweep(base, [2000.0], [0.5]).cell(2000.0, 0.5)
             assert sizes == [1]  # a failing stack of one is not stepped again
         assert result.cell(2000.0, 0.5).error == f"IntegrationError: {exc.value}"
         assert alone.error == f"IntegrationError: {exc.value}"
 
-    def test_empty_axis_rejected(self):
-        with pytest.raises(ParameterError):
-            sweep(_sweep_base(), [], [0.0])
-
-    @pytest.mark.parametrize("n_values,alpha_values", [([2, 2.0], [0.0]),
-                                                       ([2.0], [0.0, 0.5, 0])])
-    def test_repeated_axis_value_rejected(self, n_values, alpha_values):
-        # a repeated value would give one computed cell two rows of the table
-        with pytest.raises(ParameterError, match="distinct"):
-            sweep(_sweep_base(horizon=100.0, num_nodes=51), n_values, alpha_values)
+    def test_two_configs_of_one_cell_rejected(self):
+        # a second config of a cell would silently replace the first
+        base = _sweep_base(horizon=100.0, num_nodes=51)
+        with pytest.raises(ParameterError, match="one config"):
+            sweep([base, base], default_weight(base.grid, base.params))
 
 
 class TestWeightAdmissibility:

@@ -386,6 +386,37 @@ class TestSweepCommand:
             assert sorted(phases) == ["fit", "stack", "steady", "write"]
             assert all(seconds >= 0.0 for seconds in phases.values())
 
+    @pytest.mark.parametrize("n_list, alpha_list, message", [
+        ("1,-1", "0.25", "n must be > 0, got -1.0"),
+        ("1", "0,0.7", "alpha must lie in [0, 1/2], got 0.7"),
+        ("-1", "0.7", "alpha must lie in [0, 1/2], got 0.7"),  # a cell's alpha comes first
+        ("1", "1.5", "alpha must lie in [0, 1/2], got 1.5"),  # before its sat_m default
+        ("-1,1", "0.25,0.7", "n must be > 0, got -1.0"),  # the first bad cell, n then alpha
+    ], ids=["n", "alpha", "alpha-first", "alpha-1.5", "first-cell"])
+    def test_list_values_are_checked_before_any_steady_solve(self, tmp_path, capsys, monkeypatch,
+                                                             n_list, alpha_list, message):
+        import dftr.integrator
+        solve, calls = dftr.integrator.steady_state_numeric, []
+
+        def counted(*args):
+            calls.append(args)
+            return solve(*args)
+
+        monkeypatch.setattr(dftr.integrator, "steady_state_numeric", counted)
+        cfg = write_ini(tmp_path / "c.ini", self.CFG)
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "out"),
+                     f"--n-list={n_list}", f"--alpha-list={alpha_list}"]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert calls == []
+
+    def test_cell_hash_is_pinned(self, tmp_path):
+        # the hash covers the cell's 16 settings: a dropped, extra or changed one moves it
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(REPO / "perfbench/configs/sweep-ref.ini"),
+                     "--out", str(out), "--n-list", "2", "--alpha-list", "0.25"]) == 0
+        cells = json.loads((out / "sweep_cells.json").read_text())
+        assert [cell["hash"] for cell in cells] == ["c0b08b2ca5a0d5e2"]
+
     def test_invalid_list_arguments(self, tmp_path, capsys):
         cfg = write_ini(tmp_path / "c.ini", self.CFG)
         out = tmp_path / "out"

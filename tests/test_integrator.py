@@ -587,6 +587,6 @@ class TestTemporalAccuracy:
         w0 = initial_profile(g, p, law)
         traj = simulate(cfg, steady, w0)
         gen = build_generator(g, p, law.alpha)
-        exact = expm(50.0 * gen.dense()) @ w0.values
+        exact = expm(50.0 * gen.diagonals.dense()) @ w0.values
         rel = np.linalg.norm(traj.states[-1] - exact) / np.linalg.norm(exact)
         assert rel <= 1e-4

@@ -46,7 +46,7 @@ def _tridiagonal_cases(params, m=31):
 class TestGenerator:
     def test_zero_vector_maps_to_zero(self, params, grid201):
         gen = build_generator(grid201, params, 0.0)
-        assert np.array_equal(gen.apply(np.zeros(201)), np.zeros(201))
+        assert np.array_equal(gen.diagonals.apply(np.zeros(201)), np.zeros(201))
 
     def test_exact_on_boundary_compatible_quadratic(self, params, grid201):
         # the startup profile is quadratic, so central differences are exact
@@ -55,14 +55,11 @@ class TestGenerator:
             gen = build_generator(grid201, params, alpha)
             w = _quadratic_profile(grid201, params, alpha).values
             expected = -params.d_ax - params.v * (params.l - grid201.nodes)
-            assert np.max(np.abs(gen.apply(w) - expected)) <= 1e-12
+            assert np.max(np.abs(gen.diagonals.apply(w) - expected)) <= 1e-12
 
     def test_dense_matches_apply(self, params):
-        g = SpatialGrid(l=1.0, num_nodes=31)
-        gen = build_generator(g, params, 0.25)
-        rng = np.random.default_rng(3)
-        x = rng.standard_normal(31)
-        assert np.allclose(gen.dense() @ x, gen.apply(x), rtol=1e-13, atol=1e-16)
+        # the first case is the 31-node generator's own A_h
+        x = np.random.default_rng(3).standard_normal(31)
         for mat in _tridiagonal_cases(params):
             assert np.allclose(mat.dense() @ x, mat.apply(x), rtol=1e-13, atol=1e-16)
 
@@ -302,7 +299,7 @@ class TestResolventDiscrete:
         eta_vals = rng.uniform(-1.0, 1.0, 201)
         eta = Profile(grid201, eta_vals)
         xi = resolvent_discrete(gen, eta, 1.0).values
-        resid = gen.apply(xi) - 1.0 * xi - eta_vals
+        resid = gen.diagonals.apply(xi) - 1.0 * xi - eta_vals
         norm_eta = np.sqrt(inner_product(grid201, eta_vals, eta_vals))
         assert np.sqrt(inner_product(grid201, resid, resid)) <= 1e-12 * norm_eta
 
@@ -375,7 +372,7 @@ def _reference_picard(gen, w0, steady, params, t_final, num_steps):
     from dftr.model import reaction_rate
 
     dt = t_final / num_steps
-    e_dt = operator._expm(gen.dense() * dt)
+    e_dt = operator._expm(gen.diagonals.dense() * dt)
     weights = gen.grid.quad_weights
 
     def l2(vec):
@@ -429,7 +426,7 @@ class TestExpm:
         # and up to 11 squarings (101 nodes, Pe 0.5, dt 10)
         from scipy.linalg import expm
         p = make_params(d_ax=0.01 / peclet)
-        a = build_generator(SpatialGrid(l=1.0, num_nodes=m), p, 0.25).dense() * dt
+        a = build_generator(SpatialGrid(l=1.0, num_nodes=m), p, 0.25).diagonals.dense() * dt
         ref = expm(a)
         assert np.max(np.abs(operator._expm(a) - ref)) <= 1e-12 * np.max(np.abs(ref))
 
