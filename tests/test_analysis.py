@@ -427,11 +427,13 @@ class TestSweep:
         assert result.cell(2000.0, 0.5).error == f"IntegrationError: {exc.value}"
         assert alone.error == f"IntegrationError: {exc.value}"
 
-    def test_two_configs_of_one_cell_rejected(self):
-        # a second config of a cell would silently replace the first
-        base = _sweep_base(horizon=100.0, num_nodes=51)
+    @pytest.mark.parametrize("n_values,alpha_values", [([2, 2.0], [0.0]),
+                                                       ([2.0], [0.0, 0.5, 0])])
+    def test_repeated_axis_value_rejected(self, n_values, alpha_values):
+        # a repeated value gives one cell two configs, and the second would
+        # silently replace the first
         with pytest.raises(ParameterError, match="one config"):
-            sweep([base, base], default_weight(base.grid, base.params))
+            _sweep(_sweep_base(horizon=100.0, num_nodes=51), n_values, alpha_values)
 
 
 class TestWeightAdmissibility:
