@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from . import __version__
+from . import __version__, operator
 from ._g17 import WORDS, fill, slots
 from .analysis import (DEFAULT_WINDOW_FRACTION, check_floor, check_window_fraction,
                        default_weight, energy, settings_hash, sweep, weight_profile)
@@ -181,9 +181,10 @@ class RunManifest:
     """Provenance record for one CLI invocation.
 
     The hash covers the semantic inputs only (command, toolkit version,
-    resolved settings, list/seed arguments); wall-clock timings and the
-    output directory are recorded in manifest.json but excluded from the
-    hash so re-runs elsewhere reproduce identical CSV bytes.
+    resolved settings, list/seed arguments); timings, the output directory,
+    the numpy version and the LAPACK the solves came from are recorded in
+    manifest.json but excluded from the hash so re-runs elsewhere reproduce
+    identical CSV bytes.
     """
 
     config_path: str
@@ -201,7 +202,8 @@ class RunManifest:
         doc = {"config_path": self.config_path, "command": self.command,
                "version": __version__, "out_dir": str(self.out_dir),
                "hash": self.hash, "settings": self.resolved,
-               "timings": self.timings}
+               "timings": self.timings, "numpy": np.__version__,
+               "lapack": operator._GTTR.name}
         with open(path, "w", newline="\n") as fh:
             json.dump(doc, fh, indent=2, sort_keys=True)
             fh.write("\n")
@@ -610,6 +612,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # the CPU of interpreter start-up and imports, before any work of this call
+    load_s = time.process_time()
     from pathlib import Path
 
     args = build_parser().parse_args(argv)
@@ -636,7 +640,7 @@ def main(argv=None) -> int:
         # tuples serialize as JSON lists, so the hash and manifest.json see lists
         manifest = RunManifest(config_path=str(args.config), command=args.command,
                                out_dir=str(out_dir), resolved={**asdict(cfg), **extra},
-                               timings={})
+                               timings={"load_s": load_s})
         code = _COMMANDS[args.command](cfg, out_dir, manifest, **extra)
         manifest.timings["total_s"] = time.monotonic() - started
         manifest.write(out_dir / "manifest.json")

@@ -218,7 +218,7 @@ def simulate_stack(runs, record) -> list:
         return _substeps(dt, k_run, n_run, c, i), False  # some m >= 2
 
     def part(q0, q1, m):
-        """Runs q0..q1-1 at dt / m: views, powers, plus diagonals, in-place solve."""
+        """Runs q0..q1-1 at dt / m: views, powers, plus diagonals, solve bound to b."""
         if (q0, q1, m) not in parts:
             a, b = q0 * nodes, q1 * nodes
             plus, minus = (Tridiagonal.block_diagonal(  # I +- dt/2 A_h
@@ -228,7 +228,7 @@ def simulate_stack(runs, record) -> list:
                 slice(q0, q1), w[a:b], w[a:b - 1], w[a + 1:b], k_node[a:b], base[a:b],
                 c_bar[a:b], sat[a:b], -sat[a:b], dt / m,
                 [(rate[s * nodes:e * nodes], orders[s]) for s, e in zip(cuts, cuts[1:])],
-                plus.diag, plus.upper[:-1], plus.lower[1:], minus.factor(in_place=True),
+                plus.diag, plus.upper[:-1], plus.lower[1:], minus.factor(into=rhs[a:b]),
                 rate[a:b], rate[a:b - 1], r_star[a:b], rhs[a:b], rhs[a:b - 1], rhs[a + 1:b],
                 half_prev[a:b], below[a:b])
         return parts[q0, q1, m]
@@ -252,7 +252,7 @@ def simulate_stack(runs, record) -> list:
         np.multiply(l, w_lo, out=r_lo)
         b_hi += r_lo
         b += r_s
-        solve(b)
+        solve()
         w_a[:] = b
         np.add(w_a, cb, out=r)
         # clean: no C below NEGATIVITY_TOL and none non-finite (a NaN fails both)

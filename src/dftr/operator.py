@@ -13,15 +13,16 @@ global O(h^2) order and the matrix stays tridiagonal.
 
 from __future__ import annotations
 
+import ctypes
 import importlib.machinery
 import importlib.util
 import math
 import os
 import sys
+from ctypes import c_char_p, c_size_t, c_void_p
 from dataclasses import dataclass
 from functools import cached_property, partial
-from operator import attrgetter
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -42,7 +43,77 @@ def _lapack():
         return lapack
 
 
-dgttrf, dgttrs = attrgetter("dgttrf", "dgttrs")(_lapack())
+class _Gttr(NamedTuple):
+    """One LAPACK's tridiagonal pair: factor(dl, d, du) gives (factors, info) from dgttrf
+    on copies of its diagonals, and bind(factors, b) a no-argument dgttrs that overwrites
+    b, a contiguous float64 array, with the solution. name is the symbol or module."""
+
+    name: str
+    factor: Callable
+    bind: Callable
+
+
+def _ptr(a: np.ndarray) -> c_void_p:
+    return a.ctypes.data_as(c_void_p)  # holds a reference to a
+
+
+def _numpy_gttr() -> _Gttr | None:
+    """dgttrf/dgttrs of the ILP64 OpenBLAS that numpy.linalg links, or None on a build
+    that exports neither pair. numpy >= 2 wheels name them scipy_dgttr?_64_ and numpy
+    1.2x wheels dgttr?_64_; the _64_ fixes every integer argument at 64 bits."""
+    try:
+        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    except (AttributeError, OSError):
+        return None
+    for prefix in ("scipy_", ""):
+        try:
+            trf, trs = getattr(lib, prefix + "dgttrf_64_"), getattr(lib, prefix + "dgttrs_64_")
+        except AttributeError:
+            continue
+        trf.argtypes, trf.restype = [c_void_p] * 7, None
+        # the trailing size_t is the hidden length of the Fortran character TRANS
+        trs.argtypes, trs.restype = [c_void_p] * 11 + [c_size_t], None
+        break
+    else:
+        return None
+
+    def factor(dl, d, du):
+        n = d.size
+        lu = (*(np.array(a, dtype=np.float64) for a in (dl, d, du)),
+              np.empty(max(n - 2, 0)), np.empty(n, dtype=np.int64))
+        ints = np.array([n, 0], dtype=np.int64)  # N, INFO
+        trf(_ptr(ints), *map(_ptr, lu), _ptr(ints[1:]))
+        return lu, int(ints[1])
+
+    def bind(lu, b):
+        ints = np.array([b.size, 1, 0], dtype=np.int64)  # N = LDB, NRHS, INFO
+        return partial(trs, c_char_p(b"N"), _ptr(ints), _ptr(ints[1:]), *map(_ptr, lu),
+                       _ptr(b), _ptr(ints), _ptr(ints[2:]), c_size_t(1))
+
+    return _Gttr(prefix + "dgttrs_64_", factor, bind)
+
+
+def _flapack_gttr() -> _Gttr:
+    """dgttrf/dgttrs of scipy's _flapack, through its f2py wrappers."""
+    lapack = _lapack()
+
+    def factor(dl, d, du):
+        *lu, info = lapack.dgttrf(dl, d, du)
+        return lu, info
+
+    def bind(lu, b):
+        return partial(lapack.dgttrs, *lu, b, overwrite_b=True)
+
+    return _Gttr(lapack.__name__, factor, bind)
+
+
+def _gttr() -> _Gttr:
+    """numpy's own LAPACK where its build exports the pair, else scipy's: no second
+    OpenBLAS is loaded unless numpy's cannot serve."""
+    return _numpy_gttr() or _flapack_gttr()
+
+
+_GTTR = _gttr()
 
 BC_REL_TOL = 1e-2  # dissipativity_form rejects grossly incompatible vectors
 
@@ -85,20 +156,33 @@ class Tridiagonal(NamedTuple):
         upper[ends - 1] = 0.0
         return cls(lower, diag, upper)
 
-    def factor(self, in_place: bool = False):
-        """LU-factor once (dgttrf); returns solve(rhs), one dgttrs per call.
+    def factor(self, into: np.ndarray | None = None):
+        """LU-factor once (dgttrf); returns solve(rhs), one dgttrs on a copy of rhs.
 
-        With in_place, solve is dgttrs itself, bound to the factors: it
-        overwrites rhs, a contiguous float64 array, with the solution and
-        makes no Python call of its own."""
-        *lu, info = dgttrf(self.lower[1:], self.diag, self.upper[:-1])
+        Given into, a contiguous writable float64 array of the matrix's size,
+        it returns a no-argument solve instead: dgttrs bound once to the
+        factors and to into, which it overwrites with the solution, making no
+        Python call of its own."""
+        if not self.lower.shape == self.diag.shape == self.upper.shape == (self.diag.size,):
+            raise ContractError("a tridiagonal needs three 1-D diagonals of one length")
+        gttr = _GTTR
+        lu, info = gttr.factor(self.lower[1:], self.diag, self.upper[:-1])
         if info != 0:
             raise SolverError(f"singular tridiagonal matrix (zero pivot at row {info})")
-        if in_place:
-            return partial(dgttrs, *lu, overwrite_b=True)
+
+        def bound(b):
+            if not (b.dtype == np.float64 and b.shape == self.diag.shape
+                    and b.flags.c_contiguous and b.flags.writeable):
+                raise ContractError(f"a bound solve needs a contiguous writable float64 "
+                                    f"array of shape {self.diag.shape}")
+            return gttr.bind(lu, b)
+        if into is not None:
+            return bound(into)
 
         def solve(rhs: np.ndarray) -> np.ndarray:
-            return dgttrs(*lu, rhs)[0]
+            x = np.array(rhs, dtype=np.float64)
+            bound(x)()
+            return x
         return solve
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:

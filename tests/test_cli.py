@@ -211,7 +211,7 @@ class TestSimulateCommand:
             {"command": "simulate", "version": dftr.__version__,
              "settings": docs[0]["settings"]})
         for doc in docs:
-            assert sorted(doc["timings"]) == ["phases", "total_s"]
+            assert sorted(doc["timings"]) == ["load_s", "phases", "total_s"]
             phases = doc["timings"]["phases"]
             assert sorted(phases) == ["steady", "step", "write"]
             assert all(seconds >= 0.0 for seconds in phases.values())
@@ -381,7 +381,7 @@ class TestSweepCommand:
             {"command": "sweep", "version": dftr.__version__,
              "settings": docs[0]["settings"]})
         for doc in docs:
-            assert sorted(doc["timings"]) == ["phases", "total_s"]
+            assert sorted(doc["timings"]) == ["load_s", "phases", "total_s"]
             phases = doc["timings"]["phases"]
             assert sorted(phases) == ["fit", "stack", "steady", "write"]
             assert all(seconds >= 0.0 for seconds in phases.values())
@@ -465,6 +465,7 @@ class TestVerifyCommand:
              "settings": docs[0]["settings"]})
         _, _, rows = read_csv(tmp_path / "a" / "verify.csv")
         for doc in docs:
+            assert sorted(doc["timings"]) == ["checks", "load_s", "total_s"]
             checks = doc["timings"]["checks"]
             names = [name for key in checks for name in key.split("+")]
             assert sorted(names) == sorted(r[0] for r in rows)
@@ -1018,9 +1019,51 @@ def test_console_entry_point(tmp_path, argv):
     assert "config error" in proc.stderr
 
 
+def test_manifest_records_lapack_and_numpy_outside_the_hash(tmp_path, monkeypatch):
+    # the solves' LAPACK, numpy's version and the load phase land in manifest.json;
+    # a run forced onto scipy's _flapack keeps the hash and every CSV byte
+    from dftr import operator
+    cfg = write_ini(tmp_path / "c.ini", BASE_INI + "[grid]\nnum_nodes = 21\n"
+                    + "[time]\nt_final = 10\ndt = 0.5\n")
+    docs, csvs = [], []
+    for name, path in (("chosen", operator._GTTR), ("flapack", operator._flapack_gttr())):
+        monkeypatch.setattr(operator, "_GTTR", path)
+        out = tmp_path / name
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+        docs.append(json.loads((out / "manifest.json").read_text()))
+        csvs.append({p.name: p.read_bytes() for p in sorted(out.glob("*.csv"))})
+        assert docs[-1]["lapack"] == path.name
+        assert docs[-1]["numpy"] == np.__version__
+        assert 0.0 < docs[-1]["timings"]["load_s"]
+    assert docs[1]["lapack"] == "scipy.linalg._flapack"
+    assert csvs[0] == csvs[1] and len(csvs[0]) == 4
+    assert docs[0]["hash"] == docs[1]["hash"]
+    for command in ("steady", "sweep", "verify"):
+        out = tmp_path / command
+        assert main([command, "--config", cfg, "--out", str(out)]) == 0
+        doc = json.loads((out / "manifest.json").read_text())
+        assert {"lapack", "numpy"} <= set(doc) and "load_s" in doc["timings"]
+
+
+def test_import_loads_no_scipy_where_numpy_has_the_lapack():
+    # numpy's own OpenBLAS serves every solve, so no scipy module, and no second
+    # OpenBLAS, is loaded; on a build without the pair the fallback's name shows
+    script = ("import sys\nimport dftr.cli\nfrom dftr import operator\n"
+              "print(operator._GTTR.name)\n"
+              "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    name, loaded = proc.stdout.splitlines()
+    if name == "scipy.linalg._flapack":
+        pytest.skip("this numpy exports no ILP64 dgttrf/dgttrs")
+    assert name in ("scipy_dgttrs_64_", "dgttrs_64_")
+    assert loaded == "[]"
+
+
 def test_runs_never_import_scipy_linalg(tmp_path):
-    # dgttrf/dgttrs come from scipy's LAPACK extension file and the Duhamel
-    # oracle's matrix exponential is numpy's, so no command needs scipy.linalg
+    # dgttrf/dgttrs come from numpy's OpenBLAS or scipy's LAPACK extension file and
+    # the Duhamel oracle's matrix exponential is numpy's, so no command needs scipy.linalg
     cfg = write_ini(tmp_path / "c.ini", BASE_INI + "[grid]\nnum_nodes = 21\n"
                     + "[time]\nt_final = 10\ndt = 0.5\nhorizon = 100\n")
     commands = ("steady", "simulate", "sweep", "verify")

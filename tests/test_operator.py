@@ -1,3 +1,4 @@
+import gc
 import importlib.machinery
 import inspect
 import math
@@ -89,14 +90,48 @@ class TestTridiagonal:
                 assert np.array_equal(x, mat.solve(rhs))  # factor-once == one-shot
 
     def test_in_place_solve_overwrites_its_rhs_with_the_solution(self, params):
+        # the bound solve takes no argument and overwrites the buffer it was bound to
         rng = np.random.default_rng(6)
         for mat in _tridiagonal_cases(params):
-            solve, solve_in_place = mat.factor(), mat.factor(in_place=True)
-            buffer = rng.standard_normal(40)
+            buffer = np.zeros(40)
             rhs = buffer[:31]  # a contiguous view, as a leading part's buffer
+            solve, solve_in_place = mat.factor(), mat.factor(into=rhs)
+            rhs[:] = rng.standard_normal(31)
             expected = solve(rhs.copy())
-            solve_in_place(rhs)
+            solve_in_place()
             assert rhs.tobytes() == expected.tobytes()
+            assert not buffer[31:].any()
+
+    @pytest.mark.parametrize("bad", ["float32", "short", "strided", "read-only"])
+    def test_bound_solve_rejects_a_buffer_it_cannot_overwrite(self, params, bad):
+        # dgttrs would write past, or beside, a buffer of another layout
+        mat = _tridiagonal_cases(params)[1]
+        read_only = np.zeros(31)
+        read_only.flags.writeable = False
+        buffer = {"float32": np.zeros(31, dtype=np.float32), "short": np.zeros(30),
+                  "strided": np.zeros(62)[::2], "read-only": read_only}[bad]
+        with pytest.raises(ContractError):
+            mat.factor(into=buffer)
+
+    def test_diagonals_of_unequal_length_are_rejected(self, lapack_path):
+        # LAPACK would read past the shorter diagonal
+        with pytest.raises(ContractError):
+            Tridiagonal(np.zeros(4), np.ones(5), np.zeros(5)).factor()
+
+    def test_bound_solve_outlives_the_matrix_and_its_factors(self, params):
+        # the bound pointers alone hold the factors and their integer arguments alive
+        mat = _tridiagonal_cases(params)[2]
+        rhs = np.random.default_rng(12).standard_normal(31)
+        expected = mat.solve(rhs).tobytes()
+        buffer = np.empty(31)
+        solve = Tridiagonal(*(d.copy() for d in mat)).factor(into=buffer)
+        del mat
+        gc.collect()
+        clutter = [np.full(31, np.nan) for _ in range(64)]  # would take freed memory
+        buffer[:] = rhs
+        solve()
+        assert buffer.tobytes() == expected
+        assert np.isnan(clutter[-1]).all()
 
     def test_block_diagonal_solves_leading_blocks_alone(self, params):
         # dgttrf never pivots across a zero coupling: each leading stack
@@ -112,46 +147,124 @@ class TestTridiagonal:
                 cut = slice(31 * b, 31 * (b + 1))
                 assert np.array_equal(x[cut], block.solve(rhs[cut]))
 
-    def test_singular_system_raises_solver_error(self):
+    def test_singular_system_raises_solver_error(self, lapack_path):
         mat = Tridiagonal(np.zeros(5), np.array([1.0, 1.0, 0.0, 1.0, 1.0]),
                           np.zeros(5))
-        with pytest.raises(SolverError):
+        with pytest.raises(SolverError, match="zero pivot at row 3"):
             mat.factor()
+        with pytest.raises(SolverError):
+            mat.factor(into=np.ones(5))
         with pytest.raises(SolverError):
             mat.solve(np.ones(5))
 
 
+NUMPY_LAPACK = operator._numpy_gttr()
+needs_numpy_lapack = pytest.mark.skipif(
+    NUMPY_LAPACK is None,
+    reason="this numpy exports no ILP64 dgttrf/dgttrs, so runs take scipy's _flapack")
+
+
+@pytest.fixture(params=["numpy", "flapack"])
+def lapack_path(request, monkeypatch):
+    """Every solve of the test through numpy's LAPACK, then through scipy's _flapack."""
+    if request.param == "numpy" and NUMPY_LAPACK is None:
+        pytest.skip(needs_numpy_lapack.kwargs["reason"])
+    path = NUMPY_LAPACK if request.param == "numpy" else operator._flapack_gttr()
+    monkeypatch.setattr(operator, "_GTTR", path)
+    return path
+
+
+def _dominant_cases():
+    """Random diagonally dominant systems of 201, 2001 and 2412 unknowns, then the
+    three as one block-diagonal stack with zero couplings."""
+    rng = np.random.default_rng(13)
+    mats = []
+    for m in (201, 2001, 2412):
+        lower, upper = rng.uniform(-1.0, 1.0, (2, m))
+        diag = rng.choice([-1.0, 1.0], m) * (2.0 + rng.uniform(0.0, 1.0, m))
+        mats.append(Tridiagonal(lower, diag, upper))
+    return mats + [Tridiagonal.block_diagonal(mats)]
+
+
 class TestLapackLoader:
     def test_extension_is_loaded_by_path(self):
-        # the fast path is taken on the installed scipy; a renamed or moved
+        # the fallback's fast path is taken on the installed scipy; a renamed or moved
         # extension fails here instead of silently importing scipy.linalg
         lapack = operator._lapack()
         assert lapack.__name__ == "scipy.linalg._flapack"
         assert lapack is sys.modules["scipy.linalg._flapack"]
-        assert operator.dgttrf is lapack.dgttrf and operator.dgttrs is lapack.dgttrs
+        assert operator._flapack_gttr().name == "scipy.linalg._flapack"
+
+    @needs_numpy_lapack
+    def test_numpy_path_is_taken_where_numpy_exports_the_pair(self):
+        assert operator._GTTR.name == NUMPY_LAPACK.name
 
     def test_fallback_gives_the_same_bytes(self, params, monkeypatch):
         import scipy.linalg.lapack  # imported before PathFinder stops finding anything
 
-        fast = operator._lapack()
+        chosen = operator._GTTR
+        monkeypatch.setattr(operator, "_numpy_gttr", lambda: None)
+        fast = operator._gttr()
+        assert fast.name == "scipy.linalg._flapack"
         monkeypatch.setattr(importlib.machinery.PathFinder, "find_spec",
                             lambda *args, **kwargs: None)
-        fallback = operator._lapack()
-        assert fallback is scipy.linalg.lapack
+        fallback = operator._gttr()
+        assert fallback.name == "scipy.linalg.lapack"
         monkeypatch.undo()
 
         mat = build_generator(SpatialGrid(l=1.0, num_nodes=2001), params,
                               0.25).diagonals.shifted(1.0, -0.5)
         rhs = np.random.default_rng(8).standard_normal(2001)
         results = []
-        for lapack in (fast, fallback):
-            monkeypatch.setattr(operator, "dgttrf", lapack.dgttrf)
-            monkeypatch.setattr(operator, "dgttrs", lapack.dgttrs)
+        for path in (chosen, fast, fallback):
+            monkeypatch.setattr(operator, "_GTTR", path)
             in_place = rhs.copy()
-            mat.factor(in_place=True)(in_place)
+            mat.factor(into=in_place)()
             results.append((mat.solve(rhs).tobytes(), in_place.tobytes()))
-        assert results[0] == results[1]
+        assert results[0] == results[1] == results[2]
         assert results[0][0] == results[0][1]
+
+    @needs_numpy_lapack
+    def test_factors_and_solutions_match_bit_for_bit(self):
+        # numpy's OpenBLAS and scipy's give the same LU factors, pivots and solutions
+        flapack = operator._flapack_gttr()
+        rng = np.random.default_rng(14)
+        for mat in _dominant_cases():
+            rhs = rng.standard_normal(mat.diag.size)
+            outcomes = []
+            for path in (NUMPY_LAPACK, flapack):
+                lu, info = path.factor(mat.lower[1:], mat.diag, mat.upper[:-1])
+                x = rhs.copy()
+                path.bind(lu, x)()
+                outcomes.append((lu, info, x))
+            (lu_n, info_n, x_n), (lu_f, info_f, x_f) = outcomes
+            assert info_n == info_f == 0
+            assert len(lu_n) == len(lu_f) == 5
+            for a, b in zip(lu_n, lu_f):  # dl, d, du, du2, then the pivots' values
+                assert np.array_equal(a, b)
+            assert x_n.tobytes() == x_f.tobytes()
+
+    def test_bound_solve_equals_solve(self, lapack_path):
+        rng = np.random.default_rng(15)
+        for mat in _dominant_cases():
+            rhs = rng.standard_normal(mat.diag.size)
+            x = rhs.copy()
+            mat.factor(into=x)()
+            assert x.tobytes() == mat.solve(rhs).tobytes()
+
+    @needs_numpy_lapack
+    def test_forced_fallback_simulates_the_same_bytes(self, params, monkeypatch):
+        # a probe that finds nothing sends every solve through _flapack, with every bit kept
+        grid = SpatialGrid(l=1.0, num_nodes=201)
+        law = FeedbackLaw(alpha=0.25)
+        config = SimulationConfig(params=params, law=law, grid=grid, dt=1.0)
+        steady = steady_state_numeric(params, law.u_bar, grid)
+        w0 = initial_profile(grid, params, law)
+        before = simulate(config, steady, w0).states.tobytes()
+        monkeypatch.setattr(operator, "_numpy_gttr", lambda: None)
+        monkeypatch.setattr(operator, "_GTTR", operator._gttr())
+        assert operator._GTTR.name == "scipy.linalg._flapack"
+        assert simulate(config, steady, w0).states.tobytes() == before
 
 
 class TestDissipativity:
