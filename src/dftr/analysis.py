@@ -8,9 +8,10 @@ The numerical rate lambda_n is fitted from the simulated norm history.
 
 from __future__ import annotations
 
-import hashlib
+import importlib
 import json
 import math
+import sys
 import time
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
@@ -183,10 +184,25 @@ class SweepResult:
         return self.cells[(n, alpha)]
 
 
+def _sha256():
+    """hashlib's SHA-256 once the process has loaded hashlib, else the interpreter's
+    own (_sha2 from CPython 3.12, _sha256 before), else hashlib's; all give the same
+    digest. As in CPython's random.py: importing hashlib maps OpenSSL's libcrypto,
+    3.6 MiB resident, to hash a few hundred bytes."""
+    if "hashlib" not in sys.modules:
+        for name in ("_sha2", "_sha256"):
+            try:
+                return importlib.import_module(name).sha256
+            except ImportError:
+                pass
+    import hashlib
+    return hashlib.sha256
+
+
 def settings_hash(settings: dict) -> str:
     """Provenance hash: sha256 of the sorted-key JSON, cut to 16 hex digits."""
     canon = json.dumps(settings, sort_keys=True)
-    return hashlib.sha256(canon.encode()).hexdigest()[:16]
+    return _sha256()(canon.encode()).hexdigest()[:16]
 
 
 def _closed_loop(config, provenance: dict):

@@ -19,12 +19,11 @@ import json
 import math
 import sys
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from . import __version__, operator
-from ._g17 import WORDS, fill, slots
 from .analysis import (DEFAULT_WINDOW_FRACTION, check_floor, check_window_fraction,
                        default_weight, energy, settings_hash, sweep, weight_profile)
 from .errors import ConfigError, DftrError, IntegrationError, ParameterError, SolverError
@@ -181,10 +180,10 @@ class RunManifest:
     """Provenance record for one CLI invocation.
 
     The hash covers the semantic inputs only (command, toolkit version,
-    resolved settings, list/seed arguments); timings, the output directory,
-    the numpy version and the LAPACK the solves came from are recorded in
-    manifest.json but excluded from the hash so re-runs elsewhere reproduce
-    identical CSV bytes.
+    resolved settings, list/seed arguments); timings, the solver effort, the
+    output directory, the numpy version, the LAPACK the solves came from and
+    the peak RSS are recorded in manifest.json but excluded from the hash so
+    re-runs elsewhere reproduce identical CSV bytes.
     """
 
     config_path: str
@@ -192,6 +191,7 @@ class RunManifest:
     out_dir: str
     resolved: dict
     timings: dict
+    solver: dict = field(default_factory=dict)
 
     @property
     def hash(self) -> str:
@@ -202,11 +202,25 @@ class RunManifest:
         doc = {"config_path": self.config_path, "command": self.command,
                "version": __version__, "out_dir": str(self.out_dir),
                "hash": self.hash, "settings": self.resolved,
-               "timings": self.timings, "numpy": np.__version__,
-               "lapack": operator._GTTR.name}
+               "timings": self.timings, "solver": self.solver, "numpy": np.__version__,
+               "lapack": operator._GTTR.name, "peak_rss_mib": _peak_rss_mib()}
         with open(path, "w", newline="\n") as fh:
             json.dump(doc, fh, indent=2, sort_keys=True)
             fh.write("\n")
+
+
+def _peak_rss_mib():
+    """The process's own peak resident set so far (VmHWM) in MiB, or None where
+    there is no /proc. Not ru_maxrss: a child started through vfork, as
+    subprocess.Popen starts one, inherits its launcher's peak there."""
+    try:
+        with open("/proc/self/status") as fh:
+            for line in fh:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1]) / 1024.0
+    except OSError:
+        pass
+    return None
 
 
 def _fmt(value) -> str:
@@ -238,6 +252,7 @@ _BLOCK_VALUES = 4096  # w values per block of _field_rows
 def _aligned(values, width: int, right: bool):
     """Texts of values at the right or left end of (n, width) rows, and
     their masks."""
+    from ._g17 import slots  # here, so that commands writing no such file never load it
     text, keep = slots(values)
     lengths = keep.sum(axis=1)[:, None]
     cols = np.arange(width)
@@ -256,6 +271,7 @@ def _field_rows(times, x, states):
     once per file; the w row of _g17 from byte 56, filled in place; then
     '\n'. One boolean compress gives the block's bytes.
     """
+    from ._g17 import WORDS, fill
     nodes = len(x)
     per_block = max(1, _BLOCK_VALUES // nodes)
     w_words = slice(7, 7 + WORDS)
@@ -284,6 +300,7 @@ def _column_rows(*columns):
     """Blocks of lines of the columns' values side by side, comma-separated, each
     field the text of format(v, '.17g'): field j of a row fills words
     j * (WORDS + 1) onwards of one skeleton row, its ',' or '\n' the word after."""
+    from ._g17 import WORDS, fill
     per_block = max(1, _BLOCK_VALUES // len(columns))
     skeleton = np.zeros((per_block, len(columns), WORDS + 1), np.uint64)
     keep = np.zeros(skeleton.shape, np.uint64)
@@ -306,6 +323,8 @@ def cmd_steady(cfg: ResolvedConfig, out_dir, manifest: RunManifest) -> int:
     x = grid.nodes.tolist()
     write_csv(out_dir / "steady.csv", manifest.hash, ("x", "c_bar"),
               zip(x, solution.profile.values.tolist()))
+    manifest.solver.update(newton_iterations=solution.iterations,
+                           newton_residual=solution.residual_norm)
     print(f"steady state solved: {solution.iterations} Newton iterations, "
           f"residual {solution.residual_norm:.3e}")
     if abs(cfg.n - 1.0) <= 1e-12:
@@ -347,6 +366,9 @@ def cmd_simulate(cfg: ResolvedConfig, out_dir, manifest: RunManifest,
     # process CPU seconds of each phase, in manifest.json outside the hash
     manifest.timings["phases"] = {"steady": steadied - started, "step": stepped - steadied,
                                   "write": time.process_time() - stepped}
+    manifest.solver.update(newton_iterations=run[1].iterations,
+                           newton_residual=run[1].residual_norm,
+                           inner_steps=traj.inner_steps, negativity_events=traj.negativity_events)
     print(f"simulated {traj.times[-1]:g} s in {len(traj.times)} records "
           f"(inner steps {traj.inner_steps}, negativity events {traj.negativity_events})")
     return EXIT_OK

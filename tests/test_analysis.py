@@ -1,3 +1,6 @@
+import hashlib
+import json
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -26,6 +29,7 @@ from dftr import (
     sweep,
     weight_profile,
 )
+from dftr import analysis
 from conftest import make_params
 
 
@@ -452,3 +456,30 @@ class TestWeightAdmissibility:
             energies = 0.5 * np.sum(g.quad_weights * rho * traj.states ** 2,
                                     axis=1)
             assert np.all(np.diff(energies) <= 1e-12 * energies[0])
+
+
+class TestSettingsHash:
+    SETTINGS = [{"command": "sweep", "settings": {"n_list": [0.5, [1.0, 2.0]], "alpha": 0.25}},
+                {"name": "Péclet ρ 反応 \u2028", "nested": [[], [{"b": None, "a": True}], -0.0],
+                 "tiny": 5e-324, "big": [1.7976931348623157e308, "ü" * 300]}]
+
+    @pytest.fixture(params=["hashlib", "interpreter", "fallback"])
+    def source(self, request, monkeypatch):
+        """Forces settings_hash's SHA-256 source: hashlib loaded already, the
+        interpreter's own module, or hashlib where the interpreter has none."""
+        if request.param != "hashlib":
+            monkeypatch.delitem(sys.modules, "hashlib")
+        if request.param == "fallback":
+            monkeypatch.setitem(sys.modules, "_sha2", None)
+            monkeypatch.setitem(sys.modules, "_sha256", None)
+        return request.param
+
+    @pytest.mark.parametrize("settings", SETTINGS)
+    def test_every_source_gives_hashlib_digest(self, source, settings):
+        expected = hashlib.sha256(json.dumps(settings, sort_keys=True).encode())
+        assert analysis.settings_hash(settings) == expected.hexdigest()[:16]
+        # only the fallback imports hashlib
+        assert ("hashlib" in sys.modules) == (source != "interpreter")
+        if source == "interpreter":
+            name = "_sha2" if sys.version_info >= (3, 12) else "_sha256"
+            assert analysis._sha256() is sys.modules[name].sha256

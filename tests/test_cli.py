@@ -1045,6 +1045,105 @@ def test_manifest_records_lapack_and_numpy_outside_the_hash(tmp_path, monkeypatc
         assert {"lapack", "numpy"} <= set(doc) and "load_s" in doc["timings"]
 
 
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="no /proc")
+def test_manifest_records_the_peak_rss_outside_the_hash(tmp_path):
+    # every command writes its process's own VmHWM; reruns keep the hash and every
+    # output byte although the peak may differ
+    cfg = write_ini(tmp_path / "c.ini", BASE_INI + "[grid]\nnum_nodes = 21\n"
+                    + "[time]\nt_final = 10\ndt = 0.5\nhorizon = 100\n")
+    for command in ("steady", "simulate", "sweep", "verify"):
+        docs, outputs = [], []
+        for name in ("a", "b"):
+            out = tmp_path / command / name
+            assert main([command, "--config", cfg, "--out", str(out)]) == 0
+            docs.append(json.loads((out / "manifest.json").read_text()))
+            outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())
+                            if p.name != "manifest.json"})
+        with open("/proc/self/status") as fh:
+            peak_now = next(int(line.split()[1]) / 1024.0 for line in fh
+                            if line.startswith("VmHWM:"))
+        for doc in docs:
+            assert 0.0 < doc["peak_rss_mib"] <= peak_now
+        assert outputs[0] == outputs[1] and outputs[0]
+        assert docs[0]["hash"] == docs[1]["hash"]
+
+
+def test_peak_rss_is_null_without_proc(tmp_path, monkeypatch):
+    import builtins
+    from dftr import cli
+
+    def no_proc(path, *args, **kwargs):
+        if str(path).startswith("/proc/"):
+            raise FileNotFoundError(path)
+        return builtins.open(path, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "open", no_proc, raising=False)
+    out = tmp_path / "out"
+    assert main(["steady", "--config", write_ini(tmp_path / "c.ini", BASE_INI),
+                 "--out", str(out)]) == 0
+    assert json.loads((out / "manifest.json").read_text())["peak_rss_mib"] is None
+
+
+def test_manifest_records_the_printed_solver_effort(tmp_path, capsys):
+    # steady's and simulate's Newton iterations and residual, and simulate's inner steps
+    # and negativity events, are the numbers they print; outside the hash and timings
+    cfg = write_ini(tmp_path / "c.ini", BASE_INI.replace("n = 1", "n = 2") + SMALL_GRID
+                    + "[time]\nt_final = 50\n")
+    docs = {}
+    for command in ("steady", "simulate", "sweep", "verify"):
+        out = tmp_path / command
+        assert main([command, "--config", cfg, "--out", str(out)]) == 0
+        docs[command] = json.loads((out / "manifest.json").read_text())
+        if command == "steady":
+            iterations, residual = re.search(
+                r"solved: (\d+) Newton iterations, residual (\S+)$",
+                capsys.readouterr().out).groups()
+        elif command == "simulate":
+            inner, events = map(int, re.search(r"inner steps (\d+), negativity events (\d+)",
+                                               capsys.readouterr().out).groups())
+    newton = docs["steady"]["solver"]
+    assert sorted(newton) == ["newton_iterations", "newton_residual"]
+    assert newton["newton_iterations"] == int(iterations) >= 1
+    assert format(newton["newton_residual"], ".3e") == residual
+    # simulate solves the same steady state before it steps
+    assert docs["simulate"]["solver"] == {**newton, "inner_steps": inner,
+                                          "negativity_events": events}
+    assert inner == 500  # t_final / the default dt, no substeps at this k
+    assert docs["sweep"]["solver"] == docs["verify"]["solver"] == {}
+    for command, doc in docs.items():
+        assert doc["hash"] == settings_hash({"command": command, "version": dftr.__version__,
+                                             "settings": doc["settings"]})
+
+
+def test_commands_load_only_what_they_run(tmp_path):
+    # steady, sweep and simulate hash with the interpreter's SHA-256, so they map no
+    # OpenSSL (_hashlib), and only simulate loads the '.17g' writer; verify, which
+    # loads hashlib through numpy.random, writes the hash hashlib gives
+    import hashlib
+    cfg = write_ini(tmp_path / "c.ini", BASE_INI + "[grid]\nnum_nodes = 21\n"
+                    + "[time]\nt_final = 10\ndt = 0.5\nhorizon = 100\n")
+    script = ("import json, sys\nimport numpy\n"
+              "loaded = {'numpy': '_hashlib' in sys.modules}\n"
+              "from dftr.cli import main\n"
+              "for command in sys.argv[2:]:\n"
+              "    assert main([command, '--config', sys.argv[1], '--out', command]) == 0\n"
+              "    loaded[command] = ['_hashlib' in sys.modules, 'dftr._g17' in sys.modules]\n"
+              "print(json.dumps(loaded))\n")
+    proc = subprocess.run([sys.executable, "-c", script, cfg, "steady", "sweep", "simulate",
+                           "verify"], capture_output=True, text=True, env=_child_env(),
+                          cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert loaded["steady"][1] is loaded["sweep"][1] is False
+    assert loaded["simulate"][1] is True
+    if not loaded["numpy"]:  # numpy 1.x imports numpy.random, and so hashlib, at import
+        assert loaded["simulate"][0] is False
+    doc = json.loads((tmp_path / "verify" / "manifest.json").read_text())
+    canon = json.dumps({"command": "verify", "version": dftr.__version__,
+                        "settings": doc["settings"]}, sort_keys=True)
+    assert doc["hash"] == hashlib.sha256(canon.encode()).hexdigest()[:16]
+
+
 def test_import_loads_no_scipy_where_numpy_has_the_lapack():
     # numpy's own OpenBLAS serves every solve, so no scipy module, and no second
     # OpenBLAS, is loaded; on a build without the pair the fallback's name shows
