@@ -8,10 +8,8 @@ The numerical rate lambda_n is fitted from the simulated norm history.
 
 from __future__ import annotations
 
-import importlib
 import json
 import math
-import sys
 import time
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
@@ -21,6 +19,17 @@ import numpy as np
 from . import integrator
 from .errors import ContractError, DftrError, EstimationError, ParameterError
 from .model import Profile, ReactorParams, SpatialGrid, lambda_theoretical
+
+# The interpreter's own SHA-256 (_sha2 from CPython 3.12, _sha256 before), as
+# CPython's random.py takes it: hashlib maps OpenSSL's libcrypto, 3.6 MiB
+# resident, to hash a few hundred bytes. Every source gives the same digest.
+try:
+    from _sha2 import sha256 as _sha256
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256
+    except ImportError:
+        from hashlib import sha256 as _sha256
 
 DEFAULT_WINDOW_FRACTION = 0.5
 DEFAULT_FLOOR_FACTOR = 1e-12  # floor = factor * ||w(0)||_rho
@@ -184,25 +193,10 @@ class SweepResult:
         return self.cells[(n, alpha)]
 
 
-def _sha256():
-    """hashlib's SHA-256 once the process has loaded hashlib, else the interpreter's
-    own (_sha2 from CPython 3.12, _sha256 before), else hashlib's; all give the same
-    digest. As in CPython's random.py: importing hashlib maps OpenSSL's libcrypto,
-    3.6 MiB resident, to hash a few hundred bytes."""
-    if "hashlib" not in sys.modules:
-        for name in ("_sha2", "_sha256"):
-            try:
-                return importlib.import_module(name).sha256
-            except ImportError:
-                pass
-    import hashlib
-    return hashlib.sha256
-
-
 def settings_hash(settings: dict) -> str:
     """Provenance hash: sha256 of the sorted-key JSON, cut to 16 hex digits."""
     canon = json.dumps(settings, sort_keys=True)
-    return _sha256()(canon.encode()).hexdigest()[:16]
+    return _sha256(canon.encode()).hexdigest()[:16]
 
 
 def _closed_loop(config, provenance: dict):

@@ -1,4 +1,5 @@
 import hashlib
+import importlib.util
 import json
 import sys
 from dataclasses import replace
@@ -463,23 +464,27 @@ class TestSettingsHash:
                 {"name": "Péclet ρ 反応 \u2028", "nested": [[], [{"b": None, "a": True}], -0.0],
                  "tiny": 5e-324, "big": [1.7976931348623157e308, "ü" * 300]}]
 
-    @pytest.fixture(params=["hashlib", "interpreter", "fallback"])
-    def source(self, request, monkeypatch):
-        """Forces settings_hash's SHA-256 source: hashlib loaded already, the
-        interpreter's own module, or hashlib where the interpreter has none."""
-        if request.param != "hashlib":
-            monkeypatch.delitem(sys.modules, "hashlib")
-        if request.param == "fallback":
-            monkeypatch.setitem(sys.modules, "_sha2", None)
-            monkeypatch.setitem(sys.modules, "_sha256", None)
-        return request.param
+    @pytest.fixture(params=[(), ("_sha2",), ("_sha2", "_sha256")],
+                    ids=["interpreter", "before-3.12", "fallback"])
+    def analysis_copy(self, request, monkeypatch):
+        """A fresh copy of dftr.analysis imported with the given SHA-256 modules
+        missing, so that it binds the next source in its order."""
+        for name in request.param:
+            monkeypatch.setitem(sys.modules, name, None)
+        spec = importlib.util.spec_from_file_location("dftr._analysis_copy", analysis.__file__)
+        module = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, module)
+        spec.loader.exec_module(module)
+        return module, request.param
+
+    def test_the_interpreter_module_is_bound(self):
+        name = "_sha2" if sys.version_info >= (3, 12) else "_sha256"
+        assert analysis._sha256 is importlib.import_module(name).sha256
 
     @pytest.mark.parametrize("settings", SETTINGS)
-    def test_every_source_gives_hashlib_digest(self, source, settings):
+    def test_every_source_gives_hashlib_digest(self, analysis_copy, settings):
+        module, missing = analysis_copy
         expected = hashlib.sha256(json.dumps(settings, sort_keys=True).encode())
-        assert analysis.settings_hash(settings) == expected.hexdigest()[:16]
-        # only the fallback imports hashlib
-        assert ("hashlib" in sys.modules) == (source != "interpreter")
-        if source == "interpreter":
-            name = "_sha2" if sys.version_info >= (3, 12) else "_sha256"
-            assert analysis._sha256() is sys.modules[name].sha256
+        assert module.settings_hash(settings) == expected.hexdigest()[:16]
+        if "_sha256" in missing:
+            assert module._sha256 is hashlib.sha256

@@ -1019,18 +1019,30 @@ def test_console_entry_point(tmp_path, argv):
     assert "config error" in proc.stderr
 
 
-def test_manifest_records_lapack_and_numpy_outside_the_hash(tmp_path, monkeypatch):
-    # the solves' LAPACK, numpy's version and the load phase land in manifest.json;
-    # a run forced onto scipy's _flapack keeps the hash and every CSV byte
+def test_manifest_records_lapack_and_numpy_outside_the_hash(tmp_path, monkeypatch, capsys):
+    # the solves' LAPACK, numpy's version, the load phase, the peak RSS and the
+    # printed solver effort land in manifest.json outside the hash; a run forced
+    # onto scipy's _flapack keeps the hash and every CSV byte
     from dftr import operator
     cfg = write_ini(tmp_path / "c.ini", BASE_INI + "[grid]\nnum_nodes = 21\n"
                     + "[time]\nt_final = 10\ndt = 0.5\n")
+
+    def run(command, out):
+        assert main([command, "--config", cfg, "--out", str(out)]) == 0
+        doc = json.loads((out / "manifest.json").read_text())
+        assert {"lapack", "numpy"} <= set(doc) and "load_s" in doc["timings"]
+        assert doc["hash"] == settings_hash({"command": command, "version": dftr.__version__,
+                                             "settings": doc["settings"]})
+        if os.path.exists("/proc/self/status"):
+            assert doc["peak_rss_mib"] > 0.0
+        return doc, capsys.readouterr().out
+
     docs, csvs = [], []
     for name, path in (("chosen", operator._GTTR), ("flapack", operator._flapack_gttr())):
         monkeypatch.setattr(operator, "_GTTR", path)
         out = tmp_path / name
-        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
-        docs.append(json.loads((out / "manifest.json").read_text()))
+        doc, printed = run("simulate", out)
+        docs.append(doc)
         csvs.append({p.name: p.read_bytes() for p in sorted(out.glob("*.csv"))})
         assert docs[-1]["lapack"] == path.name
         assert docs[-1]["numpy"] == np.__version__
@@ -1038,34 +1050,21 @@ def test_manifest_records_lapack_and_numpy_outside_the_hash(tmp_path, monkeypatc
     assert docs[1]["lapack"] == "scipy.linalg._flapack"
     assert csvs[0] == csvs[1] and len(csvs[0]) == 4
     assert docs[0]["hash"] == docs[1]["hash"]
-    for command in ("steady", "sweep", "verify"):
-        out = tmp_path / command
-        assert main([command, "--config", cfg, "--out", str(out)]) == 0
-        doc = json.loads((out / "manifest.json").read_text())
-        assert {"lapack", "numpy"} <= set(doc) and "load_s" in doc["timings"]
-
-
-@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="no /proc")
-def test_manifest_records_the_peak_rss_outside_the_hash(tmp_path):
-    # every command writes its process's own VmHWM; reruns keep the hash and every
-    # output byte although the peak may differ
-    cfg = write_ini(tmp_path / "c.ini", BASE_INI + "[grid]\nnum_nodes = 21\n"
-                    + "[time]\nt_final = 10\ndt = 0.5\nhorizon = 100\n")
-    for command in ("steady", "simulate", "sweep", "verify"):
-        docs, outputs = [], []
-        for name in ("a", "b"):
-            out = tmp_path / command / name
-            assert main([command, "--config", cfg, "--out", str(out)]) == 0
-            docs.append(json.loads((out / "manifest.json").read_text()))
-            outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())
-                            if p.name != "manifest.json"})
-        with open("/proc/self/status") as fh:
-            peak_now = next(int(line.split()[1]) / 1024.0 for line in fh
-                            if line.startswith("VmHWM:"))
-        for doc in docs:
-            assert 0.0 < doc["peak_rss_mib"] <= peak_now
-        assert outputs[0] == outputs[1] and outputs[0]
-        assert docs[0]["hash"] == docs[1]["hash"]
+    inner, events = map(int, re.search(r"inner steps (\d+), negativity events (\d+)",
+                                       printed).groups())
+    steady, printed = run("steady", tmp_path / "steady")
+    iterations, residual = re.search(r"solved: (\d+) Newton iterations, residual (\S+)",
+                                     printed).groups()
+    newton = steady["solver"]
+    assert sorted(newton) == ["newton_iterations", "newton_residual"]
+    assert newton["newton_iterations"] == int(iterations) >= 1
+    assert format(newton["newton_residual"], ".3e") == residual
+    # simulate solves the same steady state before it steps; t_final / dt steps
+    assert docs[0]["solver"] == docs[1]["solver"] == {**newton, "inner_steps": inner,
+                                                      "negativity_events": events}
+    assert inner == 20
+    for command in ("sweep", "verify"):
+        assert run(command, tmp_path / command)[0]["solver"] == {}
 
 
 def test_peak_rss_is_null_without_proc(tmp_path, monkeypatch):
@@ -1082,37 +1081,6 @@ def test_peak_rss_is_null_without_proc(tmp_path, monkeypatch):
     assert main(["steady", "--config", write_ini(tmp_path / "c.ini", BASE_INI),
                  "--out", str(out)]) == 0
     assert json.loads((out / "manifest.json").read_text())["peak_rss_mib"] is None
-
-
-def test_manifest_records_the_printed_solver_effort(tmp_path, capsys):
-    # steady's and simulate's Newton iterations and residual, and simulate's inner steps
-    # and negativity events, are the numbers they print; outside the hash and timings
-    cfg = write_ini(tmp_path / "c.ini", BASE_INI.replace("n = 1", "n = 2") + SMALL_GRID
-                    + "[time]\nt_final = 50\n")
-    docs = {}
-    for command in ("steady", "simulate", "sweep", "verify"):
-        out = tmp_path / command
-        assert main([command, "--config", cfg, "--out", str(out)]) == 0
-        docs[command] = json.loads((out / "manifest.json").read_text())
-        if command == "steady":
-            iterations, residual = re.search(
-                r"solved: (\d+) Newton iterations, residual (\S+)$",
-                capsys.readouterr().out).groups()
-        elif command == "simulate":
-            inner, events = map(int, re.search(r"inner steps (\d+), negativity events (\d+)",
-                                               capsys.readouterr().out).groups())
-    newton = docs["steady"]["solver"]
-    assert sorted(newton) == ["newton_iterations", "newton_residual"]
-    assert newton["newton_iterations"] == int(iterations) >= 1
-    assert format(newton["newton_residual"], ".3e") == residual
-    # simulate solves the same steady state before it steps
-    assert docs["simulate"]["solver"] == {**newton, "inner_steps": inner,
-                                          "negativity_events": events}
-    assert inner == 500  # t_final / the default dt, no substeps at this k
-    assert docs["sweep"]["solver"] == docs["verify"]["solver"] == {}
-    for command, doc in docs.items():
-        assert doc["hash"] == settings_hash({"command": command, "version": dftr.__version__,
-                                             "settings": doc["settings"]})
 
 
 def test_commands_load_only_what_they_run(tmp_path):
