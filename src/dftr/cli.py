@@ -25,15 +25,13 @@ import numpy as np
 
 from . import __version__, operator
 from .analysis import (DEFAULT_WINDOW_FRACTION, check_floor, check_window_fraction,
-                       default_weight, energy, settings_hash, sweep, weight_profile)
+                       energy, settings_hash, sweep, weight_profile)
 from .errors import ConfigError, DftrError, IntegrationError, ParameterError, SolverError
-from .integrator import SimulationConfig, closed_loop, simulate, simulate_stack, substep_count
-from .model import (FeedbackLaw, Profile, ReactorParams, SpatialGrid,
-                    d_ax_from_peclet, default_saturation_bound, lambda_theoretical)
-from .operator import (build_generator, dissipativity_form, duhamel_oracle,
-                       inner_product, random_bc_compatible, resolvent_analytic,
-                       resolvent_discrete)
+from .integrator import SimulationConfig, closed_loop, simulate
+from .model import (FeedbackLaw, ReactorParams, SpatialGrid, d_ax_from_peclet,
+                    default_saturation_bound, lambda_theoretical)
 from .steady_state import steady_state_analytic_n1, steady_state_numeric
+from .verify import run_checks
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -420,161 +418,9 @@ def cmd_sweep(cfg: ResolvedConfig, out_dir, manifest: RunManifest,
     return EXIT_OK
 
 
-# verify row -> (metric, threshold); a row passes at value <= threshold, or within the
-# band of an order's "centre+-width" threshold
-_VERIFY_ROWS = {
-    "dissipativity": ("max_form_over_norm2", 1e-8),
-    "resolvent_error": ("max_rel_l2", 1e-3),
-    "resolvent_order": ("observed_order", "2.0+-0.3"),
-    "duhamel_nonlinear": ("rel_l2", 1e-2),
-    "duhamel_linear": ("rel_l2", 1e-4),
-    "equilibrium": ("max_w_inf", 1e-9),
-    "envelope": ("max_norm_over_bound", 1.01),
-}
-
-
-def _verify_row(name: str, value) -> tuple:
-    """verify.csv's (check, metric, value, threshold, pass) row of _VERIFY_ROWS[name].
-
-    value is the check's number, or "error" for a check that raised (pass False) or
-    "skipped" for one the grid is too coarse for (pass "skipped").
-    """
-    metric, threshold = _VERIFY_ROWS[name]
-    if isinstance(value, str):
-        metric, passed = {"error": ("error", False),
-                          "skipped": ("skipped_insufficient_resolution", "skipped")}[value]
-        return name, metric, None, threshold, passed
-    if isinstance(threshold, str):
-        centre, width = map(float, threshold.split("+-"))
-        passed = centre - width <= value <= centre + width
-    else:
-        passed = value <= threshold
-    return name, metric, value, threshold, bool(passed)
-
-
-def _rel_l2(grid: SpatialGrid, approx, exact):
-    """||approx - exact|| / ||exact|| in the grid's trapezoidal L2 norm."""
-    diff = approx - exact
-    return np.sqrt(inner_product(grid, diff, diff)) / np.sqrt(inner_product(grid, exact, exact))
-
-
-def _verify_checks(cfg: ResolvedConfig, seed: int, cpu_s: dict):
-    """Run the oracle suite; yields _verify_row's rows in _VERIFY_ROWS order.
-
-    A check that raises a toolkit error gives errored rows (with the error
-    on stderr) so the report is always complete. cpu_s gets each check's
-    process CPU seconds, keyed by its rows' names joined by '+'.
-    """
-    # time settings no run can take are a config error, raised before any row
-    transient, decay = cfg.run(), cfg.run(to_horizon=True)
-    grid, params = transient.grid, transient.params
-
-    def rows(check, *names):
-        """names' rows of check's value, or of its values when it has several."""
-        started = time.process_time()
-        try:
-            values = check() if len(names) > 1 else [check()]
-        except DftrError as exc:
-            print(f"check {names[0]} errored: {exc}", file=sys.stderr)
-            values = ["error"] * len(names)
-        cpu_s["+".join(names)] = time.process_time() - started
-        return [_verify_row(name, value) for name, value in zip(names, values)]
-
-    def check_dissipativity():
-        rng = np.random.default_rng(seed)
-        worst = -np.inf
-        for alpha in (0.0, 0.25, 0.5):
-            gen = build_generator(grid, params, alpha)
-            for _ in range(100):
-                xi = random_bc_compatible(gen, rng)
-                form = dissipativity_form(gen, xi).form
-                norm2 = inner_product(grid, xi.values, xi.values)
-                worst = max(worst, form / norm2)
-        return worst
-
-    def check_resolvent():
-        base = grid.num_nodes - 1
-        if base % 4 != 0 or base // 4 + 1 < 11:
-            return "skipped", "skipped"
-        # the levels coarsen to (N-1)/4+1 nodes, or refine to 4N-3 when that coarsest grid's
-        # cell Peclet number h v / d_ax is above 1 (h wider than the layer d_ax / v)
-        scale = 4 if 4.0 * grid.h * params.v / params.d_ax > 1.0 else 1
-        errors = {lam: [] for lam in (0.1, 1.0, 10.0)}
-        for m in (base * scale // 4 + 1, base * scale // 2 + 1, base * scale + 1):
-            g = SpatialGrid(l=cfg.l, num_nodes=m)
-            eta = Profile(g, np.ones(m))
-            gen = build_generator(g, params, cfg.alpha)
-            for lam in errors:
-                xi_a = resolvent_analytic(eta, lam, params, cfg.alpha).xi.values
-                errors[lam].append(_rel_l2(g, resolvent_discrete(gen, eta, lam).values, xi_a))
-        max_err = max(errs[-1] for errs in errors.values())
-        min_order = min(0.5 * (math.log2(errs[0] / errs[1])
-                               + math.log2(errs[1] / errs[2]))
-                        for errs in errors.values())
-        return max_err, min_order
-
-    def check_duhamel(k):
-        # the oracle's 500 steps to 50 s at the default dt, on up to 101 nodes or else 51
-        config, steady, w0 = closed_loop(replace(
-            cfg, k=k, t_final=50.0, dt=None,
-            num_nodes=cfg.num_nodes if cfg.num_nodes <= 101 else 51).run())
-        gen = build_generator(config.grid, config.params, cfg.alpha)
-        oracle = duhamel_oracle(gen, w0, steady, config.params, t_final=50.0, num_steps=500)
-        return _rel_l2(config.grid, simulate(config, steady, w0).states[-1], oracle.values)
-
-    def check_equilibrium():
-        # max|w| over every step from w = 0, which may stop early
-        run = closed_loop(replace(transient, record_every=1),
-                          Profile(grid, np.zeros(grid.num_nodes)))
-        single = substep_count(run[0], run[1].profile.values, 0.0) == 1
-        max_w, zeros = 0.0, 0
-
-        def record(j, w):
-            # With one substep per step, step i >= 2 is a fixed function of w_{i-1}
-            # and the AB2 history 0.5 r(w_{i-2}). Once records j-2, j-1 and j (j >= 2)
-            # are all zero, step j+1 gets step j's inputs up to the sign of zero, and
-            # that sign changes no bit of a nonzero result (x + -0 is x, and r(+-0) is
-            # r(0) bit for bit); so it repeats step j, as does every later step, and
-            # max_w is final.
-            nonlocal max_w, zeros
-            w_max = float(np.maximum.reduce(np.abs(w[0])))
-            max_w = max(max_w, w_max)
-            zeros = zeros + 1 if w_max == 0.0 else 0
-            return single and zeros == 3
-
-        simulate_stack([run], record)
-        return max_w
-
-    def check_envelope():
-        run = closed_loop(decay)
-        config = run[0]
-        weight = default_weight(config.grid, config.params)
-        energies = np.empty(config.num_records)
-
-        def record(j, w):
-            energies[j] = energy(w[0], weight)
-
-        simulate_stack([run], record)
-        norms = np.sqrt(2.0 * energies)
-        lam_t = lambda_theoretical(params)
-        bound = norms[0] * np.exp(-lam_t * config.record_times)
-        # a zero norm meets any bound; a positive one over an underflowed bound is inf
-        with np.errstate(divide="ignore"):
-            ratios = np.divide(norms, bound, out=np.zeros_like(norms), where=norms > 0.0)
-        # the t = 0 ratio is 1 by construction; it counts only when alone
-        return float(np.max(ratios[1:] if ratios.size > 1 else ratios))
-
-    yield from rows(check_dissipativity, "dissipativity")
-    yield from rows(check_resolvent, "resolvent_error", "resolvent_order")
-    yield from rows(lambda: check_duhamel(cfg.k), "duhamel_nonlinear")
-    yield from rows(lambda: check_duhamel(0.0), "duhamel_linear")
-    yield from rows(check_equilibrium, "equilibrium")
-    yield from rows(check_envelope, "envelope")
-
-
 def cmd_verify(cfg: ResolvedConfig, out_dir, manifest: RunManifest, seed: int) -> int:
     rows = []
-    for row in _verify_checks(cfg, seed, manifest.timings.setdefault("checks", {})):
+    for row in run_checks(cfg, seed, manifest.timings.setdefault("checks", {})):
         rows.append(row)
         check, metric, value, _, status = row
         mark = status if isinstance(status, str) else ("pass" if status else "FAIL")

@@ -49,6 +49,8 @@ class SimulationConfig:
             raise ParameterError(f"dt must be > 0, got {self.dt}")
         if self.record_every < 1:
             raise ParameterError(f"record_every must be >= 1, got {self.record_every}")
+        if self.record_every > np.iinfo(np.intp).max:
+            raise ParameterError(f"record_every = {self.record_every}, more than numpy can index")
         if not (ratio := self.params.t_final / self.dt) <= np.iinfo(np.intp).max:
             raise ParameterError(f"t_final / dt = {ratio:g} steps, more than numpy can index")
         steps = self.num_steps

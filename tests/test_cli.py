@@ -15,12 +15,14 @@ import pytest
 import dftr
 from dftr import Profile, default_weight, energy, lambda_theoretical, simulate
 from dftr.analysis import settings_hash
-from dftr.cli import (_VERIFY_ROWS, _column_rows, _field_rows, _fmt, _verify_checks,
-                      _verify_row, load_config, main, write_csv)
-from dftr.errors import ConfigError
+from dftr import verify
+from dftr.cli import _column_rows, _field_rows, _fmt, load_config, main, write_csv
+from dftr.errors import ConfigError, SolverError
 from dftr.integrator import closed_loop, simulate_stack
+from dftr.verify import CHECKS
 
 HASH_LINE = re.compile(r"^# manifest_hash=[0-9a-f]{16}$")
+SPECS = [spec for _, specs in CHECKS for spec in specs]  # verify.csv's rows in order
 REPO = Path(__file__).resolve().parents[1]
 
 BASE_INI = """\
@@ -505,17 +507,17 @@ class TestVerifyCommand:
     @staticmethod
     def _resolvent_study(tmp_path, monkeypatch, dispersion, num_nodes):
         """verify's two resolvent rows at n = 2, and the grid sizes the study solved on."""
-        sizes, solve = set(), dftr.cli.resolvent_discrete
+        sizes, solve = set(), verify.resolvent_discrete
 
         def spy(gen, eta, lam):
             sizes.add(gen.grid.num_nodes)
             return solve(gen, eta, lam)
 
-        monkeypatch.setattr(dftr.cli, "resolvent_discrete", spy)
+        monkeypatch.setattr(verify, "resolvent_discrete", spy)
         text = (BASE_INI.replace("peclet = 4", dispersion).replace("n = 1", "n = 2")
                 + f"[grid]\nnum_nodes = {num_nodes}\n[time]\nt_final = 10\n")
-        checks = _verify_checks(load_config(write_ini(tmp_path / "c.ini", text)), 0, {})
-        rows = [next(checks) for _ in range(3)][1:]
+        values = verify.resolvent(load_config(write_ini(tmp_path / "c.ini", text)), 0)
+        rows = list(map(verify.row, dict(CHECKS)[verify.resolvent], values))
         assert [row[0] for row in rows] == ["resolvent_error", "resolvent_order"]
         return rows, sorted(sizes)
 
@@ -546,15 +548,15 @@ class TestVerifyCommand:
         out = tmp_path / "out"
         assert main(["verify", "--config", cfg, "--out", str(out)]) == 0
         _, _, rows = read_csv(out / "verify.csv")
-        assert [row[0] for row in rows] == list(_VERIFY_ROWS)
-        for name, metric, _, threshold, _ in rows:
-            assert threshold == _fmt(_VERIFY_ROWS[name][1])
-            assert metric in (_VERIFY_ROWS[name][0], "skipped_insufficient_resolution")
+        assert [row[0] for row in rows] == [name for name, _, _ in SPECS]
+        for (_, metric, _, threshold, _), spec in zip(rows, SPECS):
+            assert threshold == _fmt(spec[2])
+            assert metric in (spec[1], "skipped_insufficient_resolution")
         assert rows[0][1] == "max_form_over_norm2" and rows[0][-1] == "true"
 
-    @pytest.mark.parametrize("name", list(_VERIFY_ROWS))
-    def test_pass_rule_at_its_edges(self, name):
-        metric, threshold = _VERIFY_ROWS[name]
+    @pytest.mark.parametrize("spec", SPECS, ids=[name for name, _, _ in SPECS])
+    def test_pass_rule_at_its_edges(self, spec):
+        name, metric, threshold = spec
         if isinstance(threshold, str):
             assert threshold == "2.0+-0.3"
             edges = [(1.7, True), (2.3, True), (np.nextafter(1.7, -np.inf), False),
@@ -562,9 +564,9 @@ class TestVerifyCommand:
         else:
             edges = [(threshold, True), (np.nextafter(threshold, np.inf), False)]
         for value, passed in edges:
-            assert _verify_row(name, value) == (name, metric, value, threshold, passed)
-        assert _verify_row(name, "error") == (name, "error", None, threshold, False)
-        assert _verify_row(name, "skipped") == (
+            assert verify.row(spec, value) == (name, metric, value, threshold, passed)
+        assert verify.row(spec, "error") == (name, "error", None, threshold, False)
+        assert verify.row(spec, "skipped") == (
             name, "skipped_insufficient_resolution", None, threshold, "skipped")
 
     def test_nondissipative_discretization_fails(self, tmp_path, capsys):
@@ -594,13 +596,13 @@ horizon = 0
     def test_failed_oracle_comparison_exits_six(self, tmp_path, monkeypatch, capsys):
         # the Duhamel errors are numpy floats; a wrong oracle must still
         # fail the run, not only print FAIL
-        oracle = dftr.cli.duhamel_oracle
+        oracle = verify.duhamel_oracle
 
         def doubled(*args, **kwargs):
             prof = oracle(*args, **kwargs)
             return prof.with_values(2.0 * prof.values)
 
-        monkeypatch.setattr(dftr.cli, "duhamel_oracle", doubled)
+        monkeypatch.setattr(verify, "duhamel_oracle", doubled)
         text = (BASE_INI + SMALL_GRID
                 + "[time]\nt_final = 50\ndt = 0.5\nhorizon = 400\n")
         cfg = write_ini(tmp_path / "c.ini", text)
@@ -612,6 +614,35 @@ horizon = 0
         assert by_name["duhamel_linear"][-1] == "false"
         assert "FAIL" in capsys.readouterr().out
 
+    def test_an_errored_check_gives_error_rows_and_exits_six(self, tmp_path, monkeypatch,
+                                                             capsys):
+        # 81 nodes: every row passes, so only the errored rows can give exit 6
+        text = (BASE_INI + "[grid]\nnum_nodes = 81\n"
+                + "[time]\nt_final = 10\ndt = 0.5\nhorizon = 100\n")
+        cfg = write_ini(tmp_path / "c.ini", text)
+        assert main(["verify", "--config", cfg, "--out", str(tmp_path / "ok")]) == 0
+
+        def singular(gen, eta, lam):
+            raise SolverError("singular tridiagonal system")
+
+        monkeypatch.setattr(verify, "resolvent_discrete", singular)
+        capsys.readouterr()
+        out = tmp_path / "out"
+        assert main(["verify", "--config", cfg, "--out", str(out)]) == 6
+        assert capsys.readouterr().err == (
+            "check resolvent_error errored: singular tridiagonal system\n")
+        _, _, ok = read_csv(tmp_path / "ok" / "verify.csv")
+        _, _, rows = read_csv(out / "verify.csv")
+        assert len(rows) == len(ok) == len(SPECS)
+        for good, got in zip(ok, rows):
+            if got[0].startswith("resolvent_"):
+                assert got == [good[0], "error", "", good[3], "false"]
+            else:
+                assert got == good
+        checks = json.loads((out / "manifest.json").read_text())["timings"]["checks"]
+        assert sorted(checks) == sorted("+".join(name for name, _, _ in specs)
+                                        for _, specs in CHECKS)
+
     def test_checks_keep_no_states(self, tmp_path):
         # equilibrium (dt 0.1 to t_final) and envelope (dt 1 to the horizon)
         # each take 2001 records of 401 nodes
@@ -622,7 +653,7 @@ horizon = 0
         np.random.default_rng(0)
         tracemalloc.start()
         try:
-            rows = list(_verify_checks(cfg, 0, {}))
+            rows = list(verify.run_checks(cfg, 0, {}))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -654,9 +685,8 @@ class TestEquilibriumStop:
 
     @staticmethod
     def _run(monkeypatch, cfg):
-        """The equilibrium row and the record indices its stack was given: the checks
-        stop at that row, before the envelope check steps its own stack."""
-        stack, seen = dftr.cli.simulate_stack, []
+        """The equilibrium row and the record indices its stack was given."""
+        stack, seen = verify.simulate_stack, []
 
         def counted(runs, record):
             def each(j, w):
@@ -664,10 +694,9 @@ class TestEquilibriumStop:
                 return record(j, w)
             return stack(runs, each)
 
-        monkeypatch.setattr(dftr.cli, "simulate_stack", counted)
-        for row in _verify_checks(cfg, 0, {}):
-            if row[0] == "equilibrium":
-                return row, seen
+        monkeypatch.setattr(verify, "simulate_stack", counted)
+        (spec,) = dict(CHECKS)[verify.equilibrium]
+        return verify.row(spec, verify.equilibrium(cfg, 0)), seen
 
     @staticmethod
     def _full_max(cfg):
@@ -706,7 +735,7 @@ class TestEquilibriumStop:
         row, seen = self._run(monkeypatch, cfg)
         assert seen == list(range(cfg.run().num_steps + 1))
         assert row[2].hex() == self._full_max(cfg).hex()
-        assert row[2] > _VERIFY_ROWS["equilibrium"][1] and row[-1] is False
+        assert row[2] > row[3] and row[-1] is False
 
         out = tmp_path / "out"
         assert main(["verify", "--config", path, "--out", str(out)]) == 6
@@ -742,9 +771,9 @@ class TestEnvelopeUnderflow:
     def _envelope(cfg):
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            rows = list(_verify_checks(cfg, 0, {}))
-        assert rows[-1][0] == "envelope"
-        return rows[-1]
+            value = verify.envelope(cfg, 0)
+        (spec,) = dict(CHECKS)[verify.envelope]
+        return verify.row(spec, value)
 
     @staticmethod
     def _norms_and_bound(cfg):
@@ -890,6 +919,10 @@ class TestExitCodes:
         ("simulate", "dt", "1e-300"), ("verify", "dt", "1e-300"),
         ("simulate", "dt", "5e-324"), ("verify", "dt", "5e-324"),
         ("sweep", "horizon", "1e300"),
+        ("simulate", "record_every", "1e19"), ("sweep", "record_every", "1e19"),
+        ("verify", "record_every", "1e19"),
+        # read through float as 2**63, one past the largest index
+        ("simulate", "record_every", "9223372036854775807"),
     ])
     def test_step_count_no_array_can_index_is_two(self, tmp_path, capsys, command, key, raw):
         # t_final 1 at dt 1, then one setting past any array index or infinite
@@ -898,7 +931,9 @@ class TestExitCodes:
                         + "".join(f"{k} = {v}\n" for k, v in time.items()))
         out = tmp_path / "out"
         assert main([command, "--config", cfg, "--out", str(out)]) == 2
-        assert "config error: t_final / dt = " in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"config error: (t_final / dt|record_every) = .*, more than numpy "
+                            r"can index\n", err), err
         assert not (out / "manifest.json").exists()
 
 
