@@ -111,6 +111,11 @@ class ResolvedConfig:
 
 
 def _parse(section: str, key: str, kind: type, raw: str):
+    if kind is int:
+        try:  # an integer literal exactly, past 2**53 too; other spellings, as 1e3, below
+            return int(raw)
+        except ValueError:
+            pass
     try:
         val = float(raw)
     except ValueError:
@@ -475,7 +480,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run the oracle verification suite")
     add_common(p_verify)
     p_verify.add_argument("--seed", type=int, default=0,
-                          help="seed for the randomized dissipativity vectors")
+                          help="seed, 0 to 2**64 - 1, of the SplitMix64 stream of the "
+                               "randomized dissipativity vectors")
     return parser
 
 
@@ -498,6 +504,8 @@ def main(argv=None) -> int:
         elif args.command == "verify":
             if args.seed < 0:
                 raise ConfigError(f"--seed must be >= 0, got {args.seed}")
+            if args.seed >= 2 ** 64:  # verify's SplitMix64 stream takes a 64-bit seed
+                raise ConfigError(f"--seed must be <= 2**64 - 1 = {2**64 - 1}, got {args.seed}")
             extra["seed"] = args.seed
 
         out_dir = Path(args.out)

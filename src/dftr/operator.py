@@ -291,10 +291,11 @@ def dissipativity_form(gen: DiscreteGenerator, xi: Profile) -> DissipativityForm
     return DissipativityForm(form=form, lemma_rhs=rhs)
 
 
-def random_bc_compatible(gen: DiscreteGenerator, rng: np.random.Generator) -> Profile:
+def random_bc_compatible(gen: DiscreteGenerator, rng) -> Profile:
     """Random vector lying exactly in the discrete boundary-condition set.
 
-    Interior nodes are i.i.d. uniform on [-1, 1]; the endpoint values solve
+    Interior nodes are rng.uniform(-1.0, 1.0, m - 2), for any rng with that method
+    (an np.random.Generator, or verify's SplitMix64 stream); the endpoint values solve
     the two one-sided closure equations, so membership is exact rather than
     approximate.
     """

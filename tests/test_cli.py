@@ -15,7 +15,7 @@ import pytest
 import dftr
 from dftr import Profile, default_weight, energy, lambda_theoretical, simulate
 from dftr.analysis import settings_hash
-from dftr import verify
+from dftr import operator, verify
 from dftr.cli import _column_rows, _field_rows, _fmt, load_config, main, write_csv
 from dftr.errors import ConfigError, SolverError
 from dftr.integrator import closed_loop, simulate_stack
@@ -24,6 +24,7 @@ from dftr.verify import CHECKS
 HASH_LINE = re.compile(r"^# manifest_hash=[0-9a-f]{16}$")
 SPECS = [spec for _, specs in CHECKS for spec in specs]  # verify.csv's rows in order
 REPO = Path(__file__).resolve().parents[1]
+EPS = np.finfo(float).eps
 
 BASE_INI = """\
 [reactor]
@@ -123,6 +124,22 @@ class TestLoadConfig:
         text = SMALL_GRID + "[control]\nalpha = 0.25\n"
         with pytest.raises(ConfigError, match=r"'v'.*\[reactor\]"):
             load_config(write_ini(tmp_path / "c.ini", text))
+
+    def test_integer_literal_reads_exactly(self, tmp_path):
+        # through float, 2**53 + 1 would read as 2**53
+        out = tmp_path / "out"
+        text = BASE_INI + "[time]\nrecord_every = 9007199254740993\n"
+        cfg = write_ini(tmp_path / "c.ini", text)
+        assert load_config(cfg).record_every == 9007199254740993
+        assert main(["steady", "--config", cfg, "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["settings"]["record_every"] == 9007199254740993
+
+    @pytest.mark.parametrize("raw", ["1e3", "1000.0", "1_000.0"])
+    def test_other_integer_spellings_read_through_float(self, tmp_path, raw):
+        text = BASE_INI + f"[time]\nrecord_every = {raw}\n"
+        cfg = load_config(write_ini(tmp_path / "c.ini", text))
+        assert cfg.record_every == 1000 and type(cfg.record_every) is int
 
     def test_zero_dispersion_is_a_config_error(self, tmp_path):
         text = BASE_INI.replace("peclet = 4", "d_ax = 0")
@@ -474,7 +491,7 @@ class TestVerifyCommand:
             assert all(seconds >= 0.0 for seconds in checks.values())
 
     def test_negative_seed_is_a_config_error(self, tmp_path, capsys):
-        # numpy's SeedSequence rejects it; no check may run first
+        # the SplitMix64 stream takes a seed of 0 to 2**64 - 1; no check may run first
         cfg = write_ini(tmp_path / "c.ini", BASE_INI)
         out = tmp_path / "out"
         assert main(["verify", "--config", cfg, "--out", str(out), "--seed", "-1"]) == 2
@@ -482,6 +499,27 @@ class TestVerifyCommand:
         assert captured.err == "config error: --seed must be >= 0, got -1\n"
         assert captured.out == ""
         assert not (out / "verify.csv").exists() and not (out / "manifest.json").exists()
+
+    def test_seed_past_64_bits_is_a_config_error(self, tmp_path, capsys):
+        cfg = write_ini(tmp_path / "c.ini", BASE_INI)
+        out = tmp_path / "out"
+        assert main(["verify", "--config", cfg, "--out", str(out),
+                     "--seed", "18446744073709551616"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == ("config error: --seed must be <= 2**64 - 1 = "
+                                "18446744073709551615, got 18446744073709551616\n")
+        assert captured.out == ""
+        assert not (out / "verify.csv").exists() and not (out / "manifest.json").exists()
+
+    def test_largest_seed_runs(self, tmp_path):
+        text = (BASE_INI + "[grid]\nnum_nodes = 21\n"
+                + "[time]\nt_final = 10\ndt = 0.5\nhorizon = 100\n")
+        cfg = write_ini(tmp_path / "c.ini", text)
+        out = tmp_path / "out"
+        assert main(["verify", "--config", cfg, "--out", str(out),
+                     "--seed", "18446744073709551615"]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["settings"]["seed"] == 2 ** 64 - 1
 
     def test_seed_zero_runs(self, tmp_path):
         text = (BASE_INI + "[grid]\nnum_nodes = 21\n"
@@ -649,8 +687,6 @@ horizon = 0
         text = (BASE_INI + "[grid]\nnum_nodes = 401\n"
                 + "[time]\nt_final = 200\nhorizon = 2000\n")
         cfg = load_config(write_ini(tmp_path / "c.ini", text))
-        # numpy imports numpy.random on first use; its modules are no run's state
-        np.random.default_rng(0)
         tracemalloc.start()
         try:
             rows = list(verify.run_checks(cfg, 0, {}))
@@ -674,6 +710,56 @@ horizon = 0
         assert by_name["equilibrium"][2].hex() == max_w.hex()
         assert by_name["envelope"][2].hex() == ratio.hex()
         assert by_name["equilibrium"][-1] is True and by_name["envelope"][-1] is True
+
+
+def _splitmix64(seed, count):
+    """The first count outputs of SplitMix64 from state seed, in Python integers."""
+    out, state, mask = [], seed, 2 ** 64 - 1
+    for _ in range(count):
+        state = (state + 0x9E3779B97F4A7C15) & mask
+        z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        out.append(z ^ (z >> 31))
+    return out
+
+
+class TestSplitMix64:
+    """verify's dissipativity probes come from a SplitMix64 counter stream."""
+
+    def test_first_outputs_of_seed_zero(self):
+        assert [int(z) for z in verify._SplitMix64(0).raw(3)] == [
+            0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
+
+    @pytest.mark.parametrize("seed", [0, 1, 2 ** 64 - 1])
+    def test_draws_in_pieces_follow_python_integers(self, seed):
+        # the pieces continue one counter; seed + i * gamma wraps mod 2**64
+        stream = verify._SplitMix64(seed)
+        got = [int(z) for size in (1, 4, 3) for z in stream.raw(size)]
+        assert got == _splitmix64(seed, 8)
+
+    def test_uniform_takes_the_top_53_bits(self):
+        u = verify._SplitMix64(7).uniform(-1.0, 1.0, 1000)
+        expect = [-1.0 + 2.0 * ((z >> 11) * 2.0 ** -53) for z in _splitmix64(7, 1000)]
+        assert u.tolist() == expect
+        assert np.all((-1.0 <= u) & (u < 1.0))
+
+    @pytest.mark.parametrize("num_nodes", [3, 21, 2001])
+    def test_probes_meet_both_closures(self, tmp_path, num_nodes):
+        # each defect is within rounding of the closure's own terms
+        cfg = load_config(write_ini(tmp_path / "c.ini",
+                                    BASE_INI + f"[grid]\nnum_nodes = {num_nodes}\n"))
+        grid, params, stream = cfg.grid(), cfg.run().params, verify._SplitMix64(1)
+        r, scale = params.d_ax / (2.0 * grid.h * params.v), grid.l / (2.0 * grid.h)
+        for alpha in (0.0, 0.25, 0.5):
+            gen = operator.build_generator(grid, params, alpha)
+            for _ in range(10):
+                xi = operator.random_bc_compatible(gen, stream).values
+                inlet, outlet = operator._boundary_defects(gen, xi)
+                a = np.abs(xi)
+                assert abs(inlet) <= 4 * EPS * ((1.0 - alpha) * a[0]
+                                                 + r * (3 * a[0] + 4 * a[1] + a[2]))
+                assert abs(outlet) <= 4 * EPS * scale * (3 * a[-1] + 4 * a[-2] + a[-3])
+                operator.dissipativity_form(gen, Profile(grid, xi))  # raises on a defect
 
 
 class TestEquilibriumStop:
@@ -921,8 +1007,8 @@ class TestExitCodes:
         ("sweep", "horizon", "1e300"),
         ("simulate", "record_every", "1e19"), ("sweep", "record_every", "1e19"),
         ("verify", "record_every", "1e19"),
-        # read through float as 2**63, one past the largest index
-        ("simulate", "record_every", "9223372036854775807"),
+        # 2**63, one past the largest index
+        ("simulate", "record_every", "9223372036854775808"),
     ])
     def test_step_count_no_array_can_index_is_two(self, tmp_path, capsys, command, key, raw):
         # t_final 1 at dt 1, then one setting past any array index or infinite
@@ -935,6 +1021,25 @@ class TestExitCodes:
         assert re.fullmatch(r"config error: (t_final / dt|record_every) = .*, more than numpy "
                             r"can index\n", err), err
         assert not (out / "manifest.json").exists()
+
+    def test_index_error_names_the_integer_as_written(self, tmp_path, capsys):
+        # through float, 2**63 + 1 would be named as 2**63
+        cfg = write_ini(tmp_path / "c.ini", BASE_INI + "[grid]\nnum_nodes = 21\n[time]\n"
+                        "t_final = 1\ndt = 1\nrecord_every = 9223372036854775809\n")
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == ("config error: record_every = 9223372036854775809, "
+                                           "more than numpy can index\n")
+
+    def test_largest_index_is_a_record_every(self, tmp_path):
+        # 2**63 - 1: step 0 and the last step, as any record_every past the steps
+        cfg = write_ini(tmp_path / "c.ini", BASE_INI + "[grid]\nnum_nodes = 21\n[time]\n"
+                        "t_final = 1\ndt = 1\nrecord_every = 9223372036854775807\n")
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+        _, _, rows = read_csv(out / "control.csv")
+        assert [float(row[0]) for row in rows] == [0.0, 1.0]
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["settings"]["record_every"] == 2 ** 63 - 1
 
 
 class TestDeterminism:
@@ -1058,7 +1163,6 @@ def test_manifest_records_lapack_and_numpy_outside_the_hash(tmp_path, monkeypatc
     # the solves' LAPACK, numpy's version, the load phase, the peak RSS and the
     # printed solver effort land in manifest.json outside the hash; a run forced
     # onto scipy's _flapack keeps the hash and every CSV byte
-    from dftr import operator
     cfg = write_ini(tmp_path / "c.ini", BASE_INI + "[grid]\nnum_nodes = 21\n"
                     + "[time]\nt_final = 10\ndt = 0.5\n")
 
@@ -1119,28 +1223,30 @@ def test_peak_rss_is_null_without_proc(tmp_path, monkeypatch):
 
 
 def test_commands_load_only_what_they_run(tmp_path):
-    # steady, sweep and simulate hash with the interpreter's SHA-256, so they map no
-    # OpenSSL (_hashlib), and only simulate loads the '.17g' writer; verify, which
-    # loads hashlib through numpy.random, writes the hash hashlib gives
+    # every command hashes with the interpreter's SHA-256 and verify draws its probes
+    # from its own SplitMix64 stream, so on numpy >= 2 none loads numpy.random or
+    # OpenSSL (_hashlib); only simulate loads the '.17g' writer; verify's hash is hashlib's
     import hashlib
     cfg = write_ini(tmp_path / "c.ini", BASE_INI + "[grid]\nnum_nodes = 21\n"
                     + "[time]\nt_final = 10\ndt = 0.5\nhorizon = 100\n")
     script = ("import json, sys\nimport numpy\n"
-              "loaded = {'numpy': '_hashlib' in sys.modules}\n"
+              "def loaded():\n"
+              "    return [m in sys.modules for m in ('numpy.random', '_hashlib', 'dftr._g17')]\n"
+              "seen = {'numpy': loaded()}\n"
               "from dftr.cli import main\n"
               "for command in sys.argv[2:]:\n"
               "    assert main([command, '--config', sys.argv[1], '--out', command]) == 0\n"
-              "    loaded[command] = ['_hashlib' in sys.modules, 'dftr._g17' in sys.modules]\n"
-              "print(json.dumps(loaded))\n")
-    proc = subprocess.run([sys.executable, "-c", script, cfg, "steady", "sweep", "simulate",
-                           "verify"], capture_output=True, text=True, env=_child_env(),
-                          cwd=tmp_path)
+              "    seen[command] = loaded()\n"
+              "print(json.dumps(seen))\n")
+    commands = ["steady", "sweep", "simulate", "verify"]
+    proc = subprocess.run([sys.executable, "-c", script, cfg, *commands],
+                          capture_output=True, text=True, env=_child_env(), cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
-    loaded = json.loads(proc.stdout.splitlines()[-1])
-    assert loaded["steady"][1] is loaded["sweep"][1] is False
-    assert loaded["simulate"][1] is True
-    if not loaded["numpy"]:  # numpy 1.x imports numpy.random, and so hashlib, at import
-        assert loaded["simulate"][0] is False
+    seen = json.loads(proc.stdout.splitlines()[-1])
+    # sys.modules only grows, so each command's entry covers the commands before it
+    assert [seen[command][2] for command in commands] == [False, False, True, True]
+    if int(np.__version__.split(".")[0]) >= 2:  # numpy 1.x imports numpy.random at import
+        assert [seen[command][:2] for command in ["numpy", *commands]] == [[False, False]] * 5
     doc = json.loads((tmp_path / "verify" / "manifest.json").read_text())
     canon = json.dumps({"command": "verify", "version": dftr.__version__,
                         "settings": doc["settings"]}, sort_keys=True)
