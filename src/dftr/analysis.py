@@ -137,20 +137,24 @@ def fit_decay_rate(times, norms, lambda_t: float,
                    floor: float | None = None) -> DecayEstimate:
     """Least-squares decay rate of log(norms) against times over the trailing
     window. The usable records are the leading run before the first record
-    at or below the floor (_fit_floor); nothing from that record on is read,
+    at or below the floor (_fit_floor); nothing after that record is read,
     so the series may end there. The fit needs at least 10 usable records;
-    floor_hit flags a record at or below the floor.
+    they and the record that ends them must be finite. floor_hit flags a
+    record at or below the floor.
     """
     check_window_fraction(window_fraction)
     check_floor(floor)
     floor = _fit_floor(norms[0], floor)
-    if norms[0] <= floor:
+    below = np.flatnonzero(~(norms > floor))
+    usable = int(below[0]) if below.size else norms.size
+    # an inf norm would make the slope nan, and a nan one would end the run as a floor
+    if not np.isfinite(norms[:usable + 1]).all():
+        raise EstimationError("a norm up to the floor is not finite", usable_records=usable)
+    if usable == 0:
         # identically-zero (or floor-level) run: no rate to report
         return DecayEstimate(lambda_n=None, lambda_t=lambda_t, fit_window=(0.0, 0.0),
                              fit_r2=0.0, floor_hit=True)
 
-    below = np.flatnonzero(~(norms > floor))
-    usable = int(below[0]) if below.size else norms.size
     floor_hit = usable < norms.size
     if usable < 10:
         raise EstimationError(f"only {usable} records above the floor (need 10)",
@@ -159,10 +163,13 @@ def fit_decay_rate(times, norms, lambda_t: float,
     tail = slice(usable - max(2, math.ceil(window_fraction * usable)), usable)
     t = times[tail]
     y = np.log(norms[tail] / norms[0])
-    slope, intercept = np.polyfit(t, y, 1)
-    fitted = slope * t + intercept
+    # centred two-pass least squares: one-pass sums of t^2 and t*y cancel at t ~ 1e3,
+    # and np.polyfit (LAPACK's SVD) or np.dot (BLAS) would map native code for a line
+    tc, y_mean = t - np.mean(t), np.mean(y)
+    slope = np.sum(tc * (y - y_mean)) / np.sum(tc ** 2)
+    fitted = slope * tc + y_mean
     ss_res = float(np.sum((y - fitted) ** 2))
-    ss_tot = float(np.sum((y - np.mean(y)) ** 2))
+    ss_tot = float(np.sum((y - y_mean) ** 2))
     r2 = 1.0 if ss_tot == 0.0 else max(0.0, min(1.0, 1.0 - ss_res / ss_tot))
     return DecayEstimate(lambda_n=float(-slope), lambda_t=lambda_t,
                          fit_window=(float(t[0]), float(t[-1])),

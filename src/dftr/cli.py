@@ -170,7 +170,10 @@ def load_config(path: str) -> ResolvedConfig:
         if cfg.gamma is None:
             cfg = replace(cfg, gamma=cfg.v / (2.0 * cfg.d_ax))
         cfg.law()
-        cfg.weight(cfg.grid())
+        try:
+            cfg.weight(cfg.grid())
+        except MemoryError:
+            raise ConfigError(f"num_nodes = {cfg.num_nodes}: no memory for the grid and its weight")
         check_window_fraction(cfg.window_fraction)
         check_floor(cfg.floor)
     except ParameterError as exc:

@@ -93,6 +93,11 @@ class SpatialGrid:
         _require(np.isfinite(self.l) and self.l > 0, f"l must be > 0, got {self.l}")
         _require(int(self.num_nodes) == self.num_nodes and self.num_nodes >= 3,
                  f"num_nodes must be an integer >= 3, got {self.num_nodes}")
+        # the longest float64 array numpy can address, less the few lengths that
+        # np.linspace's float arithmetic rounds up past it (2**60 - 1 to 2**60)
+        longest = int(np.nextafter(np.iinfo(np.intp).max // 8, 0))
+        _require(self.num_nodes <= longest,
+                 f"num_nodes must be at most {longest}, got {self.num_nodes}")
 
     @property
     def h(self) -> float:

@@ -54,7 +54,8 @@ class _Gttr(NamedTuple):
 
 
 def _ptr(a: np.ndarray) -> c_void_p:
-    return a.ctypes.data_as(c_void_p)  # holds a reference to a
+    """a's data address; unlike a.ctypes.data_as, it holds no reference to a."""
+    return c_void_p(a.ctypes.data)
 
 
 def _numpy_gttr() -> _Gttr | None:
@@ -87,8 +88,10 @@ def _numpy_gttr() -> _Gttr | None:
 
     def bind(lu, b):
         ints = np.array([b.size, 1, 0], dtype=np.int64)  # N = LDB, NRHS, INFO
-        return partial(trs, c_char_p(b"N"), _ptr(ints), _ptr(ints[1:]), *map(_ptr, lu),
-                       _ptr(b), _ptr(ints), _ptr(ints[2:]), c_size_t(1))
+        solve = partial(trs, c_char_p(b"N"), _ptr(ints), _ptr(ints[1:]), *map(_ptr, lu),
+                        _ptr(b), _ptr(ints), _ptr(ints[2:]), c_size_t(1))
+        solve.arrays = ints, lu, b  # keeps alive what the pointers point into
+        return solve
 
     return _Gttr(prefix + "dgttrs_64_", factor, bind)
 

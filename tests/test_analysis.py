@@ -3,6 +3,7 @@ import importlib.util
 import json
 import sys
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -200,6 +201,37 @@ class TestDecayEstimator:
         assert full.lambda_n.hex() == short.lambda_n.hex()
         assert full.fit_r2.hex() == short.fit_r2.hex()
         assert [t.hex() for t in full.fit_window] == [t.hex() for t in short.fit_window]
+
+    def test_slope_matches_exact_least_squares(self):
+        # the centred two-pass slope against the exact slope of the same float
+        # series; t reaches 3e3, where one-pass sums of t^2 and t*y cancel
+        rng = np.random.default_rng(5)
+        for _ in range(60):
+            size = int(rng.integers(10, 40))
+            t0, dt = rng.choice([0.0, 1e3, 3e3]), rng.uniform(0.1, 10.0)
+            rate = 10.0 ** rng.uniform(-4.0, -1.0)
+            times = t0 + dt * np.arange(size)
+            norms = np.exp(-rate * (times - t0) + rng.normal(0.0, 1e-3, size))
+            est = fit_decay_rate(times, norms, 0.0025, window_fraction=1.0, floor=0.0)
+            t = [Fraction(v) for v in times.tolist()]
+            y = [Fraction(v) for v in np.log(norms / norms[0]).tolist()]
+            t_mean, y_mean = sum(t) / size, sum(y) / size
+            exact = (sum((a - t_mean) * (b - y_mean) for a, b in zip(t, y))
+                     / sum((a - t_mean) ** 2 for a in t))
+            assert abs(Fraction(-est.lambda_n) - exact) <= Fraction(1e-15) * abs(exact)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    @pytest.mark.parametrize("at", [0, 20, 39])
+    @pytest.mark.parametrize("floor", [None, 0.0])
+    def test_non_finite_norm_up_to_the_floor_is_an_error(self, bad, at, floor):
+        # inf made the slope nan, and min(1.0, nan) reported fit_r2 = 1.0; at
+        # record 0 the default floor is inf too, which read as a run at its floor;
+        # nan ended the usable records as a floor record would
+        times = np.arange(40.0)
+        norms = np.exp(-0.01 * times)
+        norms[at] = bad
+        with pytest.raises(EstimationError, match="not finite"):
+            fit_decay_rate(times, norms, 0.0025, floor=floor)
 
     def test_all_zero_trajectory(self, params, grid201):
         traj = synthetic_trajectory(1e-3, grid201, params, amplitude=0.0)

@@ -15,7 +15,7 @@ import pytest
 import dftr
 from dftr import Profile, default_weight, energy, lambda_theoretical, simulate
 from dftr.analysis import settings_hash
-from dftr import operator, verify
+from dftr import analysis, operator, verify
 from dftr.cli import _column_rows, _field_rows, _fmt, load_config, main, write_csv
 from dftr.errors import ConfigError, SolverError
 from dftr.integrator import closed_loop, simulate_stack
@@ -435,6 +435,37 @@ class TestSweepCommand:
                      "--out", str(out), "--n-list", "2", "--alpha-list", "0.25"]) == 0
         cells = json.loads((out / "sweep_cells.json").read_text())
         assert [cell["hash"] for cell in cells] == ["c0b08b2ca5a0d5e2"]
+
+    def test_fits_match_polyfit_and_need_no_dense_least_squares(self, tmp_path, monkeypatch):
+        # every sweep-ref cell's closed-form fit agrees with np.polyfit on its window;
+        # a child with np.polyfit and np.linalg.lstsq made to raise writes the same table
+        fits, fit = [], analysis.fit_decay_rate
+
+        def recorded(times, norms, *args):
+            fits.append((times, np.array(norms), fit(times, norms, *args)))
+            return fits[-1][2]
+
+        monkeypatch.setattr(analysis, "fit_decay_rate", recorded)
+        cfg = str(REPO / "perfbench/configs/sweep-ref.ini")
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "a")]) == 0
+        assert len(fits) == 12
+        for times, norms, est in fits:
+            window = (times >= est.fit_window[0]) & (times <= est.fit_window[1])
+            slope = np.polyfit(times[window], np.log(norms[window] / norms[0]), 1)[0]
+            assert -est.lambda_n == pytest.approx(slope, rel=1e-14, abs=0.0)
+
+        script = ("import sys, numpy\n"
+                  "def refuse(*args, **kwargs):\n"
+                  "    raise AssertionError('dense least squares')\n"
+                  "numpy.polyfit = numpy.linalg.lstsq = refuse\n"
+                  "from dftr.cli import main\n"
+                  "sys.exit(main(sys.argv[1:]))\n")
+        proc = subprocess.run([sys.executable, "-c", script, "sweep", "--config", cfg,
+                               "--out", str(tmp_path / "b")],
+                              capture_output=True, text=True, env=_child_env())
+        assert proc.returncode == 0, proc.stderr
+        assert ((tmp_path / "b" / "sweep.csv").read_bytes()
+                == (tmp_path / "a" / "sweep.csv").read_bytes())
 
     def test_invalid_list_arguments(self, tmp_path, capsys):
         cfg = write_ini(tmp_path / "c.ini", self.CFG)
@@ -1040,6 +1071,31 @@ class TestExitCodes:
         assert [float(row[0]) for row in rows] == [0.0, 1.0]
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["settings"]["record_every"] == 2 ** 63 - 1
+
+    def test_grid_numpy_cannot_address_is_two(self, tmp_path, capsys):
+        cfg = write_ini(tmp_path / "c.ini", BASE_INI + "[grid]\nnum_nodes = 9223372036854775807\n")
+        out = tmp_path / "out"
+        assert main(["steady", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"config error: num_nodes must be at most \d+, "
+                            r"got 9223372036854775807\n", err), err
+        assert not out.exists()
+
+    def test_grid_past_memory_is_two(self, tmp_path):
+        # 1e11 nodes need 745 GiB; capping the child's address space makes that
+        # allocation fail at once, where overcommit could let it start
+        resource = pytest.importorskip("resource")
+        hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+        cap = 4 << 30 if hard == resource.RLIM_INFINITY else min(4 << 30, hard)
+        cfg = write_ini(tmp_path / "c.ini", BASE_INI + "[grid]\nnum_nodes = 100000000000\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "dftr.cli", "steady", "--config", cfg,
+             "--out", str(tmp_path / "out")], capture_output=True, text=True,
+            env={**_child_env(), "OPENBLAS_NUM_THREADS": "1"},
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, hard)))
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr == ("config error: num_nodes = 100000000000: "
+                               "no memory for the grid and its weight\n")
 
 
 class TestDeterminism:

@@ -82,6 +82,18 @@ class TestSpatialGrid:
         with pytest.raises(ParameterError):
             SpatialGrid(l=1.0, num_nodes=2)
 
+    @pytest.mark.skipif(np.iinfo(np.intp).bits != 64, reason="the bound of a 64-bit numpy")
+    def test_more_nodes_than_numpy_can_address(self):
+        # at the bound, building the nodes asks for 8 EiB, a MemoryError on any
+        # machine; np.linspace rounds the next lengths up past what numpy can
+        # address, a ValueError that no caller would expect
+        longest = 2 ** 60 - 128
+        with pytest.raises(MemoryError):
+            SpatialGrid(l=1.0, num_nodes=longest).nodes
+        for num_nodes in (longest + 1, 2 ** 63 - 1):
+            with pytest.raises(ParameterError, match=f"at most {longest}, got {num_nodes}$"):
+                SpatialGrid(l=1.0, num_nodes=num_nodes)
+
     def test_nodes_read_only(self):
         g = SpatialGrid(l=1.0, num_nodes=5)
         with pytest.raises(ValueError):

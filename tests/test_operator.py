@@ -119,7 +119,7 @@ class TestTridiagonal:
             Tridiagonal(np.zeros(4), np.ones(5), np.zeros(5)).factor()
 
     def test_bound_solve_outlives_the_matrix_and_its_factors(self, params):
-        # the bound pointers alone hold the factors and their integer arguments alive
+        # the bound solve alone holds the factors and its integer arguments alive
         mat = _tridiagonal_cases(params)[2]
         rhs = np.random.default_rng(12).standard_normal(31)
         expected = mat.solve(rhs).tobytes()
