@@ -207,11 +207,10 @@ def settings_hash(settings: dict) -> str:
 
 
 def _closed_loop(config, provenance: dict):
-    """The cell's integrator.closed_loop, once it passes the reaction substep
-    guard; the Newton effort goes into the cell's provenance."""
+    """The cell's integrator.closed_loop; the Newton effort goes into the cell's
+    provenance."""
     config, steady, w0 = integrator.closed_loop(config)
     provenance["newton_iterations"] = steady.iterations
-    integrator.substep_count(config, steady.profile.values, float(np.max(np.abs(w0.values))))
     return config, steady, w0
 
 
@@ -234,19 +233,20 @@ def sweep(configs, weight: WeightFunction,
     The configs share grid, dt, t_final and record_every, as simulate_stack's
     runs do; weight gives every cell's rho0 and gamma.
 
-    Each cell solves its own steady state, builds the alpha-dependent
-    initial profile and passes the reaction substep guard. The cells that
-    get this far step together as one integrator.simulate_stack, which
-    hands each record to one energy call, so no states are kept. The stack
-    stops at the first record by which every cell's norm has been at or
-    below its fit floor (or at the horizon), since fit_decay_rate reads no
-    record past that, and each cell's lambda_n is fitted from its norms:
-    the bits of simulate and estimate_decay_rate on that cell alone, at
-    any horizon. A non-finite state spreads across the stack, so if a stack of
-    several cells fails, each cell steps again as a stack of one. Failures
-    are recorded per cell without aborting. Two configs sharing an (n, alpha),
-    a bad window_fraction or a bad floor raise ParameterError before any
-    cell's steady solve.
+    Each cell solves its own steady state and builds the alpha-dependent
+    initial profile. The cells that get this far step together as one
+    integrator.simulate_stack, which hands each record to one energy call,
+    so no states are kept. The stack stops at the first record by which
+    every cell's norm has been at or below its fit floor (or at the
+    horizon), since fit_decay_rate reads no record past that, and each
+    cell's lambda_n is fitted from its norms: the bits of simulate and
+    estimate_decay_rate on that cell alone, at any horizon. A cell too stiff
+    for the reaction substep guard (read before record 0) or a non-finite
+    state fails the whole stack, so if a stack of several cells fails, each
+    cell steps again as a stack of one. Failures are recorded per cell
+    without aborting. Two configs sharing an (n, alpha), a bad
+    window_fraction or a bad floor raise ParameterError before any cell's
+    steady solve.
     """
     check_window_fraction(window_fraction)
     check_floor(floor)

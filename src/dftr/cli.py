@@ -209,7 +209,7 @@ class RunManifest:
                "version": __version__, "out_dir": str(self.out_dir),
                "hash": self.hash, "settings": self.resolved,
                "timings": self.timings, "solver": self.solver, "numpy": np.__version__,
-               "lapack": operator._GTTR.name, "peak_rss_mib": _peak_rss_mib()}
+               "lapack": operator._LAPACK.name, "peak_rss_mib": _peak_rss_mib()}
         with open(path, "w", newline="\n") as fh:
             json.dump(doc, fh, indent=2, sort_keys=True)
             fh.write("\n")
@@ -520,7 +520,10 @@ def main(argv=None) -> int:
         manifest = RunManifest(config_path=str(args.config), command=args.command,
                                out_dir=str(out_dir), resolved={**asdict(cfg), **extra},
                                timings={"load_s": load_s})
-        code = _COMMANDS[args.command](cfg, out_dir, manifest, **extra)
+        try:
+            code = _COMMANDS[args.command](cfg, out_dir, manifest, **extra)
+        except MemoryError:
+            raise ConfigError(f"num_nodes = {cfg.num_nodes}: no memory for this run")
         manifest.timings["total_s"] = time.monotonic() - started
         manifest.write(out_dir / "manifest.json")
         return code

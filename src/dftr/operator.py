@@ -19,7 +19,7 @@ import importlib.util
 import math
 import os
 import sys
-from ctypes import c_char_p, c_size_t, c_void_p
+from ctypes import CFUNCTYPE, PYFUNCTYPE, c_char_p, c_size_t, c_void_p, py_object, pythonapi
 from dataclasses import dataclass
 from functools import cached_property, partial
 from typing import Callable, NamedTuple
@@ -30,27 +30,15 @@ from .errors import ContractError, ParameterError, SolverError
 from .model import FeedbackLaw, Profile, ReactorParams, SpatialGrid, reaction_rate
 
 
-def _lapack():
-    """scipy's compiled LAPACK module, loaded from its file without the 0.3 s of
-    scipy.linalg imports; scipy.linalg.lapack if that fails, as on a scipy rename."""
-    name = "scipy.linalg._flapack"
-    try:
-        scipy_dir, = importlib.util.find_spec("scipy").submodule_search_locations
-        spec = importlib.machinery.PathFinder.find_spec(name, [os.path.join(scipy_dir, "linalg")])
-        return sys.modules.setdefault(name, importlib.util.module_from_spec(spec))
-    except Exception:
-        from scipy.linalg import lapack
-        return lapack
+class _Lapack(NamedTuple):
+    """One LAPACK's dgttrf/dgttrs as ctypes functions of addresses, the numpy type of their
+    INTEGER arguments and the trailing hidden length of dgttrs's character TRANS, if any."""
 
-
-class _Gttr(NamedTuple):
-    """One LAPACK's tridiagonal pair: factor(dl, d, du) gives (factors, info) from dgttrf
-    on copies of its diagonals, and bind(factors, b) a no-argument dgttrs that overwrites
-    b, a contiguous float64 array, with the solution. name is the symbol or module."""
-
-    name: str
-    factor: Callable
-    bind: Callable
+    name: str  # the symbol or module the pair comes from
+    dgttrf: Callable
+    dgttrs: Callable
+    int: type
+    hidden: tuple
 
 
 def _ptr(a: np.ndarray) -> c_void_p:
@@ -58,65 +46,51 @@ def _ptr(a: np.ndarray) -> c_void_p:
     return c_void_p(a.ctypes.data)
 
 
-def _numpy_gttr() -> _Gttr | None:
+def _numpy_lapack() -> _Lapack | None:
     """dgttrf/dgttrs of the ILP64 OpenBLAS that numpy.linalg links, or None on a build
     that exports neither pair. numpy >= 2 wheels name them scipy_dgttr?_64_ and numpy
     1.2x wheels dgttr?_64_; the _64_ fixes every integer argument at 64 bits."""
-    try:
-        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
-    except (AttributeError, OSError):
-        return None
     for prefix in ("scipy_", ""):
-        try:
-            trf, trs = getattr(lib, prefix + "dgttrf_64_"), getattr(lib, prefix + "dgttrs_64_")
-        except AttributeError:
+        try:  # the trailing size_t is the hidden Fortran length of TRANS
+            lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+            trf = CFUNCTYPE(None, *[c_void_p] * 7)((prefix + "dgttrf_64_", lib))
+            trs = CFUNCTYPE(None, *[c_void_p] * 11, c_size_t)((prefix + "dgttrs_64_", lib))
+        except (AttributeError, OSError):
             continue
-        trf.argtypes, trf.restype = [c_void_p] * 7, None
-        # the trailing size_t is the hidden length of the Fortran character TRANS
-        trs.argtypes, trs.restype = [c_void_p] * 11 + [c_size_t], None
-        break
-    else:
-        return None
-
-    def factor(dl, d, du):
-        n = d.size
-        lu = (*(np.array(a, dtype=np.float64) for a in (dl, d, du)),
-              np.empty(max(n - 2, 0)), np.empty(n, dtype=np.int64))
-        ints = np.array([n, 0], dtype=np.int64)  # N, INFO
-        trf(_ptr(ints), *map(_ptr, lu), _ptr(ints[1:]))
-        return lu, int(ints[1])
-
-    def bind(lu, b):
-        ints = np.array([b.size, 1, 0], dtype=np.int64)  # N = LDB, NRHS, INFO
-        solve = partial(trs, c_char_p(b"N"), _ptr(ints), _ptr(ints[1:]), *map(_ptr, lu),
-                        _ptr(b), _ptr(ints), _ptr(ints[2:]), c_size_t(1))
-        solve.arrays = ints, lu, b  # keeps alive what the pointers point into
-        return solve
-
-    return _Gttr(prefix + "dgttrs_64_", factor, bind)
+        return _Lapack(prefix + "dgttrs_64_", trf, trs, np.int64, (c_size_t(1),))
+    return None
 
 
-def _flapack_gttr() -> _Gttr:
-    """dgttrf/dgttrs of scipy's _flapack, through its f2py wrappers."""
-    lapack = _lapack()
-
-    def factor(dl, d, du):
-        *lu, info = lapack.dgttrf(dl, d, du)
-        return lu, info
-
-    def bind(lu, b):
-        return partial(lapack.dgttrs, *lu, b, overwrite_b=True)
-
-    return _Gttr(lapack.__name__, factor, bind)
+# private prototypes of the capsule calls: ctypes.pythonapi's functions are shared
+_capsule_name = PYFUNCTYPE(c_char_p, py_object)(("PyCapsule_GetName", pythonapi))
+_capsule_pointer = PYFUNCTYPE(c_void_p, py_object, c_char_p)(("PyCapsule_GetPointer", pythonapi))
 
 
-def _gttr() -> _Gttr:
-    """numpy's own LAPACK where its build exports the pair, else scipy's: no second
-    OpenBLAS is loaded unless numpy's cannot serve."""
-    return _numpy_gttr() or _flapack_gttr()
+def _capsule_function(capsule, kinds: str):
+    """The C function of a cython_lapack capsule whose signature has one argument per letter
+    of kinds and an int * at each "i", a LAPACK INTEGER, which it would read past if wider."""
+    signature = _capsule_name(capsule)
+    args = signature.decode().partition("(")[2].rpartition(")")[0].split(", ")
+    if len(args) != len(kinds) or any(a != "int *" for a, k in zip(args, kinds) if k == "i"):
+        raise ImportError(f"LAPACK capsule {signature!r} takes no int * where {kinds!r} has i")
+    return CFUNCTYPE(None, *[c_void_p] * len(args))(_capsule_pointer(capsule, signature))
 
 
-_GTTR = _gttr()
+def _scipy_lapack() -> _Lapack:
+    """dgttrf/dgttrs of scipy's LP64 LAPACK from the capsules of its public cython_lapack,
+    loaded from its file without the 0.3 s of scipy.linalg imports, under its real name."""
+    name = "scipy.linalg.cython_lapack"
+    scipy_dir, = importlib.util.find_spec("scipy").submodule_search_locations
+    spec = importlib.machinery.PathFinder.find_spec(name, [os.path.join(scipy_dir, "linalg")])
+    module = sys.modules.setdefault(name, importlib.util.module_from_spec(spec))
+    spec.loader.exec_module(module)  # returns at once if the module has run
+    capi = module.__pyx_capi__
+    return _Lapack(name, _capsule_function(capi["dgttrf"], "iddddii"),
+                   _capsule_function(capi["dgttrs"], "ciiddddidii"), np.intc, ())
+
+
+# numpy's own LAPACK where its build exports the pair: no second OpenBLAS unless it cannot
+_LAPACK = _numpy_lapack() or _scipy_lapack()
 
 BC_REL_TOL = 1e-2  # dissipativity_form rejects grossly incompatible vectors
 
@@ -168,17 +142,24 @@ class Tridiagonal(NamedTuple):
         Python call of its own."""
         if not self.lower.shape == self.diag.shape == self.upper.shape == (self.diag.size,):
             raise ContractError("a tridiagonal needs three 1-D diagonals of one length")
-        gttr = _GTTR
-        lu, info = gttr.factor(self.lower[1:], self.diag, self.upper[:-1])
-        if info != 0:
-            raise SolverError(f"singular tridiagonal matrix (zero pivot at row {info})")
+        lapack, n = _LAPACK, self.diag.size
+        lu = (*(np.array(a, float) for a in (self.lower[1:], self.diag, self.upper[:-1])),
+              np.empty(max(n - 2, 0)), np.empty(n, dtype=lapack.int))  # dl, d, du, du2, ipiv
+        ints = np.array([n, 0], dtype=lapack.int)  # N, INFO
+        lapack.dgttrf(_ptr(ints), *map(_ptr, lu), _ptr(ints[1:]))
+        if ints[1] != 0:
+            raise SolverError(f"singular tridiagonal matrix (zero pivot at row {ints[1]})")
 
         def bound(b):
             if not (b.dtype == np.float64 and b.shape == self.diag.shape
                     and b.flags.c_contiguous and b.flags.writeable):
                 raise ContractError(f"a bound solve needs a contiguous writable float64 "
                                     f"array of shape {self.diag.shape}")
-            return gttr.bind(lu, b)
+            ints = np.array([n, 1, 0], dtype=lapack.int)  # N = LDB, NRHS, INFO
+            solve = partial(lapack.dgttrs, c_char_p(b"N"), _ptr(ints), _ptr(ints[1:]),
+                            *map(_ptr, lu), _ptr(b), _ptr(ints), _ptr(ints[2:]), *lapack.hidden)
+            solve.arrays = ints, lu, b  # keeps alive what the pointers point into
+            return solve
         if into is not None:
             return bound(into)
 

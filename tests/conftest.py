@@ -1,5 +1,9 @@
+import os
+from pathlib import Path
+
 import pytest
 
+import dftr
 from dftr import FeedbackLaw, ReactorParams, SpatialGrid, default_saturation_bound
 
 # reference parameter set used throughout: v=0.01 m/s, l=1 m, Pe=4
@@ -31,3 +35,9 @@ def grid201():
 @pytest.fixture
 def law0():
     return FeedbackLaw(alpha=0.0)
+
+
+def child_env():
+    """The environment of a child process that finds this package first."""
+    paths = [str(Path(dftr.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}

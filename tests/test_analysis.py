@@ -464,6 +464,36 @@ class TestSweep:
         assert result.cell(2000.0, 0.5).error == f"IntegrationError: {exc.value}"
         assert alone.error == f"IntegrationError: {exc.value}"
 
+    def test_cell_past_the_substep_guard_fails_alone(self, monkeypatch):
+        # at n = 2000 the guard's stiffness estimate overflows: the stack's own guard,
+        # read before record 0, fails the stack, and each cell reruns as a stack of
+        # one, so the stiff cells get simulate's error and the others their solo bits
+        import dftr.integrator
+        from dftr.errors import IntegrationError
+
+        stack, sizes = dftr.integrator.simulate_stack, []
+
+        def counted(runs, record):
+            sizes.append(len(runs))
+            return stack(runs, record)
+
+        monkeypatch.setattr(dftr.integrator, "simulate_stack", counted)
+        base = _sweep_base(horizon=100.0, num_nodes=51)
+        result = _sweep(base, [2.0, 2000.0], [0.0, 0.5])
+        assert sizes == [4] + [1] * 4
+        for (n, a), cell in result.cells.items():
+            assert cell == _sweep(base, [n], [a]).cell(n, a)
+            if n == 2000.0:
+                p = make_params(n=n, t_final=100.0, alpha_for_sat=a)
+                law = FeedbackLaw(alpha=a)
+                cfg = SimulationConfig(params=p, law=law, grid=base.grid, dt=1.0)
+                with pytest.raises(IntegrationError, match="stiffness estimate inf") as exc:
+                    simulate(cfg, steady_state_numeric(p, 1.0, base.grid),
+                             initial_profile(base.grid, p, law))
+                assert cell.error == f"IntegrationError: {exc.value}"
+            else:
+                assert cell.error is None and cell.estimate is not None
+
     @pytest.mark.parametrize("n_values,alpha_values", [([2, 2.0], [0.0]),
                                                        ([2.0], [0.0, 0.5, 0])])
     def test_repeated_axis_value_rejected(self, n_values, alpha_values):

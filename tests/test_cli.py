@@ -20,6 +20,7 @@ from dftr.cli import _column_rows, _field_rows, _fmt, load_config, main, write_c
 from dftr.errors import ConfigError, SolverError
 from dftr.integrator import closed_loop, simulate_stack
 from dftr.verify import CHECKS
+from conftest import child_env
 
 HASH_LINE = re.compile(r"^# manifest_hash=[0-9a-f]{16}$")
 SPECS = [spec for _, specs in CHECKS for spec in specs]  # verify.csv's rows in order
@@ -462,7 +463,7 @@ class TestSweepCommand:
                   "sys.exit(main(sys.argv[1:]))\n")
         proc = subprocess.run([sys.executable, "-c", script, "sweep", "--config", cfg,
                                "--out", str(tmp_path / "b")],
-                              capture_output=True, text=True, env=_child_env())
+                              capture_output=True, text=True, env=child_env())
         assert proc.returncode == 0, proc.stderr
         assert ((tmp_path / "b" / "sweep.csv").read_bytes()
                 == (tmp_path / "a" / "sweep.csv").read_bytes())
@@ -1091,11 +1092,35 @@ class TestExitCodes:
         proc = subprocess.run(
             [sys.executable, "-m", "dftr.cli", "steady", "--config", cfg,
              "--out", str(tmp_path / "out")], capture_output=True, text=True,
-            env={**_child_env(), "OPENBLAS_NUM_THREADS": "1"},
+            env={**child_env(), "OPENBLAS_NUM_THREADS": "1"},
             preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, hard)))
         assert proc.returncode == 2, proc.stderr
         assert proc.stderr == ("config error: num_nodes = 100000000000: "
                                "no memory for the grid and its weight\n")
+
+    def test_run_past_memory_is_two(self, tmp_path):
+        # 1e6 nodes: the grid and its weight (about 3 arrays of 8 MB) fit in 96 MiB of
+        # address space above what the child has mapped, the steady solve's (about 19)
+        # do not; a MemoryError past load_config is a config error, not a traceback
+        resource = pytest.importorskip("resource")
+        if not os.path.exists("/proc/self/statm"):
+            pytest.skip("the child reads its mapped size from /proc/self/statm")
+        cfg = write_ini(tmp_path / "c.ini", BASE_INI + "[grid]\nnum_nodes = 1000000\n")
+        script = ("import os, resource, sys\nfrom dftr.cli import main\n"
+                  "with open('/proc/self/statm') as fh:\n"
+                  "    mapped = int(fh.read().split()[0]) * os.sysconf('SC_PAGE_SIZE')\n"
+                  "hard = resource.getrlimit(resource.RLIMIT_AS)[1]\n"
+                  "cap = mapped + (96 << 20)\n"
+                  "if hard != resource.RLIM_INFINITY and hard < cap:\n"
+                  "    sys.exit(f'RLIMIT_AS hard limit {hard} is below {cap}')\n"
+                  "resource.setrlimit(resource.RLIMIT_AS, (cap, hard))\n"
+                  "sys.exit(main(sys.argv[1:]))\n")
+        proc = subprocess.run(
+            [sys.executable, "-c", script, "steady", "--config", cfg,
+             "--out", str(tmp_path / "out")], capture_output=True, text=True,
+            env={**child_env(), "OPENBLAS_NUM_THREADS": "1"})
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr == "config error: num_nodes = 1000000: no memory for this run\n"
 
 
 class TestDeterminism:
@@ -1186,12 +1211,6 @@ class TestWriter:
         assert path.read_bytes() == (header + expected).encode()
 
 
-def _child_env():
-    """The environment of a child process that finds this package first."""
-    paths = [str(Path(dftr.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
-    return {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
-
-
 @pytest.mark.parametrize("argv", [
     pytest.param([sys.executable, "-m", "dftr.cli"], id="module"),
     pytest.param(["dftr"], id="script", marks=pytest.mark.skipif(
@@ -1199,7 +1218,7 @@ def _child_env():
 ])
 def test_console_entry_point(tmp_path, argv):
     # the child's exit code is main()'s
-    env = _child_env()
+    env = child_env()
 
     def run(text):
         cfg = write_ini(tmp_path / "c.ini", text)
@@ -1218,7 +1237,7 @@ def test_console_entry_point(tmp_path, argv):
 def test_manifest_records_lapack_and_numpy_outside_the_hash(tmp_path, monkeypatch, capsys):
     # the solves' LAPACK, numpy's version, the load phase, the peak RSS and the
     # printed solver effort land in manifest.json outside the hash; a run forced
-    # onto scipy's _flapack keeps the hash and every CSV byte
+    # onto scipy's cython_lapack keeps the hash and every CSV byte
     cfg = write_ini(tmp_path / "c.ini", BASE_INI + "[grid]\nnum_nodes = 21\n"
                     + "[time]\nt_final = 10\ndt = 0.5\n")
 
@@ -1233,16 +1252,16 @@ def test_manifest_records_lapack_and_numpy_outside_the_hash(tmp_path, monkeypatc
         return doc, capsys.readouterr().out
 
     docs, csvs = [], []
-    for name, path in (("chosen", operator._GTTR), ("flapack", operator._flapack_gttr())):
-        monkeypatch.setattr(operator, "_GTTR", path)
+    for name, lapack in (("chosen", operator._LAPACK), ("scipy", operator._scipy_lapack())):
+        monkeypatch.setattr(operator, "_LAPACK", lapack)
         out = tmp_path / name
         doc, printed = run("simulate", out)
         docs.append(doc)
         csvs.append({p.name: p.read_bytes() for p in sorted(out.glob("*.csv"))})
-        assert docs[-1]["lapack"] == path.name
+        assert docs[-1]["lapack"] == lapack.name
         assert docs[-1]["numpy"] == np.__version__
         assert 0.0 < docs[-1]["timings"]["load_s"]
-    assert docs[1]["lapack"] == "scipy.linalg._flapack"
+    assert docs[1]["lapack"] == "scipy.linalg.cython_lapack"
     assert csvs[0] == csvs[1] and len(csvs[0]) == 4
     assert docs[0]["hash"] == docs[1]["hash"]
     inner, events = map(int, re.search(r"inner steps (\d+), negativity events (\d+)",
@@ -1296,7 +1315,7 @@ def test_commands_load_only_what_they_run(tmp_path):
               "print(json.dumps(seen))\n")
     commands = ["steady", "sweep", "simulate", "verify"]
     proc = subprocess.run([sys.executable, "-c", script, cfg, *commands],
-                          capture_output=True, text=True, env=_child_env(), cwd=tmp_path)
+                          capture_output=True, text=True, env=child_env(), cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     seen = json.loads(proc.stdout.splitlines()[-1])
     # sys.modules only grows, so each command's entry covers the commands before it
@@ -1313,20 +1332,20 @@ def test_import_loads_no_scipy_where_numpy_has_the_lapack():
     # numpy's own OpenBLAS serves every solve, so no scipy module, and no second
     # OpenBLAS, is loaded; on a build without the pair the fallback's name shows
     script = ("import sys\nimport dftr.cli\nfrom dftr import operator\n"
-              "print(operator._GTTR.name)\n"
+              "print(operator._LAPACK.name)\n"
               "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                          text=True, env=_child_env())
+                          text=True, env=child_env())
     assert proc.returncode == 0, proc.stderr
     name, loaded = proc.stdout.splitlines()
-    if name == "scipy.linalg._flapack":
+    if name == "scipy.linalg.cython_lapack":
         pytest.skip("this numpy exports no ILP64 dgttrf/dgttrs")
     assert name in ("scipy_dgttrs_64_", "dgttrs_64_")
     assert loaded == "[]"
 
 
 def test_runs_never_import_scipy_linalg(tmp_path):
-    # dgttrf/dgttrs come from numpy's OpenBLAS or scipy's LAPACK extension file and
+    # dgttrf/dgttrs come from numpy's OpenBLAS or scipy's cython_lapack file and
     # the Duhamel oracle's matrix exponential is numpy's, so no command needs scipy.linalg
     cfg = write_ini(tmp_path / "c.ini", BASE_INI + "[grid]\nnum_nodes = 21\n"
                     + "[time]\nt_final = 10\ndt = 0.5\nhorizon = 100\n")
@@ -1337,7 +1356,7 @@ def test_runs_never_import_scipy_linalg(tmp_path):
               f"{str(tmp_path / 'out')!r}]) == 0\n"
               "print('scipy.linalg' in sys.modules)\n")
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                          text=True, env=_child_env())
+                          text=True, env=child_env())
     assert proc.returncode == 0, proc.stderr
     out = proc.stdout.splitlines()
     assert out[-1] == "False"

@@ -1,7 +1,8 @@
+import ctypes
 import gc
-import importlib.machinery
 import inspect
 import math
+import subprocess
 import sys
 
 import numpy as np
@@ -29,7 +30,7 @@ from dftr import (
     steady_state_numeric,
 )
 from dftr import operator
-from conftest import make_params
+from conftest import child_env, make_params
 
 
 def _quadratic_profile(grid, params, alpha):
@@ -148,13 +149,13 @@ class TestTridiagonal:
                 assert np.array_equal(x[cut], block.solve(rhs[cut]))
 
     def test_singular_system_raises_solver_error(self, monkeypatch):
-        # on numpy's LAPACK, where this numpy exports it, and on scipy's _flapack
+        # on numpy's LAPACK, where this numpy exports it, and on scipy's cython_lapack
         mat = Tridiagonal(np.zeros(5), np.array([1.0, 1.0, 0.0, 1.0, 1.0]),
                           np.zeros(5))
-        for path in (NUMPY_LAPACK, operator._flapack_gttr()):
-            if path is None:
+        for lapack in (NUMPY_LAPACK, operator._scipy_lapack()):
+            if lapack is None:
                 continue
-            monkeypatch.setattr(operator, "_GTTR", path)
+            monkeypatch.setattr(operator, "_LAPACK", lapack)
             with pytest.raises(SolverError, match="zero pivot at row 3"):
                 mat.factor()
             with pytest.raises(SolverError):
@@ -163,20 +164,20 @@ class TestTridiagonal:
                 mat.solve(np.ones(5))
 
 
-NUMPY_LAPACK = operator._numpy_gttr()
+NUMPY_LAPACK = operator._numpy_lapack()
 needs_numpy_lapack = pytest.mark.skipif(
     NUMPY_LAPACK is None,
-    reason="this numpy exports no ILP64 dgttrf/dgttrs, so runs take scipy's _flapack")
+    reason="this numpy exports no ILP64 dgttrf/dgttrs, so runs take scipy's cython_lapack")
 
 
-@pytest.fixture(params=["numpy", "flapack"])
+@pytest.fixture(params=["numpy", "scipy"])
 def lapack_path(request, monkeypatch):
-    """Every solve of the test through numpy's LAPACK, then through scipy's _flapack."""
+    """Every solve of the test through numpy's LAPACK, then through scipy's cython_lapack."""
     if request.param == "numpy" and NUMPY_LAPACK is None:
         pytest.skip(needs_numpy_lapack.kwargs["reason"])
-    path = NUMPY_LAPACK if request.param == "numpy" else operator._flapack_gttr()
-    monkeypatch.setattr(operator, "_GTTR", path)
-    return path
+    lapack = NUMPY_LAPACK if request.param == "numpy" else operator._scipy_lapack()
+    monkeypatch.setattr(operator, "_LAPACK", lapack)
+    return lapack
 
 
 def _dominant_cases():
@@ -193,61 +194,76 @@ def _dominant_cases():
 
 class TestLapackLoader:
     def test_extension_is_loaded_by_path(self):
-        # the fallback's fast path is taken on the installed scipy; a renamed or moved
-        # extension fails here instead of silently importing scipy.linalg
-        lapack = operator._lapack()
-        assert lapack.__name__ == "scipy.linalg._flapack"
-        assert lapack is sys.modules["scipy.linalg._flapack"]
-        assert operator._flapack_gttr().name == "scipy.linalg._flapack"
+        # the fallback's module is found on the installed scipy, under its real name,
+        # and its capsules take LP64 integers and no hidden length
+        lapack = operator._scipy_lapack()
+        assert lapack.name == "scipy.linalg.cython_lapack"
+        assert "scipy.linalg.cython_lapack" in sys.modules
+        assert (lapack.int, lapack.hidden) == (np.intc, ())
+
+    def test_fallback_imports_no_scipy_linalg(self):
+        # in a fresh process the fallback runs scipy.linalg.cython_lapack's file alone
+        script = ("import sys\nimport numpy as np\nfrom dftr import operator, Tridiagonal\n"
+                  "operator._LAPACK = operator._scipy_lapack()\n"
+                  "mat = Tridiagonal(np.ones(3), np.full(3, 2.0), np.ones(3))\n"
+                  "print(mat.solve(np.ones(3)).tolist(), [m in sys.modules for m in "
+                  "('scipy.linalg.cython_lapack', 'scipy.linalg')])\n")
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=child_env())
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[0.5, 0.0, 0.5] [True, False]\n"
+
+    @pytest.mark.parametrize("width", ["long *", "int64_t *", "short *"])
+    def test_signature_check_rejects_integers_of_another_width(self, width):
+        # LAPACK would read 8 bytes at each 4-byte int, or the reverse
+        new_capsule = ctypes.PYFUNCTYPE(ctypes.py_object, ctypes.c_void_p, ctypes.c_char_p,
+                                        ctypes.c_void_p)(("PyCapsule_New", ctypes.pythonapi))
+        operator._scipy_lapack()
+        real = sys.modules["scipy.linalg.cython_lapack"].__pyx_capi__["dgttrf"]
+        operator._capsule_function(real, "iddddii")
+        signature = operator._capsule_name(real)
+        names = [signature.replace(b"int *", width.encode()),
+                 signature.replace(b"int *", width.encode(), 1)]  # the capsules keep no copy
+        for name in names:
+            with pytest.raises(ImportError, match="takes no int"):
+                operator._capsule_function(new_capsule(1, name, None), "iddddii")
 
     @needs_numpy_lapack
     def test_numpy_path_is_taken_where_numpy_exports_the_pair(self):
-        assert operator._GTTR.name == NUMPY_LAPACK.name
+        assert operator._LAPACK.name == NUMPY_LAPACK.name
 
     def test_fallback_gives_the_same_bytes(self, params, monkeypatch):
-        import scipy.linalg.lapack  # imported before PathFinder stops finding anything
-
-        chosen = operator._GTTR
-        monkeypatch.setattr(operator, "_numpy_gttr", lambda: None)
-        fast = operator._gttr()
-        assert fast.name == "scipy.linalg._flapack"
-        monkeypatch.setattr(importlib.machinery.PathFinder, "find_spec",
-                            lambda *args, **kwargs: None)
-        fallback = operator._gttr()
-        assert fallback.name == "scipy.linalg.lapack"
-        monkeypatch.undo()
-
         mat = build_generator(SpatialGrid(l=1.0, num_nodes=2001), params,
                               0.25).diagonals.shifted(1.0, -0.5)
         rhs = np.random.default_rng(8).standard_normal(2001)
         results = []
-        for path in (chosen, fast, fallback):
-            monkeypatch.setattr(operator, "_GTTR", path)
+        for lapack in (operator._LAPACK, operator._scipy_lapack()):
+            monkeypatch.setattr(operator, "_LAPACK", lapack)
             in_place = rhs.copy()
             mat.factor(into=in_place)()
             results.append((mat.solve(rhs).tobytes(), in_place.tobytes()))
-        assert results[0] == results[1] == results[2]
+        assert results[0] == results[1]
         assert results[0][0] == results[0][1]
 
     @needs_numpy_lapack
-    def test_factors_and_solutions_match_bit_for_bit(self):
+    def test_factors_and_solutions_match_bit_for_bit(self, monkeypatch):
         # numpy's OpenBLAS and scipy's give the same LU factors, pivots and solutions
-        flapack = operator._flapack_gttr()
+        scipy_lapack = operator._scipy_lapack()
         rng = np.random.default_rng(14)
         for mat in _dominant_cases():
             rhs = rng.standard_normal(mat.diag.size)
             outcomes = []
-            for path in (NUMPY_LAPACK, flapack):
-                lu, info = path.factor(mat.lower[1:], mat.diag, mat.upper[:-1])
+            for lapack in (NUMPY_LAPACK, scipy_lapack):
+                monkeypatch.setattr(operator, "_LAPACK", lapack)
                 x = rhs.copy()
-                path.bind(lu, x)()
-                outcomes.append((lu, info, x))
-            (lu_n, info_n, x_n), (lu_f, info_f, x_f) = outcomes
-            assert info_n == info_f == 0
-            assert len(lu_n) == len(lu_f) == 5
-            for a, b in zip(lu_n, lu_f):  # dl, d, du, du2, then the pivots' values
+                solve = mat.factor(into=x)
+                solve()
+                outcomes.append((solve.arrays[1], x))
+            (lu_n, x_n), (lu_s, x_s) = outcomes
+            assert len(lu_n) == len(lu_s) == 5
+            for a, b in zip(lu_n, lu_s):  # dl, d, du, du2, then the pivots' values
                 assert np.array_equal(a, b)
-            assert x_n.tobytes() == x_f.tobytes()
+            assert x_n.tobytes() == x_s.tobytes()
 
     def test_bound_solve_equals_solve(self, lapack_path):
         rng = np.random.default_rng(15)
@@ -259,16 +275,14 @@ class TestLapackLoader:
 
     @needs_numpy_lapack
     def test_forced_fallback_simulates_the_same_bytes(self, params, monkeypatch):
-        # a probe that finds nothing sends every solve through _flapack, with every bit kept
+        # scipy's cython_lapack in place of numpy's LAPACK keeps every bit
         grid = SpatialGrid(l=1.0, num_nodes=201)
         law = FeedbackLaw(alpha=0.25)
         config = SimulationConfig(params=params, law=law, grid=grid, dt=1.0)
         steady = steady_state_numeric(params, law.u_bar, grid)
         w0 = initial_profile(grid, params, law)
         before = simulate(config, steady, w0).states.tobytes()
-        monkeypatch.setattr(operator, "_numpy_gttr", lambda: None)
-        monkeypatch.setattr(operator, "_GTTR", operator._gttr())
-        assert operator._GTTR.name == "scipy.linalg._flapack"
+        monkeypatch.setattr(operator, "_LAPACK", operator._scipy_lapack())
         assert simulate(config, steady, w0).states.tobytes() == before
 
 
