@@ -1,6 +1,6 @@
 """Weighted-energy machinery, decay-rate estimation, and the (n, alpha) sweep.
 
-The Lyapunov weight rho(x) = rho0 * e^{-gamma x} with gamma in (0, v/d_ax)
+The Lyapunov weight rho(x) = e^{-gamma x} with gamma in (0, v/d_ax)
 certifies exponential decay of the energy E(t) = 1/2 * int rho w^2 dx at
 rate at least lambda_t = v^2/(16 d_ax) (attained at gamma = v/(2 d_ax)).
 The numerical rate lambda_n is fitted from the simulated norm history.
@@ -37,9 +37,8 @@ DEFAULT_FLOOR_FACTOR = 1e-12  # floor = factor * ||w(0)||_rho
 
 @dataclass(frozen=True)
 class WeightFunction:
-    """Exponential Lyapunov weight sampled on a grid."""
+    """Exponential Lyapunov weight e^{-gamma x} sampled on a grid."""
 
-    rho0: float
     gamma: float
     profile: Profile
 
@@ -48,23 +47,20 @@ class WeightFunction:
         return self.profile.grid.quad_weights * self.profile.values
 
 
-def weight_profile(grid: SpatialGrid, rho0: float, gamma: float) -> WeightFunction:
-    """rho(x_i) = rho0 * e^{-gamma x_i} exactly at the nodes.
+def weight_profile(grid: SpatialGrid, gamma: float) -> WeightFunction:
+    """rho(x_i) = e^{-gamma x_i} exactly at the nodes.
 
     gamma = 0 is accepted as the constant-weight limit (plain L^2 energy);
     callers enforcing the decay theorem pass 0 < gamma < v/d_ax.
     """
-    if not (np.isfinite(rho0) and rho0 > 0):
-        raise ParameterError(f"rho0 must be > 0, got {rho0}")
     if not (np.isfinite(gamma) and gamma >= 0):
         raise ParameterError(f"gamma must be >= 0, got {gamma}")
-    vals = rho0 * np.exp(-gamma * grid.nodes)
-    return WeightFunction(rho0=rho0, gamma=gamma, profile=Profile(grid, vals))
+    return WeightFunction(gamma=gamma, profile=Profile(grid, np.exp(-gamma * grid.nodes)))
 
 
 def default_weight(grid: SpatialGrid, params: ReactorParams) -> WeightFunction:
-    """Weight at the rate-optimal decay gamma = v/(2 d_ax), rho0 = 1."""
-    return weight_profile(grid, 1.0, params.v / (2.0 * params.d_ax))
+    """Weight at the rate-optimal decay gamma = v/(2 d_ax)."""
+    return weight_profile(grid, params.v / (2.0 * params.d_ax))
 
 
 def energy(w, weight: WeightFunction):
@@ -102,14 +98,9 @@ class DecayEstimate:
 def estimate_decay_rate(traj, weight: WeightFunction,
                         window_fraction: float = DEFAULT_WINDOW_FRACTION,
                         floor: float | None = None) -> DecayEstimate:
-    """Least-squares decay rate of log ||w(t)||_rho over the trailing window.
-
-    Norms are computed with the unit-scale weight e^{-gamma x} so the
-    result is bit-identical under any rescaling of rho0 (only the decay
-    shape of the weight matters to a rate). The fit is fit_decay_rate.
-    """
-    unit_weight = weight_profile(traj.grid, 1.0, weight.gamma)
-    norms = np.sqrt(2.0 * energy(traj.states, unit_weight))
+    """Least-squares decay rate of log ||w(t)||_rho over the trailing window,
+    the norms taken in weight; the fit is fit_decay_rate."""
+    norms = np.sqrt(2.0 * energy(traj.states, weight))
     return fit_decay_rate(traj.times, norms, lambda_theoretical(traj.params),
                           window_fraction, floor)
 
@@ -231,7 +222,7 @@ def sweep(configs, weight: WeightFunction,
     """Decay-rate table with one cell per run config, keyed by its (n, alpha).
 
     The configs share grid, dt, t_final and record_every, as simulate_stack's
-    runs do; weight gives every cell's rho0 and gamma.
+    runs do; every cell's norms are taken in weight.
 
     Each cell solves its own steady state and builds the alpha-dependent
     initial profile. The cells that get this far step together as one
@@ -253,15 +244,14 @@ def sweep(configs, weight: WeightFunction,
     keys = [(config.params.n, config.law.alpha) for config in configs]
     if len(set(keys)) < len(keys):
         raise ParameterError(f"each (n, alpha) must have one config, got {keys}")
-    unit_weight = weight_profile(weight.profile.grid, 1.0, weight.gamma)
 
     cells, ready, started = {}, {}, time.process_time()
     for key, config in zip(keys, configs):
         # the cell's settings and their hash; its run adds its solver effort
         settings = {**asdict(config.params), **asdict(config.law),
                     "num_nodes": config.grid.num_nodes, "dt": config.dt,
-                    "record_every": config.record_every, "rho0": weight.rho0,
-                    "gamma": weight.gamma, "window_fraction": window_fraction,
+                    "record_every": config.record_every, "gamma": weight.gamma,
+                    "window_fraction": window_fraction,
                     "floor": "default" if floor is None else floor}
         provenance = {"hash": settings_hash(settings), **settings}
         run, err = _isolated(lambda: _closed_loop(config, provenance))
@@ -280,7 +270,7 @@ def sweep(configs, weight: WeightFunction,
         floors, reached = np.empty(len(keys)), np.zeros(len(keys), dtype=bool)
 
         def record(j, w):
-            norms[:, j] = np.sqrt(2.0 * energy(w, unit_weight))
+            norms[:, j] = np.sqrt(2.0 * energy(w, weight))
             if j == 0:
                 floors[:] = _fit_floor(norms[:, 0], floor)
             reached[:] |= ~(norms[:, j] > floors)

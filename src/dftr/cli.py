@@ -25,13 +25,12 @@ import numpy as np
 
 from . import __version__, operator
 from .analysis import (DEFAULT_WINDOW_FRACTION, check_floor, check_window_fraction,
-                       energy, settings_hash, sweep, weight_profile)
+                       default_weight, energy, settings_hash, sweep)
 from .errors import ConfigError, DftrError, IntegrationError, ParameterError, SolverError
 from .integrator import SimulationConfig, closed_loop, simulate
 from .model import (FeedbackLaw, ReactorParams, SpatialGrid, d_ax_from_peclet,
                     default_saturation_bound, lambda_theoretical)
 from .steady_state import steady_state_analytic_n1, steady_state_numeric
-from .verify import run_checks
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -42,7 +41,7 @@ EXIT_VERIFY = 6
 
 _REQUIRED = object()  # default of a key the file must set
 
-# section -> key -> (type, default); load_config derives d_ax and gamma when None
+# section -> key -> (type, default); load_config derives d_ax from peclet when None
 _KEYS = {
     "reactor": {"v": (float, _REQUIRED), "k": (float, _REQUIRED),
                 "n": (float, _REQUIRED), "l": (float, _REQUIRED),
@@ -52,8 +51,7 @@ _KEYS = {
     "grid": {"num_nodes": (int, 201)},
     "time": {"t_final": (float, 400.0), "dt": (float, None),
              "record_every": (int, 1), "horizon": (float, 7000.0)},
-    "analysis": {"rho0": (float, 1.0), "gamma": (float, None),
-                 "window_fraction": (float, DEFAULT_WINDOW_FRACTION),
+    "analysis": {"window_fraction": (float, DEFAULT_WINDOW_FRACTION),
                  "floor": (float, None)},
 }
 
@@ -80,8 +78,6 @@ class ResolvedConfig:
     dt: float | None
     record_every: int
     horizon: float
-    rho0: float
-    gamma: float
     window_fraction: float
     floor: float | None
 
@@ -96,9 +92,6 @@ class ResolvedConfig:
 
     def grid(self) -> SpatialGrid:
         return SpatialGrid(l=self.l, num_nodes=self.num_nodes)
-
-    def weight(self, grid: SpatialGrid):
-        return weight_profile(grid, self.rho0, self.gamma)
 
     def run(self, to_horizon: bool = False) -> SimulationConfig:
         """The closed-loop run to t_final at dt or else 0.1 s; with to_horizon, the
@@ -166,12 +159,10 @@ def load_config(path: str) -> ResolvedConfig:
             values["d_ax"] = d_ax_from_peclet(values["v"], values["l"], peclet)
         cfg = ResolvedConfig(**values)
         # fail fast on out-of-domain values with the config exit code
-        cfg.reactor_params(t_final=max(cfg.t_final, 0.0))
-        if cfg.gamma is None:
-            cfg = replace(cfg, gamma=cfg.v / (2.0 * cfg.d_ax))
+        params = cfg.reactor_params(t_final=max(cfg.t_final, 0.0))
         cfg.law()
         try:
-            cfg.weight(cfg.grid())
+            default_weight(cfg.grid(), params)
         except MemoryError:
             raise ConfigError(f"num_nodes = {cfg.num_nodes}: no memory for the grid and its weight")
         check_window_fraction(cfg.window_fraction)
@@ -359,7 +350,8 @@ def cmd_simulate(cfg: ResolvedConfig, out_dir, manifest: RunManifest,
 
     # a block of records at a time, so the temporaries stay small; a 2-D reduce
     # keeps each row's bits
-    weight, per_block = cfg.weight(traj.grid), max(1, _BLOCK_VALUES // len(x))
+    weight = default_weight(traj.grid, traj.params)
+    per_block = max(1, _BLOCK_VALUES // len(x))
     energies = np.concatenate([energy(traj.states[start:start + per_block], weight)
                                for start in range(0, len(times), per_block)])
     write_csv(out_dir / "energy.csv", manifest.hash, ("t", "energy", "norm_rho"),
@@ -386,7 +378,8 @@ def cmd_sweep(cfg: ResolvedConfig, out_dir, manifest: RunManifest,
     # raises ParameterError, a config error, before any steady solve
     runs = [replace(cfg, n=n, alpha=a).run(to_horizon=True)
             for n in n_list for a in alpha_list]
-    result = sweep(runs, cfg.weight(runs[0].grid), cfg.window_fraction, cfg.floor)
+    result = sweep(runs, default_weight(runs[0].grid, runs[0].params), cfg.window_fraction,
+                   cfg.floor)
     swept = time.process_time()
 
     lam_t = lambda_theoretical(runs[0].params)
@@ -427,6 +420,7 @@ def cmd_sweep(cfg: ResolvedConfig, out_dir, manifest: RunManifest,
 
 
 def cmd_verify(cfg: ResolvedConfig, out_dir, manifest: RunManifest, seed: int) -> int:
+    from .verify import run_checks  # here, so that the other commands never load the suite
     rows = []
     for row in run_checks(cfg, seed, manifest.timings.setdefault("checks", {})):
         rows.append(row)
@@ -488,6 +482,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _no_memory(cfg: ResolvedConfig, exc: MemoryError) -> ConfigError:
+    """The config error of a run out of memory. numpy's _ArrayMemoryError carries the
+    shape it could not allocate: a dimension of the records to t_final or to the horizon
+    (simulate's trajectory, the norms of sweep and of verify's envelope) names the time
+    keys that set it; any other array names num_nodes."""
+    shape = getattr(exc, "shape", ())
+    for end in ("t_final", "horizon"):
+        try:
+            run = cfg.run(to_horizon=end == "horizon")
+        except ParameterError:  # time settings of a run this command never made
+            continue
+        if run.num_records in shape:
+            return ConfigError(f"{end} = {_fmt(getattr(cfg, end))}, dt = {_fmt(run.dt)}, "
+                               f"record_every = {cfg.record_every}: no memory for the "
+                               f"{run.num_records} records of this run")
+    return ConfigError(f"num_nodes = {cfg.num_nodes}: no memory for this run")
+
+
 def main(argv=None) -> int:
     # the CPU of interpreter start-up and imports, before any work of this call
     load_s = time.process_time()
@@ -522,8 +534,8 @@ def main(argv=None) -> int:
                                timings={"load_s": load_s})
         try:
             code = _COMMANDS[args.command](cfg, out_dir, manifest, **extra)
-        except MemoryError:
-            raise ConfigError(f"num_nodes = {cfg.num_nodes}: no memory for this run")
+        except MemoryError as exc:
+            raise _no_memory(cfg, exc)
         manifest.timings["total_s"] = time.monotonic() - started
         manifest.write(out_dir / "manifest.json")
         return code

@@ -133,44 +133,33 @@ class Tridiagonal(NamedTuple):
         upper[ends - 1] = 0.0
         return cls(lower, diag, upper)
 
-    def factor(self, into: np.ndarray | None = None):
-        """LU-factor once (dgttrf); returns solve(rhs), one dgttrs on a copy of rhs.
-
-        Given into, a contiguous writable float64 array of the matrix's size,
-        it returns a no-argument solve instead: dgttrs bound once to the
-        factors and to into, which it overwrites with the solution, making no
-        Python call of its own."""
+    def factor(self, into: np.ndarray):
+        """LU-factor once (dgttrf); returns a no-argument solve: dgttrs bound once to
+        the factors and to into, a contiguous writable float64 array of the matrix's
+        size, which it overwrites with the solution, making no Python call of its own."""
         if not self.lower.shape == self.diag.shape == self.upper.shape == (self.diag.size,):
             raise ContractError("a tridiagonal needs three 1-D diagonals of one length")
+        if not (into.dtype == np.float64 and into.shape == self.diag.shape
+                and into.flags.c_contiguous and into.flags.writeable):
+            raise ContractError(f"a bound solve needs a contiguous writable float64 "
+                                f"array of shape {self.diag.shape}")
         lapack, n = _LAPACK, self.diag.size
         lu = (*(np.array(a, float) for a in (self.lower[1:], self.diag, self.upper[:-1])),
               np.empty(max(n - 2, 0)), np.empty(n, dtype=lapack.int))  # dl, d, du, du2, ipiv
-        ints = np.array([n, 0], dtype=lapack.int)  # N, INFO
-        lapack.dgttrf(_ptr(ints), *map(_ptr, lu), _ptr(ints[1:]))
-        if ints[1] != 0:
-            raise SolverError(f"singular tridiagonal matrix (zero pivot at row {ints[1]})")
-
-        def bound(b):
-            if not (b.dtype == np.float64 and b.shape == self.diag.shape
-                    and b.flags.c_contiguous and b.flags.writeable):
-                raise ContractError(f"a bound solve needs a contiguous writable float64 "
-                                    f"array of shape {self.diag.shape}")
-            ints = np.array([n, 1, 0], dtype=lapack.int)  # N = LDB, NRHS, INFO
-            solve = partial(lapack.dgttrs, c_char_p(b"N"), _ptr(ints), _ptr(ints[1:]),
-                            *map(_ptr, lu), _ptr(b), _ptr(ints), _ptr(ints[2:]), *lapack.hidden)
-            solve.arrays = ints, lu, b  # keeps alive what the pointers point into
-            return solve
-        if into is not None:
-            return bound(into)
-
-        def solve(rhs: np.ndarray) -> np.ndarray:
-            x = np.array(rhs, dtype=np.float64)
-            bound(x)()
-            return x
+        ints = np.array([n, 1, 0], dtype=lapack.int)  # N = LDB, NRHS, INFO
+        lapack.dgttrf(_ptr(ints), *map(_ptr, lu), _ptr(ints[2:]))
+        if ints[2] != 0:
+            raise SolverError(f"singular tridiagonal matrix (zero pivot at row {ints[2]})")
+        solve = partial(lapack.dgttrs, c_char_p(b"N"), _ptr(ints), _ptr(ints[1:]),
+                        *map(_ptr, lu), _ptr(into), _ptr(ints), _ptr(ints[2:]), *lapack.hidden)
+        solve.arrays = ints, lu, into  # keeps alive what the pointers point into
         return solve
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        return self.factor()(rhs)
+        """One dgttrs on a copy of rhs."""
+        x = np.array(rhs, dtype=np.float64)
+        self.factor(into=x)()
+        return x
 
 
 @dataclass(frozen=True)

@@ -47,33 +47,32 @@ def synthetic_trajectory(rate, grid, params, t_final=7000.0, dt_rec=10.0,
 
 class TestWeightProfile:
     def test_anchor_value(self, grid201):
-        w = weight_profile(grid201, 3.0, 2.0)
-        assert w.profile.values[0] == 3.0
+        w = weight_profile(grid201, 2.0)
+        assert w.profile.values[0] == 1.0
 
     def test_reference_decay_at_outlet(self, grid201):
         # e^{-2} at x = l = 1 with gamma = 2
-        w = weight_profile(grid201, 1.0, 2.0)
+        w = weight_profile(grid201, 2.0)
         assert w.profile.values[-1] == pytest.approx(0.1353352832366127, rel=1e-15)
 
     def test_zero_gamma_is_flat(self, grid201):
-        w = weight_profile(grid201, 1.0, 0.0)
+        w = weight_profile(grid201, 0.0)
         assert np.array_equal(w.profile.values, np.ones(201))
 
     def test_rejects_bad_arguments(self, grid201):
-        with pytest.raises(ParameterError):
-            weight_profile(grid201, 0.0, 2.0)
-        with pytest.raises(ParameterError):
-            weight_profile(grid201, 1.0, -1.0)
+        for bad in (-1.0, np.inf, np.nan):
+            with pytest.raises(ParameterError):
+                weight_profile(grid201, bad)
 
     def test_default_weight_uses_half_peclet_rate(self, params, grid201):
         w = default_weight(grid201, params)
-        assert w.rho0 == 1.0
-        assert w.gamma == pytest.approx(params.v / (2.0 * params.d_ax), rel=1e-15)
+        assert w.gamma == params.v / (2.0 * params.d_ax)
+        assert w.profile.values.tobytes() == np.exp(-w.gamma * grid201.nodes).tobytes()
 
     def test_satisfies_decay_ode(self, params):
         # rho' = -gamma*rho, checked with central quotients to O(h^2)
         g = SpatialGrid(l=1.0, num_nodes=401)
-        w = weight_profile(g, 1.0, 2.0)
+        w = weight_profile(g, 2.0)
         rho = w.profile.values
         lhs = (rho[2:] - rho[:-2]) / (2.0 * g.h)
         rhs = -2.0 * rho[1:-1]
@@ -86,7 +85,7 @@ class TestEnergy:
         assert energy(Profile(grid201, np.zeros(201)), w) == 0.0
 
     def test_flat_weight_constant_state(self, grid201):
-        w = weight_profile(grid201, 1.0, 0.0)
+        w = weight_profile(grid201, 0.0)
         e = energy(Profile(grid201, np.ones(201)), w)
         assert e == pytest.approx(0.5, rel=1e-14)
 
@@ -115,7 +114,7 @@ class TestEnergy:
     def test_keeps_the_bits_of_the_written_out_formula(self, params, grid201):
         # energy reduces quad_rho * w^2 with np.add.reduce; the sum written
         # with the weight product first must give the same float bits
-        w = weight_profile(grid201, 2.5, params.v / (2.0 * params.d_ax))
+        w = weight_profile(grid201, params.v / (2.0 * params.d_ax))
         q, rho = grid201.quad_weights, w.profile.values
         states = np.stack([np.cos(k * grid201.nodes) + 0.1 * k for k in range(1, 8)])
         old = 0.5 * np.sum(q * rho * states ** 2, axis=-1)
@@ -144,13 +143,17 @@ class TestDecayEstimator:
         assert est.fit_r2 == pytest.approx(1.0, abs=1e-12)
         assert est.lambda_t == pytest.approx(0.0025, rel=1e-12)
 
-    def test_scale_invariant_in_rho0(self, params, grid201):
+    def test_norms_are_taken_in_the_given_weight(self, params, grid201):
+        # the fit reads the norms of the weight it is given: a fixed shape decays
+        # at its rate in any weight, and the fit equals fit_decay_rate on those norms
         traj = synthetic_trajectory(2.5e-3, grid201, params)
-        lambdas = set()
-        for rho0 in (1e-6, 1.0, 3.7, 1e6):
-            w = weight_profile(grid201, rho0, 2.0)
-            lambdas.add(estimate_decay_rate(traj, w).lambda_n)
-        assert len(lambdas) == 1  # bit-identical across weight scalings
+        for gamma in (0.0, 1.0, 2.0, 3.5):
+            w = weight_profile(grid201, gamma)
+            est = estimate_decay_rate(traj, w)
+            norms = np.sqrt(2.0 * energy(traj.states, w))
+            direct = fit_decay_rate(traj.times, norms, est.lambda_t)
+            assert est.lambda_n.hex() == direct.lambda_n.hex()
+            assert est.lambda_n == pytest.approx(2.5e-3, abs=1e-10)
 
     def test_amplitude_scale_of_trajectory_is_harmless(self, params, grid201):
         w = default_weight(grid201, params)
@@ -376,15 +379,15 @@ class TestSweep:
                 assert cell.provenance["inner_steps"] == traj.inner_steps
         assert len({t.inner_steps for t in solos}) == 3
 
-        unit = weight_profile(g, 1.0, default_weight(g, runs[0][0].params).gamma)
+        weight = default_weight(g, runs[0][0].params)
         energies = np.full((len(runs), base.num_records), np.nan)
 
         def record(j, w):
-            energies[:, j] = energy(w, unit)
+            energies[:, j] = energy(w, weight)
 
         stacked = simulate_stack(runs, record)
         for q, traj in enumerate(solos):
-            assert energies[q].tobytes() == energy(traj.states, unit).tobytes()
+            assert energies[q].tobytes() == energy(traj.states, weight).tobytes()
             assert stacked[q].inner_steps == traj.inner_steps
             assert stacked[q].negativity_events == traj.negativity_events
             assert np.array_equal(stacked[q].times, traj.times)

@@ -6,7 +6,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +16,8 @@ import dftr
 from dftr import Profile, default_weight, energy, lambda_theoretical, simulate
 from dftr.analysis import settings_hash
 from dftr import analysis, operator, verify
-from dftr.cli import _column_rows, _field_rows, _fmt, load_config, main, write_csv
+from dftr.cli import (_KEYS, ResolvedConfig, _column_rows, _field_rows, _fmt, load_config,
+                      main, write_csv)
 from dftr.errors import ConfigError, SolverError
 from dftr.integrator import closed_loop, simulate_stack
 from dftr.verify import CHECKS
@@ -66,11 +67,15 @@ class TestLoadConfig:
         assert cfg.horizon == 7000.0
         assert cfg.dt is None
         assert cfg.record_every == 1
-        assert cfg.rho0 == 1.0
-        assert cfg.gamma == pytest.approx(2.0, rel=1e-15)  # v/(2 d_ax)
         assert cfg.window_fraction == 0.5
         assert cfg.floor is None
         assert cfg.sat_m is None
+
+    def test_key_table_is_the_resolved_fields_and_peclet(self):
+        # one weight, e^{-v x/(2 d_ax)}: no key sets its scale or its rate
+        keys = [key for section in _KEYS.values() for key in section]
+        assert len(keys) == 16
+        assert set(keys) == {f.name for f in fields(ResolvedConfig)} | {"peclet"}
 
     def test_explicit_dispersion(self, tmp_path):
         text = BASE_INI.replace("peclet = 4", "d_ax = 0.0025")
@@ -351,7 +356,7 @@ class TestSweepCommand:
         # been at or below its fit floor; k = 1 drives C_A below zero
         from dataclasses import replace
         from dftr import (FeedbackLaw, SimulationConfig, default_saturation_bound,
-                          initial_profile, steady_state_numeric, weight_profile)
+                          initial_profile, steady_state_numeric)
 
         cfg = write_ini(tmp_path / "c.ini", self.CFG.replace("k = 0.001", "k = 1"))
         out = tmp_path / "out"
@@ -359,7 +364,7 @@ class TestSweepCommand:
                      "--n-list", "1,2", "--alpha-list", "0,0.5"]) == 0
         resolved = load_config(cfg)
         grid = resolved.grid()
-        unit = weight_profile(grid, 1.0, resolved.gamma)
+        weight = default_weight(grid, resolved.reactor_params(t_final=resolved.horizon))
         cells = json.loads((out / "sweep_cells.json").read_text())
         assert any(cell["negativity_events"] > 0 for cell in cells)
         runs, full, stop = [], [], 0
@@ -372,7 +377,7 @@ class TestSweepCommand:
                          steady_state_numeric(params, 1.0, grid),
                          initial_profile(grid, params, law)))
             full.append(simulate(*runs[-1]))
-            norms = np.sqrt(2.0 * energy(full[-1].states, unit))
+            norms = np.sqrt(2.0 * energy(full[-1].states, weight))
             first = np.flatnonzero(norms <= 1e-12 * norms[0])
             stop = max(stop, int(first[0]))  # one record per step of 1 s
         assert 0 < stop < resolved.horizon  # the stack stopped early
@@ -430,12 +435,12 @@ class TestSweepCommand:
         assert calls == []
 
     def test_cell_hash_is_pinned(self, tmp_path):
-        # the hash covers the cell's 16 settings: a dropped, extra or changed one moves it
+        # the hash covers the cell's 15 settings: a dropped, extra or changed one moves it
         out = tmp_path / "out"
         assert main(["sweep", "--config", str(REPO / "perfbench/configs/sweep-ref.ini"),
                      "--out", str(out), "--n-list", "2", "--alpha-list", "0.25"]) == 0
         cells = json.loads((out / "sweep_cells.json").read_text())
-        assert [cell["hash"] for cell in cells] == ["c0b08b2ca5a0d5e2"]
+        assert [cell["hash"] for cell in cells] == ["e9e799e1c8251166"]
 
     def test_fits_match_polyfit_and_need_no_dense_least_squares(self, tmp_path, monkeypatch):
         # every sweep-ref cell's closed-form fit agrees with np.polyfit on its window;
@@ -936,6 +941,16 @@ class TestExitCodes:
         assert main(["steady", "--config", cfg, "--out", str(tmp_path)]) == 2
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["rho0", "gamma"])
+    def test_weight_keys_are_unknown(self, tmp_path, capsys, key):
+        # the weight is e^{-v x/(2 d_ax)}, as lambda_T and verify's envelope take it
+        cfg = write_ini(tmp_path / "c.ini", BASE_INI + f"[analysis]\n{key} = 1\n")
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: unknown key {key!r} in section [analysis]\n")
+        assert not out.exists()
+
     def test_steady_failure_is_three(self, tmp_path, capsys):
         text = BASE_INI.replace("k = 0.001", "k = 1").replace("n = 1", "n = 0.5")
         cfg = write_ini(tmp_path / "c.ini", text)
@@ -1122,6 +1137,28 @@ class TestExitCodes:
         assert proc.returncode == 2, proc.stderr
         assert proc.stderr == "config error: num_nodes = 1000000: no memory for this run\n"
 
+    @pytest.mark.parametrize("command, end", [("simulate", "t_final"), ("sweep", "horizon")])
+    def test_records_past_memory_name_the_time_keys(self, tmp_path, command, end):
+        # 21 nodes fit anywhere; 1e11 + 1 records of them (simulate's trajectory, 16.8 TB)
+        # or of one norm each (the sweep's, 800 GB) do not: the error names the keys that
+        # set the record count, not num_nodes
+        resource = pytest.importorskip("resource")
+        hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+        cap = 4 << 30 if hard == resource.RLIM_INFINITY else min(4 << 30, hard)
+        cfg = write_ini(tmp_path / "c.ini", BASE_INI + "[grid]\nnum_nodes = 21\n"
+                        + "[time]\ndt = 1\n" + "".join(
+                            f"{key} = {value}\n"
+                            for key, value in {"t_final": 10, end: 100000000000}.items()))
+        args = ["--n-list", "1", "--alpha-list", "0"] if command == "sweep" else []
+        proc = subprocess.run(
+            [sys.executable, "-m", "dftr.cli", command, "--config", cfg,
+             "--out", str(tmp_path / "out"), *args], capture_output=True, text=True,
+            env={**child_env(), "OPENBLAS_NUM_THREADS": "1"},
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, hard)))
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr == (f"config error: {end} = 100000000000, dt = 1, record_every = 1: "
+                               "no memory for the 100000000001 records of this run\n")
+
 
 class TestDeterminism:
     CFG = (BASE_INI + SMALL_GRID + "[time]\nt_final = 400\nhorizon = 400\n")
@@ -1300,13 +1337,15 @@ def test_peak_rss_is_null_without_proc(tmp_path, monkeypatch):
 def test_commands_load_only_what_they_run(tmp_path):
     # every command hashes with the interpreter's SHA-256 and verify draws its probes
     # from its own SplitMix64 stream, so on numpy >= 2 none loads numpy.random or
-    # OpenSSL (_hashlib); only simulate loads the '.17g' writer; verify's hash is hashlib's
+    # OpenSSL (_hashlib); only simulate loads the '.17g' writer and only verify its suite;
+    # verify's hash is hashlib's
     import hashlib
     cfg = write_ini(tmp_path / "c.ini", BASE_INI + "[grid]\nnum_nodes = 21\n"
                     + "[time]\nt_final = 10\ndt = 0.5\nhorizon = 100\n")
     script = ("import json, sys\nimport numpy\n"
               "def loaded():\n"
-              "    return [m in sys.modules for m in ('numpy.random', '_hashlib', 'dftr._g17')]\n"
+              "    return [m in sys.modules\n"
+              "            for m in ('numpy.random', '_hashlib', 'dftr._g17', 'dftr.verify')]\n"
               "seen = {'numpy': loaded()}\n"
               "from dftr.cli import main\n"
               "for command in sys.argv[2:]:\n"
@@ -1320,6 +1359,7 @@ def test_commands_load_only_what_they_run(tmp_path):
     seen = json.loads(proc.stdout.splitlines()[-1])
     # sys.modules only grows, so each command's entry covers the commands before it
     assert [seen[command][2] for command in commands] == [False, False, True, True]
+    assert [seen[command][3] for command in commands] == [False, False, False, True]
     if int(np.__version__.split(".")[0]) >= 2:  # numpy 1.x imports numpy.random at import
         assert [seen[command][:2] for command in ["numpy", *commands]] == [[False, False]] * 5
     doc = json.loads((tmp_path / "verify" / "manifest.json").read_text())

@@ -261,7 +261,7 @@ def _reference_run(config, steady, w0):
     """One run stepped by the plain allocating loop: the guard's substep
     count m read from max|w| before every outer step, the clamp and power of
     model.reaction_rate, r* = 1.5*r - 0.5*r_prev (r* = r at the first substep
-    and whenever m changes), Tridiagonal.apply and factor(), and a count_nonzero
+    and whenever m changes), Tridiagonal.apply and factor(into=x), and a count_nonzero
     negativity count per substep. Returns the recorded states, the
     negativity events and the inner step count, or the IntegrationError
     the run raises."""
@@ -280,13 +280,16 @@ def _reference_run(config, steady, w0):
     for i in range(1, config.num_steps + 1):
         m = substep_count(config, c_bar, float(np.max(np.abs(w))))
         plus = a_h.shifted(1.0, 0.5 * config.dt / m)
-        solve = a_h.shifted(1.0, -0.5 * config.dt / m).factor()
+        x = np.empty(w.size)
+        solve = a_h.shifted(1.0, -0.5 * config.dt / m).factor(into=x)
         for s in range(m):
             r_now = rate(w)
             restart = r_prev is None or (s == 0 and m != m_prev)
             r_star = r_now if restart else 1.5 * r_now - 0.5 * r_prev
             r_prev = r_now
-            w = solve(plus.apply(w) + config.dt / m * r_star)
+            x[:] = plus.apply(w) + config.dt / m * r_star
+            solve()
+            w = x.copy()
             events += np.count_nonzero(w + c_bar < NEGATIVITY_TOL)
         m_prev, inner = m, inner + m
         if not np.isfinite(w).all():
