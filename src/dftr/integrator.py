@@ -8,6 +8,9 @@ The closed-loop deviation w = C_A - C_bar solves
 with the feedback folded into the alpha-Robin inlet row of A_h. Each step
 treats A_h by the trapezoidal (Crank-Nicolson) rule and the reaction
 explicitly at the half step, so one tridiagonal solve advances the state.
+Below cell Peclet number 2, A_h is self-adjoint in the e^{-vx/d_ax}-weighted
+product: a diagonal D makes D^-1 (I - dt/2 A_h) D symmetric positive definite,
+and that solve is LAPACK's LDL^T (dpttrs); otherwise it is LU (dgttrs).
 Several runs on one grid step together as one block-diagonal system
 (simulate_stack); simulate is a stack of one.
 """
@@ -160,21 +163,29 @@ def simulate_stack(runs, record) -> list:
     """Integrate several closed-loop runs at once as one block-diagonal system.
 
     runs are simulate's (config, steady, w0) on a shared grid, dt, t_final
-    and record_every; their Crank-Nicolson matrices sit, in run order, on
-    the diagonal of a tridiagonal with zero couplings. Before each outer
-    step the guard gives each run a substep count m from its max|w|: each
-    run's _ratio is computed in place, and only if some ratio is above 1 (or
-    NaN) does _substeps give the m, so m is the guard's own value at every
-    step. A stack is quiet, and reads the ratio only before its first step,
-    when every run's ratio at c0 + cap, the most it can see, is at most 1/2:
-    for n > 1 the ratio grows with c, for n <= 1 it is the same at every c,
-    and the factor 2 covers any rounding. If every run needs m = 1 now and
-    did before, the step is one in-place solve of the stack; else each run
-    takes m substeps of dt / m on its slice, through parts built once (up to
-    each run's first m before record 0), so no substep allocates. dgttrf
-    never pivots across a zero coupling, so each run gets its solo bits. The
-    reaction enters as 1.5*r(w_k) - 0.5*r(w_{k-1}), or as r(w_k) at a run's
-    first substep and its first after m changes.
+    and record_every; their Crank-Nicolson matrices S = I - h/2 A_h sit, in
+    run order, on the diagonal of a tridiagonal with zero couplings. A step
+    of length h is taken in delta form, w' = 2 D S_D^-1 (D^-1 (w + h/2 r*)) - w
+    with S_D = D^-1 S D: D is the run's symmetrizer of A_h (from its own
+    couplings, so it is the same stacked as solo) and S_D is LDL^T-factored
+    (dpttrf) once per part; a run whose A_h has none (Tridiagonal.symmetrizer)
+    takes D = 1 and an LU factor (dgttrf). Neither factor crosses a zero
+    coupling, so each run gets its solo bits. The reaction enters as
+    h/2 r* = 0.75 h r(w_k) - 0.25 h r(w_{k-1}), or as h/2 r(w_k) at a run's
+    first substep and its first after m changes, and is read from the
+    previous substep's clean check, C = w + C_bar (Sat_M moved onto C).
+
+    Before each outer step the guard gives each run a substep count m from
+    its max|w|: each run's _ratio is computed in place, and only if some
+    ratio is above 1 (or NaN) does _substeps give the m, so m is the guard's
+    own value at every step. A stack is quiet, and reads the ratio only
+    before its first step, when every run's ratio at c0 + cap, the most it
+    can see, is at most 1/2: for n > 1 the ratio grows with c, for n <= 1 it
+    is the same at every c, and the factor 2 covers any rounding. If every
+    run needs m = 1 now and did before, the step is one in-place pass over
+    the stack; else each run takes m substeps of dt / m on its slice,
+    through parts built once (up to each run's first m before record 0), so
+    no substep allocates.
 
     record(j, w) gets record j (at config.record_times[j]) as a view of the
     live state, w[q] that of runs[q]; it must neither modify nor keep w. A
@@ -197,65 +208,73 @@ def simulate_stack(runs, record) -> list:
     orders = [p.power_order for p in params]
     c_bars = [steady.profile.values for _, steady, _ in runs]
     gens = [build_generator(grid, cf.params, cf.law.alpha).diagonals for cf, _, _ in runs]
+    scales = [g.symmetrizer() for g in gens]  # each run's D, or None: D = 1 and LU
+    syms = [g if d is None else g.symmetrized() for g, d in zip(gens, scales)]
+    d_node = np.concatenate([np.ones(nodes) if d is None else d for d in scales])
+    d_inv, d_twice = 1.0 / d_node, 2.0 * d_node
     k_run, n_run = np.array([p.k for p in params]), np.array(orders)
     c0, cap = np.array([_reach(p, c) for p, c in zip(params, c_bars)]).T
     c_bar = np.concatenate(c_bars)
     base = np.concatenate([clamped_power(c, n) for c, n in zip(c_bars, orders)])
     k_node, sat = np.repeat(k_run, nodes), np.repeat([p.sat_m for p in params], nodes)
+    lo, hi = np.maximum(c_bar - sat, 0.0), np.maximum(c_bar + sat, 0.0)
     w = np.concatenate([w0.values for _, _, w0 in runs])
-    # work buffers seen through each part's views: r, h r*, b, 0.5 r of the last substep
-    rate, r_star, rhs, half_prev = np.empty((4, w.size))
+    # work buffers seen through each part's views: C = w + C_bar between substeps and
+    # r(w) within one, 0.25 h r of the last substep, and b
+    rate, quarter, rhs = np.empty((3, w.size))
     below, c, parts = np.empty(w.size, dtype=bool), np.empty(len(runs)), {}
     guard, ones = np.empty(len(runs)), np.ones(len(runs), int)
     quiet = bool(np.all(_ratio(dt, k_run, n_run, c0 + cap)[0] <= 0.5))
 
     def substeps(i):
         """Each run's count m from its state at step i, and whether every m is 1."""
-        np.abs(w, out=rate)
-        np.maximum.reduce(rate.reshape(-1, nodes), axis=1, out=c)
+        np.abs(w, out=rhs)
+        np.maximum.reduce(rhs.reshape(-1, nodes), axis=1, out=c)
         np.minimum(c, cap, out=c)
         np.add(c, c0, out=c)
         if np.maximum.reduce(_ratio(dt, k_run, n_run, c, guard)[0]) <= 1.0:  # NaN fails
             return ones, True
         return _substeps(dt, k_run, n_run, c, i), False  # some m >= 2
 
+    def stretches(q0, q1, key):
+        """(s, e) of each longest stretch of runs q0..q1-1 with one key(q)."""
+        cuts = [q for q in range(q0, q1 + 1) if q in (q0, q1) or key(q) != key(q - 1)]
+        return list(zip(cuts, cuts[1:]))
+
     def part(q0, q1, m):
-        """Runs q0..q1-1 at dt / m: views, powers, plus diagonals, solve bound to b."""
+        """Runs q0..q1-1 at dt / m: views, powers, step factors, solves bound to b."""
         if (q0, q1, m) not in parts:
-            a, b = q0 * nodes, q1 * nodes
-            plus, minus = (Tridiagonal.block_diagonal(  # I +- dt/2 A_h
-                [g.shifted(1.0, sign * 0.5 * dt / m) for g in gens[q0:q1]]) for sign in (1, -1))
-            cuts = [q for q in range(q0, q1 + 1) if q in (q0, q1) or orders[q] != orders[q - 1]]
+            a, b, h = q0 * nodes, q1 * nodes, dt / m
+            solves = [Tridiagonal.block_diagonal(  # I - h/2 A_h, or D^-1 (I - h/2 A_h) D
+                [g.shifted(1.0, -0.5 * h) for g in syms[s:e]]).factor(
+                into=rhs[s * nodes:e * nodes], symmetric=scales[s] is not None)
+                for s, e in stretches(q0, q1, lambda q: scales[q] is None)]
             parts[q0, q1, m] = (
-                slice(q0, q1), w[a:b], w[a:b - 1], w[a + 1:b], k_node[a:b], base[a:b],
-                c_bar[a:b], sat[a:b], -sat[a:b], dt / m,
-                [(rate[s * nodes:e * nodes], orders[s]) for s, e in zip(cuts, cuts[1:])],
-                plus.diag, plus.upper[:-1], plus.lower[1:], minus.factor(into=rhs[a:b]),
-                rate[a:b], rate[a:b - 1], r_star[a:b], rhs[a:b], rhs[a:b - 1], rhs[a + 1:b],
-                half_prev[a:b], below[a:b])
+                slice(q0, q1), w[a:b], c_bar[a:b], k_node[a:b], base[a:b], lo[a:b], hi[a:b],
+                (0.5 * h, 0.75 * h, 0.25 * h), d_inv[a:b], d_twice[a:b], solves,
+                [(rate[s * nodes:e * nodes], orders[s])
+                 for s, e in stretches(q0, q1, orders.__getitem__)],
+                rate[a:b], quarter[a:b], rhs[a:b], below[a:b])
         return parts[q0, q1, m]
 
     def advance(part, restart):
         """One substep of part's runs, every operation in place."""
-        (rows, w_a, w_lo, w_hi, k, bs, cb, hi, lo, h, powers, d, u, l, solve,
-         r, r_lo, r_s, b, b_lo, b_hi, half, neg) = part
-        _reaction_into(w_a, r, lo, hi, cb, bs, k, powers)
-        if restart:  # r* = r(w_k)
-            np.multiply(h, r, out=r_s)
-        else:  # r* = 1.5 * r(w_k) - 0.5 * r(w_{k-1})
-            np.multiply(r, 1.5, out=r_s)
-            r_s -= half
-            r_s *= h
-        np.multiply(r, 0.5, out=half)
-        # b = (I + dt/2 A_h) w + h r*, and w = (I - dt/2 A_h)^-1 b
-        np.multiply(d, w_a, out=b)
-        np.multiply(u, w_hi, out=r_lo)
-        b_lo += r_lo
-        np.multiply(l, w_lo, out=r_lo)
-        b_hi += r_lo
-        b += r_s
-        solve()
-        w_a[:] = b
+        (rows, w_a, cb, k, bs, lo_a, hi_a, (h2, h34, h14), di, d2, solves, powers,
+         r, quarter_a, b, neg) = part
+        _reaction_into(r, r, lo_a, hi_a, bs, k, powers)  # r held C = w + C_bar
+        if restart:  # h/2 r* = h/2 r(w_k)
+            np.multiply(r, h2, out=b)
+        else:  # h/2 r* = 0.75 h r(w_k) - 0.25 h r(w_{k-1})
+            np.multiply(r, h34, out=b)
+            b -= quarter_a
+        np.multiply(r, h14, out=quarter_a)
+        # w = 2 D S_D^-1 (D^-1 (w + h/2 r*)) - w
+        b += w_a
+        b *= di
+        for solve in solves:
+            solve()
+        b *= d2
+        np.subtract(b, w_a, out=w_a)
         np.add(w_a, cb, out=r)
         # clean: no C below NEGATIVITY_TOL and none non-finite (a NaN fails both)
         if np.minimum.reduce(r) >= NEGATIVITY_TOL and np.maximum.reduce(r) < np.inf:
@@ -270,7 +289,8 @@ def simulate_stack(runs, record) -> list:
         for m_q in range(1, m[q] + 1):
             part(q, q + 1, m_q)
     m_prev, single_prev, inner = np.zeros_like(m), True, np.zeros_like(m)  # m_prev 0 at step 1
-    negativity = (w + c_bar < NEGATIVITY_TOL).reshape(-1, nodes).sum(axis=1)
+    np.add(w, c_bar, out=rate)
+    negativity = (rate < NEGATIVITY_TOL).reshape(-1, nodes).sum(axis=1)
     rows = w.reshape(-1, nodes)
     stop = 0 if record(0, rows) else n_outer
     for i in range(1, stop + 1):

@@ -162,17 +162,16 @@ def clamped_power(c, n: float):
     return np.maximum(c, 0.0) ** n
 
 
-def _reaction_into(w, out, lo, hi, c_bar, base, k, powers):
-    """out = k*(base - max(min(max(w, lo), hi) + c_bar, 0)**n), the reaction in place.
+def _reaction_into(c, out, lo, hi, base, k, powers):
+    """out = k*(base - min(max(c, lo), hi)**n), the reaction in place, from c = w + c_bar.
 
-    base is clamped_power(c_bar, n); lo, hi and k may be scalars or per-node arrays.
-    powers pairs each segment of out with its order n as a scalar, as numpy's x ** 2
-    and x ** 0.5 fast paths differ from an array exponent. The maximum/minimum clamp
-    gives the bits of np.clip, NaN included."""
-    np.maximum(w, lo, out=out)
+    base is clamped_power(c_bar, n), lo = max(c_bar - sat_m, 0) and hi = max(c_bar + sat_m, 0);
+    lo, hi and k may be scalars or per-node arrays, and out may be c. Rounding is monotone,
+    so these are the bits of k*(base - max(min(max(w, -sat_m), sat_m) + c_bar, 0)**n), NaN
+    included. powers pairs each segment of out with its order n as a scalar, as numpy's
+    x ** 2 and x ** 0.5 fast paths differ from an array exponent."""
+    np.maximum(c, lo, out=out)
     np.minimum(out, hi, out=out)
-    out += c_bar
-    np.maximum(out, 0.0, out=out)
     for seg, n in powers:
         seg **= n
     np.subtract(base, out, out=out)
@@ -183,8 +182,9 @@ def _reaction_into(w, out, lo, hi, c_bar, base, k, powers):
 def reaction_rate(w, c_bar, params: ReactorParams):
     """Deviation-form reaction term r(w) = k*c_bar^n - k*(Sat_M(w) + c_bar)^n."""
     m, n = params.sat_m, params.power_order
-    out = np.empty(np.broadcast_shapes(np.shape(w), np.shape(c_bar)))
-    return _reaction_into(w, out, -m, m, c_bar, clamped_power(c_bar, n), params.k, [(out, n)])
+    out = np.add(w, c_bar, out=np.empty(np.broadcast_shapes(np.shape(w), np.shape(c_bar))))
+    lo, hi = (np.maximum(np.add(c_bar, s), 0.0) for s in (-m, m))
+    return _reaction_into(out, out, lo, hi, clamped_power(c_bar, n), params.k, [(out, n)])
 
 
 def initial_profile(grid: SpatialGrid, params: ReactorParams, law: FeedbackLaw) -> Profile:

@@ -30,13 +30,20 @@ from .errors import ContractError, ParameterError, SolverError
 from .model import FeedbackLaw, Profile, ReactorParams, SpatialGrid, reaction_rate
 
 
-class _Lapack(NamedTuple):
-    """One LAPACK's dgttrf/dgttrs as ctypes functions of addresses, the numpy type of their
-    INTEGER arguments and the trailing hidden length of dgttrs's character TRANS, if any."""
+# the LAPACK routines the package calls, each with its arguments' kinds: i an INTEGER,
+# d a DOUBLE PRECISION array and c a CHARACTER, whose hidden Fortran length trails
+_ROUTINES = {"dgttrf": "iddddii", "dgttrs": "ciiddddidii", "dpttrf": "iddi", "dpttrs": "iidddii"}
 
-    name: str  # the symbol or module the pair comes from
+
+class _Lapack(NamedTuple):
+    """One LAPACK's table of _ROUTINES as ctypes functions of addresses, the numpy type of
+    their INTEGER arguments and the hidden length that trails a CHARACTER, if any."""
+
+    name: str  # the symbols' pattern, scipy_<name>_64_ or <name>_64_, or else the module
     dgttrf: Callable
     dgttrs: Callable
+    dpttrf: Callable
+    dpttrs: Callable
     int: type
     hidden: tuple
 
@@ -47,17 +54,17 @@ def _ptr(a: np.ndarray) -> c_void_p:
 
 
 def _numpy_lapack() -> _Lapack | None:
-    """dgttrf/dgttrs of the ILP64 OpenBLAS that numpy.linalg links, or None on a build
-    that exports neither pair. numpy >= 2 wheels name them scipy_dgttr?_64_ and numpy
-    1.2x wheels dgttr?_64_; the _64_ fixes every integer argument at 64 bits."""
+    """_ROUTINES of the ILP64 OpenBLAS that numpy.linalg links, or None on a build that
+    does not export all of them. numpy >= 2 wheels name them scipy_<name>_64_ and numpy
+    1.2x wheels <name>_64_; the _64_ fixes every integer argument at 64 bits."""
     for prefix in ("scipy_", ""):
-        try:  # the trailing size_t is the hidden Fortran length of TRANS
+        try:
             lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
-            trf = CFUNCTYPE(None, *[c_void_p] * 7)((prefix + "dgttrf_64_", lib))
-            trs = CFUNCTYPE(None, *[c_void_p] * 11, c_size_t)((prefix + "dgttrs_64_", lib))
+            table = [CFUNCTYPE(None, *[c_void_p] * len(kinds), *[c_size_t] * kinds.count("c"))(
+                (f"{prefix}{name}_64_", lib)) for name, kinds in _ROUTINES.items()]
         except (AttributeError, OSError):
             continue
-        return _Lapack(prefix + "dgttrs_64_", trf, trs, np.int64, (c_size_t(1),))
+        return _Lapack(f"{prefix}<name>_64_", *table, np.int64, (c_size_t(1),))
     return None
 
 
@@ -77,7 +84,7 @@ def _capsule_function(capsule, kinds: str):
 
 
 def _scipy_lapack() -> _Lapack:
-    """dgttrf/dgttrs of scipy's LP64 LAPACK from the capsules of its public cython_lapack,
+    """_ROUTINES of scipy's LP64 LAPACK from the capsules of its public cython_lapack,
     loaded from its file without the 0.3 s of scipy.linalg imports, under its real name."""
     name = "scipy.linalg.cython_lapack"
     scipy_dir, = importlib.util.find_spec("scipy").submodule_search_locations
@@ -85,14 +92,15 @@ def _scipy_lapack() -> _Lapack:
     module = sys.modules.setdefault(name, importlib.util.module_from_spec(spec))
     spec.loader.exec_module(module)  # returns at once if the module has run
     capi = module.__pyx_capi__
-    return _Lapack(name, _capsule_function(capi["dgttrf"], "iddddii"),
-                   _capsule_function(capi["dgttrs"], "ciiddddidii"), np.intc, ())
+    return _Lapack(name, *[_capsule_function(capi[routine], kinds)
+                           for routine, kinds in _ROUTINES.items()], np.intc, ())
 
 
-# numpy's own LAPACK where its build exports the pair: no second OpenBLAS unless it cannot
+# numpy's own LAPACK where its build exports the table: no second OpenBLAS unless it cannot
 _LAPACK = _numpy_lapack() or _scipy_lapack()
 
 BC_REL_TOL = 1e-2  # dissipativity_form rejects grossly incompatible vectors
+SYMMETRIZER_LOG2 = 32  # Tridiagonal.symmetrizer's D lies within 2**-32 .. 2**32
 
 
 class Tridiagonal(NamedTuple):
@@ -133,10 +141,34 @@ class Tridiagonal(NamedTuple):
         upper[ends - 1] = 0.0
         return cls(lower, diag, upper)
 
-    def factor(self, into: np.ndarray):
-        """LU-factor once (dgttrf); returns a no-argument solve: dgttrs bound once to
-        the factors and to into, a contiguous writable float64 array of the matrix's
-        size, which it overwrites with the solution, making no Python call of its own."""
+    def symmetrizer(self) -> np.ndarray | None:
+        """The diagonal D with D^-1 self D symmetric, from self's own couplings: D[i+1] / D[i]
+        is sqrt(lower[i+1] / upper[i]), centred in log space. None where a coupling product
+        lower[i+1] * upper[i] is <= 0 (a cell Peclet number of 2 or more in A_h), or where D
+        leaves [2**-SYMMETRIZER_LOG2, 2**SYMMETRIZER_LOG2], so tiny states keep their range."""
+        lower, upper = self.lower[1:], self.upper[:-1]
+        if not np.all(lower * upper > 0.0):  # NaN fails
+            return None
+        logs = np.concatenate(([0.0], np.cumsum(0.5 * np.log(lower / upper))))
+        logs -= 0.5 * (np.max(logs) + np.min(logs))
+        if not np.max(np.abs(logs)) <= SYMMETRIZER_LOG2 * math.log(2.0):
+            return None
+        return np.exp(logs)
+
+    def symmetrized(self) -> Tridiagonal:
+        """D^-1 self D for self's symmetrizer D: the diagonal, and each pair of couplings
+        replaced by their geometric mean with their sign."""
+        coupling = np.zeros(self.diag.size)
+        coupling[:-1] = np.copysign(np.sqrt(self.lower[1:] * self.upper[:-1]), self.upper[:-1])
+        return Tridiagonal(np.roll(coupling, 1), self.diag, coupling)
+
+    def factor(self, into: np.ndarray, symmetric: bool = False):
+        """Factor once and return a no-argument solve: the LAPACK solve bound once to the
+        factors and to into, a contiguous writable float64 array of the matrix's size,
+        which it overwrites with the solution, making no Python call of its own. The
+        factors are LU with partial pivoting (dgttrf, dgttrs), or, if symmetric, LDL^T of a
+        symmetric positive definite matrix (dpttrf, dpttrs; upper[:-1] is read as its
+        couplings, and must equal lower[1:])."""
         if not self.lower.shape == self.diag.shape == self.upper.shape == (self.diag.size,):
             raise ContractError("a tridiagonal needs three 1-D diagonals of one length")
         if not (into.dtype == np.float64 and into.shape == self.diag.shape
@@ -144,15 +176,26 @@ class Tridiagonal(NamedTuple):
             raise ContractError(f"a bound solve needs a contiguous writable float64 "
                                 f"array of shape {self.diag.shape}")
         lapack, n = _LAPACK, self.diag.size
-        lu = (*(np.array(a, float) for a in (self.lower[1:], self.diag, self.upper[:-1])),
-              np.empty(max(n - 2, 0)), np.empty(n, dtype=lapack.int))  # dl, d, du, du2, ipiv
         ints = np.array([n, 1, 0], dtype=lapack.int)  # N = LDB, NRHS, INFO
-        lapack.dgttrf(_ptr(ints), *map(_ptr, lu), _ptr(ints[2:]))
+        if symmetric:
+            if not np.array_equal(self.lower[1:], self.upper[:-1]):
+                raise ContractError("a symmetric factor needs lower[1:] equal to upper[:-1]")
+            factors = np.array(self.diag, float), np.array(self.upper[:-1], float)  # d, e
+            lapack.dpttrf(_ptr(ints), *map(_ptr, factors), _ptr(ints[2:]))
+            solve = partial(lapack.dpttrs, _ptr(ints), _ptr(ints[1:]), *map(_ptr, factors),
+                            _ptr(into), _ptr(ints), _ptr(ints[2:]))
+            failure = "tridiagonal matrix not positive definite (pivot {} not positive)"
+        else:
+            factors = (*(np.array(a, float) for a in (self.lower[1:], self.diag, self.upper[:-1])),
+                       np.empty(max(n - 2, 0)), np.empty(n, dtype=lapack.int))  # dl d du du2 ipiv
+            lapack.dgttrf(_ptr(ints), *map(_ptr, factors), _ptr(ints[2:]))
+            solve = partial(lapack.dgttrs, c_char_p(b"N"), _ptr(ints), _ptr(ints[1:]),
+                            *map(_ptr, factors), _ptr(into), _ptr(ints), _ptr(ints[2:]),
+                            *lapack.hidden)
+            failure = "singular tridiagonal matrix (zero pivot at row {})"
         if ints[2] != 0:
-            raise SolverError(f"singular tridiagonal matrix (zero pivot at row {ints[2]})")
-        solve = partial(lapack.dgttrs, c_char_p(b"N"), _ptr(ints), _ptr(ints[1:]),
-                        *map(_ptr, lu), _ptr(into), _ptr(ints), _ptr(ints[2:]), *lapack.hidden)
-        solve.arrays = ints, lu, into  # keeps alive what the pointers point into
+            raise SolverError(failure.format(ints[2]))
+        solve.arrays = ints, factors, into  # keeps alive what the pointers point into
         return solve
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:

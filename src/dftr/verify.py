@@ -196,8 +196,9 @@ def run_checks(cfg, seed: int, cpu_s: dict):
     on stderr) so the report is always complete. cpu_s gets each check's
     process CPU seconds, keyed by its rows' names joined by '+'.
     """
-    # time settings no run can take are a config error, raised before any row
-    cfg.run(), cfg.run(to_horizon=True)
+    # time settings no run can take, or the envelope's norms of more records than memory
+    # holds (a MemoryError, which cli names a config error), fail before any row
+    cfg.run(), np.empty(cfg.run(to_horizon=True).num_records)
     for check, specs in CHECKS:
         started = time.process_time()
         try:

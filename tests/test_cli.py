@@ -1137,11 +1137,13 @@ class TestExitCodes:
         assert proc.returncode == 2, proc.stderr
         assert proc.stderr == "config error: num_nodes = 1000000: no memory for this run\n"
 
-    @pytest.mark.parametrize("command, end", [("simulate", "t_final"), ("sweep", "horizon")])
+    @pytest.mark.parametrize("command, end", [("simulate", "t_final"), ("sweep", "horizon"),
+                                              ("verify", "horizon")])
     def test_records_past_memory_name_the_time_keys(self, tmp_path, command, end):
         # 21 nodes fit anywhere; 1e11 + 1 records of them (simulate's trajectory, 16.8 TB)
-        # or of one norm each (the sweep's, 800 GB) do not: the error names the keys that
-        # set the record count, not num_nodes
+        # or of one norm each (the sweep's and verify's envelope, 800 GB) do not: the error
+        # names the keys that set the record count, not num_nodes, and verify gives it
+        # before its first row
         resource = pytest.importorskip("resource")
         hard = resource.getrlimit(resource.RLIMIT_AS)[1]
         cap = 4 << 30 if hard == resource.RLIM_INFINITY else min(4 << 30, hard)
@@ -1158,6 +1160,7 @@ class TestExitCodes:
         assert proc.returncode == 2, proc.stderr
         assert proc.stderr == (f"config error: {end} = 100000000000, dt = 1, record_every = 1: "
                                "no memory for the 100000000001 records of this run\n")
+        assert proc.stdout == ""
 
 
 class TestDeterminism:
@@ -1379,8 +1382,8 @@ def test_import_loads_no_scipy_where_numpy_has_the_lapack():
     assert proc.returncode == 0, proc.stderr
     name, loaded = proc.stdout.splitlines()
     if name == "scipy.linalg.cython_lapack":
-        pytest.skip("this numpy exports no ILP64 dgttrf/dgttrs")
-    assert name in ("scipy_dgttrs_64_", "dgttrs_64_")
+        pytest.skip("this numpy exports no ILP64 dgttrf/dgttrs/dpttrf/dpttrs")
+    assert name in ("scipy_<name>_64_", "<name>_64_")
     assert loaded == "[]"
 
 

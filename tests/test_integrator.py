@@ -14,16 +14,17 @@ from dftr import (
     energy,
     default_weight,
     initial_profile,
+    reaction_rate,
     simulate,
     steady_state_numeric,
     step,
 )
-from conftest import make_params
+from conftest import L, V, make_params
 
 
 def _setup(n=1.0, alpha=0.0, t_final=400.0, dt=0.1, num_nodes=201, k=0.001,
-           record_every=1, **cfg_kwargs):
-    p = make_params(n=n, k=k, t_final=t_final, alpha_for_sat=alpha)
+           record_every=1, peclet=4.0, **cfg_kwargs):
+    p = make_params(n=n, k=k, t_final=t_final, alpha_for_sat=alpha, d_ax=V * L / peclet)
     law = FeedbackLaw(alpha=alpha)
     g = SpatialGrid(l=1.0, num_nodes=num_nodes)
     steady = steady_state_numeric(p, 1.0, g)
@@ -258,38 +259,47 @@ class TestSimulate:
 
 
 def _reference_run(config, steady, w0):
-    """One run stepped by the plain allocating loop: the guard's substep
-    count m read from max|w| before every outer step, the clamp and power of
-    model.reaction_rate, r* = 1.5*r - 0.5*r_prev (r* = r at the first substep
-    and whenever m changes), Tridiagonal.apply and factor(into=x), and a count_nonzero
-    negativity count per substep. Returns the recorded states, the
-    negativity events and the inner step count, or the IntegrationError
-    the run raises."""
+    """One run stepped by the plain allocating form of simulate_stack's
+    arithmetic: the guard's substep count m read from max|w| before every
+    outer step; the clamp of model.reaction_rate moved onto C = w + c_bar;
+    h/2 r* = 0.75 h r - 0.25 h r_prev (h/2 r at the first substep and
+    whenever m changes); the delta step w = 2 D S_D^-1 (D^-1 (w + h/2 r*)) - w
+    with A_h's Tridiagonal.symmetrizer D and factor(into=x, symmetric=True) of
+    the symmetrized I - h/2 A_h, or D = 1 and an LU factor where A_h has none;
+    and a count_nonzero negativity count per substep. Returns the recorded
+    states, the negativity events and the inner step count, or the
+    IntegrationError the run raises."""
     from dftr.integrator import NEGATIVITY_TOL, substep_count
 
     p, c_bar = config.params, steady.profile.values
     a_h = build_generator(config.grid, p, config.law.alpha).diagonals
+    d = a_h.symmetrizer()
+    symmetric = d is not None
+    if symmetric:
+        a_h = a_h.symmetrized()
+    else:
+        d = np.ones(c_bar.size)
     base = np.maximum(c_bar, 0.0) ** p.n
+    lo, hi = np.maximum(c_bar - p.sat_m, 0.0), np.maximum(c_bar + p.sat_m, 0.0)
 
     def rate(w):
-        c = np.minimum(np.maximum(w, -p.sat_m), p.sat_m) + c_bar
-        return p.k * (base - np.maximum(c, 0.0) ** p.n)
+        return p.k * (base - np.minimum(np.maximum(w + c_bar, lo), hi) ** p.n)
 
     w, r_prev, m_prev, inner = w0.values.copy(), None, None, 0
     states, events = [w.copy()], np.count_nonzero(w + c_bar < NEGATIVITY_TOL)
     for i in range(1, config.num_steps + 1):
         m = substep_count(config, c_bar, float(np.max(np.abs(w))))
-        plus = a_h.shifted(1.0, 0.5 * config.dt / m)
+        h = config.dt / m
         x = np.empty(w.size)
-        solve = a_h.shifted(1.0, -0.5 * config.dt / m).factor(into=x)
+        solve = a_h.shifted(1.0, -0.5 * h).factor(into=x, symmetric=symmetric)
         for s in range(m):
             r_now = rate(w)
             restart = r_prev is None or (s == 0 and m != m_prev)
-            r_star = r_now if restart else 1.5 * r_now - 0.5 * r_prev
+            half_r_star = 0.5 * h * r_now if restart else 0.75 * h * r_now - 0.25 * h * r_prev
             r_prev = r_now
-            x[:] = plus.apply(w) + config.dt / m * r_star
+            x[:] = (w + half_r_star) * (1.0 / d)
             solve()
-            w = x.copy()
+            w = (2.0 * d) * x - w
             events += np.count_nonzero(w + c_bar < NEGATIVITY_TOL)
         m_prev, inner = m, inner + m
         if not np.isfinite(w).all():
@@ -297,6 +307,32 @@ def _reference_run(config, steady, w0):
         if i % config.record_every == 0 or i == config.num_steps:
             states.append(w.copy())
     return np.array(states), events, inner
+
+
+def _explicit_cn_run(config, steady, w0):
+    """An independent oracle of one run's recorded states: the guard's substeps
+    with Crank-Nicolson-AB2 written out, (I - h/2 A_h) w' = (I + h/2 A_h) w + h r*,
+    r* = 1.5 r - 0.5 r_prev (r at the first substep and whenever m changes), with
+    model.reaction_rate, Tridiagonal.apply and an LU solve."""
+    from dftr.integrator import substep_count
+
+    p, c_bar = config.params, steady.profile.values
+    a_h = build_generator(config.grid, p, config.law.alpha).diagonals
+    w, r_prev, m_prev = w0.values.copy(), None, None
+    states = [w.copy()]
+    for i in range(1, config.num_steps + 1):
+        m = substep_count(config, c_bar, float(np.max(np.abs(w))))
+        h = config.dt / m
+        for s in range(m):
+            r_now = reaction_rate(w, c_bar, p)
+            restart = r_prev is None or (s == 0 and m != m_prev)
+            r_star = r_now if restart else 1.5 * r_now - 0.5 * r_prev
+            r_prev = r_now
+            w = a_h.shifted(1.0, -0.5 * h).solve(a_h.shifted(1.0, 0.5 * h).apply(w) + h * r_star)
+        m_prev = m
+        if i % config.record_every == 0 or i == config.num_steps:
+            states.append(w.copy())
+    return np.array(states)
 
 
 class TestFusedSubstep:
@@ -331,6 +367,22 @@ class TestFusedSubstep:
         for q, (states, events, inner) in enumerate(refs):
             assert seen[:, q].tobytes() == states.tobytes()
             assert (trajs[q].negativity_events, trajs[q].inner_steps) == (events, inner)
+
+    def test_stepper_matches_the_explicit_crank_nicolson_loop(self):
+        # the delta form through A_h's symmetrizer against CN-AB2 written out with an LU
+        # solve: rounding grows to about 5e-15 of max|w0| over these 40 steps, while a
+        # first-order reaction extrapolation or a 1e-6 error in 2 D misses by 1e-5 or more
+        runs = []
+        for n in (0.5, 1.0, 2.0, 10.0):
+            for alpha in (0.0, 0.5):
+                p, law, g, steady, cfg = _setup(n=n, alpha=alpha, t_final=40.0, dt=1.0,
+                                                num_nodes=51)
+                runs.append((cfg, steady, initial_profile(g, p, law)))
+        seen, _ = self._stack(runs)
+        assert seen.shape == (41, len(runs), 51)
+        for q, run in enumerate(runs):
+            bound = 1e-10 * np.max(np.abs(run[2].values))
+            assert np.max(np.abs(seen[:, q] - _explicit_cn_run(*run))) <= bound
 
     def test_non_finite_run_fails_the_stack_like_the_reference(self, monkeypatch):
         # without substeps, n = 2000's reaction overflows in the first step
@@ -380,6 +432,69 @@ class TestFusedSubstep:
         assert len({t.inner_steps for t in trajs}) == 3
         assert len(transient) == cfg.num_steps
         assert max(transient) < g.num_nodes * 8
+
+
+def _factor_calls(monkeypatch):
+    """A list that grows by the routine's name at each dgttrf or dpttrf call."""
+    from dftr import operator
+
+    lapack, calls = operator._LAPACK, []
+
+    def counted(name):
+        def call(*args):
+            calls.append(name)
+            return getattr(lapack, name)(*args)
+        return call
+
+    monkeypatch.setattr(operator, "_LAPACK", lapack._replace(
+        dgttrf=counted("dgttrf"), dpttrf=counted("dpttrf")))
+    return calls
+
+
+class TestSolvePath:
+    """Each run steps through the LDL^T factor of its symmetrized Crank-Nicolson matrix
+    where A_h has a symmetrizer, else through LU with D = 1; on either path, and in a
+    stack of both, a stacked run's records are the bytes of the same run solo."""
+
+    @staticmethod
+    def _runs(peclet, num_nodes):
+        runs = []
+        for n, alpha in ((1.0, 0.0), (2.0, 0.5)):
+            p, law, g, steady, cfg = _setup(n=n, alpha=alpha, t_final=20.0, dt=1.0,
+                                            num_nodes=num_nodes, record_every=3,
+                                            peclet=peclet)
+            runs.append((cfg, steady, initial_profile(g, p, law)))
+        return runs
+
+    @staticmethod
+    def _solo_bytes(runs):
+        return [TestFusedSubstep._stack([run])[0][:, 0].tobytes() for run in runs]
+
+    # Pe 4 on 201 nodes, the reference point: symmetric. Pe 1000 on 201 nodes: cell
+    # Peclet number 5, so upper < 0 < lower. Pe 1000 on 2001 nodes: cell Peclet number
+    # 0.5, but D spans about e^500
+    @pytest.mark.parametrize("peclet, num_nodes, routine", [
+        (4.0, 201, "dpttrf"), (1000.0, 201, "dgttrf"), (1000.0, 2001, "dgttrf")])
+    def test_stacked_runs_keep_their_solo_bits_on_each_path(
+            self, monkeypatch, peclet, num_nodes, routine):
+        runs = self._runs(peclet, num_nodes)
+        a_h = build_generator(runs[0][0].grid, runs[0][0].params, 0.0).diagonals
+        assert (a_h.symmetrizer() is None) == (routine == "dgttrf")
+        calls = _factor_calls(monkeypatch)
+        seen, _ = TestFusedSubstep._stack(runs)
+        assert set(calls) == {routine}
+        assert np.isfinite(seen).all()
+        for q, solo in enumerate(self._solo_bytes(runs)):
+            assert seen[:, q].tobytes() == solo
+
+    def test_a_stack_of_both_paths_keeps_each_runs_solo_bits(self, monkeypatch):
+        # runs 0-1 and 4-5 symmetric, runs 2-3 LU: three factors per part
+        runs = self._runs(4.0, 201) + self._runs(1000.0, 201) + self._runs(4.0, 201)[::-1]
+        calls = _factor_calls(monkeypatch)
+        seen, _ = TestFusedSubstep._stack(runs)
+        assert calls == ["dpttrf", "dgttrf", "dpttrf"]
+        for q, solo in enumerate(self._solo_bytes(runs)):
+            assert seen[:, q].tobytes() == solo
 
 
 def _guard_calls(monkeypatch):

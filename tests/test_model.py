@@ -222,7 +222,8 @@ class TestReactionRate:
             assert reaction_rate(arg, c_bar, p).tobytes() == old.tobytes()
 
     def test_kernel_takes_per_node_bounds_and_constants_over_two_segments(self):
-        # two runs side by side, each its own order, k and sat_m, against each run alone
+        # two runs side by side, each its own order, k and sat_m, read from C = w + c_bar
+        # between per-node bounds, against each run alone
         from dftr.model import _reaction_into
 
         rng = np.random.default_rng(12)
@@ -231,8 +232,9 @@ class TestReactionRate:
         ws = [rng.normal(0.0, 2.0, 21) for _ in runs]
         ws[0][:4] = [np.nan, np.inf, -np.inf, -0.0]
         out = np.empty(42)
-        sat = np.repeat([p.sat_m for p in runs], 21)
-        _reaction_into(np.concatenate(ws), out, -sat, sat, np.concatenate(c_bars),
+        sat, c_bar = np.repeat([p.sat_m for p in runs], 21), np.concatenate(c_bars)
+        _reaction_into(np.concatenate(ws) + c_bar, out, np.maximum(c_bar - sat, 0.0),
+                       np.maximum(c_bar + sat, 0.0),
                        np.concatenate([clamped_power(c, p.n) for c, p in zip(c_bars, runs)]),
                        np.repeat([p.k for p in runs], 21), [(out[:21], 2.0), (out[21:], 0.5)])
         alone = np.concatenate([reaction_rate(w, c, p) for w, c, p in zip(ws, c_bars, runs)])

@@ -286,6 +286,106 @@ class TestLapackLoader:
         assert simulate(config, steady, w0).states.tobytes() == before
 
 
+def _generator(peclet, num_nodes, alpha=0.25):
+    """A_h at Peclet number peclet on num_nodes nodes (v = 0.01, l = 1)."""
+    params = make_params(d_ax=0.01 / peclet)
+    return build_generator(SpatialGrid(l=1.0, num_nodes=num_nodes), params, alpha)
+
+
+class TestSymmetricSolve:
+    """A_h's diagonal symmetrizer and the LDL^T solve (dpttrf/dpttrs) of symmetric
+    positive definite tridiagonals, which simulate_stack steps with."""
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.25, 0.5])
+    def test_symmetrizer_makes_the_generator_symmetric(self, alpha):
+        a_h = _generator(4.0, 201, alpha).diagonals
+        d = a_h.symmetrizer()
+        sym = a_h.symmetrized().dense()
+        assert np.array_equal(sym, sym.T)
+        similar = a_h.dense() * d[None, :] / d[:, None]  # D^-1 A_h D
+        assert np.max(np.abs(similar - sym)) <= 1e-13 * np.max(np.abs(a_h.diag))
+        assert abs(math.log(d.max() * d.min())) <= 1e-12  # centred in log space
+
+    def test_symmetrizer_is_the_inverse_square_root_of_the_weight(self):
+        # D^-2 is the trapezoidal weight times e^{-vx/d_ax}, to O(h^2) between the ends:
+        # A_h is self-adjoint in the e^{-vx/d_ax}-weighted product, the gamma -> v/d_ax
+        # end of the Lyapunov family. The two ghost-eliminated end rows weigh their
+        # nodes (1 -+ h v / (2 d_ax)) / 2, the trapezoid's half weight to O(h)
+        errors = []
+        for num_nodes in (201, 401):
+            gen = _generator(4.0, num_nodes)
+            grid, p = gen.grid, gen.params
+            weight = grid.quad_weights * np.exp(-p.v * grid.nodes / p.d_ax)
+            ratio = gen.diagonals.symmetrizer() ** -2 / weight
+            errors.append(np.max(np.abs(ratio[1:-1] / ratio[1] - 1.0)))
+            cell_peclet = grid.h * p.v / p.d_ax
+            assert abs(ratio[0] / ratio[1] - 1.0) <= cell_peclet
+            assert abs(ratio[-1] / ratio[-2] - 1.0) <= cell_peclet
+        assert errors[0] <= 2e-4
+        assert 3.5 <= errors[0] / errors[1] <= 4.5
+
+    def test_no_symmetrizer_at_a_cell_peclet_number_of_2_or_past_the_bound(self):
+        # Pe 1000 on 201 nodes: cell Peclet number 5, upper < 0 < lower. On 2001 nodes
+        # every coupling product is positive, but D would span about e^500. Pe 40 on
+        # 201 nodes spans 2^+-14.4
+        coarse, fine = (_generator(1000.0, m).diagonals for m in (201, 2001))
+        assert np.any(coarse.upper[:-1] < 0.0) and coarse.symmetrizer() is None
+        assert np.all(fine.lower[1:] * fine.upper[:-1] > 0.0) and fine.symmetrizer() is None
+        assert _generator(40.0, 201).diagonals.symmetrizer() is not None
+        for log2_span, inside in ((63.9, True), (64.1, False)):
+            mat = Tridiagonal(np.array([0.0, 2.0 ** log2_span]), np.ones(2),
+                              np.array([2.0 ** -log2_span, 0.0]))
+            d = mat.symmetrizer()
+            assert (d is not None) == inside
+            if inside:
+                assert math.log2(d[1] / d[0]) == pytest.approx(log2_span, rel=1e-12)
+
+    def test_symmetric_factor_matches_dense_solve(self, lapack_path):
+        # the Crank-Nicolson matrix of A_h, symmetrized, at the 2001 nodes of verify-fine
+        cn = _generator(4.0, 2001).diagonals.shifted(1.0, -0.5)
+        d, sym = cn.symmetrizer(), cn.symmetrized()
+        rhs = np.random.default_rng(9).standard_normal(2001)
+        x = rhs / d
+        sym.factor(into=x, symmetric=True)()
+        x *= d
+        ref = np.linalg.solve(cn.dense(), rhs)
+        assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    @needs_numpy_lapack
+    def test_both_lapacks_give_the_same_bytes(self, monkeypatch):
+        sym = _generator(4.0, 2001).diagonals.shifted(1.0, -0.5).symmetrized()
+        rhs = np.random.default_rng(10).standard_normal(2001)
+        results = []
+        for lapack in (NUMPY_LAPACK, operator._scipy_lapack()):
+            monkeypatch.setattr(operator, "_LAPACK", lapack)
+            x = rhs.copy()
+            sym.factor(into=x, symmetric=True)()
+            results.append(x.tobytes())
+        assert results[0] == results[1]
+
+    def test_symmetric_block_diagonal_solves_each_block_alone(self):
+        # dpttrf and dpttrs carry nothing across a zero coupling
+        blocks = [_generator(pe, 51, alpha).diagonals.shifted(1.0, -0.5).symmetrized()
+                  for pe, alpha in ((4.0, 0.0), (20.0, 0.5), (0.5, 0.25))]
+        rhs = np.random.default_rng(11).standard_normal(51 * len(blocks))
+        x = rhs.copy()
+        Tridiagonal.block_diagonal(blocks).factor(into=x, symmetric=True)()
+        for b, block in enumerate(blocks):
+            alone = rhs[51 * b:51 * (b + 1)].copy()
+            block.factor(into=alone, symmetric=True)()
+            assert x[51 * b:51 * (b + 1)].tobytes() == alone.tobytes()
+
+    def test_symmetric_factor_rejects_what_it_cannot_factor(self, lapack_path):
+        # a matrix that is not symmetric is a contract error; one that is not positive
+        # definite (A_h itself) fails dpttrf's pivot check
+        cn = _generator(4.0, 31).diagonals.shifted(1.0, -0.5)
+        with pytest.raises(ContractError, match="lower"):
+            cn.factor(into=np.zeros(31), symmetric=True)
+        with pytest.raises(SolverError, match="not positive definite"):
+            _generator(4.0, 31).diagonals.symmetrized().factor(into=np.zeros(31),
+                                                                  symmetric=True)
+
+
 class TestDissipativity:
     def test_random_vectors_satisfy_closures_exactly(self, params, grid201):
         rng = np.random.default_rng(11)
