@@ -20,9 +20,8 @@ from .integrator import SimulationConfig, Trajectory, simulate, simulate_stack, 
 from .model import (FeedbackLaw, Profile, ReactorParams, SpatialGrid,
                     clamped_power, d_ax_from_peclet, default_saturation_bound,
                     initial_profile, lambda_theoretical, reaction_rate, saturate)
-from .operator import (DiscreteGenerator, DissipativityForm, ResolventSolution,
-                       Tridiagonal, build_generator, dissipativity_form,
-                       duhamel_oracle, inner_product, random_bc_compatible,
+from .operator import (DiscreteGenerator, ResolventSolution, Tridiagonal,
+                       build_generator, duhamel_oracle, inner_product,
                        resolvent_analytic, resolvent_discrete)
 from .steady_state import (AnalyticSteadyState, SteadyStateSolution,
                            steady_state_analytic_n1, steady_state_numeric,
@@ -31,17 +30,16 @@ from .steady_state import (AnalyticSteadyState, SteadyStateSolution,
 __all__ = [
     "__version__",
     "AnalyticSteadyState", "ConfigError", "ContractError", "DecayEstimate",
-    "DftrError", "DiscreteGenerator", "DissipativityForm", "EstimationError",
-    "FeedbackLaw", "IntegrationError", "ParameterError", "Profile",
-    "ReactorParams", "ResolventSolution", "SimulationConfig", "SolverError",
-    "SpatialGrid", "SteadyStateSolution", "SweepCell", "SweepResult",
-    "Trajectory", "Tridiagonal", "WeightFunction", "build_generator",
-    "clamped_power", "d_ax_from_peclet",
-    "default_saturation_bound", "default_weight", "dissipativity_form",
+    "DftrError", "DiscreteGenerator", "EstimationError", "FeedbackLaw",
+    "IntegrationError", "ParameterError", "Profile", "ReactorParams",
+    "ResolventSolution", "SimulationConfig", "SolverError", "SpatialGrid",
+    "SteadyStateSolution", "SweepCell", "SweepResult", "Trajectory",
+    "Tridiagonal", "WeightFunction", "build_generator", "clamped_power",
+    "d_ax_from_peclet", "default_saturation_bound", "default_weight",
     "duhamel_oracle", "energy", "estimate_decay_rate", "fit_decay_rate",
     "initial_profile", "inner_product", "lambda_theoretical", "norm_rho",
-    "random_bc_compatible", "reaction_rate", "resolvent_analytic",
-    "resolvent_discrete", "saturate", "simulate", "simulate_stack",
-    "steady_state_analytic_n1", "steady_state_numeric",
-    "steady_state_residual", "step", "sweep", "weight_profile",
+    "reaction_rate", "resolvent_analytic", "resolvent_discrete", "saturate",
+    "simulate", "simulate_stack", "steady_state_analytic_n1",
+    "steady_state_numeric", "steady_state_residual", "step", "sweep",
+    "weight_profile",
 ]

@@ -420,9 +420,10 @@ def cmd_sweep(cfg: ResolvedConfig, out_dir, manifest: RunManifest,
 
 
 def cmd_verify(cfg: ResolvedConfig, out_dir, manifest: RunManifest, seed: int) -> int:
+    """seed is in the manifest hash only: no check reads it."""
     from .verify import run_checks  # here, so that the other commands never load the suite
     rows = []
-    for row in run_checks(cfg, seed, manifest.timings.setdefault("checks", {})):
+    for row in run_checks(cfg, manifest.timings.setdefault("checks", {})):
         rows.append(row)
         check, metric, value, _, status = row
         mark = status if isinstance(status, str) else ("pass" if status else "FAIL")
@@ -477,8 +478,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run the oracle verification suite")
     add_common(p_verify)
     p_verify.add_argument("--seed", type=int, default=0,
-                          help="seed, 0 to 2**64 - 1, of the SplitMix64 stream of the "
-                               "randomized dissipativity vectors")
+                          help="0 to 2**64 - 1; hashed into manifest.json, but no "
+                               "check reads it")
     return parser
 
 
@@ -519,7 +520,7 @@ def main(argv=None) -> int:
         elif args.command == "verify":
             if args.seed < 0:
                 raise ConfigError(f"--seed must be >= 0, got {args.seed}")
-            if args.seed >= 2 ** 64:  # verify's SplitMix64 stream takes a 64-bit seed
+            if args.seed >= 2 ** 64:
                 raise ConfigError(f"--seed must be <= 2**64 - 1 = {2**64 - 1}, got {args.seed}")
             extra["seed"] = args.seed
 

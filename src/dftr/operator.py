@@ -1,4 +1,4 @@
-"""Finite-difference generator, resolvent oracles, and dissipativity checks.
+"""Finite-difference generator, its tridiagonal core and the resolvent oracles.
 
 The closed-loop linear part of the deviation equation is
 
@@ -27,12 +27,13 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import ContractError, ParameterError, SolverError
-from .model import FeedbackLaw, Profile, ReactorParams, SpatialGrid, reaction_rate
+from .model import Profile, ReactorParams, SpatialGrid, reaction_rate
 
 
 # the LAPACK routines the package calls, each with its arguments' kinds: i an INTEGER,
-# d a DOUBLE PRECISION array and c a CHARACTER, whose hidden Fortran length trails
-_ROUTINES = {"dgttrf": "iddddii", "dgttrs": "ciiddddidii", "dpttrf": "iddi", "dpttrs": "iidddii"}
+# d a DOUBLE PRECISION and c a CHARACTER, whose hidden Fortran length trails
+_ROUTINES = {"dgttrf": "iddddii", "dgttrs": "ciiddddidii", "dpttrf": "iddi", "dpttrs": "iidddii",
+             "dstebz": "cciddiidddiidiidii"}
 
 
 class _Lapack(NamedTuple):
@@ -44,6 +45,7 @@ class _Lapack(NamedTuple):
     dgttrs: Callable
     dpttrf: Callable
     dpttrs: Callable
+    dstebz: Callable
     int: type
     hidden: tuple
 
@@ -99,7 +101,6 @@ def _scipy_lapack() -> _Lapack:
 # numpy's own LAPACK where its build exports the table: no second OpenBLAS unless it cannot
 _LAPACK = _numpy_lapack() or _scipy_lapack()
 
-BC_REL_TOL = 1e-2  # dissipativity_form rejects grossly incompatible vectors
 SYMMETRIZER_LOG2 = 32  # Tridiagonal.symmetrizer's D lies within 2**-32 .. 2**32
 
 
@@ -169,8 +170,7 @@ class Tridiagonal(NamedTuple):
         factors are LU with partial pivoting (dgttrf, dgttrs), or, if symmetric, LDL^T of a
         symmetric positive definite matrix (dpttrf, dpttrs; upper[:-1] is read as its
         couplings, and must equal lower[1:])."""
-        if not self.lower.shape == self.diag.shape == self.upper.shape == (self.diag.size,):
-            raise ContractError("a tridiagonal needs three 1-D diagonals of one length")
+        self._check(symmetric)
         if not (into.dtype == np.float64 and into.shape == self.diag.shape
                 and into.flags.c_contiguous and into.flags.writeable):
             raise ContractError(f"a bound solve needs a contiguous writable float64 "
@@ -178,8 +178,6 @@ class Tridiagonal(NamedTuple):
         lapack, n = _LAPACK, self.diag.size
         ints = np.array([n, 1, 0], dtype=lapack.int)  # N = LDB, NRHS, INFO
         if symmetric:
-            if not np.array_equal(self.lower[1:], self.upper[:-1]):
-                raise ContractError("a symmetric factor needs lower[1:] equal to upper[:-1]")
             factors = np.array(self.diag, float), np.array(self.upper[:-1], float)  # d, e
             lapack.dpttrf(_ptr(ints), *map(_ptr, factors), _ptr(ints[2:]))
             solve = partial(lapack.dpttrs, _ptr(ints), _ptr(ints[1:]), *map(_ptr, factors),
@@ -203,6 +201,33 @@ class Tridiagonal(NamedTuple):
         x = np.array(rhs, dtype=np.float64)
         self.factor(into=x)()
         return x
+
+    def top_eigenvalue(self) -> float:
+        """The largest eigenvalue of a symmetric tridiagonal (upper[:-1] is read as its
+        couplings, and must equal lower[1:]), by LAPACK's bisection (dstebz, RANGE = 'I',
+        IL = IU = N) with ABSTOL twice the safe minimum, for full relative accuracy."""
+        self._check(symmetric=True)
+        lapack, n = _LAPACK, self.diag.size
+        ints = np.array([n, 0, 0, 0], dtype=lapack.int)  # N = IL = IU, M, NSPLIT, INFO
+        reals = np.array([0.0, 2.0 * np.finfo(float).tiny])  # VL = VU (unread), ABSTOL
+        d, e = np.array(self.diag, float), np.array(self.upper[:-1], float)
+        w, work = np.empty(n), np.empty(4 * n)
+        iblock, isplit, iwork = (np.empty(k * n, dtype=lapack.int) for k in (1, 1, 3))
+        lapack.dstebz(c_char_p(b"I"), c_char_p(b"E"), _ptr(ints), _ptr(reals), _ptr(reals),
+                      _ptr(ints), _ptr(ints), _ptr(reals[1:]), _ptr(d), _ptr(e),
+                      _ptr(ints[1:]), _ptr(ints[2:]), _ptr(w), _ptr(iblock), _ptr(isplit),
+                      _ptr(work), _ptr(iwork), _ptr(ints[3:]), *lapack.hidden * 2)
+        if ints[3] != 0:
+            raise SolverError(f"dstebz found no top eigenvalue (INFO {ints[3]})")
+        return float(w[0])
+
+    def _check(self, symmetric: bool):
+        """ContractError unless the diagonals are three 1-D arrays of one length, and, if
+        symmetric, lower[1:] equals upper[:-1]: LAPACK would read past a shorter one."""
+        if not self.lower.shape == self.diag.shape == self.upper.shape == (self.diag.size,):
+            raise ContractError("a tridiagonal needs three 1-D diagonals of one length")
+        if symmetric and not np.array_equal(self.lower[1:], self.upper[:-1]):
+            raise ContractError("a symmetric tridiagonal needs lower[1:] equal to upper[:-1]")
 
 
 @dataclass(frozen=True)
@@ -253,82 +278,6 @@ def build_generator(grid: SpatialGrid, params: ReactorParams,
 def inner_product(grid: SpatialGrid, a: np.ndarray, b: np.ndarray) -> float:
     """Trapezoidal discrete inner product on [0, l]."""
     return float(np.sum(grid.quad_weights * a * b))
-
-
-def _boundary_defects(gen: DiscreteGenerator, xi: np.ndarray):
-    """One-sided second-order boundary-condition defects of a grid vector."""
-    h = gen.grid.h
-    d, v = gen.params.d_ax, gen.params.v
-    dxi0 = (-3.0 * xi[0] + 4.0 * xi[1] - xi[2]) / (2.0 * h)
-    dxil = (3.0 * xi[-1] - 4.0 * xi[-2] + xi[-3]) / (2.0 * h)
-    inlet = (1.0 - gen.alpha) * xi[0] - (d / v) * dxi0
-    outlet = dxil * gen.grid.l  # scaled to the same units as xi
-    return inlet, outlet
-
-
-@dataclass(frozen=True)
-class DissipativityForm:
-    """Discrete quadratic form and the corresponding analytic bound.
-
-    form: <A_h xi, xi>_h by trapezoidal quadrature.
-    lemma_rhs: -v*(1/2 - alpha)*xi(0)^2 - d_ax*int (xi')^2 - (v/2)*xi(l)^2
-    with difference-quotient derivatives; agrees with form to O(h^2) on
-    smooth boundary-compatible vectors.
-    """
-
-    form: float
-    lemma_rhs: float
-
-
-def dissipativity_form(gen: DiscreteGenerator, xi: Profile) -> DissipativityForm:
-    if xi.grid != gen.grid:
-        raise ContractError("profile grid does not match generator grid")
-    vals = xi.values
-    scale = float(np.max(np.abs(vals)))
-    if scale > 0.0:
-        inlet, outlet = _boundary_defects(gen, vals)
-        if max(abs(inlet), abs(outlet)) > BC_REL_TOL * scale:
-            raise ContractError(
-                f"vector violates the discrete boundary conditions "
-                f"(inlet defect {inlet:.3e}, outlet defect {outlet:.3e}, "
-                f"scale {scale:.3e})")
-
-    form = inner_product(gen.grid, gen.diagonals.apply(vals), vals)
-
-    h = gen.grid.h
-    deriv = np.empty_like(vals)
-    deriv[1:-1] = (vals[2:] - vals[:-2]) / (2.0 * h)
-    deriv[0] = (-3.0 * vals[0] + 4.0 * vals[1] - vals[2]) / (2.0 * h)
-    deriv[-1] = (3.0 * vals[-1] - 4.0 * vals[-2] + vals[-3]) / (2.0 * h)
-    d, v = gen.params.d_ax, gen.params.v
-    rhs = (-v * (0.5 - gen.alpha) * vals[0] ** 2
-           - d * inner_product(gen.grid, deriv, deriv)
-           - 0.5 * v * vals[-1] ** 2)
-    return DissipativityForm(form=form, lemma_rhs=rhs)
-
-
-def random_bc_compatible(gen: DiscreteGenerator, rng) -> Profile:
-    """Random vector lying exactly in the discrete boundary-condition set.
-
-    Interior nodes are rng.uniform(-1.0, 1.0, m - 2), for any rng with that method
-    (an np.random.Generator, or verify's SplitMix64 stream); the endpoint values solve
-    the two one-sided closure equations, so membership is exact rather than
-    approximate.
-    """
-    m = gen.grid.num_nodes
-    h = gen.grid.h
-    d, v = gen.params.d_ax, gen.params.v
-    xi = np.empty(m)
-    xi[1:-1] = rng.uniform(-1.0, 1.0, m - 2)
-    # (1-alpha)*xi0 = (d/v) * (-3 xi0 + 4 xi1 - xi2)/(2h)
-    r = d / (2.0 * h * v)
-    if m == 3:  # xi2 is the outlet value below: both closures together give xi0
-        xi[0] = 8.0 * r / 3.0 * xi[1] / ((1.0 - gen.alpha) + 8.0 * r / 3.0)
-    else:
-        xi[0] = r * (4.0 * xi[1] - xi[2]) / ((1.0 - gen.alpha) + 3.0 * r)
-    # (3 xi_{m-1} - 4 xi_{m-2} + xi_{m-3})/(2h) = 0
-    xi[-1] = (4.0 * xi[-2] - xi[-3]) / 3.0
-    return Profile(gen.grid, xi)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,6 @@
 """The oracle suite of `dftr verify`.
 
-Each check is a top-level function of (cfg, seed), cfg a cli.ResolvedConfig, that
+Each check is a top-level function of cfg, a cli.ResolvedConfig, that
 returns its row's value, or a tuple of values for a check with several rows.
 CHECKS pairs each check with its rows' (name, metric, threshold), in verify.csv
 order; a new row is one function and one entry there.
@@ -19,9 +19,8 @@ from .analysis import default_weight, energy
 from .errors import DftrError
 from .integrator import closed_loop, simulate, simulate_stack, substep_count
 from .model import Profile, SpatialGrid, lambda_theoretical
-from .operator import (build_generator, dissipativity_form, duhamel_oracle,
-                       inner_product, random_bc_compatible, resolvent_analytic,
-                       resolvent_discrete)
+from .operator import (Tridiagonal, build_generator, duhamel_oracle, inner_product,
+                       resolvent_analytic, resolvent_discrete)
 
 
 def _rel_l2(grid: SpatialGrid, approx, exact):
@@ -30,51 +29,26 @@ def _rel_l2(grid: SpatialGrid, approx, exact):
     return np.sqrt(inner_product(grid, diff, diff)) / np.sqrt(inner_product(grid, exact, exact))
 
 
-class _SplitMix64:
-    """SplitMix64 (Steele, Lea and Flood, OOPSLA 2014) as a counter stream: draw i,
-    from 1, is mix(seed + i * 0x9E3779B97F4A7C15) mod 2**64, the same bits on every
-    numpy and CPU, and no numpy.random (whose secrets and hmac map OpenSSL). Each
-    constant is an np.uint64, so no numpy promotes it; uint64 arrays wrap silently."""
-
-    def __init__(self, seed: int):
-        self.seed, self.drawn = np.uint64(seed), 0
-
-    def raw(self, size: int) -> np.ndarray:
-        """The next size draws as uint64."""
-        z = np.arange(self.drawn + 1, self.drawn + size + 1, dtype=np.uint64)
-        self.drawn += size
-        z *= np.uint64(0x9E3779B97F4A7C15)
-        z += self.seed
-        z ^= z >> np.uint64(30)
-        z *= np.uint64(0xBF58476D1CE4E5B9)
-        z ^= z >> np.uint64(27)
-        z *= np.uint64(0x94D049BB133111EB)
-        z ^= z >> np.uint64(31)
-        return z
-
-    def uniform(self, low: float, high: float, size: int) -> np.ndarray:
-        """The next size draws between low and high, each from its top 53 bits."""
-        u = (self.raw(size) >> np.uint64(11)).astype(float) * 2.0 ** -53
-        return low + (high - low) * u
+def _symmetric_part(a: Tridiagonal, q: np.ndarray) -> Tridiagonal:
+    """Q^-1/2 sym(Q a) Q^-1/2 for Q = diag(q), q > 0: a's diagonal, and couplings
+    (q_i upper_i + q_{i+1} lower_{i+1}) / (2 sqrt(q_i q_{i+1})). Its top eigenvalue is
+    the max of <a xi, xi>_q / ||xi||_q^2 over every xi, at any cell Peclet number."""
+    coupling = np.zeros(a.diag.size)
+    coupling[:-1] = ((q[:-1] * a.upper[:-1] + q[1:] * a.lower[1:])
+                     / (2.0 * np.sqrt(q[:-1] * q[1:])))
+    return Tridiagonal(np.roll(coupling, 1), a.diag, coupling)
 
 
-def dissipativity(cfg, seed: int):
-    """max <A_h xi, xi> / ||xi||^2 over random boundary-compatible xi at three gains,
-    drawn from the SplitMix64 stream of seed."""
+def dissipativity(cfg):
+    """A_h's numerical abscissa in the trapezoidal product, the max of <A_h xi, xi>_h /
+    ||xi||_h^2 over every xi (A_h's rows hold the boundary conditions), at three gains."""
     grid, params = cfg.grid(), cfg.run().params
-    rng = _SplitMix64(seed)
-    worst = -np.inf
-    for alpha in (0.0, 0.25, 0.5):
-        gen = build_generator(grid, params, alpha)
-        for _ in range(100):
-            xi = random_bc_compatible(gen, rng)
-            form = dissipativity_form(gen, xi).form
-            norm2 = inner_product(grid, xi.values, xi.values)
-            worst = max(worst, form / norm2)
-    return worst
+    return max(_symmetric_part(build_generator(grid, params, alpha).diagonals,
+                               grid.quad_weights).top_eigenvalue()
+               for alpha in (0.0, 0.25, 0.5))
 
 
-def resolvent(cfg, seed: int):
+def resolvent(cfg):
     """The finest level's error against the closed form and the observed order."""
     grid, params = cfg.grid(), cfg.run().params
     base = grid.num_nodes - 1
@@ -108,15 +82,15 @@ def _duhamel(cfg, k: float):
     return _rel_l2(config.grid, simulate(config, steady, w0).states[-1], oracle.values)
 
 
-def duhamel_nonlinear(cfg, seed: int):
+def duhamel_nonlinear(cfg):
     return _duhamel(cfg, cfg.k)
 
 
-def duhamel_linear(cfg, seed: int):
+def duhamel_linear(cfg):
     return _duhamel(cfg, 0.0)
 
 
-def equilibrium(cfg, seed: int):
+def equilibrium(cfg):
     """max|w| over every step from w = 0 to t_final, which may stop early."""
     run = closed_loop(replace(cfg, record_every=1).run(),
                       Profile(cfg.grid(), np.zeros(cfg.num_nodes)))
@@ -140,7 +114,7 @@ def equilibrium(cfg, seed: int):
     return max_w
 
 
-def envelope(cfg, seed: int):
+def envelope(cfg):
     """max ||w(t)|| / (||w(0)|| e^{-lambda_T t}) over the decay run's records."""
     run = closed_loop(cfg.run(to_horizon=True))
     config = run[0]
@@ -189,7 +163,7 @@ def row(spec, value) -> tuple:
     return name, metric, value, threshold, bool(passed)
 
 
-def run_checks(cfg, seed: int, cpu_s: dict):
+def run_checks(cfg, cpu_s: dict):
     """Run CHECKS in order; yields each check's rows as it finishes.
 
     A check that raises a toolkit error gives errored rows (with the error
@@ -202,7 +176,7 @@ def run_checks(cfg, seed: int, cpu_s: dict):
     for check, specs in CHECKS:
         started = time.process_time()
         try:
-            values = check(cfg, seed) if len(specs) > 1 else [check(cfg, seed)]
+            values = check(cfg) if len(specs) > 1 else [check(cfg)]
         except DftrError as exc:
             print(f"check {specs[0][0]} errored: {exc}", file=sys.stderr)
             values = ["error"] * len(specs)

@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 
 import dftr
-from dftr import Profile, default_weight, energy, lambda_theoretical, simulate
+from dftr import (DiscreteGenerator, Profile, default_weight, energy, lambda_theoretical,
+                  simulate)
 from dftr.analysis import settings_hash
 from dftr import analysis, operator, verify
 from dftr.cli import (_KEYS, ResolvedConfig, _column_rows, _field_rows, _fmt, load_config,
@@ -26,7 +27,6 @@ from conftest import child_env
 HASH_LINE = re.compile(r"^# manifest_hash=[0-9a-f]{16}$")
 SPECS = [spec for _, specs in CHECKS for spec in specs]  # verify.csv's rows in order
 REPO = Path(__file__).resolve().parents[1]
-EPS = np.finfo(float).eps
 
 BASE_INI = """\
 [reactor]
@@ -528,7 +528,7 @@ class TestVerifyCommand:
             assert all(seconds >= 0.0 for seconds in checks.values())
 
     def test_negative_seed_is_a_config_error(self, tmp_path, capsys):
-        # the SplitMix64 stream takes a seed of 0 to 2**64 - 1; no check may run first
+        # --seed takes 0 to 2**64 - 1, though no check reads it; no check may run first
         cfg = write_ini(tmp_path / "c.ini", BASE_INI)
         out = tmp_path / "out"
         assert main(["verify", "--config", cfg, "--out", str(out), "--seed", "-1"]) == 2
@@ -591,7 +591,7 @@ class TestVerifyCommand:
         monkeypatch.setattr(verify, "resolvent_discrete", spy)
         text = (BASE_INI.replace("peclet = 4", dispersion).replace("n = 1", "n = 2")
                 + f"[grid]\nnum_nodes = {num_nodes}\n[time]\nt_final = 10\n")
-        values = verify.resolvent(load_config(write_ini(tmp_path / "c.ini", text)), 0)
+        values = verify.resolvent(load_config(write_ini(tmp_path / "c.ini", text)))
         rows = list(map(verify.row, dict(CHECKS)[verify.resolvent], values))
         assert [row[0] for row in rows] == ["resolvent_error", "resolvent_order"]
         return rows, sorted(sizes)
@@ -616,7 +616,7 @@ class TestVerifyCommand:
         assert [row[-1] == "skipped" for row in rows] == [not sizes] * 2
 
     def test_three_nodes_pass_with_the_table_thresholds(self, tmp_path):
-        # at 3 nodes the random dissipativity vectors must still meet both closures
+        # at 3 nodes every row still reads a value or skipped, with its table threshold
         text = (BASE_INI + "[grid]\nnum_nodes = 3\n"
                 + "[time]\nt_final = 10\ndt = 0.5\nhorizon = 100\n")
         cfg = write_ini(tmp_path / "c.ini", text)
@@ -666,6 +666,33 @@ horizon = 0
         _, _, rows = read_csv(out / "verify.csv")
         by_name = {r[0]: r for r in rows}
         assert by_name["dissipativity"][-1] == "false"
+        capsys.readouterr()
+
+    @staticmethod
+    def _dissipativity_row(tmp_path, text):
+        """dftr verify's exit code and dissipativity row on a short run of text's config."""
+        cfg = write_ini(tmp_path / "c.ini", text + "[time]\nt_final = 10\nhorizon = 100\n")
+        code = main(["verify", "--config", cfg, "--out", str(tmp_path / "out")])
+        _, _, rows = read_csv(tmp_path / "out" / "verify.csv")
+        return code, {r[0]: r for r in rows}["dissipativity"]
+
+    def test_generator_past_the_gain_domain_fails(self, tmp_path, monkeypatch, capsys):
+        # A_h at alpha + 1/2, 0.5 to 1, is not dissipative in the trapezoidal product: its
+        # numerical abscissa is +0.00985 on 201 nodes
+        monkeypatch.setattr(verify, "build_generator", lambda grid, params, alpha:
+                            DiscreteGenerator(grid, params, alpha + 0.5))
+        code, row = self._dissipativity_row(tmp_path, BASE_INI + "[grid]\nnum_nodes = 201\n")
+        assert code == 6
+        assert 0.0098 < float(row[2]) < 0.0099 and row[-1] == "false"
+        capsys.readouterr()
+
+    def test_central_stencil_at_pe_1000_on_51_nodes_fails(self, tmp_path, capsys):
+        # cell Peclet number 20: even the unweighted abscissa is positive, +0.0937
+        code, row = self._dissipativity_row(
+            tmp_path, BASE_INI.replace("peclet = 4", "peclet = 1000")
+            + "[grid]\nnum_nodes = 51\n")
+        assert code == 6
+        assert 0.093 < float(row[2]) < 0.094 and row[-1] == "false"
         capsys.readouterr()
 
     def test_failed_oracle_comparison_exits_six(self, tmp_path, monkeypatch, capsys):
@@ -726,7 +753,7 @@ horizon = 0
         cfg = load_config(write_ini(tmp_path / "c.ini", text))
         tracemalloc.start()
         try:
-            rows = list(verify.run_checks(cfg, 0, {}))
+            rows = list(verify.run_checks(cfg, {}))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -749,56 +776,6 @@ horizon = 0
         assert by_name["equilibrium"][-1] is True and by_name["envelope"][-1] is True
 
 
-def _splitmix64(seed, count):
-    """The first count outputs of SplitMix64 from state seed, in Python integers."""
-    out, state, mask = [], seed, 2 ** 64 - 1
-    for _ in range(count):
-        state = (state + 0x9E3779B97F4A7C15) & mask
-        z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & mask
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
-        out.append(z ^ (z >> 31))
-    return out
-
-
-class TestSplitMix64:
-    """verify's dissipativity probes come from a SplitMix64 counter stream."""
-
-    def test_first_outputs_of_seed_zero(self):
-        assert [int(z) for z in verify._SplitMix64(0).raw(3)] == [
-            0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
-
-    @pytest.mark.parametrize("seed", [0, 1, 2 ** 64 - 1])
-    def test_draws_in_pieces_follow_python_integers(self, seed):
-        # the pieces continue one counter; seed + i * gamma wraps mod 2**64
-        stream = verify._SplitMix64(seed)
-        got = [int(z) for size in (1, 4, 3) for z in stream.raw(size)]
-        assert got == _splitmix64(seed, 8)
-
-    def test_uniform_takes_the_top_53_bits(self):
-        u = verify._SplitMix64(7).uniform(-1.0, 1.0, 1000)
-        expect = [-1.0 + 2.0 * ((z >> 11) * 2.0 ** -53) for z in _splitmix64(7, 1000)]
-        assert u.tolist() == expect
-        assert np.all((-1.0 <= u) & (u < 1.0))
-
-    @pytest.mark.parametrize("num_nodes", [3, 21, 2001])
-    def test_probes_meet_both_closures(self, tmp_path, num_nodes):
-        # each defect is within rounding of the closure's own terms
-        cfg = load_config(write_ini(tmp_path / "c.ini",
-                                    BASE_INI + f"[grid]\nnum_nodes = {num_nodes}\n"))
-        grid, params, stream = cfg.grid(), cfg.run().params, verify._SplitMix64(1)
-        r, scale = params.d_ax / (2.0 * grid.h * params.v), grid.l / (2.0 * grid.h)
-        for alpha in (0.0, 0.25, 0.5):
-            gen = operator.build_generator(grid, params, alpha)
-            for _ in range(10):
-                xi = operator.random_bc_compatible(gen, stream).values
-                inlet, outlet = operator._boundary_defects(gen, xi)
-                a = np.abs(xi)
-                assert abs(inlet) <= 4 * EPS * ((1.0 - alpha) * a[0]
-                                                 + r * (3 * a[0] + 4 * a[1] + a[2]))
-                assert abs(outlet) <= 4 * EPS * scale * (3 * a[-1] + 4 * a[-2] + a[-3])
-                operator.dissipativity_form(gen, Profile(grid, xi))  # raises on a defect
-
-
 class TestEquilibriumStop:
     """The equilibrium check stops once three records in a row are exactly zero."""
 
@@ -819,7 +796,7 @@ class TestEquilibriumStop:
 
         monkeypatch.setattr(verify, "simulate_stack", counted)
         (spec,) = dict(CHECKS)[verify.equilibrium]
-        return verify.row(spec, verify.equilibrium(cfg, 0)), seen
+        return verify.row(spec, verify.equilibrium(cfg)), seen
 
     @staticmethod
     def _full_max(cfg):
@@ -894,7 +871,7 @@ class TestEnvelopeUnderflow:
     def _envelope(cfg):
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            value = verify.envelope(cfg, 0)
+            value = verify.envelope(cfg)
         (spec,) = dict(CHECKS)[verify.envelope]
         return verify.row(spec, value)
 
@@ -1338,10 +1315,9 @@ def test_peak_rss_is_null_without_proc(tmp_path, monkeypatch):
 
 
 def test_commands_load_only_what_they_run(tmp_path):
-    # every command hashes with the interpreter's SHA-256 and verify draws its probes
-    # from its own SplitMix64 stream, so on numpy >= 2 none loads numpy.random or
-    # OpenSSL (_hashlib); only simulate loads the '.17g' writer and only verify its suite;
-    # verify's hash is hashlib's
+    # every command hashes with the interpreter's SHA-256 and verify draws no random
+    # numbers, so on numpy >= 2 none loads numpy.random or OpenSSL (_hashlib); only
+    # simulate loads the '.17g' writer and only verify its suite; verify's hash is hashlib's
     import hashlib
     cfg = write_ini(tmp_path / "c.ini", BASE_INI + "[grid]\nnum_nodes = 21\n"
                     + "[time]\nt_final = 10\ndt = 0.5\nhorizon = 100\n")
@@ -1382,7 +1358,7 @@ def test_import_loads_no_scipy_where_numpy_has_the_lapack():
     assert proc.returncode == 0, proc.stderr
     name, loaded = proc.stdout.splitlines()
     if name == "scipy.linalg.cython_lapack":
-        pytest.skip("this numpy exports no ILP64 dgttrf/dgttrs/dpttrf/dpttrs")
+        pytest.skip("this numpy exports no ILP64 dgttrf/dgttrs/dpttrf/dpttrs/dstebz")
     assert name in ("scipy_<name>_64_", "<name>_64_")
     assert loaded == "[]"
 

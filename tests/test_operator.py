@@ -18,18 +18,16 @@ from dftr import (
     SpatialGrid,
     Tridiagonal,
     build_generator,
-    dissipativity_form,
     duhamel_oracle,
     initial_profile,
     inner_product,
     FeedbackLaw,
-    random_bc_compatible,
     resolvent_analytic,
     resolvent_discrete,
     simulate,
     steady_state_numeric,
 )
-from dftr import operator
+from dftr import operator, verify
 from conftest import child_env, make_params
 
 
@@ -167,7 +165,7 @@ class TestTridiagonal:
 NUMPY_LAPACK = operator._numpy_lapack()
 needs_numpy_lapack = pytest.mark.skipif(
     NUMPY_LAPACK is None,
-    reason="this numpy exports no ILP64 dgttrf/dgttrs, so runs take scipy's cython_lapack")
+    reason="this numpy exports no ILP64 routine table, so runs take scipy's cython_lapack")
 
 
 @pytest.fixture(params=["numpy", "scipy"])
@@ -386,87 +384,124 @@ class TestSymmetricSolve:
                                                                   symmetric=True)
 
 
-class TestDissipativity:
-    def test_random_vectors_satisfy_closures_exactly(self, params, grid201):
-        rng = np.random.default_rng(11)
-        gen = build_generator(grid201, params, 0.25)
-        xi = random_bc_compatible(gen, rng).values
-        h = grid201.h
-        r = params.d_ax / (2.0 * h * params.v)
-        inlet = (1.0 - 0.25) * xi[0] - r * (-3 * xi[0] + 4 * xi[1] - xi[2])
-        outlet = 3 * xi[-1] - 4 * xi[-2] + xi[-3]
-        assert abs(inlet) <= 1e-13
-        assert abs(outlet) <= 1e-13
+def _abscissa_matrix(gen):
+    """T = Q^-1/2 sym(Q A_h) Q^-1/2 with Q the trapezoidal weights, as verify builds it."""
+    return verify._symmetric_part(gen.diagonals, gen.grid.quad_weights)
 
-    @pytest.mark.parametrize("alpha", [0.0, 0.25, 0.5])
-    def test_three_node_vectors_satisfy_both_closures(self, params, alpha):
-        # at 3 nodes the outlet value enters the inlet closure
-        g = SpatialGrid(l=1.0, num_nodes=3)
-        gen = build_generator(g, params, alpha)
-        rng = np.random.default_rng(5)
-        for _ in range(20):
-            xi = random_bc_compatible(gen, rng).values
-            inlet, outlet = operator._boundary_defects(gen, xi)
-            assert abs(inlet) <= 1e-14 * np.max(np.abs(xi))
-            assert abs(outlet) <= 1e-14 * np.max(np.abs(xi))
-            dissipativity_form(gen, Profile(g, xi))  # raises on a defect
+
+def _form_and_lemma_rhs(gen, xi):
+    """<A_h xi, xi>_h, and the lemma's -v (1/2 - alpha) xi(0)^2 - d_ax int (xi')^2
+    - (v/2) xi(l)^2 with second-order difference quotients for xi'."""
+    grid, p, vals = gen.grid, gen.params, xi.values
+    deriv = np.gradient(vals, grid.h, edge_order=2)
+    rhs = (-p.v * (0.5 - gen.alpha) * vals[0] ** 2 - p.d_ax * inner_product(grid, deriv, deriv)
+           - 0.5 * p.v * vals[-1] ** 2)
+    return inner_product(grid, gen.diagonals.apply(vals), vals), rhs
+
+
+# the reference point on 3, 201 and 2001 nodes, and v = 10, d_ax = 0.001 on 5 nodes,
+# a cell Peclet number of 50
+ABSCISSA_CASES = {"3": (3, {}), "5-pe50": (5, {"d_ax": 0.001, "v": 10.0, "sat_m": 1.0}),
+                  "201": (201, {}), "2001": (2001, {})}
+
+
+class TestDissipativity:
+    """A_h's numerical abscissa omega_0, the top eigenvalue of its symmetric part in the
+    trapezoidal product: the max of <A_h xi, xi>_h / ||xi||_h^2 over every xi."""
 
     @pytest.mark.parametrize("alpha", [0.0, 0.25, 0.5])
     def test_form_negative_on_admissible_vectors(self, params, grid201, alpha):
+        # every xi is admissible, the boundary conditions being in A_h's rows; random
+        # vectors and the smooth startup profile never read above omega_0, itself <= 0
         gen = build_generator(grid201, params, alpha)
+        t = _abscissa_matrix(gen)
+        omega = t.top_eigenvalue()
+        assert omega <= 1e-8
         rng = np.random.default_rng(42)
-        for _ in range(25):
-            xi = random_bc_compatible(gen, rng)
-            out = dissipativity_form(gen, xi)
-            norm2 = inner_product(grid201, xi.values, xi.values)
-            assert out.form <= 1e-8 * norm2
+        vectors = [*rng.uniform(-1.0, 1.0, (25, 201)),
+                   *np.cos(np.outer(rng.uniform(0.0, 3.0, 25), grid201.nodes)),
+                   _quadratic_profile(grid201, params, alpha).values]
+        slack = 8 * np.finfo(float).eps * np.max(np.abs(t.dense()))
+        for xi in vectors:
+            form, _ = _form_and_lemma_rhs(gen, Profile(grid201, xi))
+            assert form / inner_product(grid201, xi, xi) <= omega + slack
 
     def test_form_tracks_lemma_bound_to_second_order(self, params):
         diffs = []
         for m in (51, 101, 201):
             g = SpatialGrid(l=1.0, num_nodes=m)
             gen = build_generator(g, params, 0.0)
-            out = dissipativity_form(gen, _quadratic_profile(g, params, 0.0))
-            diffs.append(abs(out.form - out.lemma_rhs))
+            form, rhs = _form_and_lemma_rhs(gen, _quadratic_profile(g, params, 0.0))
+            diffs.append(abs(form - rhs))
         assert diffs[0] / diffs[1] == pytest.approx(4.0, rel=0.15)
         assert diffs[1] / diffs[2] == pytest.approx(4.0, rel=0.15)
 
-    def test_half_gain_drops_inlet_penalty(self, params, grid201):
-        # at alpha = 1/2 the lemma bound loses its inlet term entirely
-        gen = build_generator(grid201, params, 0.5)
-        xi = _quadratic_profile(grid201, params, 0.5)
-        out = dissipativity_form(gen, xi)
-        vals = xi.values
-        h = grid201.h
-        deriv = np.empty_like(vals)
-        deriv[1:-1] = (vals[2:] - vals[:-2]) / (2.0 * h)
-        deriv[0] = (-3 * vals[0] + 4 * vals[1] - vals[2]) / (2.0 * h)
-        deriv[-1] = (3 * vals[-1] - 4 * vals[-2] + vals[-3]) / (2.0 * h)
-        manual = (-params.d_ax * inner_product(grid201, deriv, deriv)
-                  - 0.5 * params.v * vals[-1] ** 2)
-        assert out.lemma_rhs == manual
-
-    def test_incompatible_vector_rejected(self, params, grid201):
-        gen = build_generator(grid201, params, 0.0)
-        with pytest.raises(ContractError):
-            dissipativity_form(gen, Profile(grid201, np.ones(201)))
-
-    def test_profile_on_another_grid_rejected(self, params, grid201):
-        gen = build_generator(grid201, params, 0.0)
-        g = SpatialGrid(l=1.0, num_nodes=101)
-        with pytest.raises(ContractError, match="grid"):
-            dissipativity_form(gen, Profile(g, np.zeros(101)))
+    def test_half_gain_drops_inlet_penalty(self, params):
+        # at alpha = 1/2 the form tracks the lemma bound without its inlet term, at
+        # second order, though the profile's inlet value is not zero
+        diffs = []
+        for m in (51, 101, 201):
+            g = SpatialGrid(l=1.0, num_nodes=m)
+            gen = build_generator(g, params, 0.5)
+            xi = _quadratic_profile(g, params, 0.5)
+            assert xi.values[0] > 0.1
+            form, rhs = _form_and_lemma_rhs(gen, xi)
+            diffs.append(abs(form - rhs))
+        assert diffs[0] / diffs[1] == pytest.approx(4.0, rel=0.15)
+        assert diffs[1] / diffs[2] == pytest.approx(4.0, rel=0.15)
 
     def test_coarse_upwind_violation_is_reported(self):
         # convection-dominated on five nodes: h far above 8*d_ax/v, the
-        # central scheme loses the sign and the form goes positive
+        # central scheme loses the sign and the abscissa goes positive
         p = make_params(d_ax=0.001, v=10.0, sat_m=1.0)
-        g = SpatialGrid(l=1.0, num_nodes=5)
-        gen = build_generator(g, p, 0.0)
-        rng = np.random.default_rng(0)
-        forms = [dissipativity_form(gen, random_bc_compatible(gen, rng)).form
-                 for _ in range(50)]
-        assert max(forms) > 0.0
+        gen = build_generator(SpatialGrid(l=1.0, num_nodes=5), p, 0.0)
+        assert _abscissa_matrix(gen).top_eigenvalue() > 0.0
+
+
+class TestTopEigenvalue:
+    """Tridiagonal.top_eigenvalue, LAPACK's dstebz, on the abscissa matrix T."""
+
+    @pytest.mark.parametrize("case", ABSCISSA_CASES)
+    def test_matches_dense_eigvalsh(self, case):
+        # T against Q^-1/2 (Q A_h + A_h^T Q) / 2 Q^-1/2, built densely
+        m, kwargs = ABSCISSA_CASES[case]
+        g = SpatialGrid(l=1.0, num_nodes=m)
+        for alpha in (0.5,) if m > 201 else (0.0, 0.25, 0.5):
+            gen = build_generator(g, make_params(**kwargs), alpha)
+            a, root = gen.diagonals.dense(), np.sqrt(g.quad_weights)
+            qa = g.quad_weights[:, None] * a
+            dense = 0.5 * (qa + qa.T) / np.outer(root, root)
+            t = _abscissa_matrix(gen)
+            scale = np.max(np.abs(dense))
+            assert np.max(np.abs(t.dense() - dense)) <= 4 * np.finfo(float).eps * scale
+            eigenvalues = np.linalg.eigvalsh(dense)
+            norm = np.max(np.abs(eigenvalues))
+            assert abs(t.top_eigenvalue() - eigenvalues[-1]) <= 1e-12 * norm
+
+    @needs_numpy_lapack
+    @pytest.mark.parametrize("case", ABSCISSA_CASES)
+    def test_both_lapacks_agree(self, case, monkeypatch):
+        m, kwargs = ABSCISSA_CASES[case]
+        t = _abscissa_matrix(build_generator(SpatialGrid(l=1.0, num_nodes=m),
+                                             make_params(**kwargs), 0.5))
+        tops = []
+        for lapack in (NUMPY_LAPACK, operator._scipy_lapack()):
+            monkeypatch.setattr(operator, "_LAPACK", lapack)
+            tops.append(t.top_eigenvalue())
+        norm = np.max(np.abs(t.diag)) + 2.0 * np.max(np.abs(t.upper))  # >= ||T||_2
+        assert abs(tops[0] - tops[1]) <= 4 * np.finfo(float).eps * norm
+
+    def test_nonsymmetric_input_is_a_contract_error(self, lapack_path):
+        # A_h itself, and diagonals of unequal length, which LAPACK would read past
+        with pytest.raises(ContractError, match="lower"):
+            _generator(4.0, 31).diagonals.top_eigenvalue()
+        with pytest.raises(ContractError, match="one length"):
+            Tridiagonal(np.zeros(5), np.ones(6), np.zeros(5)).top_eigenvalue()
+
+    def test_failure_is_a_solver_error(self, lapack_path):
+        # dstebz returns INFO 4 on a NaN: no Gershgorin interval to bisect
+        with pytest.raises(SolverError, match="INFO"):
+            Tridiagonal(np.zeros(3), np.array([1.0, np.nan, 2.0]), np.zeros(3)).top_eigenvalue()
 
 
 class TestResolventAnalytic:
