@@ -18,7 +18,7 @@ import numpy as np
 
 from . import integrator
 from .errors import ContractError, DftrError, EstimationError, ParameterError
-from .model import Profile, ReactorParams, SpatialGrid, lambda_theoretical
+from .model import Profile, ReactorParams, SpatialGrid
 
 # The interpreter's own SHA-256 (_sha2 from CPython 3.12, _sha256 before), as
 # CPython's random.py takes it: hashlib maps OpenSSL's libcrypto, 3.6 MiB
@@ -47,20 +47,13 @@ class WeightFunction:
         return self.profile.grid.quad_weights * self.profile.values
 
 
-def weight_profile(grid: SpatialGrid, gamma: float) -> WeightFunction:
-    """rho(x_i) = e^{-gamma x_i} exactly at the nodes.
-
-    gamma = 0 is accepted as the constant-weight limit (plain L^2 energy);
-    callers enforcing the decay theorem pass 0 < gamma < v/d_ax.
-    """
-    if not (np.isfinite(gamma) and gamma >= 0):
-        raise ParameterError(f"gamma must be >= 0, got {gamma}")
-    return WeightFunction(gamma=gamma, profile=Profile(grid, np.exp(-gamma * grid.nodes)))
-
-
 def default_weight(grid: SpatialGrid, params: ReactorParams) -> WeightFunction:
-    """Weight at the rate-optimal decay gamma = v/(2 d_ax)."""
-    return weight_profile(grid, params.v / (2.0 * params.d_ax))
+    """rho(x_i) = e^{-gamma x_i} exactly at the nodes, at the rate-optimal decay
+    gamma = v/(2 d_ax); ParameterError if that gamma overflows."""
+    gamma = params.v / (2.0 * params.d_ax)
+    if not np.isfinite(gamma):
+        raise ParameterError(f"v/(2 d_ax) is not finite (d_ax = {params.d_ax}, v = {params.v})")
+    return WeightFunction(gamma=gamma, profile=Profile(grid, np.exp(-gamma * grid.nodes)))
 
 
 def energy(w, weight: WeightFunction):
@@ -76,10 +69,6 @@ def energy(w, weight: WeightFunction):
     return 0.5 * np.add.reduce(weight.quad_rho * w ** 2, axis=-1)
 
 
-def norm_rho(w: Profile, weight: WeightFunction) -> float:
-    return math.sqrt(2.0 * energy(w, weight))
-
-
 @dataclass(frozen=True)
 class DecayEstimate:
     """Fitted decay rate with diagnostics.
@@ -89,7 +78,6 @@ class DecayEstimate:
     """
 
     lambda_n: float | None
-    lambda_t: float
     fit_window: tuple
     fit_r2: float
     floor_hit: bool
@@ -101,8 +89,7 @@ def estimate_decay_rate(traj, weight: WeightFunction,
     """Least-squares decay rate of log ||w(t)||_rho over the trailing window,
     the norms taken in weight; the fit is fit_decay_rate."""
     norms = np.sqrt(2.0 * energy(traj.states, weight))
-    return fit_decay_rate(traj.times, norms, lambda_theoretical(traj.params),
-                          window_fraction, floor)
+    return fit_decay_rate(traj.times, norms, window_fraction=window_fraction, floor=floor)
 
 
 def check_window_fraction(window_fraction: float) -> None:
@@ -123,8 +110,7 @@ def _fit_floor(norm0, floor: float | None):
     return DEFAULT_FLOOR_FACTOR * norm0 if floor is None else floor
 
 
-def fit_decay_rate(times, norms, lambda_t: float,
-                   window_fraction: float = DEFAULT_WINDOW_FRACTION,
+def fit_decay_rate(times, norms, *, window_fraction: float = DEFAULT_WINDOW_FRACTION,
                    floor: float | None = None) -> DecayEstimate:
     """Least-squares decay rate of log(norms) against times over the trailing
     window. The usable records are the leading run before the first record
@@ -143,8 +129,7 @@ def fit_decay_rate(times, norms, lambda_t: float,
         raise EstimationError("a norm up to the floor is not finite", usable_records=usable)
     if usable == 0:
         # identically-zero (or floor-level) run: no rate to report
-        return DecayEstimate(lambda_n=None, lambda_t=lambda_t, fit_window=(0.0, 0.0),
-                             fit_r2=0.0, floor_hit=True)
+        return DecayEstimate(lambda_n=None, fit_window=(0.0, 0.0), fit_r2=0.0, floor_hit=True)
 
     floor_hit = usable < norms.size
     if usable < 10:
@@ -162,8 +147,7 @@ def fit_decay_rate(times, norms, lambda_t: float,
     ss_res = float(np.sum((y - fitted) ** 2))
     ss_tot = float(np.sum((y - y_mean) ** 2))
     r2 = 1.0 if ss_tot == 0.0 else max(0.0, min(1.0, 1.0 - ss_res / ss_tot))
-    return DecayEstimate(lambda_n=float(-slope), lambda_t=lambda_t,
-                         fit_window=(float(t[0]), float(t[-1])),
+    return DecayEstimate(lambda_n=float(-slope), fit_window=(float(t[0]), float(t[-1])),
                          fit_r2=r2, floor_hit=floor_hit)
 
 
@@ -187,22 +171,11 @@ class SweepResult:
     cells: dict
     phases: dict = field(default_factory=dict, compare=False)
 
-    def cell(self, n: float, alpha: float) -> SweepCell:
-        return self.cells[(n, alpha)]
-
 
 def settings_hash(settings: dict) -> str:
     """Provenance hash: sha256 of the sorted-key JSON, cut to 16 hex digits."""
     canon = json.dumps(settings, sort_keys=True)
     return _sha256(canon.encode()).hexdigest()[:16]
-
-
-def _closed_loop(config, provenance: dict):
-    """The cell's integrator.closed_loop; the Newton effort goes into the cell's
-    provenance."""
-    config, steady, w0 = integrator.closed_loop(config)
-    provenance["newton_iterations"] = steady.iterations
-    return config, steady, w0
 
 
 def _isolated(work):
@@ -222,7 +195,8 @@ def sweep(configs, weight: WeightFunction,
     """Decay-rate table with one cell per run config, keyed by its (n, alpha).
 
     The configs share grid, dt, t_final and record_every, as simulate_stack's
-    runs do; every cell's norms are taken in weight.
+    runs do; every cell's norms are taken in weight. A stack of cells that
+    differ in d_ax or v is refused, so each cell then steps alone.
 
     Each cell solves its own steady state and builds the alpha-dependent
     initial profile. The cells that get this far step together as one
@@ -254,10 +228,11 @@ def sweep(configs, weight: WeightFunction,
                     "window_fraction": window_fraction,
                     "floor": "default" if floor is None else floor}
         provenance = {"hash": settings_hash(settings), **settings}
-        run, err = _isolated(lambda: _closed_loop(config, provenance))
+        run, err = _isolated(lambda: integrator.closed_loop(config))
         if run is None:
             cells[key] = SweepCell(*key, None, err, provenance)
         else:
+            provenance["newton_iterations"] = run[1].iterations
             ready[key] = (run, provenance)
     phases = {"steady": time.process_time() - started, "stack": 0.0, "fit": 0.0}
 
@@ -284,7 +259,7 @@ def sweep(configs, weight: WeightFunction,
                 stack([key])
             return
         for q, key in enumerate(keys):
-            run, provenance = ready[key]
+            provenance = ready[key][1]
             if trajs is None:
                 est = None  # and err is the stack's
             else:
@@ -292,8 +267,7 @@ def sweep(configs, weight: WeightFunction,
                 provenance["negativity_events"] = trajs[q].negativity_events
                 times, started = trajs[q].times, time.process_time()
                 est, err = _isolated(lambda: fit_decay_rate(
-                    times, norms[q, :times.size], lambda_theoretical(run[0].params),
-                    window_fraction, floor))
+                    times, norms[q, :times.size], window_fraction=window_fraction, floor=floor))
                 phases["fit"] += time.process_time() - started
             cells[key] = SweepCell(*key, est, err, provenance)
 

@@ -11,8 +11,8 @@ explicitly at the half step, so one tridiagonal solve advances the state.
 Below cell Peclet number 2, A_h is self-adjoint in the e^{-vx/d_ax}-weighted
 product: a diagonal D makes D^-1 (I - dt/2 A_h) D symmetric positive definite,
 and that solve is LAPACK's LDL^T (dpttrs); otherwise it is LU (dgttrs).
-Several runs on one grid step together as one block-diagonal system
-(simulate_stack); simulate is a stack of one.
+Several runs on one grid and one stencil (d_ax, v) step together as one
+block-diagonal system (simulate_stack); simulate is a stack of one.
 """
 
 from __future__ import annotations
@@ -162,18 +162,20 @@ def simulate(config: SimulationConfig, steady: SteadyStateSolution,
 def simulate_stack(runs, record) -> list:
     """Integrate several closed-loop runs at once as one block-diagonal system.
 
-    runs are simulate's (config, steady, w0) on a shared grid, dt, t_final
-    and record_every; their Crank-Nicolson matrices S = I - h/2 A_h sit, in
-    run order, on the diagonal of a tridiagonal with zero couplings. A step
-    of length h is taken in delta form, w' = 2 D S_D^-1 (D^-1 (w + h/2 r*)) - w
-    with S_D = D^-1 S D: D is the run's symmetrizer of A_h (from its own
-    couplings, so it is the same stacked as solo) and S_D is LDL^T-factored
-    (dpttrf) once per part; a run whose A_h has none (Tridiagonal.symmetrizer)
-    takes D = 1 and an LU factor (dgttrf). Neither factor crosses a zero
-    coupling, so each run gets its solo bits. The reaction enters as
-    h/2 r* = 0.75 h r(w_k) - 0.25 h r(w_{k-1}), or as h/2 r(w_k) at a run's
-    first substep and its first after m changes, and is read from the
-    previous substep's clean check, C = w + C_bar (Sat_M moved onto C).
+    runs are simulate's (config, steady, w0) on a shared grid, dt, t_final,
+    record_every, d_ax and v, so A_h's couplings are the same in every run
+    (the gain enters only the inlet row's diagonal); their Crank-Nicolson
+    matrices S = I - h/2 A_h sit, in run order, on the diagonal of a
+    tridiagonal with zero couplings. A step of length h is taken in delta
+    form, w' = 2 D S_D^-1 (D^-1 (w + h/2 r*)) - w with S_D = D^-1 S D: D is
+    the symmetrizer of the shared couplings, tiled over the runs, and S_D is
+    LDL^T-factored (dpttrf) once per part; couplings with none
+    (Tridiagonal.symmetrizer) take D = 1 and an LU factor (dgttrf). Neither
+    factor crosses a zero coupling, so each run gets its solo bits. The
+    reaction enters as h/2 r* = 0.75 h r(w_k) - 0.25 h r(w_{k-1}), or as
+    h/2 r(w_k) at a run's first substep and its first after m changes, and
+    is read from the previous substep's clean check, C = w + C_bar (Sat_M
+    moved onto C).
 
     Before each outer step the guard gives each run a substep count m from
     its max|w|: each run's _ratio is computed in place, and only if some
@@ -200,17 +202,19 @@ def simulate_stack(runs, record) -> list:
     for config, steady, w0 in runs:
         if w0.grid != config.grid or steady.profile.grid != config.grid:
             raise ContractError("w0 and steady grids must match the configuration")
-        if (config.grid, config.dt, config.params.t_final, config.record_every) != (
-                grid, dt, t_final, every):
-            raise ContractError("stacked runs must share grid, dt, t_final and record_every")
+        if (config.grid, config.dt, config.params.t_final, config.record_every,
+                config.params.d_ax, config.params.v) != (
+                grid, dt, t_final, every, config0.params.d_ax, config0.params.v):
+            raise ContractError(
+                "stacked runs must share grid, dt, t_final, record_every, d_ax and v")
 
     params = [config.params for config, _, _ in runs]
     orders = [p.power_order for p in params]
     c_bars = [steady.profile.values for _, steady, _ in runs]
     gens = [build_generator(grid, cf.params, cf.law.alpha).diagonals for cf, _, _ in runs]
-    scales = [g.symmetrizer() for g in gens]  # each run's D, or None: D = 1 and LU
-    syms = [g if d is None else g.symmetrized() for g, d in zip(gens, scales)]
-    d_node = np.concatenate([np.ones(nodes) if d is None else d for d in scales])
+    scale = gens[0].symmetrizer()  # every run's D, or None: D = 1 and LU
+    syms = gens if scale is None else [g.symmetrized() for g in gens]
+    d_node = np.tile(np.ones(nodes) if scale is None else scale, len(runs))
     d_inv, d_twice = 1.0 / d_node, 2.0 * d_node
     k_run, n_run = np.array([p.k for p in params]), np.array(orders)
     c0, cap = np.array([_reach(p, c) for p, c in zip(params, c_bars)]).T
@@ -236,32 +240,27 @@ def simulate_stack(runs, record) -> list:
             return ones, True
         return _substeps(dt, k_run, n_run, c, i), False  # some m >= 2
 
-    def stretches(q0, q1, key):
-        """(s, e) of each longest stretch of runs q0..q1-1 with one key(q)."""
-        cuts = [q for q in range(q0, q1 + 1) if q in (q0, q1) or key(q) != key(q - 1)]
-        return list(zip(cuts, cuts[1:]))
-
     def part(q0, q1, m):
-        """Runs q0..q1-1 at dt / m: views, powers, step factors, solves bound to b."""
+        """Runs q0..q1-1 at dt / m: views, powers, step factors, the solve bound to b."""
         if (q0, q1, m) not in parts:
             a, b, h = q0 * nodes, q1 * nodes, dt / m
-            solves = [Tridiagonal.block_diagonal(  # I - h/2 A_h, or D^-1 (I - h/2 A_h) D
-                [g.shifted(1.0, -0.5 * h) for g in syms[s:e]]).factor(
-                into=rhs[s * nodes:e * nodes], symmetric=scales[s] is not None)
-                for s, e in stretches(q0, q1, lambda q: scales[q] is None)]
+            # each longest stretch of runs of one order is raised to it as one segment
+            cuts = [q for q in range(q0, q1 + 1) if q in (q0, q1) or orders[q] != orders[q - 1]]
+            solve = Tridiagonal.block_diagonal(  # I - h/2 A_h, or D^-1 (I - h/2 A_h) D
+                [g.shifted(1.0, -0.5 * h) for g in syms[q0:q1]]).factor(
+                into=rhs[a:b], symmetric=scale is not None)
             parts[q0, q1, m] = (
                 slice(q0, q1), w[a:b], c_bar[a:b], k_node[a:b], base[a:b], lo[a:b], hi[a:b],
-                (0.5 * h, 0.75 * h, 0.25 * h), d_inv[a:b], d_twice[a:b], solves,
-                [(rate[s * nodes:e * nodes], orders[s])
-                 for s, e in stretches(q0, q1, orders.__getitem__)],
+                (0.5 * h, 0.75 * h, 0.25 * h), d_inv[a:b], d_twice[a:b], solve,
+                [(rate[s * nodes:e * nodes], orders[s]) for s, e in zip(cuts, cuts[1:])],
                 rate[a:b], quarter[a:b], rhs[a:b], below[a:b])
         return parts[q0, q1, m]
 
     def advance(part, restart):
         """One substep of part's runs, every operation in place."""
-        (rows, w_a, cb, k, bs, lo_a, hi_a, (h2, h34, h14), di, d2, solves, powers,
+        (rows, w_a, cb, k, bs, lo_a, hi_a, (h2, h34, h14), di, d2, solve, powers,
          r, quarter_a, b, neg) = part
-        _reaction_into(r, r, lo_a, hi_a, bs, k, powers)  # r held C = w + C_bar
+        _reaction_into(r, lo_a, hi_a, bs, k, powers)  # r held C = w + C_bar
         if restart:  # h/2 r* = h/2 r(w_k)
             np.multiply(r, h2, out=b)
         else:  # h/2 r* = 0.75 h r(w_k) - 0.25 h r(w_{k-1})
@@ -271,8 +270,7 @@ def simulate_stack(runs, record) -> list:
         # w = 2 D S_D^-1 (D^-1 (w + h/2 r*)) - w
         b += w_a
         b *= di
-        for solve in solves:
-            solve()
+        solve()
         b *= d2
         np.subtract(b, w_a, out=w_a)
         np.add(w_a, cb, out=r)

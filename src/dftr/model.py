@@ -59,10 +59,6 @@ class ReactorParams:
                  f"sat_m must be > 0 and finite, got {self.sat_m}")
 
     @property
-    def peclet(self) -> float:
-        return self.v * self.l / self.d_ax
-
-    @property
     def power_order(self) -> float:
         """n, or 1 when k = 0: a disabled reaction is then 0 even where C**n overflows."""
         return self.n if self.k else 1.0
@@ -135,9 +131,6 @@ class Profile:
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
 
-    def with_values(self, values) -> "Profile":
-        return Profile(self.grid, values)
-
 
 def d_ax_from_peclet(v: float, l: float, pe: float) -> float:
     """Dispersion coefficient from the Peclet number Pe = v*l/d_ax."""
@@ -162,21 +155,21 @@ def clamped_power(c, n: float):
     return np.maximum(c, 0.0) ** n
 
 
-def _reaction_into(c, out, lo, hi, base, k, powers):
-    """out = k*(base - min(max(c, lo), hi)**n), the reaction in place, from c = w + c_bar.
+def _reaction_into(c, lo, hi, base, k, powers):
+    """c = k*(base - min(max(c, lo), hi)**n), the reaction in place, from c = w + c_bar.
 
     base is clamped_power(c_bar, n), lo = max(c_bar - sat_m, 0) and hi = max(c_bar + sat_m, 0);
-    lo, hi and k may be scalars or per-node arrays, and out may be c. Rounding is monotone,
-    so these are the bits of k*(base - max(min(max(w, -sat_m), sat_m) + c_bar, 0)**n), NaN
-    included. powers pairs each segment of out with its order n as a scalar, as numpy's
-    x ** 2 and x ** 0.5 fast paths differ from an array exponent."""
-    np.maximum(c, lo, out=out)
-    np.minimum(out, hi, out=out)
+    lo, hi and k may be scalars or per-node arrays. Rounding is monotone, so these are the
+    bits of k*(base - max(min(max(w, -sat_m), sat_m) + c_bar, 0)**n), NaN included. powers
+    pairs each segment of c with its order n as a scalar, as numpy's x ** 2 and x ** 0.5
+    fast paths differ from an array exponent."""
+    np.maximum(c, lo, out=c)
+    np.minimum(c, hi, out=c)
     for seg, n in powers:
         seg **= n
-    np.subtract(base, out, out=out)
-    out *= k
-    return out
+    np.subtract(base, c, out=c)
+    c *= k
+    return c
 
 
 def reaction_rate(w, c_bar, params: ReactorParams):
@@ -184,7 +177,12 @@ def reaction_rate(w, c_bar, params: ReactorParams):
     m, n = params.sat_m, params.power_order
     out = np.add(w, c_bar, out=np.empty(np.broadcast_shapes(np.shape(w), np.shape(c_bar))))
     lo, hi = (np.maximum(np.add(c_bar, s), 0.0) for s in (-m, m))
-    return _reaction_into(out, out, lo, hi, clamped_power(c_bar, n), params.k, [(out, n)])
+    return _reaction_into(out, lo, hi, clamped_power(c_bar, n), params.k, [(out, n)])
+
+
+def _startup_peak(d_ax: float, v: float, l: float, alpha: float) -> float:
+    """w(l, 0), the maximum of initial_profile at gain alpha."""
+    return l * (l * v * (1.0 - alpha) + 2.0 * d_ax) / (2.0 * v * (1.0 - alpha))
 
 
 def initial_profile(grid: SpatialGrid, params: ReactorParams, law: FeedbackLaw) -> Profile:
@@ -196,10 +194,8 @@ def initial_profile(grid: SpatialGrid, params: ReactorParams, law: FeedbackLaw) 
     """
     if not law.alpha < 1.0:
         raise ParameterError(f"initial profile requires alpha < 1, got {law.alpha}")
-    x = grid.nodes
-    l, v, d = params.l, params.v, params.d_ax
-    offset = l * (l * v * (1.0 - law.alpha) + 2.0 * d) / (2.0 * v * (1.0 - law.alpha))
-    return Profile(grid, -0.5 * (x - l) ** 2 + offset)
+    offset = _startup_peak(params.d_ax, params.v, params.l, law.alpha)
+    return Profile(grid, -0.5 * (grid.nodes - params.l) ** 2 + offset)
 
 
 def default_saturation_bound(d_ax: float, v: float, l: float, alpha: float) -> float:
@@ -210,8 +206,7 @@ def default_saturation_bound(d_ax: float, v: float, l: float, alpha: float) -> f
     the reaction term stays globally Lipschitz.
     """
     _require(np.isfinite(alpha) and alpha < 1.0, f"alpha must be < 1, got {alpha}")
-    w_outlet = l * (l * v * (1.0 - alpha) + 2.0 * d_ax) / (2.0 * v * (1.0 - alpha))
-    return 10.0 * w_outlet
+    return 10.0 * _startup_peak(d_ax, v, l, alpha)
 
 
 def lambda_theoretical(params: ReactorParams) -> float:

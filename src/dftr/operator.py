@@ -437,14 +437,14 @@ PICARD_TOL = 1e-10
 PICARD_MAX_ITER = 200
 
 
-def duhamel_oracle(gen: DiscreteGenerator, w0: Profile, steady, params: ReactorParams,
-                   t_final: float, num_steps: int) -> Profile:
+def duhamel_oracle(gen: DiscreteGenerator, w0: Profile, steady, t_final: float,
+                   num_steps: int) -> Profile:
     """Mild-solution fixed point via dense matrix exponentials.
 
-    Evaluates xi(t) = e^{t A_h} w0 + int_0^t e^{(t-s) A_h} r(xi(s)) ds by
-    Picard iteration with trapezoidal quadrature in s. Deliberately
-    independent of the time stepper: no IMEX splitting, no extrapolation,
-    so it serves as a cross-check oracle at small grid sizes.
+    Evaluates xi(t) = e^{t A_h} w0 + int_0^t e^{(t-s) A_h} r(xi(s)) ds, with
+    gen.params's reaction, by Picard iteration with trapezoidal quadrature in s.
+    Deliberately independent of the time stepper: no IMEX splitting, no
+    extrapolation, so it serves as a cross-check oracle at small grid sizes.
     """
     if gen.grid.num_nodes > DUHAMEL_MAX_NODES:
         raise ContractError(
@@ -466,7 +466,7 @@ def duhamel_oracle(gen: DiscreteGenerator, w0: Profile, steady, params: ReactorP
         states[j + 1] = e_dt @ states[j]
 
     for _ in range(PICARD_MAX_ITER):
-        rates = reaction_rate(states, steady.profile.values, params)
+        rates = reaction_rate(states, steady.profile.values, gen.params)
         new = np.empty_like(states)
         new[0] = w0.values
         for j in range(num_steps):

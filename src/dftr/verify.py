@@ -78,7 +78,7 @@ def _duhamel(cfg, k: float):
         cfg, k=k, t_final=50.0, dt=None,
         num_nodes=cfg.num_nodes if cfg.num_nodes <= 101 else 51).run())
     gen = build_generator(config.grid, config.params, cfg.alpha)
-    oracle = duhamel_oracle(gen, w0, steady, config.params, t_final=50.0, num_steps=500)
+    oracle = duhamel_oracle(gen, w0, steady, t_final=50.0, num_steps=500)
     return _rel_l2(config.grid, simulate(config, steady, w0).states[-1], oracle.values)
 
 

@@ -194,7 +194,7 @@ def test_time_stepper_agrees_with_mild_solution_oracle():
         steady = steady_state_numeric(p, 1.0, g)
         w0 = initial_profile(g, p, law)
         gen = build_generator(g, p, law.alpha)
-        oracle = duhamel_oracle(gen, w0, steady, p, t_final=50.0, num_steps=500)
+        oracle = duhamel_oracle(gen, w0, steady, t_final=50.0, num_steps=500)
         traj = simulate(SimulationConfig(params=p, law=law, grid=g, dt=0.1),
                         steady, w0)
         diff = traj.states[-1] - oracle.values

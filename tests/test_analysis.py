@@ -25,11 +25,9 @@ from dftr import (
     estimate_decay_rate,
     fit_decay_rate,
     initial_profile,
-    norm_rho,
     simulate,
     steady_state_numeric,
     sweep,
-    weight_profile,
 )
 from dftr import analysis
 from conftest import make_params
@@ -46,23 +44,21 @@ def synthetic_trajectory(rate, grid, params, t_final=7000.0, dt_rec=10.0,
 
 
 class TestWeightProfile:
-    def test_anchor_value(self, grid201):
-        w = weight_profile(grid201, 2.0)
+    # default_weight at the reference point: gamma = 0.01 / (2 * 0.0025) = 2
+    def test_anchor_value(self, params, grid201):
+        w = default_weight(grid201, params)
+        assert w.gamma == 2.0
         assert w.profile.values[0] == 1.0
 
-    def test_reference_decay_at_outlet(self, grid201):
+    def test_reference_decay_at_outlet(self, params, grid201):
         # e^{-2} at x = l = 1 with gamma = 2
-        w = weight_profile(grid201, 2.0)
+        w = default_weight(grid201, params)
         assert w.profile.values[-1] == pytest.approx(0.1353352832366127, rel=1e-15)
 
-    def test_zero_gamma_is_flat(self, grid201):
-        w = weight_profile(grid201, 0.0)
-        assert np.array_equal(w.profile.values, np.ones(201))
-
     def test_rejects_bad_arguments(self, grid201):
-        for bad in (-1.0, np.inf, np.nan):
-            with pytest.raises(ParameterError):
-                weight_profile(grid201, bad)
+        # v / (2 d_ax) overflows to inf at d_ax = 1e-320
+        with pytest.raises(ParameterError, match=r"v/\(2 d_ax\) is not finite \(d_ax = 1e-320"):
+            default_weight(grid201, make_params(d_ax=1e-320))
 
     def test_default_weight_uses_half_peclet_rate(self, params, grid201):
         w = default_weight(grid201, params)
@@ -72,7 +68,7 @@ class TestWeightProfile:
     def test_satisfies_decay_ode(self, params):
         # rho' = -gamma*rho, checked with central quotients to O(h^2)
         g = SpatialGrid(l=1.0, num_nodes=401)
-        w = weight_profile(g, 2.0)
+        w = default_weight(g, params)
         rho = w.profile.values
         lhs = (rho[2:] - rho[:-2]) / (2.0 * g.h)
         rhs = -2.0 * rho[1:-1]
@@ -85,15 +81,9 @@ class TestEnergy:
         assert energy(Profile(grid201, np.zeros(201)), w) == 0.0
 
     def test_flat_weight_constant_state(self, grid201):
-        w = weight_profile(grid201, 0.0)
+        w = WeightFunction(gamma=0.0, profile=Profile(grid201, np.ones(201)))
         e = energy(Profile(grid201, np.ones(201)), w)
         assert e == pytest.approx(0.5, rel=1e-14)
-
-    def test_norm_is_root_of_twice_energy(self, params, grid201):
-        w = default_weight(grid201, params)
-        prof = Profile(grid201, 1.0 + grid201.nodes)
-        assert norm_rho(prof, w) == pytest.approx(
-            np.sqrt(2.0 * energy(prof, w)), rel=1e-15)
 
     def test_grid_mismatch_rejected(self, params, grid201):
         w = default_weight(SpatialGrid(l=1.0, num_nodes=51), params)
@@ -114,7 +104,7 @@ class TestEnergy:
     def test_keeps_the_bits_of_the_written_out_formula(self, params, grid201):
         # energy reduces quad_rho * w^2 with np.add.reduce; the sum written
         # with the weight product first must give the same float bits
-        w = weight_profile(grid201, params.v / (2.0 * params.d_ax))
+        w = default_weight(grid201, params)
         q, rho = grid201.quad_weights, w.profile.values
         states = np.stack([np.cos(k * grid201.nodes) + 0.1 * k for k in range(1, 8)])
         old = 0.5 * np.sum(q * rho * states ** 2, axis=-1)
@@ -141,17 +131,17 @@ class TestDecayEstimator:
         est = estimate_decay_rate(traj, default_weight(grid201, params))
         assert est.lambda_n == pytest.approx(rate, abs=1e-10)
         assert est.fit_r2 == pytest.approx(1.0, abs=1e-12)
-        assert est.lambda_t == pytest.approx(0.0025, rel=1e-12)
 
     def test_norms_are_taken_in_the_given_weight(self, params, grid201):
         # the fit reads the norms of the weight it is given: a fixed shape decays
         # at its rate in any weight, and the fit equals fit_decay_rate on those norms
         traj = synthetic_trajectory(2.5e-3, grid201, params)
         for gamma in (0.0, 1.0, 2.0, 3.5):
-            w = weight_profile(grid201, gamma)
+            rho = Profile(grid201, np.exp(-gamma * grid201.nodes))
+            w = WeightFunction(gamma=gamma, profile=rho)
             est = estimate_decay_rate(traj, w)
             norms = np.sqrt(2.0 * energy(traj.states, w))
-            direct = fit_decay_rate(traj.times, norms, est.lambda_t)
+            direct = fit_decay_rate(traj.times, norms)
             assert est.lambda_n.hex() == direct.lambda_n.hex()
             assert est.lambda_n == pytest.approx(2.5e-3, abs=1e-10)
 
@@ -177,11 +167,18 @@ class TestDecayEstimator:
         times = np.arange(200.0)
         norms = np.exp(-0.2 * times)
         norms[160:] = 0.5
-        est = fit_decay_rate(times, norms, 0.0025)
+        est = fit_decay_rate(times, norms)
         assert est.floor_hit
         assert est.fit_window == (69.0, 138.0)
         assert est.lambda_n == pytest.approx(0.2, rel=1e-12)
-        assert est == fit_decay_rate(times[:140], norms[:140], 0.0025)
+        assert est == fit_decay_rate(times[:140], norms[:140])
+
+    def test_window_and_floor_are_keyword_only(self):
+        # a positional third argument (the lambda_t the fit once took) must not
+        # become the window fraction
+        times = np.arange(40.0)
+        with pytest.raises(TypeError):
+            fit_decay_rate(times, np.exp(-0.01 * times), 0.0025)
 
     @settings(max_examples=60, deadline=None)
     @given(logs=st.lists(st.floats(-27.0, 0.0), min_size=10, max_size=120),
@@ -198,8 +195,9 @@ class TestDecayEstimator:
         norms = np.concatenate([norms, [crossing], after])
         times = dt * np.arange(norms.size)
         cut = len(logs) + 2  # one record after the first crossing
-        full = fit_decay_rate(times, norms, 0.0025, window_fraction, floor)
-        short = fit_decay_rate(times[:cut], norms[:cut], 0.0025, window_fraction, floor)
+        full = fit_decay_rate(times, norms, window_fraction=window_fraction, floor=floor)
+        short = fit_decay_rate(times[:cut], norms[:cut], window_fraction=window_fraction,
+                               floor=floor)
         assert full.floor_hit and short.floor_hit
         assert full.lambda_n.hex() == short.lambda_n.hex()
         assert full.fit_r2.hex() == short.fit_r2.hex()
@@ -215,7 +213,7 @@ class TestDecayEstimator:
             rate = 10.0 ** rng.uniform(-4.0, -1.0)
             times = t0 + dt * np.arange(size)
             norms = np.exp(-rate * (times - t0) + rng.normal(0.0, 1e-3, size))
-            est = fit_decay_rate(times, norms, 0.0025, window_fraction=1.0, floor=0.0)
+            est = fit_decay_rate(times, norms, window_fraction=1.0, floor=0.0)
             t = [Fraction(v) for v in times.tolist()]
             y = [Fraction(v) for v in np.log(norms / norms[0]).tolist()]
             t_mean, y_mean = sum(t) / size, sum(y) / size
@@ -234,7 +232,7 @@ class TestDecayEstimator:
         norms = np.exp(-0.01 * times)
         norms[at] = bad
         with pytest.raises(EstimationError, match="not finite"):
-            fit_decay_rate(times, norms, 0.0025, floor=floor)
+            fit_decay_rate(times, norms, floor=floor)
 
     def test_all_zero_trajectory(self, params, grid201):
         traj = synthetic_trajectory(1e-3, grid201, params, amplitude=0.0)
@@ -297,7 +295,7 @@ class TestSweep:
     def test_single_cell_matches_direct_composition(self):
         base = _sweep_base()
         result = _sweep(base, [1.0], [0.0])
-        cell = result.cell(1.0, 0.0)
+        cell = result.cells[1.0, 0.0]
 
         p = make_params(t_final=2000.0)
         law = FeedbackLaw(alpha=0.0)
@@ -313,16 +311,16 @@ class TestSweep:
         base = _sweep_base(horizon=100.0, num_nodes=101)
         hostile = replace(base, params=make_params(k=1.0, t_final=100.0))
         result = _sweep(hostile, [0.5, 1.0], [0.0])
-        bad = result.cell(0.5, 0.0)
+        bad = result.cells[0.5, 0.0]
         assert bad.estimate is None
         assert "SolverError" in bad.error
-        good = result.cell(1.0, 0.0)
+        good = result.cells[1.0, 0.0]
         assert good.error is None
         assert np.isfinite(good.estimate.lambda_n)
 
     def test_provenance_records_solver_effort(self):
         base = _sweep_base(horizon=200.0, num_nodes=101)
-        cell = _sweep(base, [2.0], [0.25]).cell(2.0, 0.25)
+        cell = _sweep(base, [2.0], [0.25]).cells[2.0, 0.25]
         assert len(cell.provenance["hash"]) == 16
         assert cell.provenance["newton_iterations"] >= 1
         assert cell.provenance["inner_steps"] >= 200  # horizon / dt
@@ -368,14 +366,14 @@ class TestSweep:
                 traj = simulate(*runs[-1])
                 solos.append(traj)
                 direct = estimate_decay_rate(traj, default_weight(g, p))
-                cell = result.cell(n, a)
+                cell = result.cells[n, a]
                 assert cell.error is None
                 est = cell.estimate
                 assert est.lambda_n.hex() == direct.lambda_n.hex()
                 assert est.fit_r2.hex() == direct.fit_r2.hex()
                 assert [t.hex() for t in est.fit_window] == [t.hex() for t in direct.fit_window]
                 assert est.floor_hit == direct.floor_hit
-                assert cell.provenance == _sweep(base, [n], [a]).cell(n, a).provenance
+                assert cell.provenance == _sweep(base, [n], [a]).cells[n, a].provenance
                 assert cell.provenance["inner_steps"] == traj.inner_steps
         assert len({t.inner_steps for t in solos}) == 3
 
@@ -406,7 +404,7 @@ class TestSweep:
                 cfg = SimulationConfig(params=p, law=law, grid=g, dt=1.0, record_every=7)
                 traj = simulate(cfg, steady_state_numeric(p, 1.0, g), initial_profile(g, p, law))
                 direct = estimate_decay_rate(traj, default_weight(g, p))
-                cell = result.cell(n, a)
+                cell = result.cells[n, a]
                 assert cell.error is None
                 est = cell.estimate
                 assert est.lambda_n.hex() == direct.lambda_n.hex()
@@ -452,7 +450,7 @@ class TestSweep:
             result = _sweep(base, [2.0, 10.0, 2000.0], [0.0, 0.5])
             assert sizes == [6] + [1] * 6  # the stack, then each cell alone
             for (n, a), cell in result.cells.items():
-                assert cell == _sweep(base, [n], [a]).cell(n, a)  # a stack of one
+                assert cell == _sweep(base, [n], [a]).cells[n, a]  # a stack of one
                 assert (cell.error is None) == (n != 2000.0)
 
             p = make_params(n=2000.0, t_final=300.0, alpha_for_sat=0.5)
@@ -462,9 +460,9 @@ class TestSweep:
                 simulate(cfg, steady_state_numeric(p, 1.0, base.grid),
                          initial_profile(base.grid, p, law))
             sizes.clear()
-            alone = _sweep(base, [2000.0], [0.5]).cell(2000.0, 0.5)
+            alone = _sweep(base, [2000.0], [0.5]).cells[2000.0, 0.5]
             assert sizes == [1]  # a failing stack of one is not stepped again
-        assert result.cell(2000.0, 0.5).error == f"IntegrationError: {exc.value}"
+        assert result.cells[2000.0, 0.5].error == f"IntegrationError: {exc.value}"
         assert alone.error == f"IntegrationError: {exc.value}"
 
     def test_cell_past_the_substep_guard_fails_alone(self, monkeypatch):
@@ -485,7 +483,7 @@ class TestSweep:
         result = _sweep(base, [2.0, 2000.0], [0.0, 0.5])
         assert sizes == [4] + [1] * 4
         for (n, a), cell in result.cells.items():
-            assert cell == _sweep(base, [n], [a]).cell(n, a)
+            assert cell == _sweep(base, [n], [a]).cells[n, a]
             if n == 2000.0:
                 p = make_params(n=n, t_final=100.0, alpha_for_sat=a)
                 law = FeedbackLaw(alpha=a)
@@ -496,6 +494,31 @@ class TestSweep:
                 assert cell.error == f"IntegrationError: {exc.value}"
             else:
                 assert cell.error is None and cell.estimate is not None
+
+    @pytest.mark.parametrize("field", ["d_ax", "v"])
+    def test_cells_of_two_stencils_step_alone(self, monkeypatch, field):
+        # simulate_stack refuses runs of different d_ax or v, so each cell reruns
+        # as a stack of one and gets its solo sweep's result
+        import dftr.integrator
+
+        stack, sizes = dftr.integrator.simulate_stack, []
+
+        def counted(runs, record):
+            sizes.append(len(runs))
+            return stack(runs, record)
+
+        monkeypatch.setattr(dftr.integrator, "simulate_stack", counted)
+        base = _sweep_base(horizon=300.0, num_nodes=51)
+        p = base.params
+        other = replace(base, params=replace(p, n=2.0, **{field: 2.0 * getattr(p, field)}))
+        weight = default_weight(base.grid, p)
+        result = sweep([base, other], weight)
+        assert sizes == [2, 1, 1]
+        for config in (base, other):
+            key = (config.params.n, config.law.alpha)
+            solo = sweep([config], weight).cells[key]
+            assert solo.error is None
+            assert result.cells[key] == solo
 
     @pytest.mark.parametrize("n_values,alpha_values", [([2, 2.0], [0.0]),
                                                        ([2.0], [0.0, 0.5, 0])])

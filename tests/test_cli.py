@@ -447,8 +447,8 @@ class TestSweepCommand:
         # a child with np.polyfit and np.linalg.lstsq made to raise writes the same table
         fits, fit = [], analysis.fit_decay_rate
 
-        def recorded(times, norms, *args):
-            fits.append((times, np.array(norms), fit(times, norms, *args)))
+        def recorded(times, norms, **kwargs):
+            fits.append((times, np.array(norms), fit(times, norms, **kwargs)))
             return fits[-1][2]
 
         monkeypatch.setattr(analysis, "fit_decay_rate", recorded)
@@ -702,7 +702,7 @@ horizon = 0
 
         def doubled(*args, **kwargs):
             prof = oracle(*args, **kwargs)
-            return prof.with_values(2.0 * prof.values)
+            return Profile(prof.grid, 2.0 * prof.values)
 
         monkeypatch.setattr(verify, "duhamel_oracle", doubled)
         text = (BASE_INI + SMALL_GRID
@@ -926,6 +926,16 @@ class TestExitCodes:
         assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
         assert capsys.readouterr().err == (
             f"config error: unknown key {key!r} in section [analysis]\n")
+        assert not out.exists()
+
+    def test_overflowing_weight_rate_names_d_ax_and_v(self, tmp_path, capsys):
+        # the weight's gamma = v/(2 d_ax) overflows; it is no config key to name
+        text = (REPO / "perfbench/configs/simulate-ref.ini").read_text()
+        cfg = write_ini(tmp_path / "c.ini", text.replace("peclet = 4", "d_ax = 1e-320"))
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: v/(2 d_ax) is not finite (d_ax = 1e-320, v = 0.01)\n")
         assert not out.exists()
 
     def test_steady_failure_is_three(self, tmp_path, capsys):
@@ -1226,6 +1236,13 @@ class TestWriter:
                            for row in columns.T.tolist())
         header = "# manifest_hash=0123456789abcdef\na,b,c\n"
         assert path.read_bytes() == (header + expected).encode()
+
+
+def test_every_export_resolves():
+    # a name left in __all__ after its object is gone breaks `from dftr import *`
+    namespace = {}
+    exec("from dftr import *", namespace)
+    assert all(namespace[name] is getattr(dftr, name) for name in dftr.__all__)
 
 
 @pytest.mark.parametrize("argv", [

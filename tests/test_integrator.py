@@ -191,6 +191,19 @@ class TestSimulate:
             simulate_stack([(cfg, steady, w0), (replace(cfg, **change), steady, w0)],
                            lambda j, w: None)
 
+    @pytest.mark.parametrize("field", ["d_ax", "v"])
+    def test_stacked_runs_share_the_stencil(self, field):
+        # A_h's couplings, so the stack's one symmetrizer and factor path, are those of
+        # d_ax and v; the gain enters only the inlet row's diagonal
+        from dataclasses import replace
+        from dftr.integrator import simulate_stack
+
+        p, law, g, steady, cfg = _setup(t_final=20.0, dt=1.0, num_nodes=51)
+        w0 = initial_profile(g, p, law)
+        other = replace(cfg, params=replace(p, **{field: 2.0 * getattr(p, field)}))
+        with pytest.raises(ContractError, match="must share .*d_ax and v"):
+            simulate_stack([(cfg, steady, w0), (other, steady, w0)], lambda j, w: None)
+
     def test_stack_records_all_runs_together_in_run_order(self):
         # n = 10 substeps, more so at alpha = 1/2, and n = 2 does not: three
         # inner step counts, so the runs take the stack's two ways through a
@@ -452,9 +465,9 @@ def _factor_calls(monkeypatch):
 
 
 class TestSolvePath:
-    """Each run steps through the LDL^T factor of its symmetrized Crank-Nicolson matrix
-    where A_h has a symmetrizer, else through LU with D = 1; on either path, and in a
-    stack of both, a stacked run's records are the bytes of the same run solo."""
+    """A stack steps through one LDL^T factor of its symmetrized Crank-Nicolson matrix
+    per part where A_h has a symmetrizer, else through one LU with D = 1; on either
+    path, a stacked run's records are the bytes of the same run solo."""
 
     @staticmethod
     def _runs(peclet, num_nodes):
@@ -482,17 +495,8 @@ class TestSolvePath:
         assert (a_h.symmetrizer() is None) == (routine == "dgttrf")
         calls = _factor_calls(monkeypatch)
         seen, _ = TestFusedSubstep._stack(runs)
-        assert set(calls) == {routine}
+        assert calls == [routine]  # one part, the whole stack at m = 1
         assert np.isfinite(seen).all()
-        for q, solo in enumerate(self._solo_bytes(runs)):
-            assert seen[:, q].tobytes() == solo
-
-    def test_a_stack_of_both_paths_keeps_each_runs_solo_bits(self, monkeypatch):
-        # runs 0-1 and 4-5 symmetric, runs 2-3 LU: three factors per part
-        runs = self._runs(4.0, 201) + self._runs(1000.0, 201) + self._runs(4.0, 201)[::-1]
-        calls = _factor_calls(monkeypatch)
-        seen, _ = TestFusedSubstep._stack(runs)
-        assert calls == ["dpttrf", "dgttrf", "dpttrf"]
         for q, solo in enumerate(self._solo_bytes(runs)):
             assert seen[:, q].tobytes() == solo
 

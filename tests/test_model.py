@@ -26,8 +26,7 @@ from conftest import make_params
 class TestReactorParams:
     def test_valid_construction(self):
         p = make_params()
-        assert p.d_ax == 0.0025
-        assert p.peclet == pytest.approx(4.0, rel=1e-15)
+        assert (p.d_ax, p.v, p.l) == (0.0025, 0.01, 1.0)
 
     def test_frozen(self):
         p = make_params()
@@ -118,12 +117,6 @@ class TestProfile:
         assert prof.values[0] == 1.0
         with pytest.raises(ValueError):
             prof.values[0] = 2.0
-
-    def test_with_values(self, grid201):
-        prof = Profile(grid=grid201, values=np.ones(201))
-        other = prof.with_values(np.full(201, 2.0))
-        assert other.grid is prof.grid
-        assert other.values[0] == 2.0
 
 
 class TestDispersionFromPeclet:
@@ -231,9 +224,9 @@ class TestReactionRate:
         c_bars = [rng.uniform(-0.5, 1.5, 21) for _ in runs]
         ws = [rng.normal(0.0, 2.0, 21) for _ in runs]
         ws[0][:4] = [np.nan, np.inf, -np.inf, -0.0]
-        out = np.empty(42)
         sat, c_bar = np.repeat([p.sat_m for p in runs], 21), np.concatenate(c_bars)
-        _reaction_into(np.concatenate(ws) + c_bar, out, np.maximum(c_bar - sat, 0.0),
+        out = np.concatenate(ws) + c_bar
+        _reaction_into(out, np.maximum(c_bar - sat, 0.0),
                        np.maximum(c_bar + sat, 0.0),
                        np.concatenate([clamped_power(c, p.n) for c, p in zip(c_bars, runs)]),
                        np.repeat([p.k for p in runs], 21), [(out[:21], 2.0), (out[21:], 0.5)])

@@ -588,8 +588,7 @@ class TestDuhamelOracle:
         g = SpatialGrid(l=1.0, num_nodes=26)
         gen = build_generator(g, params, 0.0)
         steady = steady_state_numeric(params, 1.0, g)
-        out = duhamel_oracle(gen, Profile(g, np.zeros(26)), steady, params,
-                             t_final=10.0, num_steps=100)
+        out = duhamel_oracle(gen, Profile(g, np.zeros(26)), steady, t_final=10.0, num_steps=100)
         assert np.array_equal(out.values, np.zeros(26))
 
     def test_linear_case_matches_time_stepper(self):
@@ -599,7 +598,7 @@ class TestDuhamelOracle:
         gen = build_generator(g, p, law.alpha)
         steady = steady_state_numeric(p, 1.0, g)
         w0 = initial_profile(g, p, law)
-        oracle = duhamel_oracle(gen, w0, steady, p, t_final=10.0, num_steps=200)
+        oracle = duhamel_oracle(gen, w0, steady, t_final=10.0, num_steps=200)
         traj = simulate(SimulationConfig(params=p, law=law, grid=g, dt=0.05),
                         steady, w0)
         diff = traj.states[-1] - oracle.values
@@ -612,7 +611,7 @@ class TestDuhamelOracle:
         steady = steady_state_numeric(params, 1.0, grid201)
         w0 = initial_profile(grid201, params, FeedbackLaw(alpha=0.0))
         with pytest.raises(ContractError):
-            duhamel_oracle(gen, w0, steady, params, t_final=1.0, num_steps=10)
+            duhamel_oracle(gen, w0, steady, t_final=1.0, num_steps=10)
 
     @pytest.mark.parametrize("moved", ["w0", "steady"])
     def test_profiles_on_another_grid_rejected(self, params, moved):
@@ -622,7 +621,7 @@ class TestDuhamelOracle:
         steady = steady_state_numeric(params, 1.0, grids["steady"])
         w0 = initial_profile(grids["w0"], params, FeedbackLaw(alpha=0.0))
         with pytest.raises(ContractError, match="generator grid"):
-            duhamel_oracle(gen, w0, steady, params, t_final=1.0, num_steps=10)
+            duhamel_oracle(gen, w0, steady, t_final=1.0, num_steps=10)
 
     def test_step_count_validated(self, params):
         g = SpatialGrid(l=1.0, num_nodes=26)
@@ -630,7 +629,7 @@ class TestDuhamelOracle:
         steady = steady_state_numeric(params, 1.0, g)
         w0 = initial_profile(g, params, FeedbackLaw(alpha=0.0))
         with pytest.raises(ParameterError):
-            duhamel_oracle(gen, w0, steady, params, t_final=1.0, num_steps=0)
+            duhamel_oracle(gen, w0, steady, t_final=1.0, num_steps=0)
 
 
 def _reference_picard(gen, w0, steady, params, t_final, num_steps):
@@ -677,10 +676,10 @@ class TestPicardDifference:
         w0 = _quadratic_profile(g, p, alpha)
         profile, diffs = _reference_picard(gen, w0, steady, p, 50.0, 500)
         assert len(diffs) >= 3
-        assert np.array_equal(duhamel_oracle(gen, w0, steady, p, 50.0, 500).values, profile)
+        assert np.array_equal(duhamel_oracle(gen, w0, steady, 50.0, 500).values, profile)
         monkeypatch.setattr(operator, "PICARD_MAX_ITER", len(diffs) - 1)
         with pytest.raises(SolverError) as exc:
-            duhamel_oracle(gen, w0, steady, p, 50.0, 500)
+            duhamel_oracle(gen, w0, steady, 50.0, 500)
         assert exc.value.residual == diffs[-2]
 
 
