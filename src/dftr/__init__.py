@@ -11,8 +11,8 @@ decay rates.
 
 __version__ = "0.1.0"
 
-from .analysis import (DecayEstimate, SweepCell, SweepResult, WeightFunction,
-                       default_weight, energy, estimate_decay_rate, fit_decay_rate, sweep)
+from .analysis import (DecayEstimate, SweepCell, SweepResult, default_weight, energy,
+                       estimate_decay_rate, fit_decay_rate, sweep)
 from .errors import (ConfigError, ContractError, DftrError, EstimationError,
                      IntegrationError, ParameterError, SolverError)
 from .integrator import SimulationConfig, Trajectory, simulate, simulate_stack, step
@@ -33,7 +33,7 @@ __all__ = [
     "IntegrationError", "ParameterError", "Profile", "ReactorParams",
     "ResolventSolution", "SimulationConfig", "SolverError", "SpatialGrid",
     "SteadyStateSolution", "SweepCell", "SweepResult", "Trajectory",
-    "Tridiagonal", "WeightFunction", "build_generator", "clamped_power",
+    "Tridiagonal", "build_generator", "clamped_power",
     "d_ax_from_peclet", "default_saturation_bound", "default_weight",
     "duhamel_oracle", "energy", "estimate_decay_rate", "fit_decay_rate",
     "initial_profile", "inner_product", "lambda_theoretical", "reaction_rate",

@@ -12,13 +12,12 @@ import json
 import math
 import time
 from dataclasses import asdict, dataclass, field
-from functools import cached_property
 
 import numpy as np
 
 from . import integrator
-from .errors import ContractError, DftrError, EstimationError, ParameterError
-from .model import Profile, ReactorParams, SpatialGrid
+from .errors import DftrError, EstimationError, ParameterError
+from .model import ReactorParams, SpatialGrid
 
 # The interpreter's own SHA-256 (_sha2 from CPython 3.12, _sha256 before), as
 # CPython's random.py takes it: hashlib maps OpenSSL's libcrypto, 3.6 MiB
@@ -35,38 +34,24 @@ DEFAULT_WINDOW_FRACTION = 0.5
 DEFAULT_FLOOR_FACTOR = 1e-12  # floor = factor * ||w(0)||_rho
 
 
-@dataclass(frozen=True)
-class WeightFunction:
-    """Exponential Lyapunov weight e^{-gamma x} sampled on a grid."""
-
-    gamma: float
-    profile: Profile
-
-    @cached_property
-    def quad_rho(self) -> np.ndarray:
-        return self.profile.grid.quad_weights * self.profile.values
-
-
-def default_weight(grid: SpatialGrid, params: ReactorParams) -> WeightFunction:
-    """rho(x_i) = e^{-gamma x_i} exactly at the nodes, at the rate-optimal decay
-    gamma = v/(2 d_ax); ParameterError if that gamma overflows."""
+def default_weight(grid: SpatialGrid, params: ReactorParams) -> np.ndarray:
+    """The read-only array quad_weights * rho of the weight rho(x_i) = e^{-gamma x_i}
+    at the rate-optimal gamma = v/(2 d_ax); ParameterError if that gamma overflows."""
     gamma = params.v / (2.0 * params.d_ax)
     if not np.isfinite(gamma):
         raise ParameterError(f"v/(2 d_ax) is not finite (d_ax = {params.d_ax}, v = {params.v})")
-    return WeightFunction(gamma=gamma, profile=Profile(grid, np.exp(-gamma * grid.nodes)))
+    weight = grid.quad_weights * np.exp(-gamma * grid.nodes)
+    weight.flags.writeable = False
+    return weight
 
 
-def energy(w, weight: WeightFunction):
-    """E = 1/2 * trapezoid(rho * w^2) over [0, l].
+def energy(w, weight: np.ndarray):
+    """E = 1/2 * trapezoid(rho * w^2) over [0, l], weight being default_weight's array.
 
-    w is a Profile, an array of node values, or a (records, nodes) array,
-    which gives one energy per record.
+    w is an array of node values, or a (records, nodes) array, which gives
+    one energy per record.
     """
-    if isinstance(w, Profile):
-        if w.grid != weight.profile.grid:
-            raise ContractError("profile and weight grids do not match")
-        w = w.values
-    return 0.5 * np.add.reduce(weight.quad_rho * w ** 2, axis=-1)
+    return 0.5 * np.add.reduce(weight * w ** 2, axis=-1)
 
 
 @dataclass(frozen=True)
@@ -83,7 +68,7 @@ class DecayEstimate:
     floor_hit: bool
 
 
-def estimate_decay_rate(traj, weight: WeightFunction,
+def estimate_decay_rate(traj, weight: np.ndarray,
                         window_fraction: float = DEFAULT_WINDOW_FRACTION,
                         floor: float | None = None) -> DecayEstimate:
     """Least-squares decay rate of log ||w(t)||_rho over the trailing window,
@@ -189,14 +174,14 @@ def _isolated(work):
         return None, f"{type(exc).__name__}: {exc}"
 
 
-def sweep(configs, weight: WeightFunction,
-          window_fraction: float = DEFAULT_WINDOW_FRACTION,
+def sweep(configs, *, window_fraction: float = DEFAULT_WINDOW_FRACTION,
           floor: float | None = None) -> SweepResult:
     """Decay-rate table with one cell per run config, keyed by its (n, alpha).
 
-    The configs share grid, dt, t_final and record_every, as simulate_stack's
-    runs do; every cell's norms are taken in weight. A stack of cells that
-    differ in d_ax or v is refused, so each cell then steps alone.
+    A stack takes its cells' norms in the default_weight of its first run,
+    since simulate_stack's runs share grid, dt, t_final, record_every, d_ax
+    and v; a stack of cells that differ in any of these is refused, so each
+    cell then steps alone, in its own weight.
 
     Each cell solves its own steady state and builds the alpha-dependent
     initial profile. The cells that get this far step together as one
@@ -224,7 +209,7 @@ def sweep(configs, weight: WeightFunction,
         # the cell's settings and their hash; its run adds its solver effort
         settings = {**asdict(config.params), **asdict(config.law),
                     "num_nodes": config.grid.num_nodes, "dt": config.dt,
-                    "record_every": config.record_every, "gamma": weight.gamma,
+                    "record_every": config.record_every,
                     "window_fraction": window_fraction,
                     "floor": "default" if floor is None else floor}
         provenance = {"hash": settings_hash(settings), **settings}
@@ -241,6 +226,7 @@ def sweep(configs, weight: WeightFunction,
         its fit floor, and fit each from its norms; a failing stack of
         several cells steps them again one at a time."""
         runs = [ready[key][0] for key in keys]
+        weight = default_weight(runs[0][0].grid, runs[0][0].params)
         norms = np.empty((len(keys), runs[0][0].num_records))
         floors, reached = np.empty(len(keys)), np.zeros(len(keys), dtype=bool)
 

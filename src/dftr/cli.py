@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import json
 import math
 import sys
@@ -201,7 +202,7 @@ class RunManifest:
                "hash": self.hash, "settings": self.resolved,
                "timings": self.timings, "solver": self.solver, "numpy": np.__version__,
                "lapack": operator._LAPACK.name, "peak_rss_mib": _peak_rss_mib()}
-        with open(path, "w", newline="\n") as fh:
+        with _output(path, "w") as fh:
             json.dump(doc, fh, indent=2, sort_keys=True)
             fh.write("\n")
 
@@ -234,8 +235,20 @@ def _fmt(value) -> str:
     return format(float(value), ".17g")
 
 
+@contextlib.contextmanager
+def _output(path, mode):
+    """open(path, mode) for an output file, with '\\n' newlines in text mode; an
+    OSError opening, writing or closing it is a ConfigError naming the file."""
+    try:
+        with open(path, mode, newline=None if "b" in mode else "\n") as fh:
+            yield fh
+    except OSError as exc:
+        raise ConfigError(f"--out {path.parent}: cannot write {path.name}: "
+                          f"{exc.strerror or exc}") from exc
+
+
 def write_csv(path, manifest_hash: str, header, rows) -> None:
-    with open(path, "wb") as fh:
+    with _output(path, "wb") as fh:
         fh.write(f"# manifest_hash={manifest_hash}\n{','.join(header)}\n".encode())
         for row in rows:
             # a uint8 array is a block of lines formatted already
@@ -342,7 +355,8 @@ def cmd_simulate(cfg: ResolvedConfig, out_dir, manifest: RunManifest,
     steadied = time.process_time()
     traj = simulate(*run)
     stepped = time.process_time()
-    times, x = traj.times, traj.grid.nodes
+    config = run[0]
+    times, x = traj.times, config.grid.nodes
     write_csv(out_dir / "trajectory.csv", manifest.hash, ("t", "x", "w"),
               _field_rows(times, x, traj.states))
     write_csv(out_dir / "control.csv", manifest.hash, ("t", "u_w"),
@@ -350,7 +364,7 @@ def cmd_simulate(cfg: ResolvedConfig, out_dir, manifest: RunManifest,
 
     # a block of records at a time, so the temporaries stay small; a 2-D reduce
     # keeps each row's bits
-    weight = default_weight(traj.grid, traj.params)
+    weight = default_weight(config.grid, config.params)
     per_block = max(1, _BLOCK_VALUES // len(x))
     energies = np.concatenate([energy(traj.states[start:start + per_block], weight)
                                for start in range(0, len(times), per_block)])
@@ -378,8 +392,7 @@ def cmd_sweep(cfg: ResolvedConfig, out_dir, manifest: RunManifest,
     # raises ParameterError, a config error, before any steady solve
     runs = [replace(cfg, n=n, alpha=a).run(to_horizon=True)
             for n in n_list for a in alpha_list]
-    result = sweep(runs, default_weight(runs[0].grid, runs[0].params), cfg.window_fraction,
-                   cfg.floor)
+    result = sweep(runs, window_fraction=cfg.window_fraction, floor=cfg.floor)
     swept = time.process_time()
 
     lam_t = lambda_theoretical(runs[0].params)
@@ -396,7 +409,7 @@ def cmd_sweep(cfg: ResolvedConfig, out_dir, manifest: RunManifest,
                       "fit_r2": None if est is None else est.fit_r2, "error": cell.error})
     write_csv(out_dir / "sweep.csv", manifest.hash,
               ("n", "alpha", "lambda_n", "lambda_t", "fit_r2", "floor_hit"), rows)
-    with open(out_dir / "sweep_cells.json", "w", newline="\n") as fh:
+    with _output(out_dir / "sweep_cells.json", "w") as fh:
         json.dump(cells, fh, indent=2)
         fh.write("\n")
     # process CPU seconds of each phase, in manifest.json outside the hash

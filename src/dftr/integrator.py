@@ -83,8 +83,6 @@ class Trajectory:
     from simulate_stack, which hands each record to its consumer); inner_steps counts its
     substeps over all steps."""
 
-    params: ReactorParams
-    grid: SpatialGrid
     times: np.ndarray
     states: np.ndarray
     negativity_events: int
@@ -312,6 +310,6 @@ def simulate_stack(runs, record) -> list:
     if quiet:
         inner += stop
     times = config0.record_times[:-(-stop // every) + 1]
-    return [Trajectory(params=p, grid=grid, times=times,
-                       states=np.empty((0, nodes)), negativity_events=int(negativity[q]),
-                       inner_steps=int(inner[q])) for q, p in enumerate(params)]
+    return [Trajectory(times=times, states=np.empty((0, nodes)),
+                       negativity_events=int(negativity[q]), inner_steps=int(inner[q]))
+            for q in range(len(runs))]

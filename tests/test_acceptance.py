@@ -73,7 +73,7 @@ def long_runs():
             cfg = SimulationConfig(params=p, law=law, grid=grid, dt=SWEEP_DT)
             traj = simulate(cfg, steady, initial_profile(grid, p, law))
             est = estimate_decay_rate(traj, default_weight(grid, p))
-            cells[(n, alpha)] = (traj, est)
+            cells[(n, alpha)] = (cfg, traj, est)
     return cells, time.monotonic() - started
 
 
@@ -135,8 +135,8 @@ def test_generator_form_nonpositive_on_admissible_vectors():
 def test_energy_decays_monotonically_across_full_table(long_runs):
     cells, elapsed = long_runs
     assert elapsed <= LONG_RUN_BUDGET_S
-    for (n, alpha), (traj, _) in cells.items():
-        e = energy(traj.states, default_weight(traj.grid, traj.params))
+    for (n, alpha), (cfg, traj, _) in cells.items():
+        e = energy(traj.states, default_weight(cfg.grid, cfg.params))
         assert np.all(np.diff(e) <= TOL_ENERGY_SLACK * e[0]), (n, alpha)
         norms = np.sqrt(e / e[0])
         assert np.max(norms) <= ENVELOPE_BOUND, (n, alpha)
@@ -145,7 +145,7 @@ def test_energy_decays_monotonically_across_full_table(long_runs):
 def test_fitted_decay_rates_clear_theoretical_bound(long_runs):
     cells, _ = long_runs
     outside = []
-    for (n, alpha), (_, est) in cells.items():
+    for (n, alpha), (_, _, est) in cells.items():
         assert est.lambda_n is not None, (n, alpha)
         assert est.lambda_n >= LAMBDA_LOWER_BOUND, (n, alpha)
         if not REPORTED_BRACKET[0] <= est.lambda_n <= REPORTED_BRACKET[1]:
@@ -167,8 +167,8 @@ def test_fitted_decay_rates_match_the_spectral_rate(long_runs):
     from scipy.linalg import eigh_tridiagonal
 
     cells, _ = long_runs
-    for (n, alpha), (traj, est) in cells.items():
-        p, grid = traj.params, traj.grid
+    for (n, alpha), (cfg, _, est) in cells.items():
+        p, grid = cfg.params, cfg.grid
         m, h, d, v = grid.num_nodes, grid.h, p.d_ax, p.v
         assert h * v / d < 2.0
         lower = np.full(m, d / h ** 2 + v / (2.0 * h))

@@ -10,15 +10,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dftr import (
-    ContractError,
     EstimationError,
     FeedbackLaw,
     ParameterError,
-    Profile,
     SimulationConfig,
     SpatialGrid,
     Trajectory,
-    WeightFunction,
     default_saturation_bound,
     default_weight,
     energy,
@@ -33,27 +30,27 @@ from dftr import analysis
 from conftest import make_params
 
 
-def synthetic_trajectory(rate, grid, params, t_final=7000.0, dt_rec=10.0,
-                         amplitude=1.0):
+def synthetic_trajectory(rate, grid, t_final=7000.0, dt_rec=10.0, amplitude=1.0):
     """Exact exponential decay of a fixed shape, for estimator oracles."""
     times = np.arange(0.0, t_final + dt_rec / 2, dt_rec)
     shape = 1.0 + 0.5 * np.sin(2.0 * np.pi * grid.nodes)
     states = amplitude * np.exp(-rate * times)[:, None] * shape[None, :]
-    return Trajectory(params=params, grid=grid, times=times, states=states,
-                      negativity_events=0, inner_steps=times.size - 1)
+    return Trajectory(times=times, states=states, negativity_events=0,
+                      inner_steps=times.size - 1)
 
 
 class TestWeightProfile:
     # default_weight at the reference point: gamma = 0.01 / (2 * 0.0025) = 2
     def test_anchor_value(self, params, grid201):
         w = default_weight(grid201, params)
-        assert w.gamma == 2.0
-        assert w.profile.values[0] == 1.0
+        q = grid201.quad_weights
+        assert w.tobytes() == (q * np.exp(-2.0 * grid201.nodes)).tobytes()
+        assert w[0] == q[0]  # rho(0) = 1
 
     def test_reference_decay_at_outlet(self, params, grid201):
         # e^{-2} at x = l = 1 with gamma = 2
         w = default_weight(grid201, params)
-        assert w.profile.values[-1] == pytest.approx(0.1353352832366127, rel=1e-15)
+        assert w[-1] / grid201.quad_weights[-1] == pytest.approx(0.1353352832366127, rel=1e-15)
 
     def test_rejects_bad_arguments(self, grid201):
         # v / (2 d_ax) overflows to inf at d_ax = 1e-320
@@ -61,15 +58,17 @@ class TestWeightProfile:
             default_weight(grid201, make_params(d_ax=1e-320))
 
     def test_default_weight_uses_half_peclet_rate(self, params, grid201):
+        # the quadrature weights times rho, as one read-only array
         w = default_weight(grid201, params)
-        assert w.gamma == params.v / (2.0 * params.d_ax)
-        assert w.profile.values.tobytes() == np.exp(-w.gamma * grid201.nodes).tobytes()
+        gamma = params.v / (2.0 * params.d_ax)
+        expected = grid201.quad_weights * np.exp(-gamma * grid201.nodes)
+        assert w.tobytes() == expected.tobytes()
+        assert not w.flags.writeable
 
     def test_satisfies_decay_ode(self, params):
         # rho' = -gamma*rho, checked with central quotients to O(h^2)
         g = SpatialGrid(l=1.0, num_nodes=401)
-        w = default_weight(g, params)
-        rho = w.profile.values
+        rho = default_weight(g, params) / g.quad_weights
         lhs = (rho[2:] - rho[:-2]) / (2.0 * g.h)
         rhs = -2.0 * rho[1:-1]
         assert np.max(np.abs(lhs - rhs)) <= 1e-4
@@ -78,56 +77,49 @@ class TestWeightProfile:
 class TestEnergy:
     def test_zero_state(self, params, grid201):
         w = default_weight(grid201, params)
-        assert energy(Profile(grid201, np.zeros(201)), w) == 0.0
+        assert energy(np.zeros(201), w) == 0.0
 
     def test_flat_weight_constant_state(self, grid201):
-        w = WeightFunction(gamma=0.0, profile=Profile(grid201, np.ones(201)))
-        e = energy(Profile(grid201, np.ones(201)), w)
+        # rho = 1 leaves the quadrature weights, which sum to l = 1
+        e = energy(np.ones(201), grid201.quad_weights)
         assert e == pytest.approx(0.5, rel=1e-14)
 
-    def test_grid_mismatch_rejected(self, params, grid201):
-        w = default_weight(SpatialGrid(l=1.0, num_nodes=51), params)
-        with pytest.raises(ContractError):
-            energy(Profile(grid201, np.ones(201)), w)
-
     def test_records_array_gives_per_record_energies(self, params, grid201):
-        # one formula for a Profile, a nodal array and a (records, nodes)
-        # array: each record's energy is bitwise the single-profile value
+        # one formula for a nodal array and a (records, nodes) array: each
+        # record's energy is bitwise the single-array value
         w = default_weight(grid201, params)
         states = np.stack([np.sin(k * grid201.nodes) for k in range(1, 6)])
         per_record = energy(states, w)
         assert per_record.shape == (5,)
         for row, e in zip(states, per_record):
-            assert energy(Profile(grid201, row), w) == e
             assert energy(row, w) == e
 
     def test_keeps_the_bits_of_the_written_out_formula(self, params, grid201):
-        # energy reduces quad_rho * w^2 with np.add.reduce; the sum written
-        # with the weight product first must give the same float bits
+        # energy reduces the weight array times w^2 with np.add.reduce; the sum
+        # written with the quadrature and rho product first must give the same bits
         w = default_weight(grid201, params)
-        q, rho = grid201.quad_weights, w.profile.values
+        q, rho = grid201.quad_weights, np.exp(-2.0 * grid201.nodes)
+        assert w.tobytes() == (q * rho).tobytes()
         states = np.stack([np.cos(k * grid201.nodes) + 0.1 * k for k in range(1, 8)])
         old = 0.5 * np.sum(q * rho * states ** 2, axis=-1)
         assert [e.hex() for e in energy(states, w).tolist()] == [e.hex() for e in old.tolist()]
         for row, e in zip(states, old.tolist()):
             assert float(energy(row, w)).hex() == e.hex()
-            assert float(energy(Profile(grid201, row), w)).hex() == e.hex()
 
     @settings(max_examples=30, deadline=None)
     @given(c=st.floats(-100.0, 100.0))
     def test_quadratic_scaling(self, c):
         g = SpatialGrid(l=1.0, num_nodes=201)
         w = default_weight(g, make_params())
-        base = Profile(g, 1.0 + g.nodes ** 2)
-        scaled = Profile(g, c * base.values)
-        assert energy(scaled, w) == pytest.approx(c * c * energy(base, w),
-                                                  rel=1e-12, abs=1e-300)
+        base = 1.0 + g.nodes ** 2
+        assert energy(c * base, w) == pytest.approx(c * c * energy(base, w),
+                                                    rel=1e-12, abs=1e-300)
 
 
 class TestDecayEstimator:
     @pytest.mark.parametrize("rate", [1e-4, 2.5e-3, 1e-1])
     def test_recovers_exact_exponential(self, rate, params, grid201):
-        traj = synthetic_trajectory(rate, grid201, params)
+        traj = synthetic_trajectory(rate, grid201)
         est = estimate_decay_rate(traj, default_weight(grid201, params))
         assert est.lambda_n == pytest.approx(rate, abs=1e-10)
         assert est.fit_r2 == pytest.approx(1.0, abs=1e-12)
@@ -135,10 +127,9 @@ class TestDecayEstimator:
     def test_norms_are_taken_in_the_given_weight(self, params, grid201):
         # the fit reads the norms of the weight it is given: a fixed shape decays
         # at its rate in any weight, and the fit equals fit_decay_rate on those norms
-        traj = synthetic_trajectory(2.5e-3, grid201, params)
+        traj = synthetic_trajectory(2.5e-3, grid201)
         for gamma in (0.0, 1.0, 2.0, 3.5):
-            rho = Profile(grid201, np.exp(-gamma * grid201.nodes))
-            w = WeightFunction(gamma=gamma, profile=rho)
+            w = grid201.quad_weights * np.exp(-gamma * grid201.nodes)
             est = estimate_decay_rate(traj, w)
             norms = np.sqrt(2.0 * energy(traj.states, w))
             direct = fit_decay_rate(traj.times, norms)
@@ -147,13 +138,13 @@ class TestDecayEstimator:
 
     def test_amplitude_scale_of_trajectory_is_harmless(self, params, grid201):
         w = default_weight(grid201, params)
-        small = synthetic_trajectory(2.5e-3, grid201, params, amplitude=1e-9)
+        small = synthetic_trajectory(2.5e-3, grid201, amplitude=1e-9)
         est = estimate_decay_rate(small, w)
         assert est.lambda_n == pytest.approx(2.5e-3, abs=1e-10)
 
     def test_floor_excludes_trailing_records(self, params, grid201):
         # fast decay crosses an explicit floor partway through the horizon
-        traj = synthetic_trajectory(1e-1, grid201, params, t_final=1000.0)
+        traj = synthetic_trajectory(1e-1, grid201, t_final=1000.0)
         w = default_weight(grid201, params)
         hard_floor = 1e-20  # crossed near t = 450
         est = estimate_decay_rate(traj, w, floor=hard_floor)
@@ -235,14 +226,14 @@ class TestDecayEstimator:
             fit_decay_rate(times, norms, floor=floor)
 
     def test_all_zero_trajectory(self, params, grid201):
-        traj = synthetic_trajectory(1e-3, grid201, params, amplitude=0.0)
+        traj = synthetic_trajectory(1e-3, grid201, amplitude=0.0)
         est = estimate_decay_rate(traj, default_weight(grid201, params))
         assert est.lambda_n is None
         assert est.floor_hit
         assert est.fit_r2 == 0.0
 
     def test_too_few_usable_records(self, params, grid201):
-        traj = synthetic_trajectory(1e-1, grid201, params, t_final=140.0)
+        traj = synthetic_trajectory(1e-1, grid201, t_final=140.0)
         # floor sits above all but the first handful of records
         with pytest.raises(EstimationError) as exc_info:
             estimate_decay_rate(traj, default_weight(grid201, params),
@@ -250,7 +241,7 @@ class TestDecayEstimator:
         assert 0 < exc_info.value.usable_records < 10
 
     def test_window_fraction_domain(self, params, grid201):
-        traj = synthetic_trajectory(1e-3, grid201, params)
+        traj = synthetic_trajectory(1e-3, grid201)
         w = default_weight(grid201, params)
         for bad in (0.0, -0.5, 1.5):
             with pytest.raises(ParameterError):
@@ -258,7 +249,7 @@ class TestDecayEstimator:
 
     def test_floor_domain(self, params, grid201):
         # a negative floor lets the fit reach norms that underflow to 0 and take log(0)
-        traj = synthetic_trajectory(1e-3, grid201, params)
+        traj = synthetic_trajectory(1e-3, grid201)
         w = default_weight(grid201, params)
         for bad in (-1.0, -5e-324, float("nan")):
             with pytest.raises(ParameterError, match="floor must be >= 0"):
@@ -266,7 +257,7 @@ class TestDecayEstimator:
         assert estimate_decay_rate(traj, w, floor=0.0).lambda_n == pytest.approx(1e-3)
 
     def test_window_bounds_lie_in_horizon(self, params, grid201):
-        traj = synthetic_trajectory(1e-3, grid201, params)
+        traj = synthetic_trajectory(1e-3, grid201)
         est = estimate_decay_rate(traj, default_weight(grid201, params),
                                   window_fraction=0.25)
         t0, t1 = est.fit_window
@@ -283,12 +274,12 @@ def _sweep_base(horizon=2000.0, dt=1.0, num_nodes=201, record_every=1):
 
 def _sweep(base, n_values, alpha_values, **kwargs):
     """sweep over base's (n, alpha) cells, n then alpha, each at its per-alpha
-    default sat_m, with base's default weight."""
+    default sat_m."""
     p = base.params
     configs = [replace(base, law=replace(base.law, alpha=a), params=replace(
         p, n=n, sat_m=default_saturation_bound(p.d_ax, p.v, p.l, a)))
         for n in n_values for a in alpha_values]
-    return sweep(configs, default_weight(base.grid, p), **kwargs)
+    return sweep(configs, **kwargs)
 
 
 class TestSweep:
@@ -511,14 +502,46 @@ class TestSweep:
         base = _sweep_base(horizon=300.0, num_nodes=51)
         p = base.params
         other = replace(base, params=replace(p, n=2.0, **{field: 2.0 * getattr(p, field)}))
-        weight = default_weight(base.grid, p)
-        result = sweep([base, other], weight)
+        result = sweep([base, other])
         assert sizes == [2, 1, 1]
         for config in (base, other):
             key = (config.params.n, config.law.alpha)
-            solo = sweep([config], weight).cells[key]
+            solo = sweep([config]).cells[key]
             assert solo.error is None
             assert result.cells[key] == solo
+
+    def test_cells_of_two_grids_step_alone_in_their_own_weights(self, monkeypatch):
+        # simulate_stack refuses runs on two grids, so each cell reruns as a stack
+        # of one, its norms taken in its own grid's weight: its solo estimate, and
+        # that of simulate and estimate_decay_rate on the cell alone
+        import dftr.integrator
+
+        stack, sizes = dftr.integrator.simulate_stack, []
+
+        def counted(runs, record):
+            sizes.append(len(runs))
+            return stack(runs, record)
+
+        monkeypatch.setattr(dftr.integrator, "simulate_stack", counted)
+        fine = _sweep_base(horizon=300.0, num_nodes=51)
+        coarse = replace(fine, params=replace(fine.params, n=2.0),
+                         grid=SpatialGrid(l=1.0, num_nodes=41))
+        result = sweep([fine, coarse])
+        assert sizes == [2, 1, 1]
+        for config in (fine, coarse):
+            key = (config.params.n, config.law.alpha)
+            cell = result.cells[key]
+            assert cell.error is None
+            assert cell == sweep([config]).cells[key]
+            traj = simulate(config, steady_state_numeric(config.params, 1.0, config.grid),
+                            initial_profile(config.grid, config.params, config.law))
+            direct = estimate_decay_rate(traj, default_weight(config.grid, config.params))
+            assert cell.estimate == direct
+
+    def test_window_and_floor_are_keyword_only(self):
+        # the weight sweep once took second is not read as the window fraction
+        with pytest.raises(TypeError):
+            sweep([_sweep_base(horizon=100.0, num_nodes=51)], 0.5)
 
     @pytest.mark.parametrize("n_values,alpha_values", [([2, 2.0], [0.0]),
                                                        ([2.0], [0.0, 0.5, 0])])

@@ -435,12 +435,22 @@ class TestSweepCommand:
         assert calls == []
 
     def test_cell_hash_is_pinned(self, tmp_path):
-        # the hash covers the cell's 15 settings: a dropped, extra or changed one moves it
-        out = tmp_path / "out"
-        assert main(["sweep", "--config", str(REPO / "perfbench/configs/sweep-ref.ini"),
-                     "--out", str(out), "--n-list", "2", "--alpha-list", "0.25"]) == 0
+        # the hash covers the cell's 14 settings: a dropped, extra or changed one moves it
+        out, path = tmp_path / "out", REPO / "perfbench/configs/sweep-ref.ini"
+        assert main(["sweep", "--config", str(path), "--out", str(out),
+                     "--n-list", "2", "--alpha-list", "0.25"]) == 0
         cells = json.loads((out / "sweep_cells.json").read_text())
-        assert [cell["hash"] for cell in cells] == ["e9e799e1c8251166"]
+        assert [cell["hash"] for cell in cells] == ["d8d73ef3a42e77ee"]
+        # the settings hashed before the weight's rate left them, d_ax and v fixing it
+        cfg = load_config(path)
+        run = replace(cfg, n=2.0, alpha=0.25).run(to_horizon=True)
+        (cell,) = analysis.sweep([run], window_fraction=cfg.window_fraction,
+                                 floor=cfg.floor).cells.values()
+        effort = ("hash", "newton_iterations", "inner_steps", "negativity_events")
+        settings = {key: value for key, value in cell.provenance.items() if key not in effort}
+        assert len(settings) == 14 and settings_hash(settings) == "d8d73ef3a42e77ee"
+        gamma = run.params.v / (2.0 * run.params.d_ax)
+        assert settings_hash({**settings, "gamma": gamma}) == "e9e799e1c8251166"
 
     def test_fits_match_polyfit_and_need_no_dense_least_squares(self, tmp_path, monkeypatch):
         # every sweep-ref cell's closed-form fit agrees with np.polyfit on its window;
@@ -986,6 +996,28 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith(f"config error: --out {out} is not a usable directory")
         assert (tmp_path / "taken").read_text() == "not a directory\n"
+
+    @pytest.mark.parametrize("command, name, blocker", [
+        ("steady", "steady.csv", "directory"), ("steady", "manifest.json", "directory"),
+        ("sweep", "sweep_cells.json", "directory"), ("steady", "steady.csv", "/dev/full")])
+    def test_output_file_that_cannot_be_written_is_two(self, tmp_path, capsys, command, name,
+                                                       blocker):
+        # a directory in the file's place fails its open, and /dev/full its write, which
+        # names no file; either is a config error that names the file, not a traceback
+        cfg = write_ini(tmp_path / "c.ini", BASE_INI + SMALL_GRID + "[time]\nhorizon = 100\n")
+        out = tmp_path / "out"
+        out.mkdir()
+        if blocker == "directory":
+            (out / name).mkdir()
+        elif os.path.exists(blocker):
+            (out / name).symlink_to(blocker)
+        else:
+            pytest.skip(f"no {blocker} here")
+        lists = ["--n-list", "1", "--alpha-list", "0"] if command == "sweep" else []
+        assert main([command, "--config", cfg, "--out", str(out), *lists]) == 2
+        err = capsys.readouterr().err
+        reason = "Is a directory" if blocker == "directory" else "No space left on device"
+        assert err == f"config error: --out {out}: cannot write {name}: {reason}\n"
 
     @pytest.mark.parametrize("command", ["simulate", "sweep"])
     @pytest.mark.parametrize("raw", ["0", "-0.5", "1.5"])

@@ -96,8 +96,8 @@ class TestStep:
         rng = np.random.default_rng(seed)
         w = Profile(g, rng.uniform(-1.0, 1.0, g.num_nodes))
         weight = default_weight(g, p)
-        e0 = energy(w, weight)
-        e1 = energy(step(w, steady, cfg), weight)
+        e0 = energy(w.values, weight)
+        e1 = energy(step(w, steady, cfg).values, weight)
         assert e1 <= e0 * (1.0 + 1e-12)
 
 
