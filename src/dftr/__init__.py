@@ -18,7 +18,7 @@ from .errors import (ConfigError, ContractError, DftrError, EstimationError,
 from .integrator import SimulationConfig, Trajectory, simulate, simulate_stack, step
 from .model import (FeedbackLaw, Profile, ReactorParams, SpatialGrid,
                     clamped_power, d_ax_from_peclet, default_saturation_bound,
-                    initial_profile, lambda_theoretical, reaction_rate, saturate)
+                    initial_profile, lambda_theoretical, reaction_rate)
 from .operator import (DiscreteGenerator, ResolventSolution, Tridiagonal,
                        build_generator, duhamel_oracle, inner_product,
                        resolvent_analytic, resolvent_discrete)
@@ -37,7 +37,7 @@ __all__ = [
     "d_ax_from_peclet", "default_saturation_bound", "default_weight",
     "duhamel_oracle", "energy", "estimate_decay_rate", "fit_decay_rate",
     "initial_profile", "inner_product", "lambda_theoretical", "reaction_rate",
-    "resolvent_analytic", "resolvent_discrete", "saturate", "simulate",
+    "resolvent_analytic", "resolvent_discrete", "simulate",
     "simulate_stack", "steady_state_analytic_n1", "steady_state_numeric",
     "steady_state_residual", "step", "sweep",
 ]

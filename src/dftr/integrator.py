@@ -22,8 +22,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ContractError, IntegrationError, ParameterError
-from .model import (FeedbackLaw, Profile, ReactorParams, SpatialGrid, _reaction_into,
-                    clamped_power, initial_profile)
+from .model import (FeedbackLaw, Profile, ReactorParams, SpatialGrid, _reaction,
+                    _reaction_into, _slope_into, initial_profile)
 from .operator import Tridiagonal, build_generator
 from .steady_state import SteadyStateSolution, steady_state_numeric
 
@@ -109,18 +109,16 @@ def _reach(params: ReactorParams, c_bar: np.ndarray):
             else (max(float(np.min(c_bar)), 1e-6) / 2.0, 0.0))
 
 
-def _ratio(dt, k, n, c, out=None):
-    """Per run, (dt * L / REACTION_COURANT, L) with L = k*n*c^(n-1), n the power order.
-    Given out, both are computed in it, so only the ratio is left."""
-    with np.errstate(over="ignore"):
-        lip = np.multiply(k * n, np.power(c, n - 1.0, out=out), out=out)
-    return np.divide(np.multiply(dt, lip, out=out), REACTION_COURANT, out=out), lip
+def _ratio(dt, lip, out=None):
+    """Per run, dt * L / REACTION_COURANT from the reaction's slope L at the guard's scale
+    (model._slope_into; 0 at k = 0), in out if given."""
+    return np.divide(np.multiply(dt, lip, out=out), REACTION_COURANT, out=out)
 
 
-def _substeps(dt, k, n, c, step_index=0):
-    """Per run, the count m keeping dt / m * L within REACTION_COURANT (L = 0 at k = 0);
+def _substeps(dt, lip, step_index=0):
+    """Per run, the count m keeping dt / m * L within REACTION_COURANT, L as in _ratio;
     IntegrationError if L overflows or m > MAX_SUBSTEPS."""
-    ratio, lip = _ratio(dt, k, n, c)
+    ratio = _ratio(dt, lip)
     if not np.max(ratio) <= MAX_SUBSTEPS:
         raise IntegrationError(
             f"reaction stiffness estimate {np.max(lip):.3e} is beyond what explicit "
@@ -133,7 +131,10 @@ def substep_count(config: SimulationConfig, c_bar: np.ndarray, w_max: float) -> 
     """The guard's substep count of one run while max|w| is w_max."""
     p = config.params
     c0, cap = _reach(p, c_bar)
-    return int(_substeps(config.dt, p.k, p.power_order, np.float64(c0 + min(w_max, cap))))
+    k, n, *_ = _reaction(p, c_bar)
+    # an array exponent, as in simulate_stack's guard: numpy's scalar one rounds otherwise
+    lip = _slope_into(np.array([c0 + min(w_max, cap)]), k, np.array([n]))
+    return int(_substeps(config.dt, lip)[0])
 
 
 def step(state: Profile, steady: SteadyStateSolution, config: SimulationConfig) -> Profile:
@@ -176,8 +177,8 @@ def simulate_stack(runs, record) -> list:
     moved onto C).
 
     Before each outer step the guard gives each run a substep count m from
-    its max|w|: each run's _ratio is computed in place, and only if some
-    ratio is above 1 (or NaN) does _substeps give the m, so m is the guard's
+    its max|w|: each run's slope and _ratio are computed in place, and only if
+    some ratio is above 1 (or NaN) does _substeps give the m, so m is the guard's
     own value at every step. A stack is quiet, and reads the ratio only
     before its first step, when every run's ratio at c0 + cap, the most it
     can see, is at most 1/2: for n > 1 the ratio grows with c, for n <= 1 it
@@ -207,26 +208,25 @@ def simulate_stack(runs, record) -> list:
                 "stacked runs must share grid, dt, t_final, record_every, d_ax and v")
 
     params = [config.params for config, _, _ in runs]
-    orders = [p.power_order for p in params]
     c_bars = [steady.profile.values for _, steady, _ in runs]
+    k_run, orders, lo, hi, base = zip(*(_reaction(p, c) for p, c in zip(params, c_bars)))
     gens = [build_generator(grid, cf.params, cf.law.alpha).diagonals for cf, _, _ in runs]
     scale = gens[0].symmetrizer()  # every run's D, or None: D = 1 and LU
     syms = gens if scale is None else [g.symmetrized() for g in gens]
     d_node = np.tile(np.ones(nodes) if scale is None else scale, len(runs))
     d_inv, d_twice = 1.0 / d_node, 2.0 * d_node
-    k_run, n_run = np.array([p.k for p in params]), np.array(orders)
+    k_run, n_run = np.array(k_run), np.array(orders)
     c0, cap = np.array([_reach(p, c) for p, c in zip(params, c_bars)]).T
     c_bar = np.concatenate(c_bars)
-    base = np.concatenate([clamped_power(c, n) for c, n in zip(c_bars, orders)])
-    k_node, sat = np.repeat(k_run, nodes), np.repeat([p.sat_m for p in params], nodes)
-    lo, hi = np.maximum(c_bar - sat, 0.0), np.maximum(c_bar + sat, 0.0)
+    k_node = np.repeat(k_run, nodes)
+    lo, hi, base = map(np.concatenate, (lo, hi, base))
     w = np.concatenate([w0.values for _, _, w0 in runs])
     # work buffers seen through each part's views: C = w + C_bar between substeps and
     # r(w) within one, 0.25 h r of the last substep, and b
     rate, quarter, rhs = np.empty((3, w.size))
     below, c, parts = np.empty(w.size, dtype=bool), np.empty(len(runs)), {}
     guard, ones = np.empty(len(runs)), np.ones(len(runs), int)
-    quiet = bool(np.all(_ratio(dt, k_run, n_run, c0 + cap)[0] <= 0.5))
+    quiet = bool(np.all(_ratio(dt, _slope_into(c0 + cap, k_run, n_run)) <= 0.5))
 
     def substeps(i):
         """Each run's count m from its state at step i, and whether every m is 1."""
@@ -234,9 +234,10 @@ def simulate_stack(runs, record) -> list:
         np.maximum.reduce(rhs.reshape(-1, nodes), axis=1, out=c)
         np.minimum(c, cap, out=c)
         np.add(c, c0, out=c)
-        if np.maximum.reduce(_ratio(dt, k_run, n_run, c, guard)[0]) <= 1.0:  # NaN fails
+        _slope_into(c, k_run, n_run)
+        if np.maximum.reduce(_ratio(dt, c, guard)) <= 1.0:  # NaN fails
             return ones, True
-        return _substeps(dt, k_run, n_run, c, i), False  # some m >= 2
+        return _substeps(dt, c, i), False  # some m >= 2
 
     def part(q0, q1, m):
         """Runs q0..q1-1 at dt / m: views, powers, step factors, the solve bound to b."""

@@ -1,9 +1,9 @@
 """Core types for the tubular-reactor toolkit.
 
 Physical parameters, uniform spatial grids, node-sampled profiles, the
-saturation nonlinearity, the boundary-compatible initial condition, and the
-theoretical decay constant. Everything here is immutable after construction,
-so one instance can be shared by any number of runs.
+saturated reaction and its slope, the boundary-compatible initial condition,
+and the theoretical decay constant. Everything here is immutable after
+construction, so one instance can be shared by any number of runs.
 
 Units are documentation only (SI: m, s, mol/m^3); the code enforces
 positivity and finiteness, not dimensions.
@@ -140,12 +140,6 @@ def d_ax_from_peclet(v: float, l: float, pe: float) -> float:
     return v * l / pe
 
 
-def saturate(w, m: float):
-    """Clamp w to [-m, m]; elementwise on arrays, total for finite inputs."""
-    _require(np.isfinite(m) and m > 0, f"saturation bound must be > 0, got {m}")
-    return np.clip(w, -m, m)
-
-
 def clamped_power(c, n: float):
     """max(c, 0)**n, the reaction-rate power law extended to negative arguments.
 
@@ -155,14 +149,33 @@ def clamped_power(c, n: float):
     return np.maximum(c, 0.0) ** n
 
 
-def _reaction_into(c, lo, hi, base, k, powers):
-    """c = k*(base - min(max(c, lo), hi)**n), the reaction in place, from c = w + c_bar.
+def _reaction(params: ReactorParams, c_bar):
+    """(k, n, lo, hi, base) of the reaction k*c_bar^n - k*(Sat_M(w) + c_bar)^n about c_bar,
+    read at C = w + c_bar: n = power_order, the clamp on C runs from lo = max(c_bar - sat_m, 0)
+    to hi = max(c_bar + sat_m, 0), and base = max(c_bar, 0)^n."""
+    m, n = params.sat_m, params.power_order
+    lo, hi = (np.maximum(np.add(c_bar, s), 0.0) for s in (-m, m))
+    return params.k, n, lo, hi, clamped_power(c_bar, n)
 
-    base is clamped_power(c_bar, n), lo = max(c_bar - sat_m, 0) and hi = max(c_bar + sat_m, 0);
-    lo, hi and k may be scalars or per-node arrays. Rounding is monotone, so these are the
-    bits of k*(base - max(min(max(w, -sat_m), sat_m) + c_bar, 0)**n), NaN included. powers
-    pairs each segment of c with its order n as a scalar, as numpy's x ** 2 and x ** 0.5
-    fast paths differ from an array exponent."""
+
+def _steady_reaction(params: ReactorParams, grid: SpatialGrid):
+    """_reaction's tuple of the steady solve's -k*max(C, 0)^n: no clamp, and k per node with
+    the outlet's weighted by 1 - z/3 + z^2/6, z = h*v/d_ax. With C'(l) = 0 the stationary
+    equation gives C'''(l) = v*k*C(l)^n / d_ax^2; folding that ghost defect into the outlet
+    row is this weight, and restores O(h^2). The stepper's k is uniform."""
+    k = np.full(grid.num_nodes, params.k)
+    z = grid.h * params.v / params.d_ax
+    k[-1] *= 1.0 - z / 3.0 + z * z / 6.0
+    return k, params.power_order, 0.0, np.inf, 0.0
+
+
+def _reaction_into(c, lo, hi, base, k, powers):
+    """c = k*(base - min(max(c, lo), hi)**n), the reaction in place, from _reaction's tuple.
+
+    lo, hi, base and k may be scalars or per-node arrays. For _reaction's, rounding is
+    monotone, so these are the bits of k*(base - max(min(max(w, -sat_m), sat_m) + c_bar,
+    0)**n), NaN included. powers pairs each segment of c with its order n as a scalar, as
+    numpy's x ** 2 and x ** 0.5 fast paths differ from an array exponent."""
     np.maximum(c, lo, out=c)
     np.minimum(c, hi, out=c)
     for seg, n in powers:
@@ -172,12 +185,21 @@ def _reaction_into(c, lo, hi, base, k, powers):
     return c
 
 
+def _slope_into(c, k, n):
+    """c = k*n*max(c, 1e-12)**(n - 1), the rate's slope in place: the floor keeps n < 1 finite
+    at C = 0, and an overflow is inf, with no warning. k and n are scalars or arrays like c."""
+    np.maximum(c, 1e-12, out=c)
+    with np.errstate(over="ignore"):
+        c **= n - 1.0
+    c *= k * n
+    return c
+
+
 def reaction_rate(w, c_bar, params: ReactorParams):
     """Deviation-form reaction term r(w) = k*c_bar^n - k*(Sat_M(w) + c_bar)^n."""
-    m, n = params.sat_m, params.power_order
     out = np.add(w, c_bar, out=np.empty(np.broadcast_shapes(np.shape(w), np.shape(c_bar))))
-    lo, hi = (np.maximum(np.add(c_bar, s), 0.0) for s in (-m, m))
-    return _reaction_into(out, lo, hi, clamped_power(c_bar, n), params.k, [(out, n)])
+    k, n, lo, hi, base = _reaction(params, c_bar)
+    return _reaction_into(out, lo, hi, base, k, [(out, n)])
 
 
 def _startup_peak(d_ax: float, v: float, l: float, alpha: float) -> float:

@@ -6,9 +6,12 @@ The stationary profile satisfies
     C(0) = u_bar + (d_ax / v) * C'(0),      C'(l) = 0.
 
 For n = 1 the problem is linear and solved in closed form; for general
-n > 0 a damped Newton iteration solves the same finite-difference system
-the time integrator uses, so that the zero deviation is an exact discrete
-equilibrium.
+n > 0 a damped Newton iteration solves a finite-difference system: the time
+integrator's generator at alpha = 0 and its reaction, but with k at the
+outlet node weighted by 1 - z/3 + z^2/6 (model._steady_reaction). So the
+solution is not an exact equilibrium of the integrator's system: its residual
+there is 3.4e-6 to 6.3e-6 at the outlet of 201 nodes (ROADMAP item 4). The
+zero deviation is one, as the integrator's reaction is 0 at w = 0.
 """
 
 from __future__ import annotations
@@ -18,13 +21,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, SolverError
-from .model import Profile, ReactorParams, SpatialGrid, clamped_power
+from .model import (Profile, ReactorParams, SpatialGrid, _reaction_into, _slope_into,
+                    _steady_reaction, clamped_power)
 from .operator import DiscreteGenerator
 
 NEWTON_TOL = 1e-10
 NEWTON_MAX_ITER = 100
 NEWTON_MAX_HALVINGS = 30
-JACOBIAN_FLOOR = 1e-12  # keeps n < 1 rate derivatives finite at C = 0
 
 
 @dataclass(frozen=True)
@@ -106,29 +109,18 @@ def steady_state_analytic_n1(params: ReactorParams, u_bar: float) -> AnalyticSte
 
 
 def _stationary_system(params: ReactorParams, u_bar: float, grid: SpatialGrid):
-    """Linear part, forcing, and nodewise reaction weights.
-
-    Returns (a0, b, kw) so that the stationary residual is
-    F(C) = a0 @ C + b - kw * C**n. a0 is the alpha = 0 generator: the
-    inlet condition C(0) - (d_ax/v) C'(0) = u_bar is its Robin row with
-    the inhomogeneous part moved into b[0]. The outlet reaction weight
-    absorbs the third-derivative ghost defect: with C'(l) = 0 the
-    stationary equation gives C'''(l) = v*k*C(l)**n / d_ax**2, and folding
-    that consistency term into the outlet row reduces to scaling its
-    reaction coefficient by (1 - z/3 + z^2/6), z = h*v/d_ax, restoring
-    O(h^2) overall.
+    """Linear part and forcing (a0, b) of the stationary residual
+    F(C) = a0 @ C + b + r(C), with r the rate of model._steady_reaction. a0 is
+    the alpha = 0 generator: the inlet condition C(0) - (d_ax/v) C'(0) = u_bar
+    is its Robin row with the inhomogeneous part moved into b[0].
     """
     h = grid.h
-    d, v, k = params.d_ax, params.v, params.k
+    d, v = params.d_ax, params.v
     a0 = DiscreteGenerator(grid=grid, params=params, alpha=0.0).diagonals
 
     b = np.zeros(grid.num_nodes)
     b[0] = (2.0 * v / h + v * v / d) * u_bar
-
-    kw = np.full(grid.num_nodes, k)
-    z = h * v / d
-    kw[-1] = k * (1.0 - z / 3.0 + z * z / 6.0)
-    return a0, b, kw
+    return a0, b
 
 
 def steady_state_numeric(params: ReactorParams, u_bar: float,
@@ -144,10 +136,12 @@ def steady_state_numeric(params: ReactorParams, u_bar: float,
     """
     if not (np.isfinite(u_bar) and u_bar > 0):
         raise ParameterError(f"u_bar must be > 0, got {u_bar}")
-    a0, b, kw = _stationary_system(params, u_bar, grid)
+    a0, b = _stationary_system(params, u_bar, grid)
+    k, n, lo, hi, base = _steady_reaction(params, grid)
 
     def residual(c):
-        return a0.apply(c) + b - kw * clamped_power(c, params.n)
+        r = c.copy()
+        return a0.apply(c) + b + _reaction_into(r, lo, hi, base, k, [(r, n)])
 
     scale = max(1.0, abs(u_bar))
     # round-off floor of the scaled residual per unit max|C|: 16 eps ||A_0||_inf,
@@ -164,8 +158,7 @@ def steady_state_numeric(params: ReactorParams, u_bar: float,
     for _ in range(NEWTON_MAX_ITER):
         if res <= NEWTON_TOL:
             break
-        # Jacobian of -kw*C^n term, with the n<1 singularity floored
-        dr = kw * params.n * np.maximum(c, JACOBIAN_FLOOR) ** (params.n - 1.0)
+        dr = _slope_into(c.copy(), k, n)
         step = a0.shifted(-dr).solve(-f)
         lam = 1.0
         for _ in range(NEWTON_MAX_HALVINGS):

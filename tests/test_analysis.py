@@ -423,18 +423,18 @@ class TestSweep:
         import dftr.integrator
         from dftr.errors import IntegrationError
 
-        guard, stack = dftr.integrator._substeps, dftr.integrator.simulate_stack
+        slope, stack = dftr.integrator._slope_into, dftr.integrator.simulate_stack
         sizes = []
 
-        def unguarded(dt, k, n, c, step_index=0):
-            # order 1 gives one substep
-            return guard(dt, k, np.where(n == 2000.0, 1.0, n), c, step_index)
+        def unguarded(c, k, n):
+            # the guard's slope at order 1 gives one substep
+            return slope(c, k, np.where(n == 2000.0, 1.0, n))
 
         def counted(runs, record):
             sizes.append(len(runs))
             return stack(runs, record)
 
-        monkeypatch.setattr(dftr.integrator, "_substeps", unguarded)
+        monkeypatch.setattr(dftr.integrator, "_slope_into", unguarded)
         monkeypatch.setattr(dftr.integrator, "simulate_stack", counted)
         base = _sweep_base(horizon=300.0, num_nodes=101)
         with np.errstate(over="ignore", invalid="ignore"):

@@ -179,6 +179,20 @@ class TestSteadyCommand:
         assert main(["steady", "--config", cfg, "--out", str(out)]) == 0
         assert not (out / "steady_analytic.csv").exists()
 
+    def test_no_reaction_is_a_constant_profile_at_an_overflowing_order(self, tmp_path, capsys):
+        # k = 0 with n = 10 at u_bar = 1e40: the reaction is off, so C = u_bar exactly solves
+        # the system, and no C**n (inf) times k (0) may reach the residual or its slope
+        text = (BASE_INI.replace("k = 0.001", "k = 0").replace("n = 1", "n = 10")
+                + "[control]\nu_bar = 1e40\n")
+        out = tmp_path / "out"
+        assert main(["steady", "--config", write_ini(tmp_path / "c.ini", text),
+                     "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        _, _, rows = read_csv(out / "steady.csv")
+        c_bar = np.array([float(r[1]) for r in rows])
+        assert len(c_bar) == 201
+        assert np.max(np.abs(c_bar - 1e40)) <= 1e-12 * 1e40
+
     def test_floats_round_trip_through_formatting(self, tmp_path):
         cfg = write_ini(tmp_path / "c.ini", BASE_INI)
         out = tmp_path / "out"
@@ -821,9 +835,13 @@ class TestEquilibriumStop:
         # C_bar**n off by 1e-6 relative in the stepper only, so r(0) != 0
         import dftr.integrator
 
-        power = dftr.integrator.clamped_power
-        monkeypatch.setattr(dftr.integrator, "clamped_power",
-                            lambda c, n: power(c, n) * (1.0 + 1e-6))
+        reaction = dftr.integrator._reaction
+
+        def perturbed(params, c_bar):
+            k, n, lo, hi, base = reaction(params, c_bar)
+            return k, n, lo, hi, base * (1.0 + 1e-6)
+
+        monkeypatch.setattr(dftr.integrator, "_reaction", perturbed)
 
     @pytest.mark.parametrize("every", [1, 10])
     def test_reference_point_steps_three_records(self, tmp_path, monkeypatch, every):

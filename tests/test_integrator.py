@@ -402,7 +402,7 @@ class TestFusedSubstep:
         import dftr.integrator
 
         monkeypatch.setattr(dftr.integrator, "_substeps",
-                            lambda dt, k, n, c, step_index=0: np.ones_like(n, dtype=int))
+                            lambda dt, lip, step_index=0: np.ones_like(lip, dtype=int))
         runs = []
         for n in (2.0, 2000.0):
             p, law, g, steady, cfg = _setup(n=n, t_final=40.0, dt=1.0, num_nodes=51)
@@ -558,10 +558,10 @@ class TestSubstepThreshold:
 
         ratio, reads = dftr.integrator._ratio, []
 
-        def counted(dt, k, n, c, out=None):
-            result = ratio(dt, k, n, c, out)
+        def counted(dt, lip, out=None):
+            result = ratio(dt, lip, out)
             if out is not None:
-                reads.append(float(np.max(result[0])))
+                reads.append(float(np.max(result)))
             return result
 
         monkeypatch.setattr(dftr.integrator, "_ratio", counted)
@@ -571,12 +571,15 @@ class TestSubstepThreshold:
     def _cap_ratio(runs):
         """The largest guard ratio of runs at c0 + cap, the most each can see."""
         from dftr.integrator import _ratio, _reach
+        from dftr.model import _reaction, _slope_into
 
         ratios = []
         for config, steady, _ in runs:
-            p = config.params
-            c0, cap = _reach(p, steady.profile.values)
-            ratios.append(float(_ratio(config.dt, p.k, p.power_order, c0 + cap)[0]))
+            p, c_bar = config.params, steady.profile.values
+            c0, cap = _reach(p, c_bar)
+            k, n, *_ = _reaction(p, c_bar)
+            lip = _slope_into(np.array([c0 + cap]), k, np.array([n]))
+            ratios.append(float(_ratio(config.dt, lip)[0]))
         return max(ratios)
 
     def test_ratio_in_the_upper_half_is_read_at_every_step_and_never_substeps(

@@ -18,7 +18,6 @@ from dftr import (
     initial_profile,
     lambda_theoretical,
     reaction_rate,
-    saturate,
 )
 from conftest import make_params
 
@@ -136,32 +135,6 @@ class TestDispersionFromPeclet:
             d_ax_from_peclet(-0.01, 1.0, 4.0)
 
 
-class TestSaturate:
-    def test_examples(self):
-        assert saturate(3.0, 5.0) == 3.0
-        assert saturate(7.0, 5.0) == 5.0
-        assert saturate(-7.0, 5.0) == -5.0
-
-    def test_array_input(self):
-        out = saturate(np.array([-10.0, 0.0, 10.0]), 2.0)
-        assert np.array_equal(out, [-2.0, 0.0, 2.0])
-
-    def test_bound_must_be_positive(self):
-        with pytest.raises(ParameterError):
-            saturate(1.0, 0.0)
-
-    @given(st.floats(-1e6, 1e6), st.floats(1e-6, 1e6))
-    def test_idempotent_and_bounded(self, w, m):
-        s = saturate(w, m)
-        assert abs(s) <= m
-        assert saturate(s, m) == s
-
-    @given(st.floats(-1e6, 1e6), st.floats(1e-6, 1e6))
-    def test_identity_inside_band(self, w, m):
-        if abs(w) <= m:
-            assert saturate(w, m) == w
-
-
 class TestClampedPower:
     def test_negative_base_fractional_exponent(self):
         # clamp keeps fractional powers real on transient negative values
@@ -232,6 +205,47 @@ class TestReactionRate:
                        np.repeat([p.k for p in runs], 21), [(out[:21], 2.0), (out[21:], 0.5)])
         alone = np.concatenate([reaction_rate(w, c, p) for w, c, p in zip(ws, c_bars, runs)])
         assert out.tobytes() == alone.tobytes()
+
+
+class TestReactionKernels:
+    """The rate and slope kernels, composed as the steady solve and the substep guard
+    compose them, against the formulas each of those wrote out before the kernels."""
+
+    ORDERS = [0.3, 0.5, 1.0, 2.0, 3.7, 10.0]
+
+    @pytest.mark.parametrize("k", [0.001, 1.0])
+    @pytest.mark.parametrize("n", ORDERS)
+    def test_steady_residual_and_newton_slope(self, n, k):
+        from dftr.model import _reaction_into, _slope_into, _steady_reaction
+        from dftr.steady_state import _stationary_system
+
+        p, grid = make_params(n=n, k=k), SpatialGrid(l=1.0, num_nodes=201)
+        a0, b = _stationary_system(p, 1.0, grid)
+        kw = np.full(grid.num_nodes, p.k)
+        z = grid.h * p.v / p.d_ax
+        kw[-1] = p.k * (1.0 - z / 3.0 + z * z / 6.0)
+        k_node, order, lo, hi, base = _steady_reaction(p, grid)
+        rng = np.random.default_rng(13)
+        for c in rng.uniform(-0.5, 1.5, (50, grid.num_nodes)):  # negatives included
+            r = c.copy()
+            _reaction_into(r, lo, hi, base, k_node, [(r, order)])
+            old = a0.apply(c) + b - kw * np.maximum(c, 0.0) ** n
+            assert (a0.apply(c) + b + r).tobytes() == old.tobytes()
+            old = kw * n * np.maximum(c, 1e-12) ** (n - 1.0)
+            assert _slope_into(c.copy(), k_node, order).tobytes() == old.tobytes()
+
+    def test_guard_ratio(self):
+        from dftr.integrator import REACTION_COURANT, _ratio
+        from dftr.model import _reaction, _slope_into
+
+        # the stack's per-run k and order (1 at k = 0), each run at its own scale c
+        runs = [make_params(n=n, k=k) for n in self.ORDERS for k in (0.0, 0.001, 1.0)]
+        k_run, n_run, *_ = map(np.array, zip(*(_reaction(p, 1.0) for p in runs)))
+        rng = np.random.default_rng(14)
+        for _ in range(50):
+            c, dt = rng.uniform(1e-6, 3.0, len(runs)), rng.uniform(0.01, 10.0)
+            old = np.divide(dt * (k_run * n_run * np.power(c, n_run - 1.0)), REACTION_COURANT)
+            assert _ratio(dt, _slope_into(c.copy(), k_run, n_run)).tobytes() == old.tobytes()
 
 
 class TestInitialProfile:

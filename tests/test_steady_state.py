@@ -86,7 +86,7 @@ class TestAnalyticFirstOrder:
 
 class TestNumericSolver:
     def test_linear_part_is_alpha_zero_generator(self, params, grid201):
-        a0, b, _ = _stationary_system(params, 1.0, grid201)
+        a0, b = _stationary_system(params, 1.0, grid201)
         for got, want in zip(a0, build_generator(grid201, params, 0.0).diagonals):
             assert np.array_equal(got, want)
         # with the feedback factor (1 - alpha) = 1 the inlet row is the
