@@ -19,8 +19,7 @@ from .integrator import SimulationConfig, Trajectory, simulate, simulate_stack, 
 from .model import (FeedbackLaw, Profile, ReactorParams, SpatialGrid,
                     clamped_power, d_ax_from_peclet, default_saturation_bound,
                     initial_profile, lambda_theoretical, reaction_rate)
-from .operator import (DiscreteGenerator, ResolventSolution, Tridiagonal,
-                       build_generator, duhamel_oracle, inner_product,
+from .operator import (Tridiagonal, build_generator, duhamel_oracle, inner_product,
                        resolvent_analytic, resolvent_discrete)
 from .steady_state import (AnalyticSteadyState, SteadyStateSolution,
                            steady_state_analytic_n1, steady_state_numeric,
@@ -29,9 +28,9 @@ from .steady_state import (AnalyticSteadyState, SteadyStateSolution,
 __all__ = [
     "__version__",
     "AnalyticSteadyState", "ConfigError", "ContractError", "DecayEstimate",
-    "DftrError", "DiscreteGenerator", "EstimationError", "FeedbackLaw",
+    "DftrError", "EstimationError", "FeedbackLaw",
     "IntegrationError", "ParameterError", "Profile", "ReactorParams",
-    "ResolventSolution", "SimulationConfig", "SolverError", "SpatialGrid",
+    "SimulationConfig", "SolverError", "SpatialGrid",
     "SteadyStateSolution", "SweepCell", "SweepResult", "Trajectory",
     "Tridiagonal", "build_generator", "clamped_power",
     "d_ax_from_peclet", "default_saturation_bound", "default_weight",

@@ -210,7 +210,7 @@ def simulate_stack(runs, record) -> list:
     params = [config.params for config, _, _ in runs]
     c_bars = [steady.profile.values for _, steady, _ in runs]
     k_run, orders, lo, hi, base = zip(*(_reaction(p, c) for p, c in zip(params, c_bars)))
-    gens = [build_generator(grid, cf.params, cf.law.alpha).diagonals for cf, _, _ in runs]
+    gens = [build_generator(grid, cf.params, cf.law.alpha) for cf, _, _ in runs]
     scale = gens[0].symmetrizer()  # every run's D, or None: D = 1 and LU
     syms = gens if scale is None else [g.symmetrized() for g in gens]
     d_node = np.tile(np.ones(nodes) if scale is None else scale, len(runs))

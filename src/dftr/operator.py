@@ -20,8 +20,7 @@ import math
 import os
 import sys
 from ctypes import CFUNCTYPE, PYFUNCTYPE, c_char_p, c_size_t, c_void_p, py_object, pythonapi
-from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import partial
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -230,73 +229,40 @@ class Tridiagonal(NamedTuple):
             raise ContractError("a symmetric tridiagonal needs lower[1:] equal to upper[:-1]")
 
 
-@dataclass(frozen=True)
-class DiscreteGenerator:
-    """Tridiagonal approximation of the closed-loop generator."""
-
-    grid: SpatialGrid
-    params: ReactorParams
-    alpha: float
-
-    @cached_property
-    def diagonals(self) -> Tridiagonal:
-        """A_h with read-only diagonals; lower[0] and upper[-1] unused."""
-        m = self.grid.num_nodes
-        h = self.grid.h
-        d, v = self.params.d_ax, self.params.v
-        a = self.alpha
-
-        lower = np.zeros(m)
-        diag = np.zeros(m)
-        upper = np.zeros(m)
-
-        lower[1:-1] = d / h ** 2 + v / (2.0 * h)
-        diag[1:-1] = -2.0 * d / h ** 2
-        upper[1:-1] = d / h ** 2 - v / (2.0 * h)
-
-        # inlet row: ghost value from the Robin closure
-        # xi_{-1} = xi_1 - (2 h v / d) * (1 - alpha) * xi_0
-        diag[0] = -2.0 * d / h ** 2 - 2.0 * v * (1.0 - a) / h - v * v * (1.0 - a) / d
-        upper[0] = 2.0 * d / h ** 2
-
-        # outlet row: ghost value from xi'(l) = 0, xi_{m} = xi_{m-2}
-        lower[-1] = 2.0 * d / h ** 2
-        diag[-1] = -2.0 * d / h ** 2
-
-        for arr in (lower, diag, upper):
-            arr.flags.writeable = False
-        return Tridiagonal(lower, diag, upper)
-
-
-def build_generator(grid: SpatialGrid, params: ReactorParams,
-                    alpha: float) -> DiscreteGenerator:
+def build_generator(grid: SpatialGrid, params: ReactorParams, alpha: float) -> Tridiagonal:
+    """A_h at the gain alpha in [0, 1/2], with read-only diagonals; lower[0] and upper[-1]
+    unused."""
     if not (np.isfinite(alpha) and 0.0 <= alpha <= 0.5):
         raise ParameterError(f"alpha must lie in [0, 1/2], got {alpha}")
-    return DiscreteGenerator(grid=grid, params=params, alpha=alpha)
+    m = grid.num_nodes
+    h = grid.h
+    d, v = params.d_ax, params.v
+
+    lower = np.zeros(m)
+    diag = np.zeros(m)
+    upper = np.zeros(m)
+
+    lower[1:-1] = d / h ** 2 + v / (2.0 * h)
+    diag[1:-1] = -2.0 * d / h ** 2
+    upper[1:-1] = d / h ** 2 - v / (2.0 * h)
+
+    # inlet row: ghost value from the Robin closure
+    # xi_{-1} = xi_1 - (2 h v / d) * (1 - alpha) * xi_0
+    diag[0] = -2.0 * d / h ** 2 - 2.0 * v * (1.0 - alpha) / h - v * v * (1.0 - alpha) / d
+    upper[0] = 2.0 * d / h ** 2
+
+    # outlet row: ghost value from xi'(l) = 0, xi_{m} = xi_{m-2}
+    lower[-1] = 2.0 * d / h ** 2
+    diag[-1] = -2.0 * d / h ** 2
+
+    for arr in (lower, diag, upper):
+        arr.flags.writeable = False
+    return Tridiagonal(lower, diag, upper)
 
 
 def inner_product(grid: SpatialGrid, a: np.ndarray, b: np.ndarray) -> float:
     """Trapezoidal discrete inner product on [0, l]."""
     return float(np.sum(grid.quad_weights * a * b))
-
-
-@dataclass(frozen=True)
-class ResolventSolution:
-    """Closed-form solution of d_ax*xi'' - v*xi' - lambda*xi = eta.
-
-    nu1 < 0 < nu2 are the characteristic roots; c3 and c4 are the
-    coefficients of e^{nu1 x} and e^{nu2 x} in the forward
-    variation-of-constants representation; det is the determinant of the
-    scaled boundary-condition system (a surjectivity witness).
-    """
-
-    nu1: float
-    nu2: float
-    c3: float
-    c4: float
-    xi: Profile
-    lambda_shift: float
-    det: float
 
 
 def _m0(z: float) -> float:
@@ -347,8 +313,9 @@ def _convolutions(eta: np.ndarray, h: float, nu1: float, nu2: float):
 
 
 def resolvent_analytic(eta: Profile, lambda_shift: float, params: ReactorParams,
-                       alpha: float) -> ResolventSolution:
-    """Variation-of-constants solution satisfying both boundary conditions.
+                       alpha: float) -> Profile:
+    """The xi of d_ax xi'' - v xi' - lambda xi = eta under both boundary conditions, by
+    variation of constants; SolverError if the boundary-condition system is singular.
 
     The representation groups the particular solution into the two bounded
     convolutions t2 and p1 and writes the nu2 homogeneous mode as
@@ -389,25 +356,20 @@ def resolvent_analytic(eta: Profile, lambda_shift: float, params: ReactorParams,
     c3 = (r1 * a22 - a12 * r2) / det
     c4_scaled = (a11 * r2 - a21 * r1) / det
 
-    vals = (-kappa * (t2 + p1) + c3 * np.exp(nu1 * x)
-            + c4_scaled * np.exp(nu2 * (x - l)))
-    c4 = c4_scaled * e2 - kappa * j2
-    return ResolventSolution(nu1=nu1, nu2=nu2, c3=c3, c4=c4,
-                             xi=Profile(grid, vals), lambda_shift=lambda_shift,
-                             det=det)
+    return Profile(grid, -kappa * (t2 + p1) + c3 * np.exp(nu1 * x)
+                   + c4_scaled * np.exp(nu2 * (x - l)))
 
 
-def resolvent_discrete(gen: DiscreteGenerator, eta: Profile,
-                       lambda_shift: float) -> Profile:
+def resolvent_discrete(a_h: Tridiagonal, eta: Profile, lambda_shift: float) -> Profile:
     """Direct tridiagonal solve of (A_h - lambda*I) xi = eta."""
     if not (np.isfinite(lambda_shift) and lambda_shift > 0):
         raise ParameterError(f"lambda_shift must be > 0, got {lambda_shift}")
-    if eta.grid != gen.grid:
-        raise ContractError("profile grid does not match generator grid")
-    xi = gen.diagonals.shifted(-lambda_shift).solve(eta.values)
+    if eta.values.shape != a_h.diag.shape:
+        raise ContractError(f"a profile of {eta.values.size} nodes for A_h of {a_h.diag.size}")
+    xi = a_h.shifted(-lambda_shift).solve(eta.values)
     if not np.all(np.isfinite(xi)):
         raise SolverError("tridiagonal resolvent solve produced non-finite values")
-    return Profile(gen.grid, xi)
+    return Profile(eta.grid, xi)
 
 
 # degree-13 Pade numerator coefficients, scaled to b_0 = 1, and the largest
@@ -437,36 +399,35 @@ PICARD_TOL = 1e-10
 PICARD_MAX_ITER = 200
 
 
-def duhamel_oracle(gen: DiscreteGenerator, w0: Profile, steady, t_final: float,
-                   num_steps: int) -> Profile:
+def duhamel_oracle(a_h: Tridiagonal, w0: Profile, steady, params: ReactorParams,
+                   t_final: float, num_steps: int) -> Profile:
     """Mild-solution fixed point via dense matrix exponentials.
 
     Evaluates xi(t) = e^{t A_h} w0 + int_0^t e^{(t-s) A_h} r(xi(s)) ds, with
-    gen.params's reaction, by Picard iteration with trapezoidal quadrature in s.
+    params's reaction, by Picard iteration with trapezoidal quadrature in s.
     Deliberately independent of the time stepper: no IMEX splitting, no
     extrapolation, so it serves as a cross-check oracle at small grid sizes.
     """
-    if gen.grid.num_nodes > DUHAMEL_MAX_NODES:
-        raise ContractError(
-            f"duhamel_oracle is limited to {DUHAMEL_MAX_NODES} nodes, "
-            f"got {gen.grid.num_nodes}")
-    if w0.grid != gen.grid or steady.profile.grid != gen.grid:
-        raise ContractError("w0 and steady state must live on the generator grid")
+    grid, m = w0.grid, a_h.diag.size
+    if m > DUHAMEL_MAX_NODES:
+        raise ContractError(f"duhamel_oracle is limited to {DUHAMEL_MAX_NODES} nodes, got {m}")
+    if grid.num_nodes != m or steady.profile.grid != grid:
+        raise ContractError("w0 and the steady state must live on one grid of A_h's size")
     if num_steps < 1:
         raise ParameterError(f"num_steps must be >= 1, got {num_steps}")
 
     dt = t_final / num_steps
-    e_dt = _expm(gen.diagonals.dense() * dt)
-    weights = gen.grid.quad_weights
+    e_dt = _expm(a_h.dense() * dt)
+    weights = grid.quad_weights
 
     # iterate on the whole trajectory; states[j] approximates xi(t_j)
-    states = np.zeros((num_steps + 1, gen.grid.num_nodes))
+    states = np.zeros((num_steps + 1, m))
     states[0] = w0.values
     for j in range(num_steps):
         states[j + 1] = e_dt @ states[j]
 
     for _ in range(PICARD_MAX_ITER):
-        rates = reaction_rate(states, steady.profile.values, gen.params)
+        rates = reaction_rate(states, steady.profile.values, params)
         new = np.empty_like(states)
         new[0] = w0.values
         for j in range(num_steps):
@@ -480,7 +441,7 @@ def duhamel_oracle(gen: DiscreteGenerator, w0: Profile, steady, t_final: float,
         diff = max(np.sqrt(np.sum(squares, axis=1)).tolist())
         states = new
         if diff <= PICARD_TOL:
-            return Profile(gen.grid, states[-1])
+            return Profile(grid, states[-1])
     raise SolverError(
         f"Picard iteration did not contract within {PICARD_MAX_ITER} sweeps; "
         "split the time interval", residual=diff, iterations=PICARD_MAX_ITER)

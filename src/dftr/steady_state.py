@@ -23,7 +23,7 @@ import numpy as np
 from .errors import ParameterError, SolverError
 from .model import (Profile, ReactorParams, SpatialGrid, _reaction_into, _slope_into,
                     _steady_reaction, clamped_power)
-from .operator import DiscreteGenerator
+from .operator import build_generator
 
 NEWTON_TOL = 1e-10
 NEWTON_MAX_ITER = 100
@@ -116,7 +116,7 @@ def _stationary_system(params: ReactorParams, u_bar: float, grid: SpatialGrid):
     """
     h = grid.h
     d, v = params.d_ax, params.v
-    a0 = DiscreteGenerator(grid=grid, params=params, alpha=0.0).diagonals
+    a0 = build_generator(grid, params, 0.0)
 
     b = np.zeros(grid.num_nodes)
     b[0] = (2.0 * v / h + v * v / d) * u_bar

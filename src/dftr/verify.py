@@ -43,7 +43,7 @@ def dissipativity(cfg):
     """A_h's numerical abscissa in the trapezoidal product, the max of <A_h xi, xi>_h /
     ||xi||_h^2 over every xi (A_h's rows hold the boundary conditions), at three gains."""
     grid, params = cfg.grid(), cfg.run().params
-    return max(_symmetric_part(build_generator(grid, params, alpha).diagonals,
+    return max(_symmetric_part(build_generator(grid, params, alpha),
                                grid.quad_weights).top_eigenvalue()
                for alpha in (0.0, 0.25, 0.5))
 
@@ -61,10 +61,10 @@ def resolvent(cfg):
     for m in (base * scale // 4 + 1, base * scale // 2 + 1, base * scale + 1):
         g = SpatialGrid(l=cfg.l, num_nodes=m)
         eta = Profile(g, np.ones(m))
-        gen = build_generator(g, params, cfg.alpha)
+        a_h = build_generator(g, params, cfg.alpha)
         for lam in errors:
-            xi_a = resolvent_analytic(eta, lam, params, cfg.alpha).xi.values
-            errors[lam].append(_rel_l2(g, resolvent_discrete(gen, eta, lam).values, xi_a))
+            xi_a = resolvent_analytic(eta, lam, params, cfg.alpha).values
+            errors[lam].append(_rel_l2(g, resolvent_discrete(a_h, eta, lam).values, xi_a))
     max_err = max(errs[-1] for errs in errors.values())
     min_order = min(0.5 * (math.log2(errs[0] / errs[1])
                            + math.log2(errs[1] / errs[2]))
@@ -77,8 +77,8 @@ def _duhamel(cfg, k: float):
     config, steady, w0 = closed_loop(replace(
         cfg, k=k, t_final=50.0, dt=None,
         num_nodes=cfg.num_nodes if cfg.num_nodes <= 101 else 51).run())
-    gen = build_generator(config.grid, config.params, cfg.alpha)
-    oracle = duhamel_oracle(gen, w0, steady, t_final=50.0, num_steps=500)
+    a_h = build_generator(config.grid, config.params, cfg.alpha)
+    oracle = duhamel_oracle(a_h, w0, steady, config.params, t_final=50.0, num_steps=500)
     return _rel_l2(config.grid, simulate(config, steady, w0).states[-1], oracle.values)
 
 
@@ -114,18 +114,24 @@ def equilibrium(cfg):
     return max_w
 
 
+# below this energy (about 1e-292) w's squares may have lost their bits to underflow
+_TINY_ENERGY = np.finfo(float).tiny / np.finfo(float).eps
+
+
 def envelope(cfg):
     """max ||w(t)|| / (||w(0)|| e^{-lambda_T t}) over the decay run's records."""
     run = closed_loop(cfg.run(to_horizon=True))
     config = run[0]
     weight = default_weight(config.grid, config.params)
-    energies = np.empty(config.num_records)
+    norms = np.empty(config.num_records)
 
     def record(j, w):
-        energies[j] = energy(w[0], weight)
+        e = energy(w[0], weight)
+        # below _TINY_ENERGY, square w / max|w|, whose squares keep their bits, and scale back
+        s = float(np.max(np.abs(w[0]))) if e < _TINY_ENERGY else 0.0
+        norms[j] = s * math.sqrt(2.0 * energy(w[0] / s, weight)) if s else math.sqrt(2.0 * e)
 
     simulate_stack([run], record)
-    norms = np.sqrt(2.0 * energies)
     bound = norms[0] * np.exp(-lambda_theoretical(config.params) * config.record_times)
     # a zero norm meets any bound; a positive one over an underflowed bound is inf
     with np.errstate(divide="ignore"):

@@ -13,8 +13,7 @@ import numpy as np
 import pytest
 
 import dftr
-from dftr import (DiscreteGenerator, Profile, default_weight, energy, lambda_theoretical,
-                  simulate)
+from dftr import Profile, default_weight, energy, lambda_theoretical, simulate
 from dftr.analysis import settings_hash
 from dftr import analysis, operator, verify
 from dftr.cli import (_KEYS, ResolvedConfig, _column_rows, _field_rows, _fmt, load_config,
@@ -608,9 +607,9 @@ class TestVerifyCommand:
         """verify's two resolvent rows at n = 2, and the grid sizes the study solved on."""
         sizes, solve = set(), verify.resolvent_discrete
 
-        def spy(gen, eta, lam):
-            sizes.add(gen.grid.num_nodes)
-            return solve(gen, eta, lam)
+        def spy(a_h, eta, lam):
+            sizes.add(a_h.diag.size)
+            return solve(a_h, eta, lam)
 
         monkeypatch.setattr(verify, "resolvent_discrete", spy)
         text = (BASE_INI.replace("peclet = 4", dispersion).replace("n = 1", "n = 2")
@@ -702,9 +701,15 @@ horizon = 0
 
     def test_generator_past_the_gain_domain_fails(self, tmp_path, monkeypatch, capsys):
         # A_h at alpha + 1/2, 0.5 to 1, is not dissipative in the trapezoidal product: its
-        # numerical abscissa is +0.00985 on 201 nodes
-        monkeypatch.setattr(verify, "build_generator", lambda grid, params, alpha:
-                            DiscreteGenerator(grid, params, alpha + 0.5))
+        # numerical abscissa is +0.00985 on 201 nodes. The gain enters A_h only through
+        # its inlet diagonal, affinely, so the half gain's shift of it moves alpha by 1/2
+        build = operator.build_generator
+
+        def past(grid, params, alpha):
+            a_h, half, none = (build(grid, params, a) for a in (alpha, 0.5, 0.0))
+            return a_h._replace(diag=a_h.diag + (half.diag - none.diag))
+
+        monkeypatch.setattr(verify, "build_generator", past)
         code, row = self._dissipativity_row(tmp_path, BASE_INI + "[grid]\nnum_nodes = 201\n")
         assert code == 6
         assert 0.0098 < float(row[2]) < 0.0099 and row[-1] == "false"
@@ -748,7 +753,7 @@ horizon = 0
         cfg = write_ini(tmp_path / "c.ini", text)
         assert main(["verify", "--config", cfg, "--out", str(tmp_path / "ok")]) == 0
 
-        def singular(gen, eta, lam):
+        def singular(a_h, eta, lam):
             raise SolverError("singular tridiagonal system")
 
         monkeypatch.setattr(verify, "resolvent_discrete", singular)
@@ -904,17 +909,22 @@ class TestEnvelopeUnderflow:
         return verify.row(spec, value)
 
     @staticmethod
-    def _norms_and_bound(cfg):
-        """Each record's norm and bound after t = 0, from a run that stores its states."""
+    def _norms_and_bound(cfg, scaled=False):
+        """Each record's norm and bound after t = 0, from a run that stores its states;
+        if scaled, each norm is max|w| times that of w / max|w|, whose squares keep their
+        bits."""
         config, steady, w0 = closed_loop(cfg.run(to_horizon=True))
         traj = simulate(config, steady, w0)
         weight = default_weight(config.grid, config.params)
-        norms = np.sqrt(2.0 * np.array([energy(w, weight) for w in traj.states]))
+        scale = np.max(np.abs(traj.states), axis=1) if scaled else np.ones(traj.times.size)
+        shrunk = traj.states / np.where(scale > 0.0, scale, 1.0)[:, None]
+        norms = scale * np.sqrt(2.0 * np.array([energy(w, weight) for w in shrunk]))
         bound = norms[0] * np.exp(-lambda_theoretical(config.params) * traj.times)
         return norms[1:], bound[1:]
 
     def test_a_zero_norm_meets_the_bound(self, tmp_path):
-        # Pe 300: the norm is exactly 0 from t = 936 s, the bound from t = 3,938 s
+        # Pe 300: the norm is exactly 0 from t = 936 s, and the norm of w / max|w| scaled
+        # back, which the row takes, from t = 1,901 s; the bound from t = 3,938 s
         cfg = self._cfg(tmp_path, 300, 201)
         row = self._envelope(cfg)
         norms, bound = self._norms_and_bound(cfg)
@@ -931,11 +941,24 @@ class TestEnvelopeUnderflow:
         assert np.any((norms > 0.0) & (bound == 0.0))
         assert row[2] == np.inf and row[-1] is False
 
+    def test_an_underflowed_energy_keeps_its_norm(self, tmp_path):
+        # Pe 100 on 401 nodes at dt = 1: the ratio peaks where the energy is below
+        # tiny / eps. Norms from the unscaled energies read that peak as 6.27, those of
+        # each w / max|w| scaled back as 42.8; the row is the latter
+        cfg = self._cfg(tmp_path, 100, 401, "dt = 1\n")
+        row = self._envelope(cfg)
+        norms, bound = self._norms_and_bound(cfg, scaled=True)
+        assert row[2] == pytest.approx(np.max(norms / bound), rel=1e-12)
+        assert 42.0 < row[2] < 43.0 and row[-1] is False
+        unscaled, _ = self._norms_and_bound(cfg)
+        assert 6.0 < np.max(unscaled / bound) < 6.5
+
     @pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
     def test_envelope_holds_at_pe_100_on_401_nodes_at_dt_1(self, tmp_path):
         # Crank-Nicolson damps A_h's most negative eigenvalue (-66.0) at 0.0606 per
-        # second, below lambda_T = 0.0625: the ratio grows to 6.27 at t = 5,889 s,
-        # where the energy is subnormal (at dt = 0.1 it reads 0.983)
+        # second, below lambda_T = 0.0625: the ratio grows to 42.8 by the time the
+        # energy is below tiny / eps, where verify takes the norm of w / max|w| scaled
+        # back (at dt = 0.1 it reads 0.983)
         assert self._envelope(self._cfg(tmp_path, 100, 401, "dt = 1\n"))[-1] is True
 
 
@@ -1293,6 +1316,17 @@ def test_every_export_resolves():
     namespace = {}
     exec("from dftr import *", namespace)
     assert all(namespace[name] is getattr(dftr, name) for name in dftr.__all__)
+
+
+def test_readme_library_example_prints_both_rates(capsys):
+    # README's "## Library" block, run as written: it prints the fitted lambda_N of
+    # n = 2, alpha = 1/4 at Pe 4 on 201 nodes, and lambda_T = v^2 / (16 d_ax) below it
+    text = (REPO / "README.md").read_text()
+    block = re.search(r"^## Library\n\n```python\n(.*?)^```$", text, re.S | re.M).group(1)
+    exec(compile(block, "README.md", "exec"), {})
+    lambda_n, lambda_t = map(float, capsys.readouterr().out.split())
+    assert lambda_t == pytest.approx(0.01 ** 2 / (16 * 0.0025), rel=1e-12)
+    assert 0.017 < lambda_n < 0.018
 
 
 @pytest.mark.parametrize("argv", [

@@ -285,7 +285,7 @@ def _reference_run(config, steady, w0):
     from dftr.integrator import NEGATIVITY_TOL, substep_count
 
     p, c_bar = config.params, steady.profile.values
-    a_h = build_generator(config.grid, p, config.law.alpha).diagonals
+    a_h = build_generator(config.grid, p, config.law.alpha)
     d = a_h.symmetrizer()
     symmetric = d is not None
     if symmetric:
@@ -330,7 +330,7 @@ def _explicit_cn_run(config, steady, w0):
     from dftr.integrator import substep_count
 
     p, c_bar = config.params, steady.profile.values
-    a_h = build_generator(config.grid, p, config.law.alpha).diagonals
+    a_h = build_generator(config.grid, p, config.law.alpha)
     w, r_prev, m_prev = w0.values.copy(), None, None
     states = [w.copy()]
     for i in range(1, config.num_steps + 1):
@@ -491,7 +491,7 @@ class TestSolvePath:
     def test_stacked_runs_keep_their_solo_bits_on_each_path(
             self, monkeypatch, peclet, num_nodes, routine):
         runs = self._runs(peclet, num_nodes)
-        a_h = build_generator(runs[0][0].grid, runs[0][0].params, 0.0).diagonals
+        a_h = build_generator(runs[0][0].grid, runs[0][0].params, 0.0)
         assert (a_h.symmetrizer() is None) == (routine == "dgttrf")
         calls = _factor_calls(monkeypatch)
         seen, _ = TestFusedSubstep._stack(runs)
@@ -711,7 +711,6 @@ class TestTemporalAccuracy:
                                         num_nodes=51)
         w0 = initial_profile(g, p, law)
         traj = simulate(cfg, steady, w0)
-        gen = build_generator(g, p, law.alpha)
-        exact = expm(50.0 * gen.diagonals.dense()) @ w0.values
+        exact = expm(50.0 * build_generator(g, p, law.alpha).dense()) @ w0.values
         rel = np.linalg.norm(traj.states[-1] - exact) / np.linalg.norm(exact)
         assert rel <= 1e-4

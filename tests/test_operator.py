@@ -37,7 +37,7 @@ def _quadratic_profile(grid, params, alpha):
 
 def _tridiagonal_cases(params, m=31):
     """The generator, its Crank-Nicolson matrix and a general matrix."""
-    a_h = build_generator(SpatialGrid(l=1.0, num_nodes=m), params, 0.25).diagonals
+    a_h = build_generator(SpatialGrid(l=1.0, num_nodes=m), params, 0.25)
     rng = np.random.default_rng(7)
     lower, diag, upper = rng.standard_normal((3, m))
     return [a_h, a_h.shifted(1.0, -0.5), Tridiagonal(lower, diag + 4.0, upper)]
@@ -45,17 +45,17 @@ def _tridiagonal_cases(params, m=31):
 
 class TestGenerator:
     def test_zero_vector_maps_to_zero(self, params, grid201):
-        gen = build_generator(grid201, params, 0.0)
-        assert np.array_equal(gen.diagonals.apply(np.zeros(201)), np.zeros(201))
+        a_h = build_generator(grid201, params, 0.0)
+        assert np.array_equal(a_h.apply(np.zeros(201)), np.zeros(201))
 
     def test_exact_on_boundary_compatible_quadratic(self, params, grid201):
         # the startup profile is quadratic, so central differences are exact
         # and the ghost eliminations reproduce d_ax*w'' - v*w' at every node
         for alpha in (0.0, 0.25, 0.5):
-            gen = build_generator(grid201, params, alpha)
+            a_h = build_generator(grid201, params, alpha)
             w = _quadratic_profile(grid201, params, alpha).values
             expected = -params.d_ax - params.v * (params.l - grid201.nodes)
-            assert np.max(np.abs(gen.diagonals.apply(w) - expected)) <= 1e-12
+            assert np.max(np.abs(a_h.apply(w) - expected)) <= 1e-12
 
     def test_dense_matches_apply(self, params):
         # the first case is the 31-node generator's own A_h
@@ -64,14 +64,30 @@ class TestGenerator:
             assert np.allclose(mat.dense() @ x, mat.apply(x), rtol=1e-13, atol=1e-16)
 
     def test_diagonals_read_only(self, params, grid201):
-        gen = build_generator(grid201, params, 0.0)
-        lower, diag, upper = gen.diagonals
-        with pytest.raises(ValueError):
-            diag[0] = 0.0
+        # build_generator returns A_h itself, a Tridiagonal none of whose diagonals
+        # can be written
+        a_h = build_generator(grid201, params, 0.0)
+        assert type(a_h) is Tridiagonal
+        for diagonal in a_h:
+            assert diagonal.shape == (201,)
+            with pytest.raises(ValueError, match="read-only"):
+                diagonal[0] = 0.0
 
     def test_rejects_gain_outside_range(self, params, grid201):
-        with pytest.raises(ParameterError):
-            build_generator(grid201, params, 0.6)
+        for alpha in (-0.1, np.nextafter(0.0, -1.0), np.nextafter(0.5, 1.0), 0.6, np.nan,
+                      np.inf):
+            with pytest.raises(ParameterError, match="alpha must lie in"):
+                build_generator(grid201, params, alpha)
+        for alpha in (0.0, 0.5):
+            build_generator(grid201, params, alpha)
+
+    def test_gain_moves_only_the_inlet_diagonal(self, params, grid201):
+        # the alpha * w(0, t) feedback sits in the inlet Robin row alone, affinely
+        a_h, half, none = (build_generator(grid201, params, a) for a in (0.25, 0.5, 0.0))
+        assert np.array_equal(a_h.lower, none.lower) and np.array_equal(a_h.upper, none.upper)
+        assert np.array_equal(a_h.diag[1:], none.diag[1:])
+        assert a_h.diag[0] - none.diag[0] == pytest.approx(
+            0.5 * (half.diag[0] - none.diag[0]), rel=1e-12)
 
 
 class TestTridiagonal:
@@ -232,7 +248,7 @@ class TestLapackLoader:
 
     def test_fallback_gives_the_same_bytes(self, params, monkeypatch):
         mat = build_generator(SpatialGrid(l=1.0, num_nodes=2001), params,
-                              0.25).diagonals.shifted(1.0, -0.5)
+                              0.25).shifted(1.0, -0.5)
         rhs = np.random.default_rng(8).standard_normal(2001)
         results = []
         for lapack in (operator._LAPACK, operator._scipy_lapack()):
@@ -296,7 +312,7 @@ class TestSymmetricSolve:
 
     @pytest.mark.parametrize("alpha", [0.0, 0.25, 0.5])
     def test_symmetrizer_makes_the_generator_symmetric(self, alpha):
-        a_h = _generator(4.0, 201, alpha).diagonals
+        a_h = _generator(4.0, 201, alpha)
         d = a_h.symmetrizer()
         sym = a_h.symmetrized().dense()
         assert np.array_equal(sym, sym.T)
@@ -310,11 +326,11 @@ class TestSymmetricSolve:
         # end of the Lyapunov family. The two ghost-eliminated end rows weigh their
         # nodes (1 -+ h v / (2 d_ax)) / 2, the trapezoid's half weight to O(h)
         errors = []
+        p = make_params(d_ax=0.01 / 4.0)
         for num_nodes in (201, 401):
-            gen = _generator(4.0, num_nodes)
-            grid, p = gen.grid, gen.params
+            grid = SpatialGrid(l=1.0, num_nodes=num_nodes)
             weight = grid.quad_weights * np.exp(-p.v * grid.nodes / p.d_ax)
-            ratio = gen.diagonals.symmetrizer() ** -2 / weight
+            ratio = build_generator(grid, p, 0.25).symmetrizer() ** -2 / weight
             errors.append(np.max(np.abs(ratio[1:-1] / ratio[1] - 1.0)))
             cell_peclet = grid.h * p.v / p.d_ax
             assert abs(ratio[0] / ratio[1] - 1.0) <= cell_peclet
@@ -326,10 +342,10 @@ class TestSymmetricSolve:
         # Pe 1000 on 201 nodes: cell Peclet number 5, upper < 0 < lower. On 2001 nodes
         # every coupling product is positive, but D would span about e^500. Pe 40 on
         # 201 nodes spans 2^+-14.4
-        coarse, fine = (_generator(1000.0, m).diagonals for m in (201, 2001))
+        coarse, fine = (_generator(1000.0, m) for m in (201, 2001))
         assert np.any(coarse.upper[:-1] < 0.0) and coarse.symmetrizer() is None
         assert np.all(fine.lower[1:] * fine.upper[:-1] > 0.0) and fine.symmetrizer() is None
-        assert _generator(40.0, 201).diagonals.symmetrizer() is not None
+        assert _generator(40.0, 201).symmetrizer() is not None
         for log2_span, inside in ((63.9, True), (64.1, False)):
             mat = Tridiagonal(np.array([0.0, 2.0 ** log2_span]), np.ones(2),
                               np.array([2.0 ** -log2_span, 0.0]))
@@ -340,7 +356,7 @@ class TestSymmetricSolve:
 
     def test_symmetric_factor_matches_dense_solve(self, lapack_path):
         # the Crank-Nicolson matrix of A_h, symmetrized, at the 2001 nodes of verify-fine
-        cn = _generator(4.0, 2001).diagonals.shifted(1.0, -0.5)
+        cn = _generator(4.0, 2001).shifted(1.0, -0.5)
         d, sym = cn.symmetrizer(), cn.symmetrized()
         rhs = np.random.default_rng(9).standard_normal(2001)
         x = rhs / d
@@ -351,7 +367,7 @@ class TestSymmetricSolve:
 
     @needs_numpy_lapack
     def test_both_lapacks_give_the_same_bytes(self, monkeypatch):
-        sym = _generator(4.0, 2001).diagonals.shifted(1.0, -0.5).symmetrized()
+        sym = _generator(4.0, 2001).shifted(1.0, -0.5).symmetrized()
         rhs = np.random.default_rng(10).standard_normal(2001)
         results = []
         for lapack in (NUMPY_LAPACK, operator._scipy_lapack()):
@@ -363,7 +379,7 @@ class TestSymmetricSolve:
 
     def test_symmetric_block_diagonal_solves_each_block_alone(self):
         # dpttrf and dpttrs carry nothing across a zero coupling
-        blocks = [_generator(pe, 51, alpha).diagonals.shifted(1.0, -0.5).symmetrized()
+        blocks = [_generator(pe, 51, alpha).shifted(1.0, -0.5).symmetrized()
                   for pe, alpha in ((4.0, 0.0), (20.0, 0.5), (0.5, 0.25))]
         rhs = np.random.default_rng(11).standard_normal(51 * len(blocks))
         x = rhs.copy()
@@ -376,27 +392,26 @@ class TestSymmetricSolve:
     def test_symmetric_factor_rejects_what_it_cannot_factor(self, lapack_path):
         # a matrix that is not symmetric is a contract error; one that is not positive
         # definite (A_h itself) fails dpttrf's pivot check
-        cn = _generator(4.0, 31).diagonals.shifted(1.0, -0.5)
+        cn = _generator(4.0, 31).shifted(1.0, -0.5)
         with pytest.raises(ContractError, match="lower"):
             cn.factor(into=np.zeros(31), symmetric=True)
         with pytest.raises(SolverError, match="not positive definite"):
-            _generator(4.0, 31).diagonals.symmetrized().factor(into=np.zeros(31),
-                                                                  symmetric=True)
+            _generator(4.0, 31).symmetrized().factor(into=np.zeros(31), symmetric=True)
 
 
-def _abscissa_matrix(gen):
+def _abscissa_matrix(a_h, grid):
     """T = Q^-1/2 sym(Q A_h) Q^-1/2 with Q the trapezoidal weights, as verify builds it."""
-    return verify._symmetric_part(gen.diagonals, gen.grid.quad_weights)
+    return verify._symmetric_part(a_h, grid.quad_weights)
 
 
-def _form_and_lemma_rhs(gen, xi):
-    """<A_h xi, xi>_h, and the lemma's -v (1/2 - alpha) xi(0)^2 - d_ax int (xi')^2
-    - (v/2) xi(l)^2 with second-order difference quotients for xi'."""
-    grid, p, vals = gen.grid, gen.params, xi.values
+def _form_and_lemma_rhs(p, alpha, xi):
+    """<A_h xi, xi>_h at gain alpha, and the lemma's -v (1/2 - alpha) xi(0)^2
+    - d_ax int (xi')^2 - (v/2) xi(l)^2 with second-order difference quotients for xi'."""
+    grid, vals = xi.grid, xi.values
     deriv = np.gradient(vals, grid.h, edge_order=2)
-    rhs = (-p.v * (0.5 - gen.alpha) * vals[0] ** 2 - p.d_ax * inner_product(grid, deriv, deriv)
+    rhs = (-p.v * (0.5 - alpha) * vals[0] ** 2 - p.d_ax * inner_product(grid, deriv, deriv)
            - 0.5 * p.v * vals[-1] ** 2)
-    return inner_product(grid, gen.diagonals.apply(vals), vals), rhs
+    return inner_product(grid, build_generator(grid, p, alpha).apply(vals), vals), rhs
 
 
 # the reference point on 3, 201 and 2001 nodes, and v = 10, d_ax = 0.001 on 5 nodes,
@@ -413,8 +428,7 @@ class TestDissipativity:
     def test_form_negative_on_admissible_vectors(self, params, grid201, alpha):
         # every xi is admissible, the boundary conditions being in A_h's rows; random
         # vectors and the smooth startup profile never read above omega_0, itself <= 0
-        gen = build_generator(grid201, params, alpha)
-        t = _abscissa_matrix(gen)
+        t = _abscissa_matrix(build_generator(grid201, params, alpha), grid201)
         omega = t.top_eigenvalue()
         assert omega <= 1e-8
         rng = np.random.default_rng(42)
@@ -423,15 +437,14 @@ class TestDissipativity:
                    _quadratic_profile(grid201, params, alpha).values]
         slack = 8 * np.finfo(float).eps * np.max(np.abs(t.dense()))
         for xi in vectors:
-            form, _ = _form_and_lemma_rhs(gen, Profile(grid201, xi))
+            form, _ = _form_and_lemma_rhs(params, alpha, Profile(grid201, xi))
             assert form / inner_product(grid201, xi, xi) <= omega + slack
 
     def test_form_tracks_lemma_bound_to_second_order(self, params):
         diffs = []
         for m in (51, 101, 201):
             g = SpatialGrid(l=1.0, num_nodes=m)
-            gen = build_generator(g, params, 0.0)
-            form, rhs = _form_and_lemma_rhs(gen, _quadratic_profile(g, params, 0.0))
+            form, rhs = _form_and_lemma_rhs(params, 0.0, _quadratic_profile(g, params, 0.0))
             diffs.append(abs(form - rhs))
         assert diffs[0] / diffs[1] == pytest.approx(4.0, rel=0.15)
         assert diffs[1] / diffs[2] == pytest.approx(4.0, rel=0.15)
@@ -442,10 +455,9 @@ class TestDissipativity:
         diffs = []
         for m in (51, 101, 201):
             g = SpatialGrid(l=1.0, num_nodes=m)
-            gen = build_generator(g, params, 0.5)
             xi = _quadratic_profile(g, params, 0.5)
             assert xi.values[0] > 0.1
-            form, rhs = _form_and_lemma_rhs(gen, xi)
+            form, rhs = _form_and_lemma_rhs(params, 0.5, xi)
             diffs.append(abs(form - rhs))
         assert diffs[0] / diffs[1] == pytest.approx(4.0, rel=0.15)
         assert diffs[1] / diffs[2] == pytest.approx(4.0, rel=0.15)
@@ -454,8 +466,8 @@ class TestDissipativity:
         # convection-dominated on five nodes: h far above 8*d_ax/v, the
         # central scheme loses the sign and the abscissa goes positive
         p = make_params(d_ax=0.001, v=10.0, sat_m=1.0)
-        gen = build_generator(SpatialGrid(l=1.0, num_nodes=5), p, 0.0)
-        assert _abscissa_matrix(gen).top_eigenvalue() > 0.0
+        g = SpatialGrid(l=1.0, num_nodes=5)
+        assert _abscissa_matrix(build_generator(g, p, 0.0), g).top_eigenvalue() > 0.0
 
 
 class TestTopEigenvalue:
@@ -467,11 +479,11 @@ class TestTopEigenvalue:
         m, kwargs = ABSCISSA_CASES[case]
         g = SpatialGrid(l=1.0, num_nodes=m)
         for alpha in (0.5,) if m > 201 else (0.0, 0.25, 0.5):
-            gen = build_generator(g, make_params(**kwargs), alpha)
-            a, root = gen.diagonals.dense(), np.sqrt(g.quad_weights)
+            a_h = build_generator(g, make_params(**kwargs), alpha)
+            a, root = a_h.dense(), np.sqrt(g.quad_weights)
             qa = g.quad_weights[:, None] * a
             dense = 0.5 * (qa + qa.T) / np.outer(root, root)
-            t = _abscissa_matrix(gen)
+            t = _abscissa_matrix(a_h, g)
             scale = np.max(np.abs(dense))
             assert np.max(np.abs(t.dense() - dense)) <= 4 * np.finfo(float).eps * scale
             eigenvalues = np.linalg.eigvalsh(dense)
@@ -482,8 +494,8 @@ class TestTopEigenvalue:
     @pytest.mark.parametrize("case", ABSCISSA_CASES)
     def test_both_lapacks_agree(self, case, monkeypatch):
         m, kwargs = ABSCISSA_CASES[case]
-        t = _abscissa_matrix(build_generator(SpatialGrid(l=1.0, num_nodes=m),
-                                             make_params(**kwargs), 0.5))
+        g = SpatialGrid(l=1.0, num_nodes=m)
+        t = _abscissa_matrix(build_generator(g, make_params(**kwargs), 0.5), g)
         tops = []
         for lapack in (NUMPY_LAPACK, operator._scipy_lapack()):
             monkeypatch.setattr(operator, "_LAPACK", lapack)
@@ -494,7 +506,7 @@ class TestTopEigenvalue:
     def test_nonsymmetric_input_is_a_contract_error(self, lapack_path):
         # A_h itself, and diagonals of unequal length, which LAPACK would read past
         with pytest.raises(ContractError, match="lower"):
-            _generator(4.0, 31).diagonals.top_eigenvalue()
+            _generator(4.0, 31).top_eigenvalue()
         with pytest.raises(ContractError, match="one length"):
             Tridiagonal(np.zeros(5), np.ones(6), np.zeros(5)).top_eigenvalue()
 
@@ -504,37 +516,52 @@ class TestTopEigenvalue:
             Tridiagonal(np.zeros(3), np.array([1.0, np.nan, 2.0]), np.zeros(3)).top_eigenvalue()
 
 
+def _constant_source_resolvent(p, grid, lam, alpha, roots=None):
+    """The xi of d_ax xi'' - v xi' - lam xi = 1 under both boundary conditions, written
+    without convolutions: -1/lam + a e^{nu1 x} + b e^{nu2 (x - l)}, with (a, b) from the
+    two boundary rows by numpy and nu1 < nu2 the roots of d_ax nu^2 - v nu - lam (from
+    numpy.roots unless given)."""
+    nu1, nu2 = roots or np.sort(np.roots([p.d_ax, -p.v, -lam]).real)
+    robin = 1.0 - alpha
+    # inlet (1 - alpha) xi(0) = (d_ax / v) xi'(0); outlet xi'(l) = 0
+    rows = [[robin - p.d_ax / p.v * nu1, (robin - p.d_ax / p.v * nu2) * np.exp(-nu2 * p.l)],
+            [nu1 * np.exp(nu1 * p.l), nu2]]
+    a, b = np.linalg.solve(rows, [robin / lam, 0.0])
+    return -1.0 / lam + a * np.exp(nu1 * grid.nodes) + b * np.exp(nu2 * (grid.nodes - p.l))
+
+
+def _assert_constant_source(p, grid, lam, alpha, roots=None):
+    xi = resolvent_analytic(Profile(grid, np.ones(grid.num_nodes)), lam, p, alpha)
+    assert type(xi) is Profile and xi.grid == grid
+    exact = _constant_source_resolvent(p, grid, lam, alpha, roots)
+    assert np.max(np.abs(xi.values - exact)) <= 1e-12 * np.max(np.abs(exact))
+
+
 class TestResolventAnalytic:
     def test_characteristic_roots_reference(self, params, grid201):
-        eta = Profile(grid201, np.ones(201))
-        sol = resolvent_analytic(eta, 1.0, params, 0.0)
-        assert sol.nu1 == pytest.approx(-18.099751242241783, rel=1e-14)
-        assert sol.nu2 == pytest.approx(22.09975124224178, rel=1e-14)
+        # the roots of d_ax nu^2 - v nu - 1 at the reference point
+        _assert_constant_source(params, grid201, 1.0, 0.0,
+                                roots=(-18.099751242241783, 22.09975124224178))
 
     def test_zero_source_gives_zero_solution(self, params, grid201):
         eta = Profile(grid201, np.zeros(201))
-        sol = resolvent_analytic(eta, 1.0, params, 0.0)
-        assert np.array_equal(sol.xi.values, np.zeros(201))
-        assert sol.c3 == 0.0
-        assert sol.c4 == 0.0
+        assert np.array_equal(resolvent_analytic(eta, 1.0, params, 0.0).values,
+                              np.zeros(201))
 
     @pytest.mark.parametrize("lam", [0.1, 1.0, 10.0])
     @pytest.mark.parametrize("alpha", [0.0, 0.25, 0.5])
     def test_boundary_system_never_degenerates(self, params, grid201, lam, alpha):
-        eta = Profile(grid201, np.ones(201))
-        sol = resolvent_analytic(eta, lam, params, alpha)
-        assert np.isfinite(sol.det)
-        assert abs(sol.det) > 1e-12
+        # no SolverError, and the boundary rows solved right: the closed form exactly
+        _assert_constant_source(params, grid201, lam, alpha)
 
     def test_matches_discrete_resolvent(self, params):
         g = SpatialGrid(l=1.0, num_nodes=401)
         x = g.nodes
         eta = Profile(g, np.cos(2.0 * np.pi * x) + 0.5)
-        sol = resolvent_analytic(eta, 1.0, params, 0.25)
-        gen = build_generator(g, params, 0.25)
-        xi_d = resolvent_discrete(gen, eta, 1.0).values
-        num = np.sqrt(inner_product(g, xi_d - sol.xi.values, xi_d - sol.xi.values))
-        den = np.sqrt(inner_product(g, sol.xi.values, sol.xi.values))
+        xi_a = resolvent_analytic(eta, 1.0, params, 0.25).values
+        xi_d = resolvent_discrete(build_generator(g, params, 0.25), eta, 1.0).values
+        num = np.sqrt(inner_product(g, xi_d - xi_a, xi_d - xi_a))
+        den = np.sqrt(inner_product(g, xi_a, xi_a))
         assert num / den <= 1e-3
 
     def test_rejects_nonpositive_shift(self, params, grid201):
@@ -549,56 +576,71 @@ class TestResolventAnalytic:
             resolvent_analytic(eta, 1.0, params, alpha)
 
     @settings(max_examples=50, deadline=None)
-    @given(lam=st.floats(1e-3, 1e3))
-    def test_roots_bracket_zero_and_satisfy_vieta(self, lam):
-        p = make_params()
-        g = SpatialGrid(l=1.0, num_nodes=21)
-        sol = resolvent_analytic(Profile(g, np.ones(21)), lam, p, 0.0)
-        assert sol.nu1 < 0.0 < sol.nu2
-        assert sol.nu1 * sol.nu2 == pytest.approx(-lam / p.d_ax, rel=1e-12)
-        assert sol.nu1 + sol.nu2 == pytest.approx(p.v / p.d_ax, rel=1e-12)
+    @given(lam=st.floats(1e-3, 1e3), alpha=st.floats(0.0, 0.5))
+    def test_constant_source_matches_the_closed_form(self, lam, alpha):
+        _assert_constant_source(make_params(), SpatialGrid(l=1.0, num_nodes=21), lam, alpha)
 
 
 class TestResolventDiscrete:
     def test_resubstitution_residual(self, params, grid201):
-        gen = build_generator(grid201, params, 0.0)
+        a_h = build_generator(grid201, params, 0.0)
         rng = np.random.default_rng(5)
         eta_vals = rng.uniform(-1.0, 1.0, 201)
         eta = Profile(grid201, eta_vals)
-        xi = resolvent_discrete(gen, eta, 1.0).values
-        resid = gen.diagonals.apply(xi) - 1.0 * xi - eta_vals
+        xi = resolvent_discrete(a_h, eta, 1.0).values
+        resid = a_h.apply(xi) - 1.0 * xi - eta_vals
         norm_eta = np.sqrt(inner_product(grid201, eta_vals, eta_vals))
         assert np.sqrt(inner_product(grid201, resid, resid)) <= 1e-12 * norm_eta
 
     @pytest.mark.parametrize("lam", [0.0, -1.0])
     def test_rejects_nonpositive_shift(self, params, grid201, lam):
-        gen = build_generator(grid201, params, 0.0)
+        a_h = build_generator(grid201, params, 0.0)
         with pytest.raises(ParameterError, match="lambda_shift"):
-            resolvent_discrete(gen, Profile(grid201, np.ones(201)), lam)
+            resolvent_discrete(a_h, Profile(grid201, np.ones(201)), lam)
 
     def test_rejects_profile_on_another_grid(self, params, grid201):
-        gen = build_generator(grid201, params, 0.0)
-        g = SpatialGrid(l=1.0, num_nodes=101)
-        with pytest.raises(ContractError, match="grid"):
-            resolvent_discrete(gen, Profile(g, np.ones(101)), 1.0)
+        # a profile whose length is not A_h's, shorter or longer
+        a_h = build_generator(grid201, params, 0.0)
+        for m in (101, 202):
+            g = SpatialGrid(l=1.0, num_nodes=m)
+            with pytest.raises(ContractError, match=f"{m} nodes for A_h of 201"):
+                resolvent_discrete(a_h, Profile(g, np.ones(m)), 1.0)
 
 
 class TestDuhamelOracle:
     def test_zero_start_stays_zero(self, params):
         g = SpatialGrid(l=1.0, num_nodes=26)
-        gen = build_generator(g, params, 0.0)
+        a_h = build_generator(g, params, 0.0)
         steady = steady_state_numeric(params, 1.0, g)
-        out = duhamel_oracle(gen, Profile(g, np.zeros(26)), steady, t_final=10.0, num_steps=100)
+        out = duhamel_oracle(a_h, Profile(g, np.zeros(26)), steady, params, t_final=10.0,
+                             num_steps=100)
         assert np.array_equal(out.values, np.zeros(26))
+
+    def test_reaction_comes_from_params(self):
+        # the steady state of k = 0.001, n = 2, and the oracle given k = 0: no reaction,
+        # so the exponential's own e^{t A_h} w0; given the steady state's params, not that
+        from scipy.linalg import expm
+        p = make_params(n=2.0, k=0.001, t_final=10.0)
+        g = SpatialGrid(l=1.0, num_nodes=26)
+        law = FeedbackLaw(alpha=0.25)
+        a_h = build_generator(g, p, law.alpha)
+        steady = steady_state_numeric(p, 1.0, g)
+        w0 = initial_profile(g, p, law)
+        exact = expm(10.0 * a_h.dense()) @ w0.values
+        linear, reacting = (duhamel_oracle(a_h, w0, steady, params, t_final=10.0,
+                                           num_steps=100).values
+                            for params in (make_params(n=2.0, k=0.0, t_final=10.0), p))
+        assert np.max(np.abs(linear - exact)) <= 1e-12 * np.max(np.abs(exact))
+        assert np.max(np.abs(reacting - exact)) > 1e-6 * np.max(np.abs(exact))
 
     def test_linear_case_matches_time_stepper(self):
         p = make_params(k=0.0, t_final=10.0)
         g = SpatialGrid(l=1.0, num_nodes=26)
         law = FeedbackLaw(alpha=0.25)
-        gen = build_generator(g, p, law.alpha)
+        a_h = build_generator(g, p, law.alpha)
         steady = steady_state_numeric(p, 1.0, g)
         w0 = initial_profile(g, p, law)
-        oracle = duhamel_oracle(gen, w0, steady, t_final=10.0, num_steps=200)
+        oracle = duhamel_oracle(a_h, w0, steady, p, t_final=10.0, num_steps=200)
         traj = simulate(SimulationConfig(params=p, law=law, grid=g, dt=0.05),
                         steady, w0)
         diff = traj.states[-1] - oracle.values
@@ -607,44 +649,44 @@ class TestDuhamelOracle:
         assert rel <= 1e-4
 
     def test_node_budget_enforced(self, params, grid201):
-        gen = build_generator(grid201, params, 0.0)
+        a_h = build_generator(grid201, params, 0.0)
         steady = steady_state_numeric(params, 1.0, grid201)
         w0 = initial_profile(grid201, params, FeedbackLaw(alpha=0.0))
-        with pytest.raises(ContractError):
-            duhamel_oracle(gen, w0, steady, t_final=1.0, num_steps=10)
+        with pytest.raises(ContractError, match="limited to 101 nodes, got 201"):
+            duhamel_oracle(a_h, w0, steady, params, t_final=1.0, num_steps=10)
 
     @pytest.mark.parametrize("moved", ["w0", "steady"])
     def test_profiles_on_another_grid_rejected(self, params, moved):
         g, other = SpatialGrid(l=1.0, num_nodes=26), SpatialGrid(l=1.0, num_nodes=21)
-        gen = build_generator(g, params, 0.0)
+        a_h = build_generator(g, params, 0.0)
         grids = {"w0": g, "steady": g, moved: other}
         steady = steady_state_numeric(params, 1.0, grids["steady"])
         w0 = initial_profile(grids["w0"], params, FeedbackLaw(alpha=0.0))
-        with pytest.raises(ContractError, match="generator grid"):
-            duhamel_oracle(gen, w0, steady, t_final=1.0, num_steps=10)
+        with pytest.raises(ContractError, match="one grid of A_h's size"):
+            duhamel_oracle(a_h, w0, steady, params, t_final=1.0, num_steps=10)
 
     def test_step_count_validated(self, params):
         g = SpatialGrid(l=1.0, num_nodes=26)
-        gen = build_generator(g, params, 0.0)
+        a_h = build_generator(g, params, 0.0)
         steady = steady_state_numeric(params, 1.0, g)
         w0 = initial_profile(g, params, FeedbackLaw(alpha=0.0))
         with pytest.raises(ParameterError):
-            duhamel_oracle(gen, w0, steady, t_final=1.0, num_steps=0)
+            duhamel_oracle(a_h, w0, steady, params, t_final=1.0, num_steps=0)
 
 
-def _reference_picard(gen, w0, steady, params, t_final, num_steps):
+def _reference_picard(a_h, w0, steady, params, t_final, num_steps):
     """duhamel_oracle's Picard iteration with each sweep's difference taken row by
     row, max(l2(new[j] - states[j])): the profile and every sweep's difference."""
     from dftr.model import reaction_rate
 
     dt = t_final / num_steps
-    e_dt = operator._expm(gen.diagonals.dense() * dt)
-    weights = gen.grid.quad_weights
+    e_dt = operator._expm(a_h.dense() * dt)
+    weights = w0.grid.quad_weights
 
     def l2(vec):
         return np.sqrt(np.sum(weights * vec * vec))
 
-    states = np.zeros((num_steps + 1, gen.grid.num_nodes))
+    states = np.zeros((num_steps + 1, w0.grid.num_nodes))
     states[0] = w0.values
     for j in range(num_steps):
         states[j + 1] = e_dt @ states[j]
@@ -671,15 +713,15 @@ class TestPicardDifference:
         # the same difference
         p = make_params(n=n, k=k, t_final=50.0, alpha_for_sat=alpha)
         g = SpatialGrid(l=1.0, num_nodes=51)
-        gen = build_generator(g, p, alpha)
+        a_h = build_generator(g, p, alpha)
         steady = steady_state_numeric(p, 1.0, g)
         w0 = _quadratic_profile(g, p, alpha)
-        profile, diffs = _reference_picard(gen, w0, steady, p, 50.0, 500)
+        profile, diffs = _reference_picard(a_h, w0, steady, p, 50.0, 500)
         assert len(diffs) >= 3
-        assert np.array_equal(duhamel_oracle(gen, w0, steady, 50.0, 500).values, profile)
+        assert np.array_equal(duhamel_oracle(a_h, w0, steady, p, 50.0, 500).values, profile)
         monkeypatch.setattr(operator, "PICARD_MAX_ITER", len(diffs) - 1)
         with pytest.raises(SolverError) as exc:
-            duhamel_oracle(gen, w0, steady, 50.0, 500)
+            duhamel_oracle(a_h, w0, steady, p, 50.0, 500)
         assert exc.value.residual == diffs[-2]
 
 
@@ -692,7 +734,7 @@ class TestExpm:
         # and up to 11 squarings (101 nodes, Pe 0.5, dt 10)
         from scipy.linalg import expm
         p = make_params(d_ax=0.01 / peclet)
-        a = build_generator(SpatialGrid(l=1.0, num_nodes=m), p, 0.25).diagonals.dense() * dt
+        a = build_generator(SpatialGrid(l=1.0, num_nodes=m), p, 0.25).dense() * dt
         ref = expm(a)
         assert np.max(np.abs(operator._expm(a) - ref)) <= 1e-12 * np.max(np.abs(ref))
 
