@@ -16,27 +16,26 @@ from .analysis import (DecayEstimate, SweepCell, SweepResult, default_weight, en
 from .errors import (ConfigError, ContractError, DftrError, EstimationError,
                      IntegrationError, ParameterError, SolverError)
 from .integrator import SimulationConfig, Trajectory, simulate, simulate_stack, step
-from .model import (FeedbackLaw, Profile, ReactorParams, SpatialGrid,
-                    clamped_power, d_ax_from_peclet, default_saturation_bound,
-                    initial_profile, lambda_theoretical, reaction_rate)
+from .model import (FeedbackLaw, Profile, ReactorParams, SpatialGrid, d_ax_from_peclet,
+                    default_saturation_bound, initial_profile, lambda_theoretical,
+                    reaction_rate)
 from .operator import (Tridiagonal, build_generator, duhamel_oracle, inner_product,
                        resolvent_analytic, resolvent_discrete)
-from .steady_state import (AnalyticSteadyState, SteadyStateSolution,
-                           steady_state_analytic_n1, steady_state_numeric,
-                           steady_state_residual)
+from .steady_state import (SteadyStateSolution, steady_state_analytic_n1,
+                           steady_state_numeric)
 
 __all__ = [
     "__version__",
-    "AnalyticSteadyState", "ConfigError", "ContractError", "DecayEstimate",
+    "ConfigError", "ContractError", "DecayEstimate",
     "DftrError", "EstimationError", "FeedbackLaw",
     "IntegrationError", "ParameterError", "Profile", "ReactorParams",
     "SimulationConfig", "SolverError", "SpatialGrid",
     "SteadyStateSolution", "SweepCell", "SweepResult", "Trajectory",
-    "Tridiagonal", "build_generator", "clamped_power",
+    "Tridiagonal", "build_generator",
     "d_ax_from_peclet", "default_saturation_bound", "default_weight",
     "duhamel_oracle", "energy", "estimate_decay_rate", "fit_decay_rate",
     "initial_profile", "inner_product", "lambda_theoretical", "reaction_rate",
     "resolvent_analytic", "resolvent_discrete", "simulate",
     "simulate_stack", "steady_state_analytic_n1", "steady_state_numeric",
-    "steady_state_residual", "step", "sweep",
+    "step", "sweep",
 ]

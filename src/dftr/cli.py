@@ -96,12 +96,18 @@ class ResolvedConfig:
 
     def run(self, to_horizon: bool = False) -> SimulationConfig:
         """The closed-loop run to t_final at dt or else 0.1 s; with to_horizon, the
-        decay run to the horizon at dt or else 1 s."""
+        decay run to the horizon at dt or else 1 s. An error about the run's length
+        names the key that set it."""
         t_final, dt = (self.horizon, 1.0) if to_horizon else (self.t_final, 0.1)
-        # alpha is checked before the per-alpha sat_m default needs it
-        return SimulationConfig(law=self.law(), params=self.reactor_params(t_final=t_final),
-                                grid=self.grid(), dt=dt if self.dt is None else self.dt,
-                                record_every=self.record_every)
+        try:
+            # alpha is checked before the per-alpha sat_m default needs it
+            return SimulationConfig(law=self.law(), params=self.reactor_params(t_final=t_final),
+                                    grid=self.grid(), dt=dt if self.dt is None else self.dt,
+                                    record_every=self.record_every)
+        except ParameterError as exc:
+            if to_horizon:  # this run's t_final is the horizon
+                raise ParameterError(str(exc).replace("t_final", "horizon")) from None
+            raise
 
 
 def _parse(section: str, key: str, kind: type, raw: str):
@@ -338,8 +344,7 @@ def cmd_steady(cfg: ResolvedConfig, out_dir, manifest: RunManifest) -> int:
     print(f"steady state solved: {solution.iterations} Newton iterations, "
           f"residual {solution.residual_norm:.3e}")
     if abs(cfg.n - 1.0) <= 1e-12:
-        analytic = steady_state_analytic_n1(params, cfg.u_bar)
-        ana_vals = analytic.evaluate(grid.nodes)
+        ana_vals = steady_state_analytic_n1(params, cfg.u_bar, grid).values
         write_csv(out_dir / "steady_analytic.csv", manifest.hash, ("x", "c_bar"),
                   zip(x, ana_vals.tolist()))
         rel = float(np.max(np.abs(solution.profile.values - ana_vals))
@@ -557,8 +562,9 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except SolverError as exc:
-        print(f"steady-state failure: {exc} (residual {exc.residual}, "
-              f"iterations {exc.iterations})", file=sys.stderr)
+        effort = "" if exc.residual is None else (
+            f" (residual {exc.residual}, iterations {exc.iterations})")
+        print(f"steady-state failure: {exc}{effort}", file=sys.stderr)
         return EXIT_STEADY
     except IntegrationError as exc:
         print(f"integration failure: {exc}", file=sys.stderr)

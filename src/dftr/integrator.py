@@ -109,22 +109,23 @@ def _reach(params: ReactorParams, c_bar: np.ndarray):
             else (max(float(np.min(c_bar)), 1e-6) / 2.0, 0.0))
 
 
-def _ratio(dt, lip, out=None):
-    """Per run, dt * L / REACTION_COURANT from the reaction's slope L at the guard's scale
-    (model._slope_into; 0 at k = 0), in out if given."""
-    return np.divide(np.multiply(dt, lip, out=out), REACTION_COURANT, out=out)
+def _ratio(dt, lip):
+    """The largest over the runs of dt * L / REACTION_COURANT, from each run's reaction
+    slope L at the guard's scale (model._slope_into; 0 at k = 0). It is read in Python
+    floats from the largest L, with the bits of the largest per-run ratio: an overflow
+    is inf, with no warning, and a NaN L gives NaN."""
+    return float(np.maximum.reduce(lip)) * float(dt) / REACTION_COURANT
 
 
 def _substeps(dt, lip, step_index=0):
     """Per run, the count m keeping dt / m * L within REACTION_COURANT, L as in _ratio;
     IntegrationError if L overflows or m > MAX_SUBSTEPS."""
-    ratio = _ratio(dt, lip)
-    if not np.max(ratio) <= MAX_SUBSTEPS:
+    if not _ratio(dt, lip) <= MAX_SUBSTEPS:
         raise IntegrationError(
             f"reaction stiffness estimate {np.max(lip):.3e} is beyond what explicit "
             "substepping can stabilize; reduce dt or the reaction scale",
             step_index=step_index)
-    return np.maximum(np.ceil(ratio), 1.0).astype(int)
+    return np.maximum(np.ceil(np.multiply(dt, lip) / REACTION_COURANT), 1.0).astype(int)
 
 
 def substep_count(config: SimulationConfig, c_bar: np.ndarray, w_max: float) -> int:
@@ -177,9 +178,9 @@ def simulate_stack(runs, record) -> list:
     moved onto C).
 
     Before each outer step the guard gives each run a substep count m from
-    its max|w|: each run's slope and _ratio are computed in place, and only if
-    some ratio is above 1 (or NaN) does _substeps give the m, so m is the guard's
-    own value at every step. A stack is quiet, and reads the ratio only
+    its max|w|: each run's slope is computed in place, _ratio reads the largest
+    ratio, and only if that is above 1 (or NaN) does _substeps give the m, so m
+    is the guard's own value at every step. A stack is quiet, and reads the ratio only
     before its first step, when every run's ratio at c0 + cap, the most it
     can see, is at most 1/2: for n > 1 the ratio grows with c, for n <= 1 it
     is the same at every c, and the factor 2 covers any rounding. If every
@@ -225,8 +226,8 @@ def simulate_stack(runs, record) -> list:
     # r(w) within one, 0.25 h r of the last substep, and b
     rate, quarter, rhs = np.empty((3, w.size))
     below, c, parts = np.empty(w.size, dtype=bool), np.empty(len(runs)), {}
-    guard, ones = np.empty(len(runs)), np.ones(len(runs), int)
-    quiet = bool(np.all(_ratio(dt, _slope_into(c0 + cap, k_run, n_run)) <= 0.5))
+    ones = np.ones(len(runs), int)
+    quiet = _ratio(dt, _slope_into(c0 + cap, k_run, n_run)) <= 0.5
 
     def substeps(i):
         """Each run's count m from its state at step i, and whether every m is 1."""
@@ -235,7 +236,7 @@ def simulate_stack(runs, record) -> list:
         np.minimum(c, cap, out=c)
         np.add(c, c0, out=c)
         _slope_into(c, k_run, n_run)
-        if np.maximum.reduce(_ratio(dt, c, guard)) <= 1.0:  # NaN fails
+        if _ratio(dt, c) <= 1.0:  # NaN fails
             return ones, True
         return _substeps(dt, c, i), False  # some m >= 2
 

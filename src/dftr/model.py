@@ -140,22 +140,13 @@ def d_ax_from_peclet(v: float, l: float, pe: float) -> float:
     return v * l / pe
 
 
-def clamped_power(c, n: float):
-    """max(c, 0)**n, the reaction-rate power law extended to negative arguments.
-
-    Physical concentrations are nonnegative; the clamp keeps fractional
-    orders total and preserves rate(0) = 0.
-    """
-    return np.maximum(c, 0.0) ** n
-
-
 def _reaction(params: ReactorParams, c_bar):
     """(k, n, lo, hi, base) of the reaction k*c_bar^n - k*(Sat_M(w) + c_bar)^n about c_bar,
     read at C = w + c_bar: n = power_order, the clamp on C runs from lo = max(c_bar - sat_m, 0)
     to hi = max(c_bar + sat_m, 0), and base = max(c_bar, 0)^n."""
     m, n = params.sat_m, params.power_order
     lo, hi = (np.maximum(np.add(c_bar, s), 0.0) for s in (-m, m))
-    return params.k, n, lo, hi, clamped_power(c_bar, n)
+    return params.k, n, lo, hi, np.maximum(c_bar, 0.0) ** n
 
 
 def _steady_reaction(params: ReactorParams, grid: SpatialGrid):
@@ -191,7 +182,7 @@ def _slope_into(c, k, n):
     np.maximum(c, 1e-12, out=c)
     with np.errstate(over="ignore"):
         c **= n - 1.0
-    c *= k * n
+        c *= k * n
     return c
 
 

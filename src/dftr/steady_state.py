@@ -22,53 +22,12 @@ import numpy as np
 
 from .errors import ParameterError, SolverError
 from .model import (Profile, ReactorParams, SpatialGrid, _reaction_into, _slope_into,
-                    _steady_reaction, clamped_power)
+                    _steady_reaction)
 from .operator import build_generator
 
 NEWTON_TOL = 1e-10
 NEWTON_MAX_ITER = 100
 NEWTON_MAX_HALVINGS = 30
-
-
-@dataclass(frozen=True)
-class AnalyticSteadyState:
-    """Closed-form first-order steady state C(x) = c5*e^{m1 x} + c6*e^{m2 x}.
-
-    m1 = (v + q)/(2 d_ax), m2 = (v - q)/(2 d_ax), q = sqrt(v^2 + 4 d_ax k).
-    c5_scaled = c5 * e^{q l / d_ax} is kept alongside c5 so evaluation only
-    ever exponentiates non-positive arguments (no overflow at large Peclet).
-    """
-
-    c5: float
-    c6: float
-    q: float
-    params: ReactorParams
-    u_bar: float
-    c5_scaled: float
-
-    @property
-    def m1(self) -> float:
-        return (self.params.v + self.q) / (2.0 * self.params.d_ax)
-
-    @property
-    def m2(self) -> float:
-        return (self.params.v - self.q) / (2.0 * self.params.d_ax)
-
-    def evaluate(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        shift = self.q * self.params.l / self.params.d_ax
-        # both exponents are <= 0 on [0, l]
-        return (self.c5_scaled * np.exp(self.m1 * x - shift)
-                + self.c6 * np.exp(self.m2 * x))
-
-    def derivative(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        shift = self.q * self.params.l / self.params.d_ax
-        return (self.c5_scaled * self.m1 * np.exp(self.m1 * x - shift)
-                + self.c6 * self.m2 * np.exp(self.m2 * x))
-
-    def profile(self, grid: SpatialGrid) -> Profile:
-        return Profile(grid, self.evaluate(grid.nodes))
 
 
 @dataclass(frozen=True)
@@ -85,13 +44,17 @@ class SteadyStateSolution:
     iterations: int
 
 
-def steady_state_analytic_n1(params: ReactorParams, u_bar: float) -> AnalyticSteadyState:
-    """Closed-form steady state for reaction order n = 1.
+@np.errstate(all="ignore")
+def steady_state_analytic_n1(params: ReactorParams, u_bar: float,
+                             grid: SpatialGrid) -> Profile:
+    """Closed-form steady state for reaction order n = 1 on grid's nodes.
 
-    Coefficients come from the boundary conditions; the common factor
-    e^{q l / d_ax} is divided out of numerator and denominator so the
-    formulas stay finite for arbitrarily large Peclet numbers. The map
-    u_bar -> C is linear, so u_bar = 0 yields the zero profile.
+    C(x) = c5*e^{m1 x} + c6*e^{m2 x}, m1,2 = (v +- q)/(2 d_ax), q = sqrt(v^2 + 4 d_ax k),
+    with c5, c6 from the boundary conditions. The common factor e^{q l / d_ax} is
+    divided out of numerator and denominator, and c5 is kept as c5 * e^{q l / d_ax},
+    so only non-positive arguments are exponentiated: the formulas stay finite at
+    any Peclet number. The map u_bar -> C is linear, so u_bar = 0 yields the zero
+    profile. SolverError, with no warning, where the closed form is not finite.
     """
     if abs(params.n - 1.0) > 1e-12:
         raise ParameterError(f"analytic steady state requires n = 1, got n = {params.n}")
@@ -103,40 +66,35 @@ def steady_state_analytic_n1(params: ReactorParams, u_bar: float) -> AnalyticSte
     den = (v + q) ** 2 - (v - q) ** 2 * decay
     c6 = 2.0 * v * u_bar * (v + q) / den
     c5_scaled = -2.0 * v * u_bar * (v - q) / den
-    c5 = c5_scaled * decay
-    return AnalyticSteadyState(c5=c5, c6=c6, q=q, params=params, u_bar=u_bar,
-                               c5_scaled=c5_scaled)
+    m1, m2 = (v + q) / (2.0 * d), (v - q) / (2.0 * d)
+    # both exponents are <= 0 on [0, l]
+    c = c5_scaled * np.exp(m1 * grid.nodes - q * l / d) + c6 * np.exp(m2 * grid.nodes)
+    if not np.all(np.isfinite(c)):
+        raise SolverError(f"closed-form steady state is not finite (q = {q:.3e})")
+    return Profile(grid, c)
 
 
-def _stationary_system(params: ReactorParams, u_bar: float, grid: SpatialGrid):
-    """Linear part and forcing (a0, b) of the stationary residual
-    F(C) = a0 @ C + b + r(C), with r the rate of model._steady_reaction. a0 is
-    the alpha = 0 generator: the inlet condition C(0) - (d_ax/v) C'(0) = u_bar
-    is its Robin row with the inhomogeneous part moved into b[0].
-    """
-    h = grid.h
-    d, v = params.d_ax, params.v
-    a0 = build_generator(grid, params, 0.0)
-
-    b = np.zeros(grid.num_nodes)
-    b[0] = (2.0 * v / h + v * v / d) * u_bar
-    return a0, b
-
-
+@np.errstate(all="ignore")
 def steady_state_numeric(params: ReactorParams, u_bar: float,
                          grid: SpatialGrid) -> SteadyStateSolution:
-    """Damped Newton solve of the discrete stationary system.
+    """Damped Newton solve of the discrete stationary system
+    F(C) = A_0 C + b + r(C) = 0, with r the rate of model._steady_reaction and A_0
+    the alpha = 0 generator: the inlet condition C(0) - (d_ax/v) C'(0) = u_bar is its
+    Robin row with the inhomogeneous part moved into b[0].
 
     Initial guess is the constant u_bar, or the analytic profile when n is
     within 1e-12 of 1. Steps are halved (up to 30 times) until the scaled
     residual decreases, or, when none does, the iterate is accepted if its
     residual lies at the round-off floor of the stencil (fine grids).
     Negative iterates under n < 1 are handled by the clamped power, never by
-    raising mid-iteration.
+    raising mid-iteration. Nothing warns: a trial whose residual overflows is
+    halved, and a guess whose residual is not finite raises SolverError.
     """
     if not (np.isfinite(u_bar) and u_bar > 0):
         raise ParameterError(f"u_bar must be > 0, got {u_bar}")
-    a0, b = _stationary_system(params, u_bar, grid)
+    a0 = build_generator(grid, params, 0.0)
+    b = np.zeros(grid.num_nodes)
+    b[0] = (2.0 * params.v / grid.h + params.v * params.v / params.d_ax) * u_bar
     k, n, lo, hi, base = _steady_reaction(params, grid)
 
     def residual(c):
@@ -148,12 +106,15 @@ def steady_state_numeric(params: ReactorParams, u_bar: float,
     # the max row sum of |lower|+|diag|+|upper|; it outgrows NEWTON_TOL as h shrinks
     roundoff = 16.0 * np.finfo(float).eps * np.max(sum(map(np.abs, a0))) / scale
     if abs(params.n - 1.0) <= 1e-12:
-        c = steady_state_analytic_n1(params, u_bar).evaluate(grid.nodes)
+        c = steady_state_analytic_n1(params, u_bar, grid).values
     else:
         c = np.full(grid.num_nodes, u_bar)
 
     f = residual(c)
     res = np.max(np.abs(f)) / scale
+    if not np.isfinite(res):
+        raise SolverError("the reaction k*C**n or the stencil is not finite at the "
+                          "initial guess", residual=res, iterations=0)
     iterations = 0
     for _ in range(NEWTON_MAX_ITER):
         if res <= NEWTON_TOL:
@@ -185,25 +146,3 @@ def steady_state_numeric(params: ReactorParams, u_bar: float,
             "choose a different u_bar", residual=res, iterations=iterations)
     return SteadyStateSolution(profile=Profile(grid, c), residual_norm=res,
                                iterations=iterations)
-
-
-def steady_state_residual(profile: Profile, params: ReactorParams, u_bar: float) -> float:
-    """Continuum-equation residual of a candidate steady profile.
-
-    Max over interior nodes of |d_ax*D2(C) - v*D1(C) - k*C^n| (central
-    differences) plus the two boundary-condition defects evaluated with
-    second-order one-sided derivatives.
-    """
-    c = profile.values
-    h = profile.grid.h
-    d, v, k = params.d_ax, params.v, params.k
-
-    d1 = (c[2:] - c[:-2]) / (2.0 * h)
-    d2 = (c[2:] - 2.0 * c[1:-1] + c[:-2]) / h ** 2
-    interior = np.max(np.abs(d * d2 - v * d1 - k * clamped_power(c[1:-1], params.n)))
-
-    dc0 = (-3.0 * c[0] + 4.0 * c[1] - c[2]) / (2.0 * h)
-    dcl = (3.0 * c[-1] - 4.0 * c[-2] + c[-3]) / (2.0 * h)
-    inlet_defect = abs(c[0] - u_bar - (d / v) * dc0)
-    outlet_defect = abs(dcl)
-    return float(interior + inlet_defect + outlet_defect)

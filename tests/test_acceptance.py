@@ -87,7 +87,7 @@ def test_steady_state_matches_closed_form_at_second_order():
     errors = {}
     for m in (101, 201, 401):
         g = SpatialGrid(l=1.0, num_nodes=m)
-        exact = steady_state_analytic_n1(p, 1.0).profile(g).values
+        exact = steady_state_analytic_n1(p, 1.0, g).values
         approx = steady_state_numeric(p, 1.0, g).profile.values
         errors[m] = np.max(np.abs(approx - exact)) / np.max(np.abs(exact))
     assert errors[201] <= TOL_STEADY_REL

@@ -1125,9 +1125,59 @@ class TestExitCodes:
         out = tmp_path / "out"
         assert main([command, "--config", cfg, "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert re.fullmatch(r"config error: (t_final / dt|record_every) = .*, more than numpy "
+        # the key the file set: the horizon's steps, t_final's, or record_every
+        name = {"horizon": "horizon / dt", "dt": "t_final / dt"}.get(key, key)
+        assert re.fullmatch(rf"config error: {re.escape(name)} = .*, more than numpy "
                             r"can index\n", err), err
         assert not (out / "manifest.json").exists()
+
+    @pytest.mark.parametrize("command,key,raw", [
+        ("sweep", "horizon", "700.5"), ("verify", "horizon", "700.5"),
+        ("simulate", "t_final", "400.5"),
+    ])
+    def test_run_length_no_step_divides_names_its_key(self, tmp_path, capsys, command, key,
+                                                      raw):
+        # t_final = 400 and horizon = 7000 unless set; the horizon is the decay runs' t_final
+        cfg = write_ini(tmp_path / "c.ini", BASE_INI + "[grid]\nnum_nodes = 21\n[time]\n"
+                        f"dt = 1\n{key} = {raw}\n")
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: {key} {raw} is not a whole number of steps of 1.0\n")
+
+    @pytest.mark.parametrize("changes,message", [
+        # k*C**n is inf at the constant guess u_bar
+        ({"n = 1": "n = 10", "[reactor]": "[control]\nu_bar = 1e40\n[reactor]"},
+         "the reaction k*C**n or the stencil is not finite at the initial guess "
+         "(residual inf, iterations 0)"),
+        # 4 d_ax k overflows, so q and the closed form guess are not finite; an error
+        # without a residual names none
+        ({"peclet = 4": "peclet = 1e-5", "k = 0.001": "k = 1e306"},
+         "closed-form steady state is not finite (q = inf)"),
+    ])
+    def test_overflowing_steady_solve_is_three_with_no_warning(self, tmp_path, capsys,
+                                                               recwarn, changes, message):
+        text = BASE_INI
+        for old, new in changes.items():
+            text = text.replace(old, new)
+        cfg = write_ini(tmp_path / "c.ini", text + "[grid]\nnum_nodes = 21\n")
+        assert main(["steady", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
+        assert capsys.readouterr().err == f"steady-state failure: {message}\n"
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+    def test_overflowing_slope_fails_each_cell_with_no_warning(self, tmp_path, capsys,
+                                                              recwarn):
+        # k = 1e308: the guard's slope and ratio overflow at n = 1, and no other order
+        # finds a steady state
+        cfg = write_ini(tmp_path / "c.ini", BASE_INI.replace("k = 0.001", "k = 1e308")
+                        + "[grid]\nnum_nodes = 21\n")
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "out")]) == 5
+        cells = json.loads((tmp_path / "out/sweep_cells.json").read_text())
+        assert {(cell["n"], cell["error"]) for cell in cells} == {
+            (n, "SolverError: Newton damping failed to reduce the residual")
+            for n in (0.5, 2.0, 10.0)} | {
+            (1.0, "IntegrationError: reaction stiffness estimate 1.000e+308 is beyond what "
+                  "explicit substepping can stabilize; reduce dt or the reaction scale")}
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
     def test_index_error_names_the_integer_as_written(self, tmp_path, capsys):
         # through float, 2**63 + 1 would be named as 2**63

@@ -553,16 +553,15 @@ class TestSubstepThreshold:
 
     @staticmethod
     def _ratio_reads(monkeypatch):
-        """A list of the largest per-step guard ratio, one entry per step read."""
+        """A list of the largest guard ratio, one entry per read: the first is the stack's
+        read at c0 + cap, then one per step read."""
         import dftr.integrator
 
         ratio, reads = dftr.integrator._ratio, []
 
-        def counted(dt, lip, out=None):
-            result = ratio(dt, lip, out)
-            if out is not None:
-                reads.append(float(np.max(result)))
-            return result
+        def counted(dt, lip):
+            reads.append(ratio(dt, lip))
+            return reads[-1]
 
         monkeypatch.setattr(dftr.integrator, "_ratio", counted)
         return reads
@@ -579,7 +578,7 @@ class TestSubstepThreshold:
             c0, cap = _reach(p, c_bar)
             k, n, *_ = _reaction(p, c_bar)
             lip = _slope_into(np.array([c0 + cap]), k, np.array([n]))
-            ratios.append(float(_ratio(config.dt, lip)[0]))
+            ratios.append(_ratio(config.dt, lip))
         return max(ratios)
 
     def test_ratio_in_the_upper_half_is_read_at_every_step_and_never_substeps(
@@ -603,8 +602,8 @@ class TestSubstepThreshold:
         assert 0.5 < self._cap_ratio(runs) <= 1.0
         reads, calls, seen = self._ratio_reads(monkeypatch), _guard_calls(monkeypatch), []
         trajs = simulate_stack(runs, lambda j, w: seen.append(w.copy()))
-        assert len(reads) == runs[0][0].num_steps == 40
-        assert 0.5 < reads[0] and max(reads) <= 1.0
+        assert len(reads) - 1 == runs[0][0].num_steps == 40
+        assert 0.5 < reads[1] and max(reads) <= 1.0
         assert not calls
         seen = np.array(seen)
         for q, run in enumerate(runs):
@@ -615,7 +614,8 @@ class TestSubstepThreshold:
 
     def test_quiet_stack_never_calls_the_guard(self, monkeypatch):
         # n <= 2 at dt = 1: every ratio at c0 + cap is at most 1/2, so the stack is
-        # quiet; it reads the ratio once, from w0, and never calls _substeps
+        # quiet; past its read at c0 + cap it reads the ratio once, from w0, and never
+        # calls _substeps
         from dftr.integrator import simulate_stack
 
         runs = []
@@ -627,7 +627,7 @@ class TestSubstepThreshold:
         assert self._cap_ratio(runs) <= 0.5
         reads, calls = self._ratio_reads(monkeypatch), _guard_calls(monkeypatch)
         trajs = simulate_stack(runs, lambda j, w: None)
-        assert len(reads) == 1 and not calls
+        assert len(reads) - 1 == 1 and not calls
         assert [t.inner_steps for t in trajs] == [cfg.num_steps] * len(runs)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -12,14 +12,20 @@ from dftr import (
     Profile,
     ReactorParams,
     SpatialGrid,
-    clamped_power,
+    build_generator,
     d_ax_from_peclet,
     default_saturation_bound,
     initial_profile,
     lambda_theoretical,
     reaction_rate,
 )
+from dftr.errors import IntegrationError
 from conftest import make_params
+
+
+def _clamped_power(c, n):
+    """max(c, 0)**n, the reaction's power law extended to negative arguments."""
+    return np.maximum(c, 0.0) ** n
 
 
 class TestReactorParams:
@@ -136,14 +142,20 @@ class TestDispersionFromPeclet:
 
 
 class TestClampedPower:
+    """reaction_rate raises max(C, 0) to n, at C_bar and at C = w + C_bar alike."""
+
     def test_negative_base_fractional_exponent(self):
-        # clamp keeps fractional powers real on transient negative values
-        assert clamped_power(-0.5, 0.5) == 0.0
-        assert clamped_power(np.array([-1.0, 4.0]), 0.5)[1] == 2.0
+        # clamp keeps fractional powers real on transient negative values: C = 0, 0, -0.5
+        # from C_bar = -1, 4, 0, so the rates are k*(0 - 0), k*(2 - 0), k*(0 - 0)
+        p = make_params(n=0.5, k=1.0, sat_m=10.0)
+        r = reaction_rate(np.array([1.0, -4.0, -0.5]), np.array([-1.0, 4.0, 0.0]), p)
+        assert r.tolist() == [0.0, 2.0, 0.0]
 
     def test_integer_like_exponent(self):
-        assert clamped_power(3.0, 2.0) == 9.0
-        assert clamped_power(-3.0, 2.0) == 0.0
+        # C = 0 from C_bar = 3 and -3: k*(9 - 0) and k*(0 - 0), not k*((-3)^2 - 0)
+        p = make_params(n=2.0, k=1.0, sat_m=10.0)
+        r = reaction_rate(np.array([-3.0, 3.0]), np.array([3.0, -3.0]), p)
+        assert r.tolist() == [9.0, 0.0]
 
 
 class TestReactionRate:
@@ -183,8 +195,8 @@ class TestReactionRate:
         w = rng.normal(0.0, 3.0, (30, 41))  # well beyond +-sat_m
         w[0, :7] = [-2.0, 2.0, -0.0, 0.0, np.nan, np.inf, -np.inf]
         for arg in (w, w[0], w[5]):  # records-shaped and two profiles
-            old = p.k * (clamped_power(c_bar, n)
-                         - clamped_power(np.clip(arg, -p.sat_m, p.sat_m) + c_bar, n))
+            old = p.k * (_clamped_power(c_bar, n)
+                         - _clamped_power(np.clip(arg, -p.sat_m, p.sat_m) + c_bar, n))
             assert reaction_rate(arg, c_bar, p).tobytes() == old.tobytes()
 
     def test_kernel_takes_per_node_bounds_and_constants_over_two_segments(self):
@@ -201,7 +213,7 @@ class TestReactionRate:
         out = np.concatenate(ws) + c_bar
         _reaction_into(out, np.maximum(c_bar - sat, 0.0),
                        np.maximum(c_bar + sat, 0.0),
-                       np.concatenate([clamped_power(c, p.n) for c, p in zip(c_bars, runs)]),
+                       np.concatenate([_clamped_power(c, p.n) for c, p in zip(c_bars, runs)]),
                        np.repeat([p.k for p in runs], 21), [(out[:21], 2.0), (out[21:], 0.5)])
         alone = np.concatenate([reaction_rate(w, c, p) for w, c, p in zip(ws, c_bars, runs)])
         assert out.tobytes() == alone.tobytes()
@@ -217,10 +229,10 @@ class TestReactionKernels:
     @pytest.mark.parametrize("n", ORDERS)
     def test_steady_residual_and_newton_slope(self, n, k):
         from dftr.model import _reaction_into, _slope_into, _steady_reaction
-        from dftr.steady_state import _stationary_system
 
         p, grid = make_params(n=n, k=k), SpatialGrid(l=1.0, num_nodes=201)
-        a0, b = _stationary_system(p, 1.0, grid)
+        a0, b = build_generator(grid, p, 0.0), np.zeros(grid.num_nodes)
+        b[0] = 2.0 * p.v / grid.h + p.v * p.v / p.d_ax
         kw = np.full(grid.num_nodes, p.k)
         z = grid.h * p.v / p.d_ax
         kw[-1] = p.k * (1.0 - z / 3.0 + z * z / 6.0)
@@ -245,7 +257,21 @@ class TestReactionKernels:
         for _ in range(50):
             c, dt = rng.uniform(1e-6, 3.0, len(runs)), rng.uniform(0.01, 10.0)
             old = np.divide(dt * (k_run * n_run * np.power(c, n_run - 1.0)), REACTION_COURANT)
-            assert _ratio(dt, _slope_into(c.copy(), k_run, n_run)).tobytes() == old.tobytes()
+            ratio = _ratio(dt, _slope_into(c.copy(), k_run, n_run))
+            assert type(ratio) is float and ratio.hex() == float(np.max(old)).hex()
+
+    def test_slope_and_ratio_overflow_is_inf_with_no_warning(self, recwarn):
+        # k = 1e308: the slope k*n*C**(n - 1) overflows at n = 2, and at n = 1 the ratio
+        # dt * L / REACTION_COURANT does; _substeps gives its typed error
+        from dftr.integrator import _ratio, _substeps
+        from dftr.model import _slope_into
+
+        lip = _slope_into(np.array([2.0, 2.0]), np.full(2, 1e308), np.array([1.0, 2.0]))
+        assert lip.tolist() == [1e308, np.inf]
+        assert _ratio(1.0, lip[:1]) == np.inf
+        with pytest.raises(IntegrationError, match=r"stiffness estimate 1.000e\+308"):
+            _substeps(1.0, lip[:1])
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
 class TestInitialProfile:
