@@ -30,7 +30,6 @@ except ImportError:
     except ImportError:
         from hashlib import sha256 as _sha256
 
-DEFAULT_WINDOW_FRACTION = 0.5
 DEFAULT_FLOOR_FACTOR = 1e-12  # floor = factor * ||w(0)||_rho
 
 
@@ -54,6 +53,26 @@ def energy(w, weight: np.ndarray):
     return 0.5 * np.add.reduce(weight * w ** 2, axis=-1)
 
 
+# below this energy (about 1e-292) w's squares may have lost their bits to underflow
+_TINY_ENERGY = np.finfo(float).tiny / np.finfo(float).eps
+
+
+def norm(w, weight: np.ndarray):
+    """||w||_rho = sqrt(2 E) of w's node values, or of each row of a (records, nodes)
+    array; a row whose energy is below _TINY_ENERGY is squared as w / s, whose squares
+    keep their bits, and scaled back: s sqrt(2 E(w / s)) with s = max|w|."""
+    e = energy(w, weight)
+    if e.ndim:
+        norms = np.sqrt(2.0 * e)
+        for i in np.flatnonzero(e < _TINY_ENERGY):
+            norms[i] = norm(w[i], weight)
+        return norms
+    if not e < _TINY_ENERGY:
+        return math.sqrt(2.0 * e)
+    s = float(np.max(np.abs(w)))
+    return s * math.sqrt(2.0 * energy(w / s, weight)) if s else 0.0
+
+
 @dataclass(frozen=True)
 class DecayEstimate:
     """Fitted decay rate with diagnostics.
@@ -68,19 +87,10 @@ class DecayEstimate:
     floor_hit: bool
 
 
-def estimate_decay_rate(traj, weight: np.ndarray,
-                        window_fraction: float = DEFAULT_WINDOW_FRACTION,
-                        floor: float | None = None) -> DecayEstimate:
-    """Least-squares decay rate of log ||w(t)||_rho over the trailing window,
-    the norms taken in weight; the fit is fit_decay_rate."""
-    norms = np.sqrt(2.0 * energy(traj.states, weight))
-    return fit_decay_rate(traj.times, norms, window_fraction=window_fraction, floor=floor)
-
-
-def check_window_fraction(window_fraction: float) -> None:
-    """ParameterError unless the fit window's fraction lies in (0, 1]."""
-    if not (0.0 < window_fraction <= 1.0):
-        raise ParameterError(f"window_fraction must lie in (0, 1], got {window_fraction}")
+def estimate_decay_rate(traj, weight: np.ndarray, floor: float | None = None) -> DecayEstimate:
+    """Least-squares decay rate of log ||w(t)||_rho over the trailing half of the
+    usable records, the norms taken in weight; the fit is fit_decay_rate."""
+    return fit_decay_rate(traj.times, norm(traj.states, weight), floor=floor)
 
 
 def check_floor(floor: float | None) -> None:
@@ -95,16 +105,14 @@ def _fit_floor(norm0, floor: float | None):
     return DEFAULT_FLOOR_FACTOR * norm0 if floor is None else floor
 
 
-def fit_decay_rate(times, norms, *, window_fraction: float = DEFAULT_WINDOW_FRACTION,
-                   floor: float | None = None) -> DecayEstimate:
+def fit_decay_rate(times, norms, *, floor: float | None = None) -> DecayEstimate:
     """Least-squares decay rate of log(norms) against times over the trailing
-    window. The usable records are the leading run before the first record
-    at or below the floor (_fit_floor); nothing after that record is read,
-    so the series may end there. The fit needs at least 10 usable records;
-    they and the record that ends them must be finite. floor_hit flags a
-    record at or below the floor.
+    half of the usable records (at least 2). The usable records are the
+    leading run before the first record at or below the floor (_fit_floor);
+    nothing after that record is read, so the series may end there. The fit
+    needs at least 10 usable records; they and the record that ends them
+    must be finite. floor_hit flags a record at or below the floor.
     """
-    check_window_fraction(window_fraction)
     check_floor(floor)
     floor = _fit_floor(norms[0], floor)
     below = np.flatnonzero(~(norms > floor))
@@ -121,7 +129,7 @@ def fit_decay_rate(times, norms, *, window_fraction: float = DEFAULT_WINDOW_FRAC
         raise EstimationError(f"only {usable} records above the floor (need 10)",
                               usable_records=usable)
 
-    tail = slice(usable - max(2, math.ceil(window_fraction * usable)), usable)
+    tail = slice(usable - max(2, (usable + 1) // 2), usable)
     t = times[tail]
     y = np.log(norms[tail] / norms[0])
     # centred two-pass least squares: one-pass sums of t^2 and t*y cancel at t ~ 1e3,
@@ -174,8 +182,7 @@ def _isolated(work):
         return None, f"{type(exc).__name__}: {exc}"
 
 
-def sweep(configs, *, window_fraction: float = DEFAULT_WINDOW_FRACTION,
-          floor: float | None = None) -> SweepResult:
+def sweep(configs, *, floor: float | None = None) -> SweepResult:
     """Decay-rate table with one cell per run config, keyed by its (n, alpha).
 
     A stack takes its cells' norms in the default_weight of its first run,
@@ -185,7 +192,7 @@ def sweep(configs, *, window_fraction: float = DEFAULT_WINDOW_FRACTION,
 
     Each cell solves its own steady state and builds the alpha-dependent
     initial profile. The cells that get this far step together as one
-    integrator.simulate_stack, which hands each record to one energy call,
+    integrator.simulate_stack, which hands each record to one norm call,
     so no states are kept. The stack stops at the first record by which
     every cell's norm has been at or below its fit floor (or at the
     horizon), since fit_decay_rate reads no record past that, and each
@@ -194,11 +201,9 @@ def sweep(configs, *, window_fraction: float = DEFAULT_WINDOW_FRACTION,
     for the reaction substep guard (read before record 0) or a non-finite
     state fails the whole stack, so if a stack of several cells fails, each
     cell steps again as a stack of one. Failures are recorded per cell
-    without aborting. Two configs sharing an (n, alpha), a bad
-    window_fraction or a bad floor raise ParameterError before any cell's
-    steady solve.
+    without aborting. Two configs sharing an (n, alpha) or a bad floor raise
+    ParameterError before any cell's steady solve.
     """
-    check_window_fraction(window_fraction)
     check_floor(floor)
     keys = [(config.params.n, config.law.alpha) for config in configs]
     if len(set(keys)) < len(keys):
@@ -210,7 +215,6 @@ def sweep(configs, *, window_fraction: float = DEFAULT_WINDOW_FRACTION,
         settings = {**asdict(config.params), **asdict(config.law),
                     "num_nodes": config.grid.num_nodes, "dt": config.dt,
                     "record_every": config.record_every,
-                    "window_fraction": window_fraction,
                     "floor": "default" if floor is None else floor}
         provenance = {"hash": settings_hash(settings), **settings}
         run, err = _isolated(lambda: integrator.closed_loop(config))
@@ -231,7 +235,7 @@ def sweep(configs, *, window_fraction: float = DEFAULT_WINDOW_FRACTION,
         floors, reached = np.empty(len(keys)), np.zeros(len(keys), dtype=bool)
 
         def record(j, w):
-            norms[:, j] = np.sqrt(2.0 * energy(w, weight))
+            norms[:, j] = norm(w, weight)
             if j == 0:
                 floors[:] = _fit_floor(norms[:, 0], floor)
             reached[:] |= ~(norms[:, j] > floors)
@@ -252,8 +256,8 @@ def sweep(configs, *, window_fraction: float = DEFAULT_WINDOW_FRACTION,
                 provenance["inner_steps"] = trajs[q].inner_steps
                 provenance["negativity_events"] = trajs[q].negativity_events
                 times, started = trajs[q].times, time.process_time()
-                est, err = _isolated(lambda: fit_decay_rate(
-                    times, norms[q, :times.size], window_fraction=window_fraction, floor=floor))
+                est, err = _isolated(lambda: fit_decay_rate(times, norms[q, :times.size],
+                                                            floor=floor))
                 phases["fit"] += time.process_time() - started
             cells[key] = SweepCell(*key, est, err, provenance)
 

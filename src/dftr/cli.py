@@ -25,8 +25,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from . import __version__, operator
-from .analysis import (DEFAULT_WINDOW_FRACTION, check_floor, check_window_fraction,
-                       default_weight, energy, settings_hash, sweep)
+from .analysis import check_floor, default_weight, energy, norm, settings_hash, sweep
 from .errors import ConfigError, DftrError, IntegrationError, ParameterError, SolverError
 from .integrator import SimulationConfig, closed_loop, simulate
 from .model import (FeedbackLaw, ReactorParams, SpatialGrid, d_ax_from_peclet,
@@ -52,8 +51,7 @@ _KEYS = {
     "grid": {"num_nodes": (int, 201)},
     "time": {"t_final": (float, 400.0), "dt": (float, None),
              "record_every": (int, 1), "horizon": (float, 7000.0)},
-    "analysis": {"window_fraction": (float, DEFAULT_WINDOW_FRACTION),
-                 "floor": (float, None)},
+    "analysis": {"floor": (float, None)},
 }
 
 
@@ -79,7 +77,6 @@ class ResolvedConfig:
     dt: float | None
     record_every: int
     horizon: float
-    window_fraction: float
     floor: float | None
 
     def reactor_params(self, t_final: float) -> ReactorParams:
@@ -172,7 +169,6 @@ def load_config(path: str) -> ResolvedConfig:
             default_weight(cfg.grid(), params)
         except MemoryError:
             raise ConfigError(f"num_nodes = {cfg.num_nodes}: no memory for the grid and its weight")
-        check_window_fraction(cfg.window_fraction)
         check_floor(cfg.floor)
     except ParameterError as exc:
         raise ConfigError(str(exc))
@@ -371,10 +367,11 @@ def cmd_simulate(cfg: ResolvedConfig, out_dir, manifest: RunManifest,
     # keeps each row's bits
     weight = default_weight(config.grid, config.params)
     per_block = max(1, _BLOCK_VALUES // len(x))
-    energies = np.concatenate([energy(traj.states[start:start + per_block], weight)
-                               for start in range(0, len(times), per_block)])
+    blocks = [traj.states[start:start + per_block] for start in range(0, len(times), per_block)]
+    energies = np.concatenate([energy(block, weight) for block in blocks])
+    norms = np.concatenate([norm(block, weight) for block in blocks])
     write_csv(out_dir / "energy.csv", manifest.hash, ("t", "energy", "norm_rho"),
-              _column_rows(times, energies, np.sqrt(2.0 * energies)))
+              _column_rows(times, energies, norms))
 
     snaps = list(dict.fromkeys(int(np.argmin(np.abs(times - t_snap)))
                                for t_snap in snapshots))
@@ -397,7 +394,7 @@ def cmd_sweep(cfg: ResolvedConfig, out_dir, manifest: RunManifest,
     # raises ParameterError, a config error, before any steady solve
     runs = [replace(cfg, n=n, alpha=a).run(to_horizon=True)
             for n in n_list for a in alpha_list]
-    result = sweep(runs, window_fraction=cfg.window_fraction, floor=cfg.floor)
+    result = sweep(runs, floor=cfg.floor)
     swept = time.process_time()
 
     lam_t = lambda_theoretical(runs[0].params)

@@ -15,7 +15,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .analysis import default_weight, energy
+from .analysis import default_weight, norm
 from .errors import DftrError
 from .integrator import closed_loop, simulate, simulate_stack, substep_count
 from .model import Profile, SpatialGrid, lambda_theoretical
@@ -114,10 +114,6 @@ def equilibrium(cfg):
     return max_w
 
 
-# below this energy (about 1e-292) w's squares may have lost their bits to underflow
-_TINY_ENERGY = np.finfo(float).tiny / np.finfo(float).eps
-
-
 def envelope(cfg):
     """max ||w(t)|| / (||w(0)|| e^{-lambda_T t}) over the decay run's records."""
     run = closed_loop(cfg.run(to_horizon=True))
@@ -126,10 +122,7 @@ def envelope(cfg):
     norms = np.empty(config.num_records)
 
     def record(j, w):
-        e = energy(w[0], weight)
-        # below _TINY_ENERGY, square w / max|w|, whose squares keep their bits, and scale back
-        s = float(np.max(np.abs(w[0]))) if e < _TINY_ENERGY else 0.0
-        norms[j] = s * math.sqrt(2.0 * energy(w[0] / s, weight)) if s else math.sqrt(2.0 * e)
+        norms[j] = norm(w[0], weight)
 
     simulate_stack([run], record)
     bound = norms[0] * np.exp(-lambda_theoretical(config.params) * config.record_times)

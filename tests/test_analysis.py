@@ -116,6 +116,50 @@ class TestEnergy:
                                                     rel=1e-12, abs=1e-300)
 
 
+class TestNorm:
+    def test_keeps_the_bits_of_sqrt_2e(self, params, grid201):
+        # above tiny / eps a row's norm is sqrt(2 E) bit for bit, a lone row's a float
+        w = default_weight(grid201, params)
+        states = np.stack([np.cos(k * grid201.nodes) * 10.0 ** -k for k in range(8)])
+        expected = np.sqrt(2.0 * energy(states, w))
+        assert [v.hex() for v in analysis.norm(states, w).tolist()] == [
+            v.hex() for v in expected.tolist()]
+        for row, e in zip(states, expected.tolist()):
+            value = analysis.norm(row, w)
+            assert type(value) is float and value.hex() == e.hex()
+
+    @pytest.mark.parametrize("scale", [1e-147, 1e-160, 1e-200, 1e-300, 5e-324])
+    def test_an_underflowed_energy_keeps_its_norm(self, params, grid201, scale):
+        # w's squares underflow below 1e-154 and vanish below 1e-162, so sqrt(2 E)
+        # loses its digits, then reads 0; s sqrt(2 E(w / s)) with s = max|w| does not
+        w = default_weight(grid201, params)
+        shape = 1.0 + 0.5 * np.sin(2.0 * np.pi * grid201.nodes)
+        row = scale * shape
+        s = float(np.max(row))
+        assert analysis.energy(row, w) < analysis._TINY_ENERGY
+        value = analysis.norm(row, w)
+        assert value.hex() == (s * float(np.sqrt(2.0 * energy(row / s, w)))).hex()
+        assert value == pytest.approx(scale * analysis.norm(shape, w), rel=1e-14)
+
+    def test_rows_keep_the_bits_of_each_row_alone(self, params, grid201):
+        # a (records, nodes) array: every row's norm, tiny, zero, nan and inf ones too
+        w = default_weight(grid201, params)
+        shape = 1.0 + 0.5 * np.sin(2.0 * np.pi * grid201.nodes)
+        states = np.stack([shape, 1e-170 * shape, np.zeros(201), 1e-300 * shape,
+                           np.full(201, np.nan), np.full(201, np.inf), 1e-10 * shape])
+        norms = analysis.norm(states, w)
+        alone = [analysis.norm(row, w) for row in states]
+        assert [v.hex() for v in norms.tolist()] == [float(v).hex() for v in alone]
+        assert norms[2] == 0.0 and np.isnan(norms[4]) and norms[5] == np.inf
+        assert 0.0 < norms[3] < norms[1] < norms[6] < norms[0]
+
+    def test_is_the_only_norm(self):
+        # verify's envelope takes its norms from analysis.norm, with no threshold of its own
+        from dftr import verify
+        assert verify.norm is analysis.norm
+        assert not hasattr(verify, "_TINY_ENERGY")
+
+
 class TestDecayEstimator:
     @pytest.mark.parametrize("rate", [1e-4, 2.5e-3, 1e-1])
     def test_recovers_exact_exponential(self, rate, params, grid201):
@@ -166,29 +210,29 @@ class TestDecayEstimator:
 
     def test_window_and_floor_are_keyword_only(self):
         # a positional third argument (the lambda_t the fit once took) must not
-        # become the window fraction
+        # become the floor, and the window is the trailing half: no argument sets it
         times = np.arange(40.0)
         with pytest.raises(TypeError):
             fit_decay_rate(times, np.exp(-0.01 * times), 0.0025)
+        with pytest.raises(TypeError, match="window_fraction"):
+            fit_decay_rate(times, np.exp(-0.01 * times), window_fraction=0.5)
 
     @settings(max_examples=60, deadline=None)
     @given(logs=st.lists(st.floats(-27.0, 0.0), min_size=10, max_size=120),
            crossing=st.floats(0.0, 1e-12),
            after=st.lists(st.floats(0.0, 10.0), max_size=40),
            dt=st.floats(0.1, 10.0),
-           window_fraction=st.floats(0.01, 1.0),
            floor=st.sampled_from([None, 1e-12]))
     def test_fit_reads_nothing_past_the_first_floor_record(self, logs, crossing, after,
-                                                           dt, window_fraction, floor):
+                                                           dt, floor):
         # norms[0] = 1, so both floors are 1e-12: the leading records lie
         # above it, then one at or below it, then anything
         norms = np.exp(np.array([0.0] + logs))
         norms = np.concatenate([norms, [crossing], after])
         times = dt * np.arange(norms.size)
         cut = len(logs) + 2  # one record after the first crossing
-        full = fit_decay_rate(times, norms, window_fraction=window_fraction, floor=floor)
-        short = fit_decay_rate(times[:cut], norms[:cut], window_fraction=window_fraction,
-                               floor=floor)
+        full = fit_decay_rate(times, norms, floor=floor)
+        short = fit_decay_rate(times[:cut], norms[:cut], floor=floor)
         assert full.floor_hit and short.floor_hit
         assert full.lambda_n.hex() == short.lambda_n.hex()
         assert full.fit_r2.hex() == short.fit_r2.hex()
@@ -196,7 +240,10 @@ class TestDecayEstimator:
 
     def test_slope_matches_exact_least_squares(self):
         # the centred two-pass slope against the exact slope of the same float
-        # series; t reaches 3e3, where one-pass sums of t^2 and t*y cancel
+        # series over its trailing (size + 1) // 2 records; t reaches 3e3, where
+        # one-pass sums of t^2 and t*y cancel. The bound is 1e-15 relative times
+        # the sum's condition number sum|tc (y - y_mean)| / |sum tc (y - y_mean)|,
+        # which is 1 but where noise swamps the decay (r^2 near 0)
         rng = np.random.default_rng(5)
         for _ in range(60):
             size = int(rng.integers(10, 40))
@@ -204,13 +251,17 @@ class TestDecayEstimator:
             rate = 10.0 ** rng.uniform(-4.0, -1.0)
             times = t0 + dt * np.arange(size)
             norms = np.exp(-rate * (times - t0) + rng.normal(0.0, 1e-3, size))
-            est = fit_decay_rate(times, norms, window_fraction=1.0, floor=0.0)
-            t = [Fraction(v) for v in times.tolist()]
-            y = [Fraction(v) for v in np.log(norms / norms[0]).tolist()]
-            t_mean, y_mean = sum(t) / size, sum(y) / size
-            exact = (sum((a - t_mean) * (b - y_mean) for a, b in zip(t, y))
-                     / sum((a - t_mean) ** 2 for a in t))
-            assert abs(Fraction(-est.lambda_n) - exact) <= Fraction(1e-15) * abs(exact)
+            est = fit_decay_rate(times, norms, floor=0.0)
+            half = slice(size // 2, size)
+            t = [Fraction(v) for v in times[half].tolist()]
+            y = [Fraction(v) for v in np.log(norms[half] / norms[0]).tolist()]
+            t_mean, y_mean = sum(t) / len(t), sum(y) / len(y)
+            terms = [(a - t_mean) * (b - y_mean) for a, b in zip(t, y)]
+            exact = sum(terms) / sum((a - t_mean) ** 2 for a in t)
+            condition = sum(map(abs, terms)) / abs(sum(terms))
+            assert est.fit_window == (times[half][0], times[-1])
+            assert (abs(Fraction(-est.lambda_n) - exact)
+                    <= Fraction(1e-15) * condition * abs(exact))
 
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
     @pytest.mark.parametrize("at", [0, 20, 39])
@@ -240,13 +291,6 @@ class TestDecayEstimator:
                                 floor=0.3)
         assert 0 < exc_info.value.usable_records < 10
 
-    def test_window_fraction_domain(self, params, grid201):
-        traj = synthetic_trajectory(1e-3, grid201)
-        w = default_weight(grid201, params)
-        for bad in (0.0, -0.5, 1.5):
-            with pytest.raises(ParameterError):
-                estimate_decay_rate(traj, w, window_fraction=bad)
-
     def test_floor_domain(self, params, grid201):
         # a negative floor lets the fit reach norms that underflow to 0 and take log(0)
         traj = synthetic_trajectory(1e-3, grid201)
@@ -257,12 +301,11 @@ class TestDecayEstimator:
         assert estimate_decay_rate(traj, w, floor=0.0).lambda_n == pytest.approx(1e-3)
 
     def test_window_bounds_lie_in_horizon(self, params, grid201):
+        # all 701 records lie above the floor; the fit reads the trailing 351
         traj = synthetic_trajectory(1e-3, grid201)
-        est = estimate_decay_rate(traj, default_weight(grid201, params),
-                                  window_fraction=0.25)
-        t0, t1 = est.fit_window
-        assert 0.0 <= t0 < t1 <= 7000.0
-        assert t0 >= 0.5 * 7000.0  # trailing quarter starts past midpoint
+        est = estimate_decay_rate(traj, default_weight(grid201, params))
+        assert est.fit_window == (3500.0, 7000.0)
+        assert not est.floor_hit
 
 
 def _sweep_base(horizon=2000.0, dt=1.0, num_nodes=201, record_every=1):
@@ -404,13 +447,6 @@ class TestSweep:
                 assert est.floor_hit and direct.floor_hit
                 assert cell.provenance["inner_steps"] < base.num_steps <= traj.inner_steps
 
-    def test_window_fraction_is_checked_before_any_stepping(self, monkeypatch):
-        self._break_the_stack(monkeypatch)
-        for bad in (0.0, -0.5, 1.5):
-            with pytest.raises(ParameterError, match="window_fraction"):
-                _sweep(_sweep_base(horizon=100.0, num_nodes=51), [1.0], [0.0],
-                      window_fraction=bad)
-
     def test_floor_is_checked_before_any_stepping(self, monkeypatch):
         self._break_the_stack(monkeypatch)
         with pytest.raises(ParameterError, match="floor must be >= 0, got -1.0"):
@@ -539,9 +575,12 @@ class TestSweep:
             assert cell.estimate == direct
 
     def test_window_and_floor_are_keyword_only(self):
-        # the weight sweep once took second is not read as the window fraction
+        # the weight sweep once took second is not read as the floor, and no
+        # argument sets the fit window
         with pytest.raises(TypeError):
             sweep([_sweep_base(horizon=100.0, num_nodes=51)], 0.5)
+        with pytest.raises(TypeError, match="window_fraction"):
+            sweep([_sweep_base(horizon=100.0, num_nodes=51)], window_fraction=0.5)
 
     @pytest.mark.parametrize("n_values,alpha_values", [([2, 2.0], [0.0]),
                                                        ([2.0], [0.0, 0.5, 0])])

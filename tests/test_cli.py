@@ -66,14 +66,15 @@ class TestLoadConfig:
         assert cfg.horizon == 7000.0
         assert cfg.dt is None
         assert cfg.record_every == 1
-        assert cfg.window_fraction == 0.5
         assert cfg.floor is None
         assert cfg.sat_m is None
 
     def test_key_table_is_the_resolved_fields_and_peclet(self):
-        # one weight, e^{-v x/(2 d_ax)}: no key sets its scale or its rate
+        # one weight, e^{-v x/(2 d_ax)}: no key sets its scale or its rate; the
+        # fit reads the trailing half of its records: no key sets its window
         keys = [key for section in _KEYS.values() for key in section]
-        assert len(keys) == 16
+        assert len(keys) == 15
+        assert list(_KEYS["analysis"]) == ["floor"]
         assert set(keys) == {f.name for f in fields(ResolvedConfig)} | {"peclet"}
 
     def test_explicit_dispersion(self, tmp_path):
@@ -448,22 +449,24 @@ class TestSweepCommand:
         assert calls == []
 
     def test_cell_hash_is_pinned(self, tmp_path):
-        # the hash covers the cell's 14 settings: a dropped, extra or changed one moves it
+        # the hash covers the cell's 13 settings: a dropped, extra or changed one moves it
         out, path = tmp_path / "out", REPO / "perfbench/configs/sweep-ref.ini"
         assert main(["sweep", "--config", str(path), "--out", str(out),
                      "--n-list", "2", "--alpha-list", "0.25"]) == 0
         cells = json.loads((out / "sweep_cells.json").read_text())
-        assert [cell["hash"] for cell in cells] == ["d8d73ef3a42e77ee"]
-        # the settings hashed before the weight's rate left them, d_ax and v fixing it
+        assert [cell["hash"] for cell in cells] == ["95c85dc2dcaa533f"]
         cfg = load_config(path)
         run = replace(cfg, n=2.0, alpha=0.25).run(to_horizon=True)
-        (cell,) = analysis.sweep([run], window_fraction=cfg.window_fraction,
-                                 floor=cfg.floor).cells.values()
+        (cell,) = analysis.sweep([run], floor=cfg.floor).cells.values()
         effort = ("hash", "newton_iterations", "inner_steps", "negativity_events")
         settings = {key: value for key, value in cell.provenance.items() if key not in effort}
-        assert len(settings) == 14 and settings_hash(settings) == "d8d73ef3a42e77ee"
+        assert len(settings) == 13 and settings_hash(settings) == "95c85dc2dcaa533f"
+        # the settings hashed before the fit window's fraction left them, and before
+        # the weight's rate left them, d_ax and v fixing it
+        old = {**settings, "window_fraction": 0.5}
+        assert settings_hash(old) == "d8d73ef3a42e77ee"
         gamma = run.params.v / (2.0 * run.params.d_ax)
-        assert settings_hash({**settings, "gamma": gamma}) == "e9e799e1c8251166"
+        assert settings_hash({**old, "gamma": gamma}) == "e9e799e1c8251166"
 
     def test_fits_match_polyfit_and_need_no_dense_least_squares(self, tmp_path, monkeypatch):
         # every sweep-ref cell's closed-form fit agrees with np.polyfit on its window;
@@ -962,6 +965,46 @@ class TestEnvelopeUnderflow:
         assert self._envelope(self._cfg(tmp_path, 100, 401, "dt = 1\n"))[-1] is True
 
 
+class TestOneNorm:
+    """energy.csv's norm_rho and the sweep's fit norms are analysis.norm, verify's
+    envelope norm, once the energy underflows: n = 2 at Pe 100 on 401 nodes at
+    dt = 1, to t_final = horizon = 7000 s."""
+
+    TEXT = (BASE_INI.replace("peclet = 4", "peclet = 100").replace("n = 1", "n = 2")
+            + "[grid]\nnum_nodes = 401\n[time]\ndt = 1\nt_final = 7000\nhorizon = 7000\n")
+
+    def test_energy_csv_norm_is_the_envelope_norm(self, tmp_path):
+        # the unscaled norm reads 0 from t = 5,894 s and peaks at 6.27 times the
+        # bound; analysis.norm stays positive to 7,000 s and peaks at verify's 42.83
+        path, out = write_ini(tmp_path / "c.ini", self.TEXT), tmp_path / "out"
+        assert main(["simulate", "--config", path, "--out", str(out),
+                     "--snapshots", "0"]) == 0
+        (out / "trajectory.csv").unlink()  # 130 MB that this test does not read
+        _, _, rows = read_csv(out / "energy.csv")
+        t, norms = (np.array([float(r[i]) for r in rows]) for i in (0, 2))
+        assert t[-1] == 7000.0 and np.all(norms > 0.0)
+        cfg = load_config(path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            envelope = verify.envelope(cfg)
+        bound = norms[0] * np.exp(-lambda_theoretical(cfg.run().params) * t)
+        peak = float(np.max(norms[1:] / bound[1:]))
+        assert peak.hex() == envelope.hex()
+        assert 42.8 < peak < 42.9
+
+    def test_sweep_fit_reads_to_the_horizon_at_floor_0(self, tmp_path):
+        # the unscaled norm ended the usable records at t = 5,827 s (floor_hit,
+        # window [2913, 5826]); analysis.norm keeps every record above floor = 0
+        path = write_ini(tmp_path / "c.ini", self.TEXT + "[analysis]\nfloor = 0\n")
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", path, "--out", str(out),
+                     "--n-list", "2", "--alpha-list", "0.25"]) == 0
+        (cell,) = json.loads((out / "sweep_cells.json").read_text())
+        assert cell["fit_window"] == [3500.0, 7000.0] and cell["error"] is None
+        _, header, (row,) = read_csv(out / "sweep.csv")
+        assert dict(zip(header, row))["floor_hit"] == "false"
+
+
 class TestExitCodes:
     def test_config_error_is_two(self, tmp_path, capsys):
         text = BASE_INI.replace("v = 0.01\n", "")
@@ -1061,16 +1104,18 @@ class TestExitCodes:
         assert err == f"config error: --out {out}: cannot write {name}: {reason}\n"
 
     @pytest.mark.parametrize("command", ["simulate", "sweep"])
-    @pytest.mark.parametrize("raw", ["0", "-0.5", "1.5"])
+    @pytest.mark.parametrize("raw", ["0", "-0.5", "1.5", "0.5"])
     def test_window_fraction_outside_the_unit_interval_is_two(self, tmp_path, capsys,
                                                               command, raw):
+        # the fit reads the trailing half of its records: window_fraction is no key,
+        # outside (0, 1] as inside it
         cfg = write_ini(tmp_path / "c.ini", BASE_INI + SMALL_GRID
                         + f"[analysis]\nwindow_fraction = {raw}\n")
         out = tmp_path / "out"
         assert main([command, "--config", cfg, "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert f"config error: window_fraction must lie in (0, 1], got {float(raw)}" in err
-        assert not (out / "manifest.json").exists()
+        assert capsys.readouterr().err == (
+            "config error: unknown key 'window_fraction' in section [analysis]\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["steady", "simulate", "sweep", "verify"])
     def test_negative_floor_is_two(self, tmp_path, capsys, command):

@@ -210,6 +210,15 @@ class TestNumericSolver:
             steady_state_numeric(p, 1.0, grid201)
         assert exc_info.value.residual is not None
 
+    @pytest.mark.xfail(strict=True, raises=SolverError, reason="ROADMAP item 21")
+    def test_converges_at_a_large_feed(self):
+        # n = 10 at Pe 4 on 21 nodes: from the constant guess C = u_bar, Newton
+        # converges in 67 iterations at u_bar = 1e3, but at 1e5 it is still
+        # shedding the guess's excess when NEWTON_MAX_ITER = 100 runs out
+        g = SpatialGrid(l=1.0, num_nodes=21)
+        sol = steady_state_numeric(make_params(n=10.0), 1e5, g)
+        assert np.all(sol.profile.values > 0.0) and np.all(sol.profile.values <= 1e5)
+
     def test_failed_damping_raises(self):
         # Pe 100 on five nodes with n = 0.1: no halving of the first Newton step
         # lowers the residual, which sits far above the round-off floor
