@@ -87,9 +87,9 @@ class DecayEstimate:
     floor_hit: bool
 
 
-def estimate_decay_rate(traj, weight: np.ndarray, floor: float | None = None) -> DecayEstimate:
-    """Least-squares decay rate of log ||w(t)||_rho over the trailing half of the
-    usable records, the norms taken in weight; the fit is fit_decay_rate."""
+def estimate_decay_rate(traj, weight: np.ndarray, *,
+                        floor: float | None = None) -> DecayEstimate:
+    """fit_decay_rate of traj's norms ||w(t)||_rho, each taken in weight by norm."""
     return fit_decay_rate(traj.times, norm(traj.states, weight), floor=floor)
 
 

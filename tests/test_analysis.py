@@ -208,14 +208,18 @@ class TestDecayEstimator:
         assert est.lambda_n == pytest.approx(0.2, rel=1e-12)
         assert est == fit_decay_rate(times[:140], norms[:140])
 
-    def test_window_and_floor_are_keyword_only(self):
-        # a positional third argument (the lambda_t the fit once took) must not
-        # become the floor, and the window is the trailing half: no argument sets it
+    def test_window_and_floor_are_keyword_only(self, params, grid201):
+        # a positional third argument (the lambda_t the fit once took, the window
+        # fraction estimate_decay_rate once took) must not become the floor, and the
+        # window is the trailing half: no argument sets it
         times = np.arange(40.0)
         with pytest.raises(TypeError):
             fit_decay_rate(times, np.exp(-0.01 * times), 0.0025)
         with pytest.raises(TypeError, match="window_fraction"):
             fit_decay_rate(times, np.exp(-0.01 * times), window_fraction=0.5)
+        traj, weight = synthetic_trajectory(1e-3, grid201), default_weight(grid201, params)
+        with pytest.raises(TypeError):
+            estimate_decay_rate(traj, weight, 0.5)
 
     @settings(max_examples=60, deadline=None)
     @given(logs=st.lists(st.floats(-27.0, 0.0), min_size=10, max_size=120),
