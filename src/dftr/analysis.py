@@ -64,8 +64,8 @@ def norm(w, weight: np.ndarray):
     e = energy(w, weight)
     if e.ndim:
         norms = np.sqrt(2.0 * e)
-        for i in np.flatnonzero(e < _TINY_ENERGY):
-            norms[i] = norm(w[i], weight)
+        if np.fmin.reduce(e, initial=math.inf) < _TINY_ENERGY:  # fmin skips nan rows
+            norms[e < _TINY_ENERGY] = [norm(row, weight) for row in w[e < _TINY_ENERGY]]
         return norms
     if not e < _TINY_ENERGY:
         return math.sqrt(2.0 * e)

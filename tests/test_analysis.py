@@ -244,10 +244,9 @@ class TestDecayEstimator:
 
     def test_slope_matches_exact_least_squares(self):
         # the centred two-pass slope against the exact slope of the same float
-        # series over its trailing (size + 1) // 2 records; t reaches 3e3, where
-        # one-pass sums of t^2 and t*y cancel. The bound is 1e-15 relative times
-        # the sum's condition number sum|tc (y - y_mean)| / |sum tc (y - y_mean)|,
-        # which is 1 but where noise swamps the decay (r^2 near 0)
+        # series; t reaches 3e3, where one-pass sums of t^2 and t*y cancel. The
+        # fit reads the trailing half, so size flat records at norms[0] come
+        # first: the half it reads is then the series itself, bit for bit
         rng = np.random.default_rng(5)
         for _ in range(60):
             size = int(rng.integers(10, 40))
@@ -255,17 +254,16 @@ class TestDecayEstimator:
             rate = 10.0 ** rng.uniform(-4.0, -1.0)
             times = t0 + dt * np.arange(size)
             norms = np.exp(-rate * (times - t0) + rng.normal(0.0, 1e-3, size))
-            est = fit_decay_rate(times, norms, floor=0.0)
-            half = slice(size // 2, size)
-            t = [Fraction(v) for v in times[half].tolist()]
-            y = [Fraction(v) for v in np.log(norms[half] / norms[0]).tolist()]
-            t_mean, y_mean = sum(t) / len(t), sum(y) / len(y)
-            terms = [(a - t_mean) * (b - y_mean) for a, b in zip(t, y)]
-            exact = sum(terms) / sum((a - t_mean) ** 2 for a in t)
-            condition = sum(map(abs, terms)) / abs(sum(terms))
-            assert est.fit_window == (times[half][0], times[-1])
-            assert (abs(Fraction(-est.lambda_n) - exact)
-                    <= Fraction(1e-15) * condition * abs(exact))
+            est = fit_decay_rate(np.concatenate([t0 + dt * np.arange(-size, 0), times]),
+                                 np.concatenate([np.full(size, norms[0]), norms]),
+                                 floor=0.0)
+            assert est.fit_window == (times[0], times[-1])
+            t = [Fraction(v) for v in times.tolist()]
+            y = [Fraction(v) for v in np.log(norms / norms[0]).tolist()]
+            t_mean, y_mean = sum(t) / size, sum(y) / size
+            exact = (sum((a - t_mean) * (b - y_mean) for a, b in zip(t, y))
+                     / sum((a - t_mean) ** 2 for a in t))
+            assert abs(Fraction(-est.lambda_n) - exact) <= Fraction(1e-15) * abs(exact)
 
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
     @pytest.mark.parametrize("at", [0, 20, 39])

@@ -1104,11 +1104,11 @@ class TestExitCodes:
         assert err == f"config error: --out {out}: cannot write {name}: {reason}\n"
 
     @pytest.mark.parametrize("command", ["simulate", "sweep"])
-    @pytest.mark.parametrize("raw", ["0", "-0.5", "1.5", "0.5"])
+    @pytest.mark.parametrize("raw", ["0", "-0.5", "1.5"])
     def test_window_fraction_outside_the_unit_interval_is_two(self, tmp_path, capsys,
                                                               command, raw):
-        # the fit reads the trailing half of its records: window_fraction is no key,
-        # outside (0, 1] as inside it
+        # the fit reads the trailing half of its records, so window_fraction is no
+        # key: the values its domain check refused exit 2 as an unknown key
         cfg = write_ini(tmp_path / "c.ini", BASE_INI + SMALL_GRID
                         + f"[analysis]\nwindow_fraction = {raw}\n")
         out = tmp_path / "out"
